@@ -8,6 +8,12 @@ On success the generated Python source of the compiled channel is
 written out (default ``compiled_channel.py.txt``) so CI can upload it
 as a build artifact next to the waveforms it proves equivalent.
 
+A second, host-independent invariant covers warm builds: a serial
+compiled demo campaign rebuilds one platform shape for its golden run
+and every faulty run, so the synthesis memo must miss exactly once per
+distinct group shape and ``compile_module`` must not run again after
+the first build.
+
 Usage::
 
     python benchmarks/compile_smoke.py [--source-out FILE]
@@ -23,10 +29,13 @@ _ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 if os.path.join(_ROOT, "src") not in sys.path:
     sys.path.insert(0, os.path.join(_ROOT, "src"))
 
+import repro.compile.channel as compile_channel  # noqa: E402
 from repro.compile import CompiledChannel  # noqa: E402
 from repro.core import CommandType  # noqa: E402
+from repro.fault import demo_campaign_spec, run_campaign  # noqa: E402
 from repro.flow import PciPlatformConfig, build_pci_platform  # noqa: E402
 from repro.kernel import MS  # noqa: E402
+from repro.synthesis.tool import synthesize_group_shape  # noqa: E402
 from repro.trace import VcdTracer  # noqa: E402
 from repro.verify.consistency import (  # noqa: E402
     check_bus_transactions,
@@ -57,6 +66,36 @@ def _run(backend: str, vcd_path: "str | None" = None):
     if vcd_path is not None:
         vcd.close(sim.time)
     return bundle, result
+
+
+def check_warm_builds(runs: int = 20) -> str:
+    """Synthesize and compile a campaign's channel once, not per run."""
+    codegen_calls = []
+    original = compile_channel.compile_module
+
+    def counting(module, *args, **kwargs):
+        codegen_calls.append(module.name)
+        return original(module, *args, **kwargs)
+
+    spec = demo_campaign_spec(platform="pci", seed=11, runs=runs)
+    spec.synthesize = True
+    spec.backend = "compiled"
+    synthesize_group_shape.cache_clear()
+    compile_channel.compile_module = counting
+    try:
+        result = run_campaign(spec, workers=1, max_runs=runs)
+    finally:
+        compile_channel.compile_module = original
+    info = synthesize_group_shape.cache_info()
+    builds = 1 + len(result.outcomes)  # golden + one per faulty run
+    assert result.outcomes, "the campaign expanded to no runs"
+    assert info.misses == info.currsize == 1, info
+    assert info.hits == builds - 1, info
+    assert len(codegen_calls) == 1, codegen_calls
+    return (
+        f"warm builds OK: {builds} compiled builds, {info.misses} "
+        f"synthesis miss, {len(codegen_calls)} codegen call"
+    )
 
 
 def main(argv: "list[str] | None" = None) -> int:
@@ -103,6 +142,7 @@ def main(argv: "list[str] | None" = None) -> int:
     )
     print(f"generated source ({netlist.stats['source_lines']} lines) "
           f"written to {args.source_out}")
+    print(check_warm_builds())
     return 0
 
 

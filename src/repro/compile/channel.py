@@ -52,12 +52,28 @@ from ..synthesis.rtl_channel import ST_DONE, ST_EXEC, ST_IDLE, ChannelCallRecord
 from .codegen import CompiledNetlist, compile_module
 
 
+def compile_channel_ir(module: RtlModule, n_clients: int) -> CompiledNetlist:
+    """Lower a channel IR to the core a :class:`CompiledChannel` drives.
+
+    Grant selection and per-client eligibility stay external inputs (the
+    shared arbiter policy and the behavioural guards supply them), and
+    the arbiter-internal registers are sliced out.
+    """
+    external = ["arb_grant_index"] + [f"eligible_{i}" for i in range(n_clients)]
+    return compile_module(
+        module,
+        external=external,
+        observe=("take_grant", "exec_go"),
+        skip_register_prefixes=("arb_",),
+    )
+
+
 class CompiledChannel(Module):
     """Compiled-backend implementation of one connection group.
 
     Constructor contract is identical to ``RtlMethodChannel``; the
-    synthesizer must call :meth:`bind_netlist` with the group's channel
-    IR before the simulation starts.
+    synthesizer must call :meth:`bind_netlist` with the group's compiled
+    channel IR before the simulation starts.
     """
 
     def __init__(
@@ -131,23 +147,23 @@ class CompiledChannel(Module):
 
     # -- netlist binding -------------------------------------------------------
 
-    def bind_netlist(self, module: RtlModule) -> None:
-        """Compile the group's channel IR into this channel's core."""
+    def bind_netlist(self, netlist: CompiledNetlist) -> None:
+        """Bind the group's compiled channel IR as this channel's core.
+
+        *netlist* comes from :func:`compile_channel_ir` and may be shared
+        with other channels of the same shape: its code is stateless and
+        this channel keeps its own register file.
+        """
         n = self._n_clients
-        external = ["arb_grant_index"] + [f"eligible_{i}" for i in range(n)]
-        self._netlist = compile_module(
-            module,
-            external=external,
-            observe=("take_grant", "exec_go"),
-            skip_register_prefixes=("arb_",),
-        )
-        self._regs = self._netlist.reset_registers()
-        self._state_key = f"{module.name}_server_state"
+        self._netlist = netlist
+        self._regs = netlist.reset_registers()
+        module_name = netlist.module.name
+        self._state_key = f"{module_name}_server_state"
         if self._state_key not in self._regs:
             raise SynthesisError(
-                f"channel IR {module.name!r} has no server state register"
+                f"channel IR {module_name!r} has no server state register"
             )
-        self._ins = {name: 0 for name in self._netlist.input_names}
+        self._ins = {name: 0 for name in netlist.input_names}
         self._ins["rst_n"] = 1
         self._outs: dict[str, int] = {}
         self._req_keys = [f"req_{i}" for i in range(n)]

@@ -196,26 +196,19 @@ def build_campaign_platform(spec: CampaignSpec) -> PlatformBundle:
         )
         for seed in spec.workload_seeds()
     ]
+    # Lowered channels use the per-spec backend; it applies to golden
+    # and faulty builds alike so the comparison stays like-for-like.
     config = PciPlatformConfig(
-        monitor_strict=False, app_think_time=spec.think_time
+        monitor_strict=False, app_think_time=spec.think_time,
+        backend=getattr(spec, "backend", "interpreted"),
     )
     if spec.resilience:
         from ..resilience import ResilienceConfig
 
         config.resilience = ResilienceConfig.default(spec.seed)
-    synthesize = getattr(spec, "synthesize", False)
-    if synthesize:
-        # Lowered channels, per-spec backend; applies to golden, probe
-        # and faulty builds alike so the comparison stays like-for-like.
-        from ..synthesis.tool import SynthesisConfig
-
-        return _BUILDERS[spec.platform](
-            workloads, config, synthesize=True,
-            synthesis_config=SynthesisConfig(
-                backend=getattr(spec, "backend", "interpreted")
-            ),
-        )
-    return _BUILDERS[spec.platform](workloads, config)
+    return _BUILDERS[spec.platform](
+        workloads, config, synthesize=getattr(spec, "synthesize", False)
+    )
 
 
 def injectable_targets(bundle: PlatformBundle) -> tuple[list, list]:
@@ -233,7 +226,10 @@ def injectable_targets(bundle: PlatformBundle) -> tuple[list, list]:
 
 def run_golden(spec: CampaignSpec) -> GoldenReference:
     """Build and run the platform fault-free; record the reference."""
-    bundle = build_campaign_platform(spec)
+    return _run_golden(spec, build_campaign_platform(spec))
+
+
+def _run_golden(spec: CampaignSpec, bundle: PlatformBundle) -> GoldenReference:
     result = bundle.run(spec.max_time)
     image = bundle.memory.dump(0, spec.address_span // 4)
     return GoldenReference(result.traces, image, bundle.handle.sim.time)
@@ -242,10 +238,14 @@ def run_golden(spec: CampaignSpec) -> GoldenReference:
 def plan_campaign(
     spec: CampaignSpec,
 ) -> tuple[GoldenReference, list[RunSpec]]:
-    """Golden reference + the expanded deterministic run list."""
-    golden = run_golden(spec)
-    probe = build_campaign_platform(spec)
-    signal_paths, channel_paths = injectable_targets(probe)
+    """Golden reference + the expanded deterministic run list.
+
+    The targets are read off the golden platform before it runs, so
+    they are exactly what a fresh faulty-run build exposes.
+    """
+    bundle = build_campaign_platform(spec)
+    signal_paths, channel_paths = injectable_targets(bundle)
+    golden = _run_golden(spec, bundle)
     runs = expand_campaign(spec, signal_paths, channel_paths, golden.horizon)
     return golden, runs
 

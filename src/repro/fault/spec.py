@@ -268,7 +268,7 @@ def expand_campaign(
     """Expand a campaign into its deterministic run list.
 
     :param signal_paths: hierarchical names of every injectable signal
-        on the platform (from a probe build).
+        on the platform (read off a built, not yet run, platform).
     :param channel_paths: hierarchical names of every global-object
         handle.
     :param horizon: the golden run's end time (fs), the reference for

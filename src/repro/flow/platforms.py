@@ -28,6 +28,7 @@ The bus families (:data:`BUS_FAMILIES`):
 
 from __future__ import annotations
 
+import copy
 import typing
 
 from ..core.application import Application
@@ -80,11 +81,7 @@ class PciPlatformConfig:
         backend: str = "interpreted",
         params: IfaceParams | None = None,
     ) -> None:
-        if backend not in ("interpreted", "compiled"):
-            raise RefinementError(
-                f"unknown backend {backend!r}; expected 'interpreted' or "
-                "'compiled'"
-            )
+        _check_backend(backend)
         self.clock_period = clock_period
         self.mem_size = mem_size
         self.peripheral_base = peripheral_base
@@ -124,6 +121,21 @@ class PciPlatformConfig:
         #: builder runs with synthesize=True; an explicit
         #: synthesis_config passed to the builder wins over this knob.
         self.backend = backend
+
+    def with_backend(self, backend: str) -> "PciPlatformConfig":
+        """A copy of this config that synthesizes onto *backend*."""
+        _check_backend(backend)
+        config = copy.copy(self)
+        config.backend = backend
+        return config
+
+
+def _check_backend(backend: str) -> None:
+    if backend not in ("interpreted", "compiled"):
+        raise RefinementError(
+            f"unknown backend {backend!r}; expected 'interpreted' or "
+            "'compiled'"
+        )
 
 
 def _maybe_apply_resilience(interface, config: "PciPlatformConfig") -> None:
@@ -552,14 +564,9 @@ def standard_flow_builders(
         return build_functional_platform(workloads, config).handle
 
     def implementation_builder(synthesize: bool, backend: str = "interpreted"):
-        synthesis_config = None
-        if synthesize:
-            from ..synthesis.tool import SynthesisConfig
-
-            synthesis_config = SynthesisConfig(backend=backend)
         bundle = build_platform(
-            workloads, config, bus=bus, synthesize=synthesize,
-            synthesis_config=synthesis_config,
+            workloads, (config or PciPlatformConfig()).with_backend(backend),
+            bus=bus, synthesize=synthesize,
         )
         return bundle.handle, bundle.synthesis
 

@@ -310,7 +310,11 @@ def run_swap_matrix(
     import time as _time
 
     from ..core.workload import expected_memory_image
-    from ..flow.platforms import build_functional_platform, build_platform
+    from ..flow.platforms import (
+        PciPlatformConfig,
+        build_functional_platform,
+        build_platform,
+    )
 
     workload = _matrix_workload(seed, n_commands)
     golden_image = expected_memory_image(workload, 0x400 // 4)
@@ -319,6 +323,7 @@ def run_swap_matrix(
     # families (the functional reference has no wires, let alone a
     # clock of its own).
     cycle_fs = config.clock_period if config is not None else 30 * NS
+    cell_config = config or PciPlatformConfig()
 
     ref_bundle = build_functional_platform([workload], config)
     reference = _traced_run(
@@ -338,11 +343,12 @@ def run_swap_matrix(
             try:
                 bundle = build_platform(
                     [workload],
-                    config,
+                    cell_config.with_backend(
+                        "compiled" if level == "compiled" else "interpreted"
+                    ),
                     bus=bus,
                     synthesize=level != "functional",
                     label=label,
-                    synthesis_config=_cell_synthesis_config(level, config),
                 )
                 tracer, result, probe = _traced_run(
                     bundle, max_time, cycle_fs, telemetry=telemetry
@@ -362,16 +368,6 @@ def run_swap_matrix(
             report.buses, seed, fault_runs, workers=fault_workers
         )
     return report
-
-
-def _cell_synthesis_config(level: str, config):
-    if level == "functional":
-        return None
-    from ..synthesis.tool import SynthesisConfig
-
-    data_width = 32 if config is None else config.params.data_width
-    backend = "compiled" if level == "compiled" else "interpreted"
-    return SynthesisConfig(backend=backend, data_width=data_width)
 
 
 def _fault_leg(

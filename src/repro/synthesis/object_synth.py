@@ -66,16 +66,38 @@ def build_object_ir(
     :param state: a live instance (used only for state-size estimation).
     :param method_order: fixed method indexing shared with the channel.
     """
-    if not method_order:
+    return object_server_ir(
+        name,
+        type(state).__name__,
+        estimate_state_bits(state),
+        [(method, methods[method].guard is not None) for method in method_order],
+    )
+
+
+def object_server_ir(
+    name: str,
+    class_name: str,
+    state_bits: typing.Mapping[str, int],
+    methods: typing.Sequence[tuple[str, bool]],
+) -> RtlModule:
+    """The object-server wrapper netlist from exactly what it depends on.
+
+    :param class_name: name of the shared object's class.
+    :param state_bits: per-attribute register widths, as
+        :func:`estimate_state_bits` returns them.
+    :param methods: ``(method name, has a guard)`` pairs in the fixed
+        method indexing shared with the channel.
+    """
+    if not methods:
         raise SynthesisError("object has no methods to synthesize")
     module = RtlModule(
         name,
         comment=(
-            f"shared object server: {type(state).__name__} "
-            f"({len(method_order)} guarded methods; bodies behavioural)"
+            f"shared object server: {class_name} "
+            f"({len(methods)} guarded methods; bodies behavioural)"
         ),
     )
-    method_bits = clog2(max(2, len(method_order)))
+    method_bits = clog2(max(2, len(methods)))
     module.add_port("clk", "in", 1)
     module.add_port("rst_n", "in", 1)
     exec_go = module.add_port("exec_go", "in", 1, "from channel: run the body")
@@ -85,7 +107,7 @@ def build_object_ir(
     # Estimated state registers. The bodies stay behavioural, so the
     # update logic is modelled as a self-hold gated by the execute
     # strobe (the real datapath would replace the hold expression).
-    for attr, bits in sorted(estimate_state_bits(state).items()):
+    for attr, bits in sorted(state_bits.items()):
         register = module.add_register(
             f"state_{attr}", bits, 0,
             f"object attribute {attr!r} (estimated width)")
@@ -94,14 +116,13 @@ def build_object_ir(
             comment="updated behaviourally by the method bodies")
 
     # One guard output per method: combinational over the state registers.
-    for index, method_name in enumerate(method_order):
-        descriptor = methods[method_name]
+    for index, (method_name, guarded) in enumerate(methods):
         guard_port = module.add_port(
             f"guard_{index}", "out", 1,
             f"guard of {method_name!r}"
-            + ("" if descriptor.guard else " (unguarded: constant 1)"),
+            + ("" if guarded else " (unguarded: constant 1)"),
         )
-        if descriptor.guard is None:
+        if not guarded:
             module.add_assign(guard_port, Const(1, 1), "always callable")
         else:
             # The predicate itself stays behavioural; structurally it is a
@@ -115,7 +136,7 @@ def build_object_ir(
             module.add_assign(guard_port, predicate.ref())
 
     # Body-dispatch strobes: exec_go qualified by the method index.
-    for index, method_name in enumerate(method_order):
+    for index, (method_name, __) in enumerate(methods):
         strobe = module.add_port(f"run_{index}", "out", 1,
                                  f"execute body of {method_name!r}")
         selected = BinOp("==", exec_method.ref(), Const(index, method_bits))

@@ -8,6 +8,7 @@ prototype printed after a run.
 
 from __future__ import annotations
 
+import typing
 
 from .ir import RtlModule
 from .poly_synth import DispatchInfo
@@ -46,16 +47,16 @@ class SynthesisReport:
         self.channels: list[dict] = []
         self.dispatches: list[DispatchInfo] = []
 
-    def add_module(self, module: RtlModule) -> ModuleReport:
-        report = ModuleReport(module)
-        self.modules.append(report)
-        return report
-
-    def add_channel_info(self, info: dict) -> None:
-        self.channels.append(info)
-
-    def add_dispatch(self, info: DispatchInfo) -> None:
-        self.dispatches.append(info)
+    def add_group(
+        self,
+        modules: typing.Iterable[ModuleReport],
+        dispatches: typing.Iterable[DispatchInfo],
+        channel: dict,
+    ) -> None:
+        """Account for one lowered connection group."""
+        self.modules.extend(modules)
+        self.dispatches.extend(dispatches)
+        self.channels.append(channel)
 
     # -- totals ------------------------------------------------------------
 

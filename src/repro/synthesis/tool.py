@@ -7,10 +7,16 @@ servers and replaces each group's communication with an RT-level
 matching structural netlists, HDL text and the synthesis report along
 the way. Application code is untouched: its guarded-method calls are
 served by the synthesized channel from then on.
+
+Only the channel instance is built per group. The netlists, HDL,
+report rows and compiled code depend on nothing but the group's
+:class:`GroupShape`, so :func:`synthesize_group_shape` derives each
+distinct shape once per process and every later group shares it.
 """
 
 from __future__ import annotations
 
+import functools
 import typing
 
 from ..errors import SynthesisError
@@ -23,10 +29,14 @@ from .arbiter_synth import RtlStaticPriorityPolicy
 from .channel_synth import build_channel_ir
 from .emit_verilog import emit_verilog
 from .emit_vhdl import emit_vhdl
-from .object_synth import build_object_ir, estimate_state_bits
-from .poly_synth import synthesize_dispatch
-from .report import SynthesisReport
+from .ir import RtlModule
+from .object_synth import estimate_state_bits, object_server_ir
+from .poly_synth import DispatchInfo, synthesize_dispatch
+from .report import ModuleReport, SynthesisReport
 from .rtl_channel import RtlMethodChannel
+
+if typing.TYPE_CHECKING:
+    from ..compile.codegen import CompiledNetlist
 
 
 #: Execution backends a synthesized design can run on.
@@ -157,6 +167,150 @@ def _lint_group_netlists(group_name: str, modules: list) -> None:
             )
 
 
+class GroupShape(typing.NamedTuple):
+    """Everything the netlist builders read from one connection group.
+
+    Two groups of equal shape synthesize to identical netlists, HDL,
+    reports and compiled code, whatever bus or platform they sit in.
+    """
+
+    group_name: str
+    object_name: str
+    n_clients: int
+    #: ``(method name, has a guard)`` in the channel's method indexing.
+    methods: tuple[tuple[str, bool], ...]
+    arbiter: str
+    #: Per-client static priorities; None for other arbiter kinds.
+    priorities: "tuple[int, ...] | None"
+    body_cycles: int
+    data_width: int
+    state_class: str
+    #: :func:`estimate_state_bits` of the shared state, sorted by name.
+    state_bits: tuple[tuple[str, int], ...]
+    #: ``(module name, variable name, base class, variants)`` per
+    #: polymorphic member of the shared state.
+    dispatches: tuple[tuple[str, str, type, tuple[type, ...]], ...]
+    lint_ir: bool
+    emit_hdl: bool
+    backend: str
+
+
+class GroupNetlists(typing.NamedTuple):
+    """What one :class:`GroupShape` synthesizes to.
+
+    Shared by every group of that shape in the process, so it is
+    read-only: nothing mutates an IR module after synthesis.
+    """
+
+    channel_ir: RtlModule
+    object_ir: RtlModule
+    dispatch_irs: tuple[RtlModule, ...]
+    modules: tuple[ModuleReport, ...]
+    dispatches: tuple[DispatchInfo, ...]
+    verilog: str
+    vhdl: str
+    #: The channel IR lowered to Python; None on the interpreted backend.
+    compiled: "CompiledNetlist | None"
+
+
+def _group_shape(
+    index: int,
+    group_name: str,
+    channel: RtlMethodChannel,
+    config: SynthesisConfig,
+) -> GroupShape:
+    """The shape of one group, read off its freshly bound channel."""
+    space = channel.space
+    state = space.state
+    priorities = None
+    if isinstance(channel.policy, RtlStaticPriorityPolicy):
+        priorities = tuple(channel.policy.priorities)
+    state_vars = vars(state) if hasattr(state, "__dict__") else {}
+    return GroupShape(
+        group_name=group_name,
+        object_name=f"obj{index}_" + type(state).__name__.lower(),
+        n_clients=len(channel.clients),
+        methods=tuple(
+            (name, space.methods[name].guard is not None)
+            for name in channel.method_names
+        ),
+        arbiter=channel.policy.kind,
+        priorities=priorities,
+        body_cycles=config.body_cycles,
+        data_width=config.data_width,
+        state_class=type(state).__name__,
+        state_bits=tuple(sorted(estimate_state_bits(state).items())),
+        dispatches=tuple(
+            (f"poly{index}_{name.lstrip('_')}", value.name, value.base,
+             value.variants)
+            for name, value in sorted(state_vars.items())
+            if isinstance(value, PolymorphicVar)
+        ),
+        lint_ir=config.lint_ir,
+        emit_hdl=config.emit_hdl,
+        backend=config.backend,
+    )
+
+
+@functools.lru_cache(maxsize=32)
+def synthesize_group_shape(shape: GroupShape) -> GroupNetlists:
+    """Build, lint, emit and (compiled backend) lower one group shape.
+
+    Memoized: each distinct shape is synthesized once per process, and
+    every later group of that shape gets the same :class:`GroupNetlists`.
+    A lint failure raises and is not cached, so it raises on every call.
+    """
+    channel_ir = build_channel_ir(
+        shape.group_name,
+        shape.n_clients,
+        [name for name, __ in shape.methods],
+        shape.arbiter,
+        shape.body_cycles,
+        shape.priorities,
+        shape.data_width,
+    )
+    object_ir = object_server_ir(
+        shape.object_name,
+        shape.state_class,
+        dict(shape.state_bits),
+        shape.methods,
+    )
+    # Polymorphic members of the shared state lower to tag+mux
+    # dispatch structures (the SystemC+ late-binding feature). The
+    # dispatch reads only the variable's name and class set.
+    dispatch_irs = []
+    dispatches = []
+    for module_name, var_name, base, variants in shape.dispatches:
+        dispatch_module, dispatch_info = synthesize_dispatch(
+            PolymorphicVar(base, variants, var_name), module_name
+        )
+        dispatch_irs.append(dispatch_module)
+        dispatches.append(dispatch_info)
+    modules = [channel_ir, object_ir, *dispatch_irs]
+    if shape.lint_ir:
+        _lint_group_netlists(shape.group_name, modules)
+    verilog = vhdl = ""
+    if shape.emit_hdl:
+        verilog = "\n\n".join(emit_verilog(module) for module in modules)
+        vhdl = "\n\n".join(emit_vhdl(module) for module in modules)
+    compiled = None
+    if shape.backend == "compiled":
+        # Imported lazily: repro.compile imports synthesis and analyze.
+        from ..compile.channel import compile_channel_ir
+
+        compiled = compile_channel_ir(channel_ir, shape.n_clients)
+    return GroupNetlists(
+        channel_ir,
+        object_ir,
+        tuple(dispatch_irs),
+        tuple(ModuleReport(module) for module in modules),
+        tuple(dispatches),
+        verilog,
+        vhdl,
+        compiled,
+    )
+
+
 def discover_groups(sim: Simulator) -> list[list[GlobalObject]]:
     """All global-object connection groups in the design, as handle lists."""
     by_root: dict[int, list[GlobalObject]] = {}
@@ -225,70 +379,28 @@ def synthesize_communication(
             )
         for handle in handles:
             handle._root()._lowered = channel
-        # Structural netlists.
-        priorities = None
-        if isinstance(channel.policy, RtlStaticPriorityPolicy):
-            priorities = channel.policy.priorities
-        channel_ir = build_channel_ir(
-            group_name,
-            len(channel.clients),
-            channel.method_names,
-            channel.policy.kind,
-            config.body_cycles,
-            priorities,
-            config.data_width,
-        )
-        if config.backend == "compiled":
-            # The compiled backend *executes* the synthesized netlist:
-            # the channel IR is lowered to generated Python and bound as
-            # the channel's clocked core.
-            channel.bind_netlist(channel_ir)
-        object_ir = build_object_ir(
-            f"obj{index}_" + type(space.state).__name__.lower(),
-            space.state,
-            space.methods,
-            channel.method_names,
-        )
-        report.add_module(channel_ir)
-        report.add_module(object_ir)
-        # Polymorphic members of the shared state lower to tag+mux
-        # dispatch structures (the SystemC+ late-binding feature).
-        dispatch_irs = []
-        state_vars = vars(space.state) if hasattr(space.state, "__dict__") else {}
-        for attr_name, attr_value in sorted(state_vars.items()):
-            if isinstance(attr_value, PolymorphicVar):
-                dispatch_module, dispatch_info = synthesize_dispatch(
-                    attr_value,
-                    f"poly{index}_{attr_name.lstrip('_')}",
-                )
-                dispatch_irs.append(dispatch_module)
-                report.add_module(dispatch_module)
-                report.add_dispatch(dispatch_info)
-        report.add_channel_info(
+        shape = _group_shape(index, group_name, channel, config)
+        netlists = synthesize_group_shape(shape)
+        if netlists.compiled is not None:
+            # The compiled backend *executes* the synthesized netlist.
+            channel.bind_netlist(netlists.compiled)
+        report.add_group(
+            netlists.modules,
+            netlists.dispatches,
             {
                 "name": group_name,
-                "clients": len(channel.clients),
-                "methods": len(channel.method_names),
-                "arbiter": channel.policy.kind,
-                "cls": type(space.state).__name__,
-                "state_bits": sum(estimate_state_bits(space.state).values()),
-            }
+                "clients": shape.n_clients,
+                "methods": len(shape.methods),
+                "arbiter": shape.arbiter,
+                "cls": shape.state_class,
+                "state_bits": sum(bits for __, bits in shape.state_bits),
+            },
         )
-        if config.lint_ir:
-            _lint_group_netlists(group_name, [channel_ir, object_ir, *dispatch_irs])
-        verilog = vhdl = ""
-        if config.emit_hdl:
-            verilog_parts = [emit_verilog(channel_ir), emit_verilog(object_ir)]
-            vhdl_parts = [emit_vhdl(channel_ir), emit_vhdl(object_ir)]
-            for dispatch_module in dispatch_irs:
-                verilog_parts.append(emit_verilog(dispatch_module))
-                vhdl_parts.append(emit_vhdl(dispatch_module))
-            verilog = "\n\n".join(verilog_parts)
-            vhdl = "\n\n".join(vhdl_parts)
         result.groups.append(
             SynthesizedGroup(
-                group_name, list(handles), channel, channel_ir, object_ir,
-                verilog, vhdl, dispatch_irs,
+                group_name, list(handles), channel, netlists.channel_ir,
+                netlists.object_ir, netlists.verilog, netlists.vhdl,
+                list(netlists.dispatch_irs),
             )
         )
     if _SYNTHESIS_SINK is not None:

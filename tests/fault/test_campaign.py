@@ -4,6 +4,9 @@ These run real (small) platforms, so each test costs a platform build
 plus one or two bounded simulations.
 """
 
+import hashlib
+import json
+
 import pytest
 
 from repro.fault import (
@@ -19,9 +22,11 @@ from repro.fault import (
     execute_run,
     injectable_targets,
     build_campaign_platform,
+    demo_campaign_spec,
     plan_campaign,
     run_golden,
 )
+from repro.fault.durable import campaign_content_hash
 
 
 def _spec(faults, **kwargs):
@@ -61,6 +66,76 @@ class TestPlanning:
         golden, runs = plan_campaign(spec)
         assert len(runs) == 3
         assert {r.kind for r in runs} == {"stuck_at", "delayed_grant"}
+
+
+#: Demo campaigns (seed 11): the run count and a digest of the expanded
+#: run list per bus/level. Synthesis lowers the channel but keeps every
+#: injectable path, so both backends expand identically.
+EXPANSIONS = {
+    "functional/behavioural": (60, "84c955b76f2c198e"),
+    "pci/behavioural": (60, "34b983e118c2ee5b"),
+    "pci/interpreted": (60, "c32bf7dec71f078c"),
+    "pci/compiled": (60, "c32bf7dec71f078c"),
+    "wishbone/behavioural": (60, "a4e8bc99f4b69367"),
+    "wishbone/interpreted": (60, "acd34887cc3719f8"),
+    "wishbone/compiled": (60, "acd34887cc3719f8"),
+    "axi4lite/behavioural": (60, "6e7da3e531c8a817"),
+    "axi4lite/interpreted": (60, "25f9216cda88f3ff"),
+    "axi4lite/compiled": (60, "25f9216cda88f3ff"),
+    "tlmgp/behavioural": (60, "b9865e343c31896b"),
+    "tlmgp/interpreted": (60, "96082503064e1c80"),
+    "tlmgp/compiled": (60, "96082503064e1c80"),
+}
+
+#: The durable content hash (first 16 hex digits) of the same specs,
+#: plain and with ``resilience`` and ``trace_spans`` on.
+CONTENT_HASHES = {
+    "functional/behavioural": ("5fc1f26b2aa322c8", "82b6464fa8d37c4d"),
+    "pci/behavioural": ("ae4e6f90c4c60716", "95b2f8563760370f"),
+    "pci/interpreted": ("e7217833ba7d1fd9", "6ace674bdee912b6"),
+    "pci/compiled": ("29f1d7410c562cee", "92206547e8153aa8"),
+    "wishbone/behavioural": ("09a0cfcf48769f3c", "fa1a97e45f0da09e"),
+    "wishbone/interpreted": ("28f160e3ff9381c1", "24dbbeebe9abf50e"),
+    "wishbone/compiled": ("f8aad0bb3131a809", "1f003335209ec392"),
+    "axi4lite/behavioural": ("84088f76ebded7c1", "43d88f5abdf904fc"),
+    "axi4lite/interpreted": ("eb4f43280b3fc4f3", "6763c4edf60faad8"),
+    "axi4lite/compiled": ("d719dc85c91f1531", "0e99cbb359ecbb5f"),
+    "tlmgp/behavioural": ("0e5437afa5086d4f", "fb507a8741873b22"),
+    "tlmgp/interpreted": ("4a19051857d81476", "915b8616a6c99b93"),
+    "tlmgp/compiled": ("ad1fed47803b78c7", "7a14e5147eea675a"),
+}
+
+
+def _demo_spec(cell, extras):
+    bus, level = cell.split("/")
+    spec = demo_campaign_spec(platform=bus, seed=11)
+    spec.resilience = spec.trace_spans = extras
+    if level != "behavioural":
+        spec.synthesize = True
+        spec.backend = level
+    return spec
+
+
+class TestPlanPins:
+    """The plan reads its targets off the golden build; it must expand
+    exactly as planning against a separate probe build did."""
+
+    @pytest.mark.parametrize("extras", [False, True],
+                             ids=["plain", "resilience+spans"])
+    @pytest.mark.parametrize("cell", sorted(EXPANSIONS))
+    def test_demo_expansion_and_content_hash(self, cell, extras):
+        spec = _demo_spec(cell, extras)
+        __, runs = plan_campaign(spec)
+        rows = [
+            [run.run_id, run.kind, run.target_path,
+             list(run.window) if run.window else None, run.params]
+            for run in runs
+        ]
+        digest = hashlib.sha256(
+            json.dumps(rows, sort_keys=True).encode()
+        ).hexdigest()[:16]
+        assert (len(runs), digest) == EXPANSIONS[cell]
+        assert campaign_content_hash(spec)[:16] == CONTENT_HASHES[cell][extras]
 
 
 class TestClassification:

@@ -11,6 +11,7 @@ from repro.flow import (
     build_pci_platform,
     standard_flow_builders,
 )
+from repro.iface import IfaceParams
 from repro.kernel import MS
 
 
@@ -59,6 +60,31 @@ class TestFullFlow:
         flow = DesignFlow({"name": "broken"}, bad_functional, implementation)
         with pytest.raises(ConsistencyError):
             flow.run(20 * MS)
+
+
+class TestFlowDataWidth:
+    @pytest.mark.parametrize("backend", ["interpreted", "compiled"])
+    @pytest.mark.parametrize("bus", ["wishbone", "axi4lite"])
+    @pytest.mark.parametrize("width", [16, 64])
+    def test_synthesized_data_buses_follow_params(self, width, bus, backend):
+        """The flow synthesizes the platform's data width, as
+        ``build_platform`` does, on either backend."""
+        # Two-lane commands: legal on a 16-bit data path too.
+        workloads = [[
+            CommandType.write(0x10, [0x1234, 0xBEEF], byte_enables=0x3),
+            CommandType.read(0x10, count=2, byte_enables=0x3),
+        ]]
+        config = PciPlatformConfig(params=IfaceParams(data_width=width))
+        flow = DesignFlow(
+            {"name": f"{bus}-{width}"},
+            *standard_flow_builders(workloads, config, bus=bus),
+            backend=backend,
+        )
+        report = flow.run(20 * MS)
+        assert report.succeeded
+        channel_ir = report.synthesis_result.groups[0].channel_ir
+        widths = {port.name: port.width for port in channel_ir.ports}
+        assert (widths["arg_data"], widths["ret_data"]) == (width, width)
 
 
 class TestBuilders:
