@@ -63,10 +63,10 @@ class LogicVector:
     def _raw(cls, width: int, ones: int, x: int, z: int) -> "LogicVector":
         vector = cls.__new__(cls)
         mask = (1 << width) - 1
-        object.__setattr__(vector, "_width", width)
-        object.__setattr__(vector, "_ones", ones & mask & ~(x | z))
-        object.__setattr__(vector, "_x", x & mask)
-        object.__setattr__(vector, "_z", z & mask & ~x)
+        vector._width = width
+        vector._ones = ones & mask & ~(x | z)
+        vector._x = x & mask
+        vector._z = z & mask & ~x
         return vector
 
     @classmethod
@@ -269,7 +269,12 @@ class LogicVector:
     # -- comparison ---------------------------------------------------------------------
 
     def __eq__(self, other: object) -> bool:
-        other_vec = _coerce(other, self._width)
+        if other is self:
+            return True
+        if type(other) is LogicVector:
+            other_vec = other
+        else:
+            other_vec = _coerce(other, self._width)
         if other_vec is None:
             return NotImplemented
         return (
@@ -436,7 +441,7 @@ def resolve_vectors(width: int, drivers: typing.Sequence[LogicVector]) -> LogicV
     value = 0
     x = 0
     for driver in drivers:
-        if driver.width != width:
+        if driver._width != width:
             raise WidthError(
                 f"driver width {driver.width} does not match bus width {width}"
             )

@@ -26,7 +26,7 @@ class BusDriver:
     def __init__(self, bus: "ResolvedSignal", name: str) -> None:
         self._bus = bus
         self.name = name
-        self._contribution = LogicVector.high_z(bus.width)
+        self._contribution = bus._all_z
 
     def __repr__(self) -> str:
         return f"BusDriver({self._bus.name}:{self.name}={self._contribution})"
@@ -37,19 +37,22 @@ class BusDriver:
 
     def write(self, value: "LogicVector | int | str") -> None:
         """Drive *value* onto the bus (committed at the update phase)."""
+        bus = self._bus
         if not isinstance(value, LogicVector):
-            value = LogicVector(self._bus.width, value)
-        if value.width != self._bus.width:
+            value = LogicVector(bus.width, value)
+        elif value._width != bus.width:
             raise WidthError(
                 f"driver {self.name!r}: value width {value.width} != bus "
-                f"width {self._bus.width}"
+                f"width {bus.width}"
             )
         self._contribution = value
-        self._bus._request_update()
+        if not bus._update_requested:
+            bus._update_requested = True
+            bus._scheduler._update_queue.append(bus)
 
     def release(self) -> None:
         """Stop driving: contribute all-Z."""
-        self.write(LogicVector.high_z(self._bus.width))
+        self.write(self._bus._all_z)
 
 
 class ResolvedSignal(UpdateTarget):
@@ -61,7 +64,10 @@ class ResolvedSignal(UpdateTarget):
         self.name = name
         self.width = width
         self._drivers: dict[str, BusDriver] = {}
-        self._value = LogicVector.high_z(width)
+        #: The all-Z vector every released driver contributes, shared
+        #: (vectors are immutable).
+        self._all_z = LogicVector.high_z(width)
+        self._value = self._all_z
         self._changed: Event | None = None
 
     def __repr__(self) -> str:
@@ -101,7 +107,7 @@ class ResolvedSignal(UpdateTarget):
 
     def _perform_update(self) -> None:
         resolved = resolve_vectors(
-            self.width, [driver.contribution for driver in self._drivers.values()]
+            self.width, [driver._contribution for driver in self._drivers.values()]
         )
         if resolved == self._value:
             return

@@ -99,8 +99,12 @@ class Signal(UpdateTarget):
 
     def write(self, value: object) -> None:
         """Stage *value* for commit at the end of the current delta."""
-        if self.width is not None and not isinstance(value, LogicVector):
-            value = LogicVector(self.width, value)  # type: ignore[arg-type]
+        width = self.width
+        if width is not None and not isinstance(value, LogicVector):
+            if width == 1 and type(value) is int:
+                value = _BITS[value & 1]
+            else:
+                value = LogicVector(width, value)  # type: ignore[arg-type]
         if self._single_writer:
             writer = self._scheduler.current_process
             if (
@@ -116,7 +120,9 @@ class Signal(UpdateTarget):
             self._delta_writer = writer
         self._next = value
         self._has_next = True
-        self._request_update()
+        if not self._update_requested:
+            self._update_requested = True
+            self._scheduler._update_queue.append(self)
 
     def write_after(self, value: object, delay: int) -> None:
         """Schedule a write *delay* femtoseconds in the future.
@@ -170,14 +176,15 @@ class Signal(UpdateTarget):
     def _fire_edges(self, old: object, new: object) -> None:
         if self._changed is not None:
             self._changed.notify_delta()
-        if self._posedge is None and self._negedge is None:
+        posedge, negedge = self._posedge, self._negedge
+        if posedge is None and negedge is None:
             return
         old_level = _level(old)
         new_level = _level(new)
-        if self._posedge is not None and new_level is True and old_level is not True:
-            self._posedge.notify_delta()
-        if self._negedge is not None and new_level is False and old_level is not False:
-            self._negedge.notify_delta()
+        if posedge is not None and new_level is True and old_level is not True:
+            posedge.notify_delta()
+        if negedge is not None and new_level is False and old_level is not False:
+            negedge.notify_delta()
 
     # -- convenience -------------------------------------------------------------
 
@@ -194,8 +201,17 @@ class Signal(UpdateTarget):
         raise SimulationError(f"signal {self.name!r} value {value!r} is not integral")
 
 
+#: The width-1 vectors for int writes of 0 and 1, shared by every
+#: signal (vectors are immutable, so sharing is invisible).
+_BITS = (LogicVector(1, 0), LogicVector(1, 1))
+
+
 def _level(value: object) -> bool | None:
     """Map a signal value to a boolean level for edge detection."""
+    if isinstance(value, LogicVector):
+        if value._width == 1 and not (value._x or value._z):
+            return value._ones == 1
+        return None
     if isinstance(value, bool):
         return value
     if isinstance(value, Logic):
@@ -203,14 +219,6 @@ def _level(value: object) -> bool | None:
             return True
         if value.char == "0":
             return False
-        return None
-    if isinstance(value, LogicVector):
-        if value.width == 1:
-            char = value.bit(0).char
-            if char == "1":
-                return True
-            if char == "0":
-                return False
         return None
     if isinstance(value, int):
         return bool(value)

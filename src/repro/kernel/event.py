@@ -37,7 +37,6 @@ class Event:
         self._dynamic_waiters: list["Process"] = []
         self._static_waiters: list["Process"] = []
         self._callbacks: list[typing.Callable[[], None]] = []
-        self._pending_timed: bool = False
         #: Set while queued for the next delta (O(1) dedup in
         #: Scheduler._schedule_delta_event).
         self._delta_pending: bool = False
@@ -91,13 +90,17 @@ class Event:
 
     def notify_after(self, delay: int) -> None:
         """Schedule a wake-up *delay* femtoseconds in the future."""
-        check_delay(delay)
-        if delay == 0:
-            self.notify_delta()
+        self._schedule_after(check_delay(delay))
+
+    def _schedule_after(self, delay: int) -> None:
+        """notify_after for a *delay* the caller has already validated."""
+        scheduler = self._scheduler
+        if scheduler._probes is not None:
+            self._notify_cause = scheduler.current_process
+        if delay:
+            scheduler._schedule_timed_event(self, delay)
         else:
-            if self._scheduler._probes is not None:
-                self._notify_cause = self._scheduler.current_process
-            self._scheduler._schedule_timed_event(self, delay)
+            scheduler._schedule_delta_event(self)
 
     def _trigger(self) -> None:
         """Make every waiter runnable; called by the scheduler or notify()."""
@@ -105,14 +108,18 @@ class Event:
         if probes is not None:
             cause, self._notify_cause = self._notify_cause, None
             probes.event_notify(self._scheduler._time, self, cause)
-        waiters, self._dynamic_waiters = self._dynamic_waiters, []
-        for process in waiters:
-            process._wake(self)
+        waiters = self._dynamic_waiters
+        if waiters:
+            self._dynamic_waiters = []
+            for process in waiters:
+                process._wake(self)
         for process in self._static_waiters:
             process._wake_static(self)
-        callbacks, self._callbacks = self._callbacks, []
-        for callback in callbacks:
-            callback()
+        callbacks = self._callbacks
+        if callbacks:
+            self._callbacks = []
+            for callback in callbacks:
+                callback()
 
 
 class EventList:

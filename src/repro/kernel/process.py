@@ -25,15 +25,25 @@ if typing.TYPE_CHECKING:  # pragma: no cover - import cycle guard
 
 
 class Timeout:
-    """Wait specification: suspend for a fixed number of femtoseconds."""
+    """Wait specification: suspend for a fixed number of femtoseconds.
 
-    __slots__ = ("delay",)
+    Immutable: the constructor validates the delay once, so one instance
+    may be yielded any number of times (a clock builds its two up front)
+    and the kernel trusts ``_delay`` without re-checking it.
+    """
+
+    __slots__ = ("_delay",)
 
     def __init__(self, delay: int) -> None:
-        self.delay = check_delay(delay)
+        self._delay = check_delay(delay)
+
+    @property
+    def delay(self) -> int:
+        """The wait in femtoseconds."""
+        return self._delay
 
     def __repr__(self) -> str:
-        return f"Timeout({self.delay})"
+        return f"Timeout({self._delay})"
 
 
 #: What a thread may yield to the kernel.
@@ -63,8 +73,18 @@ class Process:
         self.kind = kind
         self._func = func
         self._generator: ThreadGenerator | None = None
-        self._waiting_on: list[Event] = []
-        self._all_of_pending: set[Event] = set()
+        #: The running generator's bound ``send``, cached at start.
+        self._send: typing.Callable[[object], object] | None = None
+        #: The event of a pending Event or Timeout wait.
+        self._wait_event: Event | None = None
+        #: The events of a pending AnyOf / AllOf wait.
+        self._wait_events: tuple[Event, ...] = ()
+        #: AllOf members not yet notified (None outside an AllOf wait).
+        self._all_of_pending: set[Event] | None = None
+        #: The event every Timeout wait of this thread reuses, created on
+        #: first use. Reuse is safe because a Timeout wait ends only when
+        #: this event fires or the process finishes, so at most one of
+        #: its notifications is ever outstanding while anyone waits.
         self._timeout_event: Event | None = None
         self.done = False
         self.started = False
@@ -82,6 +102,10 @@ class Process:
     def __repr__(self) -> str:
         return f"Process({self.name}, {self.kind})"
 
+    def is_waiting_on(self, event: Event) -> bool:
+        """True while a dynamic wait of this thread includes *event*."""
+        return event is self._wait_event or event in self._wait_events
+
     # -- static sensitivity -------------------------------------------------
 
     def add_sensitivity(self, event: Event) -> None:
@@ -92,23 +116,38 @@ class Process:
     # -- waking ---------------------------------------------------------------
 
     def _wake(self, trigger: Event) -> None:
-        """Called by an event this process dynamically waits on."""
+        """Called by an event this process dynamically waits on.
+
+        *trigger* has already dropped this process from its waiter list;
+        a single-event wait therefore has nothing left to unregister.
+        """
         if self.done:
             return
-        if self._all_of_pending:
-            self._all_of_pending.discard(trigger)
-            if self._all_of_pending:
-                return
-        self._clear_waits(keep=trigger)
+        events = self._wait_events
+        if events:
+            pending = self._all_of_pending
+            if pending is not None:
+                pending.discard(trigger)
+                if pending:
+                    return
+                self._all_of_pending = None
+            for event in events:
+                if event is not trigger:
+                    event._remove_dynamic(self)
+            self._wait_events = ()
+        else:
+            self._wait_event = None
         if self._scheduler._probes is not None:
             self._wake_trigger = trigger
-        self._make_runnable()
+        if not self._runnable:
+            self._runnable = True
+            self._scheduler._runnable.append(self)
 
     def _wake_static(self, trigger: Event) -> None:
         """Called by an event in the static sensitivity list."""
         if self.done:
             return
-        if self.kind == self.THREAD and self._waiting_on:
+        if self._wait_event is not None or self._wait_events:
             # A thread with an explicit dynamic wait ignores static triggers.
             return
         if self._scheduler._probes is not None:
@@ -120,13 +159,15 @@ class Process:
             self._runnable = True
             self._scheduler._make_runnable(self)
 
-    def _clear_waits(self, keep: Event | None = None) -> None:
-        for event in self._waiting_on:
-            if event is not keep:
-                event._remove_dynamic(self)
-        self._waiting_on = []
-        self._all_of_pending = set()
-        self._timeout_event = None
+    def _clear_waits(self) -> None:
+        event = self._wait_event
+        if event is not None:
+            event._remove_dynamic(self)
+            self._wait_event = None
+        for event in self._wait_events:
+            event._remove_dynamic(self)
+        self._wait_events = ()
+        self._all_of_pending = None
 
     # -- execution ------------------------------------------------------------
 
@@ -135,49 +176,65 @@ class Process:
         self._runnable = False
         if self.done:
             return
-        if self.kind == self.METHOD:
-            self.started = True
-            self._func()
-            return
-        if self._generator is None:
-            self.started = True
-            result = self._func()
-            if result is None:
-                # A thread function with no yields runs to completion at start.
-                self._finish()
+        send = self._send
+        if send is None:
+            if self.kind == self.METHOD:
+                self.started = True
+                self._func()
                 return
-            if not isinstance(result, Generator):
-                raise SimulationError(
-                    f"thread {self.name!r} must be a generator function, "
-                    f"got {result!r}"
-                )
-            self._generator = result
+            send = self._start()
+            if send is None:
+                return
         try:
-            wait_spec = self._generator.send(None)
+            wait_spec = send(None)
         except StopIteration:
             self._finish()
             return
+        # Events are the commonest wait; register them inline.
+        if isinstance(wait_spec, Event):
+            self._wait_event = wait_spec
+            wait_spec._dynamic_waiters.append(self)
+            return
         self._register_wait(wait_spec)
+
+    def _start(self) -> typing.Callable[[object], object] | None:
+        """First activation of a thread: call its function; returns the
+        generator's ``send``, or None when the thread already finished."""
+        self.started = True
+        result = self._func()
+        if result is None:
+            # A thread function with no yields runs to completion at start.
+            self._finish()
+            return None
+        if not isinstance(result, Generator):
+            raise SimulationError(
+                f"thread {self.name!r} must be a generator function, "
+                f"got {result!r}"
+            )
+        self._generator = result
+        self._send = result.send
+        return self._send
 
     def _register_wait(self, wait_spec: object) -> None:
         if isinstance(wait_spec, Timeout):
-            event = Event(self._scheduler, f"{self.name}.timeout")
-            event.notify_after(wait_spec.delay)
-            self._timeout_event = event
-            self._waiting_on = [event]
-            event._add_dynamic(self)
-            return
-        if isinstance(wait_spec, Event):
-            self._waiting_on = [wait_spec]
-            wait_spec._add_dynamic(self)
+            event = self._timeout_event
+            if event is None:
+                event = self._timeout_event = Event(
+                    self._scheduler, f"{self.name}.timeout"
+                )
+            # The Timeout validated its delay when it was built and
+            # cannot change, so skip notify_after's check.
+            event._schedule_after(wait_spec._delay)
+            self._wait_event = event
+            event._dynamic_waiters.append(self)
             return
         if isinstance(wait_spec, AnyOf):
-            self._waiting_on = list(wait_spec.events)
+            self._wait_events = wait_spec.events
             for event in wait_spec.events:
                 event._add_dynamic(self)
             return
         if isinstance(wait_spec, AllOf):
-            self._waiting_on = list(wait_spec.events)
+            self._wait_events = wait_spec.events
             self._all_of_pending = set(wait_spec.events)
             for event in wait_spec.events:
                 event._add_dynamic(self)

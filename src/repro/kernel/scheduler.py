@@ -160,13 +160,15 @@ class Scheduler:
 
     def _advance_to(self, next_time: int) -> None:
         self._time = next_time
-        while self._timed and self._timed[0][0] == next_time:
-            __, __, event = heapq.heappop(self._timed)
-            event._trigger()
+        timed = self._timed
+        while timed and timed[0][0] == next_time:
+            heapq.heappop(timed)[2]._trigger()
 
     def _run_delta_cycles(self) -> None:
         deltas_this_step = 0
-        while self._runnable or self._delta_events or self._update_queue:
+        runnable = self._runnable
+        popleft = runnable.popleft
+        while runnable or self._delta_events or self._update_queue:
             deltas_this_step += 1
             if deltas_this_step > self._max_deltas:
                 raise SimulationError(
@@ -175,38 +177,42 @@ class Scheduler:
                 )
             self._delta_count += 1
             probes = self._probes
-            # Evaluation phase.
-            if probes is not None:
-                probes.delta_begin(self._time, self._delta_count)
-                while self._runnable:
-                    process = self._runnable.popleft()
-                    self.current_process = process
-                    cause, process._wake_trigger = process._wake_trigger, None
-                    probes.process_activate(self._time, process, cause)
-                    try:
+            # Evaluation phase. current_process names each process while
+            # it runs and is reset once, when the phase ends or raises.
+            try:
+                if probes is not None:
+                    probes.delta_begin(self._time, self._delta_count)
+                    while runnable:
+                        process = popleft()
+                        self.current_process = process
+                        cause, process._wake_trigger = process._wake_trigger, None
+                        probes.process_activate(self._time, process, cause)
+                        try:
+                            process._execute()
+                        finally:
+                            probes.process_suspend(self._time, process)
+                else:
+                    while runnable:
+                        process = popleft()
+                        self.current_process = process
                         process._execute()
-                    finally:
-                        self.current_process = None
-                        probes.process_suspend(self._time, process)
-            else:
-                while self._runnable:
-                    process = self._runnable.popleft()
-                    self.current_process = process
-                    try:
-                        process._execute()
-                    finally:
-                        self.current_process = None
+            finally:
+                self.current_process = None
             # Update phase.
-            updates, self._update_queue = self._update_queue, []
-            for target in updates:
-                target._update_requested = False
-                target._perform_update()
+            updates = self._update_queue
+            if updates:
+                self._update_queue = []
+                for target in updates:
+                    target._update_requested = False
+                    target._perform_update()
             # Delta notification phase. Clear the dedup flag before the
             # trigger so a callback may re-notify for the next delta.
-            events, self._delta_events = self._delta_events, []
-            for event in events:
-                event._delta_pending = False
-                event._trigger()
+            events = self._delta_events
+            if events:
+                self._delta_events = []
+                for event in events:
+                    event._delta_pending = False
+                    event._trigger()
             if probes is not None:
                 probes.delta_end(self._time, self._delta_count)
             if self._stop_requested:

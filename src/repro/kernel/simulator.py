@@ -320,7 +320,7 @@ class Simulator:
             for request in getattr(space, "pending", []):
                 waiter = None
                 for process in self.scheduler.processes:
-                    if request.done_event in process._waiting_on:
+                    if process.is_waiting_on(request.done_event):
                         waiter = process
                         break
                 blocked.append(

@@ -137,6 +137,167 @@ class TestGlitch:
             TransientGlitchFault("top.data")
 
 
+# -- signal faults on the kernel's fast commit path ----------------------------
+#
+# Width-1 int writes commit shared vectors and resolved drivers release to
+# one shared all-Z vector; the faults must still intercept both. Every
+# scenario runs with the probe bus off and on, so each evaluation loop
+# of the scheduler is covered.
+
+#: Writes of the width-1 rig, one every 10 ns from 10 ns on.
+_LINE_PATTERN = (1, 0, 1, 1, 0, 1, 0, 1)
+
+
+def _line_rig(probes):
+    """A width-1 signal written with int 0/1, plus a posedge waiter and a
+    change sampler; returns (sim, line, posedge times, committed values)."""
+    sim = Simulator()
+    top = Module(sim, "top")
+    line = top.signal("line", width=1, init=0)
+    posedges, committed = [], []
+
+    def writer():
+        for level in _LINE_PATTERN:
+            yield Timeout(10 * NS)
+            line.write(level)
+
+    def rising():
+        while True:
+            yield line.posedge
+            posedges.append(sim.time)
+
+    def sampler():
+        while True:
+            yield line.changed
+            committed.append((sim.time, line.read().to_int()))
+
+    sim.spawn(writer, "w")
+    sim.spawn(rising, "rising")
+    sim.spawn(sampler, "sampler")
+    if probes:
+        sim.add_tracer(_Recorder())
+    sim.elaborate()
+    return sim, line, posedges, committed
+
+
+def _bus_rig(probes):
+    """A byte-wide resolved bus whose two drivers take turns: driver a
+    drives odd values and b even ones, each releasing the other."""
+    sim = Simulator()
+    top = Module(sim, "top")
+    bus = top.resolved_signal("bus", width=8)
+    a, b = bus.get_driver("a"), bus.get_driver("b")
+    committed = []
+
+    def writer():
+        for value in range(1, 9):
+            yield Timeout(10 * NS)
+            active, idle = (a, b) if value % 2 else (b, a)
+            active.write(value)
+            idle.release()
+
+    def sampler():
+        while True:
+            yield bus.changed
+            committed.append((sim.time, bus.read().to_int_default(-1)))
+
+    sim.spawn(writer, "w")
+    sim.spawn(sampler, "sampler")
+    if probes:
+        sim.add_tracer(_Recorder())
+    sim.elaborate()
+    return sim, bus, committed
+
+
+def _ns(pairs):
+    return [(time * NS, value) for time, value in pairs]
+
+
+@pytest.mark.parametrize("probes", [False, True], ids=["probes_off", "probes_on"])
+class TestFastPathSignalFaults:
+    def test_unfaulted_line_baseline(self, probes):
+        sim, __, posedges, committed = _line_rig(probes)
+        sim.run(100 * NS)
+        assert committed == _ns([(10, 1), (20, 0), (30, 1), (50, 0),
+                                 (60, 1), (70, 0), (80, 1)])
+        assert posedges == [t * NS for t in (10, 30, 60, 80)]
+
+    def test_stuck_at_on_line(self, probes):
+        sim, line, posedges, committed = _line_rig(probes)
+        fault = StuckAtFault("top.line", window=(25 * NS, 65 * NS), value=0)
+        fault.arm(sim)
+        assert "_perform_update" in vars(line)
+        sim.run(100 * NS)
+        # The writes at 30..60 ns are swallowed by the hook; the line
+        # heals at 65 ns and the next rising write shows through.
+        assert committed == _ns([(10, 1), (20, 0), (80, 1)])
+        assert posedges == [10 * NS, 80 * NS]
+        # The clamp at 25 ns plus one interception per write in the window.
+        assert fault.activations == 5
+
+    def test_bit_flip_on_line(self, probes):
+        sim, line, posedges, committed = _line_rig(probes)
+        fault = BitFlipFault("top.line", window=(25 * NS, 100 * NS), bit=0)
+        fault.arm(sim)
+        assert "_perform_update" in vars(line)
+        sim.run(100 * NS)
+        # The 30 ns rise commits, then the hook flips it back to 0 in the
+        # same update phase: the waiter still sees exactly one posedge.
+        assert committed == _ns([(10, 1), (20, 0), (30, 0), (40, 1),
+                                 (50, 0), (60, 1), (70, 0), (80, 1)])
+        assert posedges == [t * NS for t in (10, 30, 40, 60, 80)]
+        assert fault.activations == 1
+
+    def test_glitch_on_line(self, probes):
+        sim, __, posedges, committed = _line_rig(probes)
+        fault = TransientGlitchFault(
+            "top.line", window=(22 * NS, 28 * NS), value=1
+        )
+        fault.arm(sim)
+        sim.run(100 * NS)
+        assert committed == _ns([(10, 1), (20, 0), (22, 1), (28, 0), (30, 1),
+                                 (50, 0), (60, 1), (70, 0), (80, 1)])
+        assert posedges == [t * NS for t in (10, 22, 30, 60, 80)]
+        assert fault.activations == 1
+
+    def test_unfaulted_bus_baseline(self, probes):
+        sim, __, committed = _bus_rig(probes)
+        sim.run(100 * NS)
+        assert committed == _ns([(t, t // 10) for t in range(10, 90, 10)])
+
+    def test_stuck_at_on_resolved_bus(self, probes):
+        sim, bus, committed = _bus_rig(probes)
+        fault = StuckAtFault("top.bus", window=(25 * NS, 45 * NS), value=0xFF)
+        fault.arm(sim)
+        assert "_perform_update" in vars(bus)
+        sim.run(100 * NS)
+        # At 45 ns the release re-resolves the live drivers (b drives 4).
+        assert committed == _ns([(10, 1), (20, 2), (25, 0xFF), (45, 4),
+                                 (50, 5), (60, 6), (70, 7), (80, 8)])
+        assert fault.activations == 3
+
+    def test_bit_flip_on_resolved_bus(self, probes):
+        sim, bus, committed = _bus_rig(probes)
+        fault = BitFlipFault("top.bus", window=(15 * NS, 100 * NS), bit=7)
+        fault.arm(sim)
+        assert "_perform_update" in vars(bus)
+        sim.run(100 * NS)
+        assert committed == _ns([(10, 1), (20, 2 | 0x80)]
+                                + [(t, t // 10) for t in range(30, 90, 10)])
+        assert fault.activations == 1
+
+    def test_glitch_on_resolved_bus(self, probes):
+        sim, __, committed = _bus_rig(probes)
+        fault = TransientGlitchFault(
+            "top.bus", window=(22 * NS, 28 * NS), value=0x55
+        )
+        fault.arm(sim)
+        sim.run(100 * NS)
+        assert committed == _ns([(10, 1), (20, 2), (22, 0x55), (28, 2)]
+                                + [(t, t // 10) for t in range(30, 90, 10)])
+        assert fault.activations == 1
+
+
 class Mailbox:
     def __init__(self):
         self.slot = None

@@ -3,7 +3,8 @@
 import pytest
 
 from repro.errors import SimulationError
-from repro.kernel import NS, Process, Simulator, Timeout
+from repro.instrument.probes import EVENT_NOTIFY, PROCESS_ACTIVATE
+from repro.kernel import NS, AnyOf, Process, Simulator, Timeout
 
 
 def _noop():
@@ -125,6 +126,125 @@ class TestThreads:
         sim.spawn(thread, "t")
         sim.run(100 * NS)
         assert log == [(5 * NS, 10)]
+
+
+class TestTimeoutReuse:
+    """Every Timeout wait of a thread reuses one kernel event; these pin
+    the invariants that reuse relies on."""
+
+    def test_delay_is_read_only(self):
+        timeout = Timeout(5 * NS)
+        with pytest.raises(AttributeError):
+            timeout.delay = 7 * NS  # type: ignore[misc]
+        assert timeout.delay == 5 * NS
+
+    @pytest.mark.parametrize("delay", [-1, True, False, 1.5, "10"])
+    def test_bad_delays_rejected(self, delay):
+        with pytest.raises(SimulationError):
+            Timeout(delay)
+
+    def test_killed_mid_timeout_never_woken_by_stale_entry(self, sim):
+        activations, notified = [], []
+        sim.probes.subscribe(
+            PROCESS_ACTIVATE,
+            lambda time, process, cause: activations.append(
+                (time, process.name)
+            ),
+        )
+        sim.probes.subscribe(
+            EVENT_NOTIFY,
+            lambda time, event, cause: notified.append((time, event.name)),
+        )
+        log = []
+
+        def victim():
+            yield Timeout(50 * NS)
+            log.append(sim.time)
+
+        process = sim.spawn(victim, "victim")
+
+        def killer():
+            yield Timeout(20 * NS)
+            process.kill()
+
+        sim.spawn(killer, "killer")
+        sim.run(100 * NS)
+        assert log == []
+        assert process.done
+        # The stale heap entry still fires at 50 ns, but wakes nobody.
+        assert (50 * NS, "victim.timeout") in notified
+        assert [t for t, name in activations if name == "victim"] == [0]
+
+    def test_back_to_back_timeouts_resume_on_time(self, sim):
+        stamps = []
+        wait = Timeout(10 * NS)
+
+        def thread():
+            yield wait
+            stamps.append((sim.time, sim.delta_count))
+            yield Timeout(0)
+            stamps.append((sim.time, sim.delta_count))
+            yield wait
+            stamps.append((sim.time, sim.delta_count))
+
+        sim.spawn(thread, "t")
+        sim.run(100 * NS)
+        (t1, d1), (t2, d2), (t3, __) = stamps
+        assert (t1, t2, t3) == (10 * NS, 10 * NS, 20 * NS)
+        # Timeout(0) resumes in the very next delta at the same time.
+        assert d2 == d1 + 1
+
+    def test_timeout_after_any_of_leaves_no_registration(self, sim):
+        first, second = sim.event("first"), sim.event("second")
+        log = []
+
+        def thread():
+            yield AnyOf(first, second)
+            log.append(("any", sim.time))
+            yield Timeout(10 * NS)
+            log.append(("timeout", sim.time))
+
+        sim.spawn(thread, "t")
+
+        def notifier():
+            yield Timeout(5 * NS)
+            first.notify()
+            yield Timeout(3 * NS)
+            # Must not cut the 10 ns wait short.
+            second.notify()
+
+        sim.spawn(notifier, "n")
+        sim.run(6 * NS)
+        assert second._dynamic_waiters == []
+        sim.run(100 * NS)
+        assert log == [("any", 5 * NS), ("timeout", 15 * NS)]
+
+    def test_blocked_processes_names_waiters(self, sim):
+        from repro.hdl import Module
+        from repro.osss import GlobalObject, guarded_method
+
+        class Latch:
+            def __init__(self):
+                self.ready = False
+
+            @guarded_method(lambda self: self.ready)
+            def take(self):
+                return True
+
+        latch = GlobalObject(Module(sim, "top"), "latch", Latch)
+
+        def starved():
+            yield from latch.take()
+
+        def bounded():
+            # Waits on AnyOf(done, expiry) rather than a single event.
+            yield from latch.call("take", timeout=1000 * NS)
+
+        sim.spawn(starved, "starved")
+        sim.spawn(bounded, "bounded")
+        sim.run(100 * NS)
+        names = sorted(b.process_name for b in sim.blocked_processes())
+        assert names == ["bounded", "starved"]
 
 
 class TestMethods:
