@@ -415,6 +415,8 @@ class CacheEntry:
                     "traces": golden.traces,
                     "image": golden.image,
                     "horizon": golden.horizon,
+                    "trajectory": golden.trajectory,
+                    "outcome": golden.outcome,
                 },
                 protocol=pickle.HIGHEST_PROTOCOL,
             ),
@@ -429,8 +431,12 @@ class CacheEntry:
                 plan = decode_line(stream.read().strip())
             with open(self._path("golden.pkl"), "rb") as stream:
                 state = pickle.load(stream)
+            # Entries written before the golden run recorded a
+            # trajectory load into a golden that screens nothing.
             golden = GoldenReference(
-                state["traces"], state["image"], state["horizon"]
+                state["traces"], state["image"], state["horizon"],
+                trajectory=state.get("trajectory"),
+                outcome=state.get("outcome"),
             )
             runs = [
                 RunSpec(

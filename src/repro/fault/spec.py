@@ -219,6 +219,34 @@ def match_targets(
     )
 
 
+def _matched(
+    fault: FaultSpec, signal_paths: list[str], channel_paths: list[str]
+) -> list[str]:
+    candidates = (
+        channel_paths if fault.target_kind == CHANNEL_TARGET else signal_paths
+    )
+    return match_targets(fault.target, candidates)
+
+
+def fault_targets(
+    spec: CampaignSpec,
+    signal_paths: typing.Iterable[str],
+    channel_paths: typing.Iterable[str],
+) -> set[tuple[str, str]]:
+    """Every ``(kind, target path)`` the campaign's fault lines match.
+
+    Unlike :func:`expand_campaign` this needs no horizon, so the golden
+    run can record what these targets do before any window is drawn.
+    """
+    signal_paths = list(signal_paths)
+    channel_paths = list(channel_paths)
+    return {
+        (fault.kind, path)
+        for fault in spec.faults
+        for path in _matched(fault, signal_paths, channel_paths)
+    }
+
+
 def _rand_below(rng: _Lcg, bound: int) -> int:
     """A seeded draw in ``[0, bound)`` for bounds past the LCG's 31 bits.
 
@@ -281,12 +309,7 @@ def expand_campaign(
     runs: list[RunSpec] = []
     run_id = 0
     for fault_index, fault in enumerate(spec.faults):
-        candidates = (
-            channel_paths
-            if fault.target_kind == CHANNEL_TARGET
-            else signal_paths
-        )
-        matched = match_targets(fault.target, candidates)
+        matched = _matched(fault, signal_paths, channel_paths)
         if not matched:
             raise FaultInjectionError(
                 f"campaign {spec.name!r}: fault line {fault!r} matches no "

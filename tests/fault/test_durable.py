@@ -269,6 +269,56 @@ class TestResultCache:
         assert warm.cache_misses == 0
         assert _canonical(warm) == _canonical(cold)
 
+    def test_cached_golden_keeps_trajectory_and_outcome(self, tmp_path):
+        spec = _spec()
+        cold = run_campaign(spec, workers=1, cache_dir=str(tmp_path))
+        entry = ResultCache(str(tmp_path)).entry(cold.content_hash)
+        golden, runs = entry.load_plan()
+        assert golden.trajectory.targets == cold.golden.trajectory.targets
+        assert golden.trajectory.submits.keys() == {"top.interface.channel"}
+        assert golden.outcome.to_dict() == cold.golden.outcome.to_dict()
+
+    def test_golden_from_before_trajectories_screens_nothing(
+        self, tmp_path, monkeypatch
+    ):
+        import pickle
+
+        import repro.fault.campaign as campaign_mod
+
+        spec = _spec()
+        cold = run_campaign(spec, workers=1, cache_dir=str(tmp_path))
+        entry = ResultCache(str(tmp_path)).entry(cold.content_hash)
+        # Rewrite the entry the way the cache stored goldens before they
+        # carried a trajectory, and drop every cached outcome.
+        with open(entry._path("golden.pkl"), "wb") as stream:
+            pickle.dump({
+                "traces": cold.golden.traces,
+                "image": cold.golden.image,
+                "horizon": cold.golden.horizon,
+            }, stream)
+        for outcome in cold.outcomes:
+            os.remove(entry.outcome_path(outcome.run_id))
+        golden, __ = entry.load_plan()
+        assert golden.trajectory is None and golden.outcome is None
+
+        builds = []
+        original = campaign_mod.build_campaign_platform
+
+        def counting(spec):
+            builds.append(spec.name)
+            return original(spec)
+
+        monkeypatch.setattr(campaign_mod, "build_campaign_platform", counting)
+        rerun = run_campaign(spec, workers=1, cache_dir=str(tmp_path))
+        # No planning (the plan was cached) and no screening: every run
+        # builds and simulates, and the report is unchanged.
+        assert rerun.cache_misses == len(cold.outcomes)
+        assert len(builds) == len(cold.outcomes)
+        assert _canonical(rerun) == _canonical(cold)
+        warm = run_campaign(spec, workers=1, cache_dir=str(tmp_path))
+        assert warm.cache_hits == len(cold.outcomes)
+        assert _canonical(warm) == _canonical(cold)
+
     def test_different_seed_misses(self, tmp_path):
         run_campaign(_spec(), workers=1, cache_dir=str(tmp_path))
         other = run_campaign(_spec(seed=20), workers=1, cache_dir=str(tmp_path))
