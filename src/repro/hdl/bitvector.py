@@ -92,6 +92,8 @@ class LogicVector:
     @classmethod
     def high_z(cls, width: int) -> "LogicVector":
         """All bits Z — a released tri-state bus."""
+        if width <= 0:
+            raise WidthError(f"vector width must be positive, got {width}")
         return cls._raw(width, 0, 0, (1 << width) - 1)
 
     # -- basic properties ----------------------------------------------------------
@@ -390,6 +392,11 @@ class LogicVector:
     def popcount(self) -> int:
         """Number of '1' bits (X/Z not counted)."""
         return bin(self._ones).count("1")
+
+
+#: The width-1 vectors for int writes of 0 and 1, shared by every
+#: signal and bus driver (vectors are immutable, so sharing is invisible).
+BITS = (LogicVector(1, 0), LogicVector(1, 1))
 
 
 def _masks_from_char(char: str) -> tuple[int, int, int]:

@@ -17,7 +17,7 @@ import typing
 from ..errors import MultipleDriverError, SimulationError
 from ..kernel.event import Event
 from ..kernel.signal_base import UpdateTarget
-from .bitvector import LogicVector
+from .bitvector import BITS, LogicVector
 from .logic import Logic
 
 if typing.TYPE_CHECKING:  # pragma: no cover - import cycle guard
@@ -102,7 +102,7 @@ class Signal(UpdateTarget):
         width = self.width
         if width is not None and not isinstance(value, LogicVector):
             if width == 1 and type(value) is int:
-                value = _BITS[value & 1]
+                value = BITS[value & 1]
             else:
                 value = LogicVector(width, value)  # type: ignore[arg-type]
         if self._single_writer:
@@ -199,11 +199,6 @@ class Signal(UpdateTarget):
         if isinstance(value, int):
             return value
         raise SimulationError(f"signal {self.name!r} value {value!r} is not integral")
-
-
-#: The width-1 vectors for int writes of 0 and 1, shared by every
-#: signal (vectors are immutable, so sharing is invisible).
-_BITS = (LogicVector(1, 0), LogicVector(1, 1))
 
 
 def _level(value: object) -> bool | None:

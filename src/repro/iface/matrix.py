@@ -228,9 +228,11 @@ def _matrix_workload(seed: int, n_commands: int) -> list:
 
 def _traced_run(bundle, max_time: int, cycle_fs: int = 0,
                 telemetry: bool = False):
-    """Run a bundle with a causal SpanTracer (and, for telemetry
-    sweeps, a ScorecardProbe) attached; returns
-    ``(tracer, result, probe-or-None)``."""
+    """Run a bundle with a SpanTracer (and, for telemetry sweeps, a
+    ScorecardProbe) attached; returns ``(tracer, result, probe-or-None)``.
+
+    The tracer records spans only: verification correlates spans, and
+    nothing in a matrix reads causal edges."""
     from ..trace.spans import SpanTracer
 
     probe = None
@@ -238,7 +240,7 @@ def _traced_run(bundle, max_time: int, cycle_fs: int = 0,
         from ..telemetry.scorecard import ScorecardProbe
 
         probe = ScorecardProbe(cycle_fs).attach(bundle.handle.sim.probes)
-    tracer = SpanTracer(causal=True).attach(bundle.handle.sim.probes)
+    tracer = SpanTracer(causal=False).attach(bundle.handle.sim.probes)
     result = bundle.run(max_time)
     tracer.finalize()
     return tracer, result, probe

@@ -18,6 +18,7 @@ import pytest
 
 import repro.flow.platforms as platforms
 from repro.core.workload import generate_workload
+from repro.hdl.resolved import ResolvedSignal
 from repro.instrument.probes import PROCESS_ACTIVATE
 from repro.kernel.simtime import MS
 
@@ -59,6 +60,26 @@ ACTIVATIONS = {
     ("tlmgp", "behavioural"): (561, "d6ed44f5e40cb2fa"),
     ("tlmgp", "interpreted"): (5059, "789fc86c142bfa62"),
     ("tlmgp", "compiled"): (2293, "28f7a1c3bec67d92"),
+}
+
+#: (bus, level) -> calls of ``_perform_update`` on the cell's resolved
+#: rails, probes off. Every update request reaches the per-instance
+#: hook, which the signal fault models intercept, even when the rail's
+#: drivers did not change.
+RESOLVED_UPDATES = {
+    ("functional", "behavioural"): 0,
+    ("pci", "behavioural"): 2924,
+    ("pci", "interpreted"): 3391,
+    ("pci", "compiled"): 3391,
+    ("wishbone", "behavioural"): 4698,
+    ("wishbone", "interpreted"): 5943,
+    ("wishbone", "compiled"): 5943,
+    ("axi4lite", "behavioural"): 4176,
+    ("axi4lite", "interpreted"): 4176,
+    ("axi4lite", "compiled"): 4176,
+    ("tlmgp", "behavioural"): 0,
+    ("tlmgp", "interpreted"): 0,
+    ("tlmgp", "compiled"): 0,
 }
 
 CELLS = list(SCHEDULE)
@@ -109,4 +130,24 @@ def test_activation_sequence_pinned(cell):
     run = bundle.run(100 * MS)
     assert (count, digest.hexdigest()[:16]) == ACTIVATIONS[cell]
     # The instrumented evaluation loop keeps the uninstrumented schedule.
+    assert (run.sim_time, run.delta_cycles) == SCHEDULE[cell][:2]
+
+
+@pytest.mark.parametrize("cell", CELLS, ids=lambda cell: "/".join(cell))
+def test_resolved_update_calls_pinned(cell):
+    bundle = _build(*cell)
+    calls = 0
+
+    def counted(original):
+        def update():
+            nonlocal calls
+            calls += 1
+            original()
+        return update
+
+    for __, obj in bundle.handle.sim.iter_named():
+        if isinstance(obj, ResolvedSignal):
+            obj._perform_update = counted(obj._perform_update)
+    run = bundle.run(100 * MS)
+    assert calls == RESOLVED_UPDATES[cell]
     assert (run.sim_time, run.delta_cycles) == SCHEDULE[cell][:2]
