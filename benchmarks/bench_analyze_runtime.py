@@ -7,7 +7,7 @@ cost against the checked-in budget ``benchmarks/analyze_baseline.json``.
 
 Wall-clock numbers are useless across machines, so the analysis time is
 normalized by a pure-Python calibration loop timed on the same host
-(same scheme as ``instrument_smoke.py``).
+(the same scheme as the wall backstop of ``offpath_gate.py``).
 
 Usage::
 

@@ -124,6 +124,16 @@ def new_txn_id() -> int:
     return next(_txn_ids)
 
 
+def txn_key(source: str, payload: object) -> tuple[str, object]:
+    """The key pairing a ``transaction.begin`` with its ``transaction.end``.
+
+    Prefers the stable ``txn_id`` stamped on transaction payloads and
+    falls back to object identity for payloads that carry none.
+    """
+    txn_id = getattr(payload, "txn_id", None)
+    return (source, txn_id if txn_id is not None else id(payload))
+
+
 class ProbeError(ValueError):
     """An unknown probe kind was used."""
 

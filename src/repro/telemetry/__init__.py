@@ -16,9 +16,9 @@ zero-cost-off discipline:
   :class:`~repro.telemetry.progress.CampaignProgress` aggregator,
   rendered by ``python -m repro fault --live``.
 
-The shared quantile machinery lives in
-:mod:`~repro.telemetry.digest`; ``MetricsCollector`` histograms
-delegate to the same kernel so every p95 in the repo means the same
+The one latency distribution, :class:`~repro.telemetry.digest.LatencyDigest`,
+lives in :mod:`~repro.telemetry.digest`; ``MetricsCollector`` time
+histograms are digests too, so every p95 in the repo means the same
 thing.
 """
 

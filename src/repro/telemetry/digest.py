@@ -11,10 +11,9 @@ give all three: bucket *i* holds samples whose bit length is *i*
 plain per-bucket sum and is associative and commutative by
 construction.
 
-:func:`quantile_from_pow2_buckets` is the one shared quantile kernel;
-``Histogram.quantile`` in :mod:`repro.instrument.metrics` delegates to
-it, so the profiler tables and the scorecards can never disagree about
-what "p95" means.
+:class:`LatencyDigest` is that distribution everywhere: the profiler
+tables and the scorecards hold the same type, so they can never
+disagree about what "p95" means.
 
 This module is deliberately dependency-free (it imports nothing from
 the rest of the package) so low-level layers can use it without cycles.
@@ -43,10 +42,10 @@ def quantile_from_pow2_buckets(
     :returns: the upper bound of the bucket containing the quantile
         (clamped to *max_value*), 0 for an empty sample set.
     """
-    if not count:
-        return 0
     if not 0.0 <= q <= 1.0:
         raise ValueError(f"quantile must be in [0, 1], got {q}")
+    if not count:
+        return 0
     threshold = q * count
     seen = 0
     for bucket in sorted(buckets):

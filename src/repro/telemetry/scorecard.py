@@ -33,6 +33,7 @@ from ..instrument.probes import (
     TRANSACTION_BEGIN,
     TRANSACTION_END,
     ProbeBus,
+    txn_key,
 )
 from .digest import LatencyDigest
 
@@ -293,11 +294,6 @@ class ScorecardProbe:
 
     # -- handlers ------------------------------------------------------------
 
-    @staticmethod
-    def _txn_key(source: str, payload: object) -> tuple[str, object]:
-        txn_id = getattr(payload, "txn_id", None)
-        return (source, txn_id if txn_id is not None else id(payload))
-
     def _source(self, source: str) -> list:
         record = self._sources.get(source)
         if record is None:
@@ -312,12 +308,12 @@ class ScorecardProbe:
 
     def _on_begin(self, time: int, source: str, payload: object) -> None:
         self._clock(time)
-        self._open[self._txn_key(source, payload)] = time
+        self._open[txn_key(source, payload)] = time
 
     def _on_end(self, time: int, source: str, payload: object) -> None:
         self._clock(time)
         self._ends_total += 1
-        begin = self._open.pop(self._txn_key(source, payload), None)
+        begin = self._open.pop(txn_key(source, payload), None)
         if begin is None:
             return
         record = self._source(source)

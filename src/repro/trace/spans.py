@@ -32,6 +32,7 @@ from ..instrument.probes import (
     TRANSACTION_BEGIN,
     TRANSACTION_END,
     ProbeBus,
+    txn_key,
 )
 from ..osss.request import correlation_id_of
 
@@ -287,11 +288,6 @@ class SpanTracer:
     # -- transaction handlers ---------------------------------------------------
 
     @staticmethod
-    def _txn_key(source: str, payload: object) -> tuple:
-        txn_id = getattr(payload, "txn_id", None)
-        return (source, txn_id if txn_id is not None else id(payload))
-
-    @staticmethod
     def _payload_span(time: int, source: str, payload: object) -> Span:
         category = WIRE if hasattr(payload, "terminated_by") else BUS
         name = getattr(payload, "command_name", None) or type(payload).__name__
@@ -313,10 +309,10 @@ class SpanTracer:
 
     def _on_transaction_begin(self, time: int, source: str, payload: object) -> None:
         span = self._payload_span(time, source, payload)
-        self._open_transactions[self._txn_key(source, payload)] = span
+        self._open_transactions[txn_key(source, payload)] = span
 
     def _on_transaction_end(self, time: int, source: str, payload: object) -> None:
-        span = self._open_transactions.pop(self._txn_key(source, payload), None)
+        span = self._open_transactions.pop(txn_key(source, payload), None)
         if span is None:
             # Begin-less emission (Wishbone classic cycles terminate in
             # the cycle they are observed): a point-like span.

@@ -7,6 +7,7 @@ import pytest
 
 from repro.__main__ import main
 from repro.instrument import default_bus
+from repro.telemetry.digest import LatencyDigest
 
 _SCRIPT = textwrap.dedent(
     """
@@ -100,6 +101,9 @@ class TestProfileCli:
         assert report_payload["profile"]["total_deltas"] > 0
         methods = {m["method"] for m in report_payload["metrics"]["methods"]}
         assert methods == {"put", "get"}
+        # Method histograms share the scorecards' digest schema.
+        total = report_payload["metrics"]["methods"][0]["total"]
+        assert set(total) == set(LatencyDigest().to_dict())
 
     def test_quiet_script_suppresses_script_stdout(
         self, tiny_script, capsys

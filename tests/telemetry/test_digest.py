@@ -21,6 +21,11 @@ class TestQuantileKernel:
             quantile_from_pow2_buckets({1: 1}, 1, 1, 1.5)
         with pytest.raises(ValueError):
             quantile_from_pow2_buckets({1: 1}, 1, 1, -0.1)
+        # An empty sample set validates q too.
+        with pytest.raises(ValueError):
+            quantile_from_pow2_buckets({}, 0, None, 1.5)
+        with pytest.raises(ValueError):
+            LatencyDigest().quantile(1.5)
 
     def test_upper_bound_of_selected_bucket(self):
         # bucket 4 holds [8, 15]; one sample there, quantile reports 15.
@@ -39,6 +44,31 @@ class TestLatencyDigest:
         assert digest.count == 0
         assert digest.mean == 0.0
         assert digest.p50 == digest.p95 == digest.p99 == 0
+        assert digest.to_dict()["max"] is None
+
+    def test_exact_count_total_min_max_mean(self):
+        digest = LatencyDigest()
+        for value in (0, 1, 2, 4, 100):
+            digest.add(value)
+        assert digest.count == 5
+        assert digest.total == 107
+        assert digest.min == 0 and digest.max == 100
+        assert digest.mean == 107 / 5
+
+    def test_quantile_bounds(self):
+        digest = LatencyDigest()
+        for value in range(1, 101):
+            digest.add(value)
+        assert digest.quantile(0.0) <= digest.quantile(0.5) <= digest.quantile(1.0)
+        assert digest.quantile(1.0) == 100
+
+    def test_buckets_are_bit_lengths(self):
+        digest = LatencyDigest()
+        for value in (0, 1, 3, 5, 9):
+            digest.add(value)
+        # Bucket i holds the values of bit length i: [0], [1], [2, 3],
+        # [4, 7], [8, 15].
+        assert digest.buckets == {0: 1, 1: 1, 2: 1, 3: 1, 4: 1}
 
     def test_single_sample(self):
         digest = LatencyDigest()
@@ -98,27 +128,3 @@ class TestLatencyDigest:
         digest.add(42)
         clone = pickle.loads(pickle.dumps(digest))
         assert clone == digest
-
-
-class TestHistogramDelegation:
-    """Satellite: MetricsCollector histograms share the quantile kernel."""
-
-    def test_histogram_quantile_equals_digest_quantile(self):
-        from repro.instrument.metrics import Histogram
-
-        histogram = Histogram()
-        digest = LatencyDigest()
-        for value in (1, 2, 3, 50, 900, 40_000):
-            histogram.add(value)
-            digest.add(value)
-        for q in STANDARD_QUANTILES:
-            assert histogram.quantile(q) == digest.quantile(q)
-
-    def test_histogram_document_has_p95_p99(self):
-        from repro.instrument.metrics import Histogram
-
-        histogram = Histogram()
-        histogram.add(100)
-        document = histogram.to_dict()
-        assert "p95" in document and "p99" in document
-        assert document["p99"] == histogram.quantile(0.99)
