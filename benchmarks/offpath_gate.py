@@ -1,4 +1,5 @@
-"""CI gate: every opt-in subsystem must cost nothing when it is off.
+"""CI gate: every opt-in subsystem must cost nothing when it is off,
+and the swap-matrix sweep must not slow down.
 
 Probes, spans, telemetry, resilience and durability each promise to
 add nothing but an ``is None`` check when off. Three off-path workloads
@@ -10,10 +11,14 @@ carry those promises:
   workload, with no probe bus and no resilience config;
 * ``campaign``: a serial 12-run demo campaign with no journal or cache.
 
-Each off path is gated against ``benchmarks/offpath_baseline.json`` on
-its exact ``sys.setprofile`` call count, taken after the timed runs
-have warmed the synthesis shape memo. The count repeats run to run, so
-a 2% bound fires on one added call per signal write and never flakes.
+A fourth row, ``matrix``, runs the seed-55, 25-command swap matrix (four
+bus families x three levels, span tracer and scorecard attached) and
+checks that every cell is CONSISTENT with a full signature match.
+
+Each row is gated against ``benchmarks/offpath_baseline.json`` on its
+exact ``sys.setprofile`` call count, taken after the timed runs have
+warmed the synthesis shape memo. The count repeats run to run, so a 2%
+bound fires on two added calls per signal write and never flakes.
 Best-of-7 wall time, normalized by a pure-Python calibration loop timed
 on the same host, is held to the same tolerance as a coarse backstop
 for slowdowns that add no call; it moves 5-9% between identical runs.
@@ -45,6 +50,7 @@ from repro.core import generate_workload  # noqa: E402
 from repro.fault import demo_campaign_spec, run_campaign  # noqa: E402
 from repro.flow import PciPlatformConfig, build_platform  # noqa: E402
 from repro.hdl import Clock, Module  # noqa: E402
+from repro.iface import run_swap_matrix  # noqa: E402
 from repro.instrument import EVENT_NOTIFY, PROCESS_ACTIVATE, MetricsCollector  # noqa: E402
 from repro.kernel import MS, NS, Simulator  # noqa: E402
 from repro.osss import GlobalObject, connect, guarded_method  # noqa: E402
@@ -60,12 +66,14 @@ N_CLIENTS = 6
 CALLS_PER_CLIENT = 40
 N_COMMANDS = 60
 CAMPAIGN_RUNS = 12
+MATRIX_COMMANDS = 25
 REPEATS = 7
 CALIBRATION_LOOPS = 200_000
 
 # Every run below takes a *meter*, ``meter(fn, *args, **kwargs)``, and
 # passes it exactly the section the gate covers: the simulation for
-# ``method`` and ``pci``, the whole campaign for ``campaign``.
+# ``method`` and ``pci``, the whole campaign for ``campaign`` and the
+# whole sweep for ``matrix``.
 
 
 class Accumulator:
@@ -190,11 +198,22 @@ def durable_on(meter):
         )
 
 
-#: name -> (off-path run, tolerance on both its call count and wall time).
-OFF_PATHS = {
+def matrix_sweep(meter):
+    report = meter(run_swap_matrix, seed=SEED, n_commands=MATRIX_COMMANDS)
+    assert report.all_consistent, "swap matrix has inconsistent cells:\n" + \
+        report.render()
+    short = [cell.label for cell in report.cells
+             if cell.signature_matches != MATRIX_COMMANDS]
+    assert not short, (f"cells short of {MATRIX_COMMANDS}/{MATRIX_COMMANDS} "
+                       f"signature matches: {short}")
+
+
+#: name -> (gated run, tolerance on both its call count and wall time).
+ROWS = {
     "method": (method_off, 0.10),
     "pci": (pci_off, 0.02),
     "campaign": (campaign_off, 0.02),
+    "matrix": (matrix_sweep, 0.02),
 }
 
 #: (subsystem, the off path it must cost nothing on, its on-mode run).
@@ -258,8 +277,8 @@ def load_baseline():
 
 
 def limits(name, baseline):
-    """``(call limit, wall limit in calibration units)`` of off path *name*."""
-    tolerance = OFF_PATHS[name][1]
+    """``(call limit, wall limit in calibration units)`` of row *name*."""
+    tolerance = ROWS[name][1]
     reference = baseline[name]
     return (reference["calls"] * (1.0 + tolerance),
             reference["wall_units"] * (1.0 + tolerance))
@@ -276,8 +295,8 @@ def main(argv=None):
 
     failures = []
     measured = {}
-    print(f"off paths (wall: best of {REPEATS}, in calibration units):")
-    for name, (run, tolerance) in OFF_PATHS.items():
+    print(f"counted rows (wall: best of {REPEATS}, in calibration units):")
+    for name, (run, tolerance) in ROWS.items():
         seconds = best_seconds(run)
         calls, __ = count_calls(run)
         measured[name] = (calls, seconds)
@@ -308,9 +327,9 @@ def main(argv=None):
         print(f"call counts updated: {BASELINE_PATH}")
         return 0
     if failures:
-        print(f"FAIL: off path over its limit: {', '.join(failures)}", file=sys.stderr)
+        print(f"FAIL: row over its limit: {', '.join(failures)}", file=sys.stderr)
         return 1
-    print("OK: every off path within its limits")
+    print("OK: every row within its limits")
     return 0
 
 

@@ -116,13 +116,3 @@ class AxiLiteBus(Module):
 
     def r_handshake(self) -> bool:
         return high(self.rvalid.read()) and high(self.rready.read())
-
-    def watch_signals(self) -> list:
-        """Wires in waveform display order."""
-        return [
-            self.awvalid, self.awready, self.awaddr,
-            self.wvalid, self.wready, self.wdata, self.wstrb,
-            self.bvalid, self.bready, self.bresp,
-            self.arvalid, self.arready, self.araddr,
-            self.rvalid, self.rready, self.rdata, self.rresp,
-        ]

@@ -62,13 +62,6 @@ class AxiLiteSlave(Module):
     def decodes(self, address: int) -> bool:
         return self.base <= address < self.base + self.size
 
-    def _release_all(self) -> None:
-        for driver in (
-            self._awready, self._wready, self._bvalid, self._bresp,
-            self._arready, self._rvalid, self._rdata, self._rresp,
-        ):
-            driver.release()
-
     def _serve(self):
         bus = self.bus
         while True:

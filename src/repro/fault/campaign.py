@@ -49,7 +49,13 @@ from ..resilience.watchdog import RunWatchdog
 from ..trace.attribution import attribute
 from ..trace.spans import SpanTracer
 from .models import Trajectory, make_fault, record_trajectory
-from .spec import CampaignSpec, RunSpec, expand_campaign, fault_targets
+from .spec import (
+    CampaignSpec,
+    RunSpec,
+    check_target_widths,
+    expand_campaign,
+    fault_targets,
+)
 
 #: Run classifications.
 DETECTED = "detected"
@@ -297,6 +303,10 @@ def plan_campaign(
     """
     bundle = build_campaign_platform(spec)
     signal_paths, channel_paths = injectable_targets(bundle)
+    sim = bundle.handle.sim
+    check_target_widths(
+        spec, {path: sim.lookup(path).width for path in signal_paths}
+    )
     golden = _run_golden(
         spec, bundle, fault_targets(spec, signal_paths, channel_paths)
     )
@@ -516,14 +526,30 @@ def _screen(
     fault = make_fault(run.kind, run.target_path, run.window, **run.params)
     if fault.first_activation(trajectory, golden.horizon) is not None:
         return None
-    outcome = copy.deepcopy(golden.outcome)
-    outcome.run_id = run.run_id
-    outcome.kind = run.kind
-    outcome.target_path = run.target_path
-    outcome.window = run.window
-    if outcome.score is not None:
-        outcome.score["label"] = run.label
-    return outcome
+    # Every field but the score is immutable, so the relabelled outcome
+    # shares them; only the telemetry score document is copied.
+    template = golden.outcome
+    score = template.score
+    if score is not None:
+        score = copy.deepcopy(score)
+        score["label"] = run.label
+    return RunOutcome(
+        run.run_id,
+        run.kind,
+        run.target_path,
+        run.window,
+        template.classification,
+        template.detail,
+        activations=template.activations,
+        detections=template.detections,
+        wall_seconds=template.wall_seconds,
+        sim_time=template.sim_time,
+        spans_assembled=template.spans_assembled,
+        span_mean_latency=template.span_mean_latency,
+        recovery_events=template.recovery_events,
+        recovery_latency=template.recovery_latency,
+        score=score,
+    )
 
 
 def _simulate(

@@ -201,10 +201,6 @@ class FaultModel:
 # -- pin-level signal faults ---------------------------------------------------
 
 
-def _signal_width(signal: "Signal | ResolvedSignal") -> int | None:
-    return signal.width
-
-
 def _override_value(signal: "Signal | ResolvedSignal", value: object) -> None:
     """Set a committed value out of band, firing edges and tracers."""
     if isinstance(signal, Signal):

@@ -174,9 +174,6 @@ class CampaignResult:
             return float("inf")
         return len(self.outcomes) / self.wall_seconds
 
-    def classification_of(self, run_id: int) -> str:
-        return self.outcomes[run_id].classification
-
 
 def _env_worker_ceiling() -> "int | None":
     raw = os.environ.get(MAX_WORKERS_ENV, "").strip()

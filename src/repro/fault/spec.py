@@ -11,11 +11,12 @@ unchanged.
 from __future__ import annotations
 
 import fnmatch
+import inspect
 import typing
 
 from ..core.workload import _Lcg
 from ..kernel.simtime import NS
-from .models import CHANNEL_TARGET, FAULT_KINDS, FaultInjectionError
+from .models import CHANNEL_TARGET, FAULT_KINDS, SIGNAL_TARGET, FaultInjectionError
 
 #: Platforms a campaign can run against (the bus families of
 #: :func:`repro.flow.build_platform`).
@@ -35,6 +36,8 @@ class FaultSpec:
     :param params: extra keyword arguments for the fault model
         (``value``, ``bit``, ``field``, ``mask``, ...). ``bit=None`` or
         ``mask=None`` draw per-run values from the seed.
+    :raises FaultInjectionError: for an unknown kind, a window that ends
+        before it starts, or a param the kind's model does not take.
     """
 
     def __init__(
@@ -56,6 +59,18 @@ class FaultSpec:
         self.window = window
         self.repeats = repeats
         self.params = dict(params or {})
+        if window is not None and window[1] < window[0]:
+            raise FaultInjectionError(
+                f"fault line {self!r}: window {tuple(window)!r} ends "
+                "before it starts"
+            )
+        known = _model_params(kind)
+        unknown = sorted(set(self.params) - known)
+        if unknown:
+            raise FaultInjectionError(
+                f"fault line {self!r}: {kind} takes no param "
+                f"{', '.join(map(repr, unknown))}; known: {sorted(known)}"
+            )
 
     @property
     def target_kind(self) -> str:
@@ -74,6 +89,13 @@ class FaultSpec:
 
     def __repr__(self) -> str:
         return f"FaultSpec({self.kind} @ {self.target!r} x{self.repeats})"
+
+
+def _model_params(kind: str) -> set[str]:
+    """The keyword params a fault kind's model takes besides its target
+    and window."""
+    parameters = inspect.signature(FAULT_KINDS[kind].__init__).parameters
+    return set(parameters) - {"self", "target_path", "window"}
 
 
 class CampaignSpec:
@@ -245,6 +267,40 @@ def fault_targets(
         for fault in spec.faults
         for path in _matched(fault, signal_paths, channel_paths)
     }
+
+
+def check_target_widths(
+    spec: CampaignSpec, widths: typing.Mapping[str, "int | None"]
+) -> None:
+    """Reject a fault line whose ``bit`` or ``value`` does not fit a
+    signal it matches.
+
+    :param widths: every injectable signal path -> its width (None for
+        a signal carrying plain Python values, which is not checked).
+    :raises FaultInjectionError: naming the fault line, the param and
+        the first target it does not fit.
+    """
+    for fault in spec.faults:
+        if fault.target_kind != SIGNAL_TARGET:
+            continue
+        bit = fault.params.get("bit")
+        value = fault.params.get("value")
+        if bit is None and not isinstance(value, int):
+            continue
+        for path in match_targets(fault.target, widths):
+            width = widths[path]
+            if width is None:
+                continue
+            if bit is not None and not 0 <= bit < width:
+                problem = f"bit {bit} is outside"
+            elif isinstance(value, int) and not 0 <= value < 1 << width:
+                problem = f"value {value} does not fit"
+            else:
+                continue
+            raise FaultInjectionError(
+                f"campaign {spec.name!r}: fault line {fault!r}: {problem} "
+                f"the {width}-bit target {path!r}"
+            )
 
 
 def _rand_below(rng: _Lcg, bound: int) -> int:

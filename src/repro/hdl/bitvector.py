@@ -19,9 +19,12 @@ from .logic import L0, L1, LX, LZ, Logic
 
 
 class LogicVector:
-    """An immutable fixed-width vector of four-valued logic."""
+    """An immutable fixed-width vector of four-valued logic.
 
-    __slots__ = ("_width", "_ones", "_x", "_z")
+    :attr:`is_fully_defined` (no X or Z bit) is set at construction.
+    """
+
+    __slots__ = ("_width", "_ones", "_x", "_z", "is_fully_defined")
 
     def __init__(
         self,
@@ -56,6 +59,7 @@ class LogicVector:
             self._x = self._z = 0
         else:
             raise LogicValueError(f"cannot build LogicVector from {value!r}")
+        self.is_fully_defined = not (self._x or self._z)
 
     # -- constructors -----------------------------------------------------------
 
@@ -65,8 +69,9 @@ class LogicVector:
         mask = (1 << width) - 1
         vector._width = width
         vector._ones = ones & mask & ~(x | z)
-        vector._x = x & mask
-        vector._z = z & mask & ~x
+        vector._x = x = x & mask
+        vector._z = z = z & mask & ~x
+        vector.is_fully_defined = not (x or z)
         return vector
 
     @classmethod
@@ -106,16 +111,8 @@ class LogicVector:
         return self._width
 
     @property
-    def is_fully_defined(self) -> bool:
-        return self._x == 0 and self._z == 0
-
-    @property
     def has_x(self) -> bool:
         return self._x != 0
-
-    @property
-    def has_z(self) -> bool:
-        return self._z != 0
 
     @property
     def is_all_z(self) -> bool:

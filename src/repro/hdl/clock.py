@@ -6,6 +6,7 @@ from ..errors import SimulationError
 from ..kernel.event import Event
 from ..kernel.process import Timeout
 from ..kernel.simulator import Simulator
+from .bitvector import BITS
 from .logic import L0, L1
 from .module import Module
 
@@ -15,6 +16,11 @@ class Clock(Module):
 
     The clock level lives on the 1-bit signal :attr:`clk`; the
     convenience events :attr:`posedge` / :attr:`negedge` come from it.
+
+    The phase lives on the object and the toggle thread has one wait
+    point, so the scheduler may run an edge inline (:meth:`_inline_edge`)
+    when the clock's timer is the only notification due at an instant,
+    and the thread resumes correctly after either kind of edge.
 
     :param period: full period in femtoseconds.
     :param duty: high fraction of the period (default 0.5).
@@ -44,7 +50,11 @@ class Clock(Module):
         self.start_high = start_high
         self.clk = self.signal("clk", width=1, init=L1 if start_high else L0)
         self.cycle_count = 0
-        self.thread(self._toggle, "toggle")
+        #: The level of the current phase.
+        self._high = start_high
+        self._process = self.thread(self._toggle, "toggle")
+        self._timer = self._process._timer()
+        self._timer._inline = self._inline_edge
 
     @property
     def posedge(self) -> Event:
@@ -58,20 +68,56 @@ class Clock(Module):
         # Timeouts are immutable, so each phase's wait is built once.
         high = Timeout(self.high_time)
         low = Timeout(self.low_time)
-        if self.start_high:
-            while True:
-                yield high
-                self.clk.write(0)
-                yield low
-                self.clk.write(1)
+        while True:
+            yield high if self._high else low
+            self._high = level = not self._high
+            self.clk.write(BITS[level])
+            if level:
                 self.cycle_count += 1
+
+    def _inline_edge(self) -> bool:
+        """The scheduler's inline form of one :meth:`_toggle` activation.
+
+        Declines (returns False, changing nothing) unless the thread
+        waits on its timer and ``clk`` holds the current phase's shared
+        vector with no per-instance update hook (a fault on the clock).
+        Otherwise it re-arms the timer as the thread's next wait would,
+        commits the new level as the update phase would, and triggers
+        ``changed`` and the edge event in the order the delta
+        notification phase would.
+        """
+        clk = self.clk
+        high = self._high
+        if (
+            clk._value is not BITS[high]
+            or self._process.done
+            or "_perform_update" in clk.__dict__
+        ):
+            return False
+        self._high = high = not high
+        # Inline edges run only while event.notify is unobserved, so the
+        # re-arm records no notify cause.
+        self.sim.scheduler._schedule_timed_event(
+            self._timer, self.high_time if high else self.low_time
+        )
+        if high:
+            self.cycle_count += 1
+        clk._value = clk._next = BITS[high]
+        changed = clk._changed
+        edge = clk._posedge if high else clk._negedge
+        if edge is None:
+            if changed is not None:
+                changed._trigger()
+        elif changed is None:
+            edge._trigger()
         else:
-            while True:
-                yield low
-                self.clk.write(1)
-                self.cycle_count += 1
-                yield high
-                self.clk.write(0)
+            # Both were pending in one delta: the edge stays pending
+            # (deduplicating re-notifications) until its own trigger.
+            edge._delta_pending = True
+            changed._trigger()
+            edge._delta_pending = False
+            edge._trigger()
+        return True
 
 
 class ResetGenerator(Module):

@@ -152,11 +152,15 @@ class ResolvedSignal(UpdateTarget):
             self._driven = self._resolve()
         resolved = self._driven
         value = self._value
-        if resolved is value or resolved == value:
+        if resolved is value or (
+            resolved._ones == value._ones
+            and resolved._x == value._x
+            and resolved._z == value._z
+        ):
             return
         self._value = resolved
         if self._changed is not None:
             self._changed.notify_delta()
         probes = self._sim._probes
-        if probes is not None:
+        if probes is not None and probes._signal_commit is not None:
             probes.signal_commit(self._scheduler._time, self, resolved)

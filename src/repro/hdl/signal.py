@@ -20,6 +20,8 @@ from ..kernel.signal_base import UpdateTarget
 from .bitvector import BITS, LogicVector
 from .logic import Logic
 
+ZERO, ONE = BITS
+
 if typing.TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from ..kernel.simulator import Simulator
 
@@ -162,15 +164,24 @@ class Signal(UpdateTarget):
             return
         self._has_next = False
         old, new = self._value, self._next
-        if old == new:
+        if self.width is None:
+            if old == new:
+                return
+        # Vector signals hold LogicVectors only: identity, then fields.
+        elif new is old or (
+            new._ones == old._ones
+            and new._x == old._x
+            and new._z == old._z
+            and new._width == old._width
+        ):
             return
         self._value = new
         self._fire_edges(old, new)
         # Inline the signal-commit probe: this is the hottest observation
         # point in the kernel, so it must cost one None check when no bus
-        # is attached.
+        # is attached and one more when nobody subscribes the kind.
         probes = self._sim._probes
-        if probes is not None:
+        if probes is not None and probes._signal_commit is not None:
             probes.signal_commit(self._scheduler._time, self, new)
 
     def _fire_edges(self, old: object, new: object) -> None:
@@ -179,8 +190,9 @@ class Signal(UpdateTarget):
         posedge, negedge = self._posedge, self._negedge
         if posedge is None and negedge is None:
             return
-        old_level = _level(old)
-        new_level = _level(new)
+        # The shared width-1 vectors name their level by identity.
+        old_level = True if old is ONE else False if old is ZERO else _level(old)
+        new_level = True if new is ONE else False if new is ZERO else _level(new)
         if posedge is not None and new_level is True and old_level is not True:
             posedge.notify_delta()
         if negedge is not None and new_level is False and old_level is not False:

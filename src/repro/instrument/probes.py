@@ -50,10 +50,15 @@ kind                  callback arguments
                       completed after one or more recovery attempts
 ===================== =========================================================
 
-Hot kernel paths (signal commits, event triggers, the delta loop) call
-the dedicated ``ProbeBus`` emit helpers; cold paths use the generic
-:meth:`ProbeBus.emit`. Either way, a kind with no subscribers costs one
-``None`` check on an instance attribute.
+The first six kinds are the kernel's own (:data:`KERNEL_KINDS`). Their
+hot sites (signal commits, event triggers, process wakes, the delta
+loop) each check their own kind's subscriber tuple on the attached bus,
+so a bus whose subscribers all listen to cold kinds (detections, method
+calls, transactions) leaves the kernel on its uninstrumented paths;
+subscribing or unsubscribing a kernel kind takes effect from the next
+delta. Cold paths use the generic :meth:`ProbeBus.emit`. Either way, a
+kind with no subscribers costs one ``None`` check on an instance
+attribute of the bus.
 """
 
 from __future__ import annotations
@@ -105,6 +110,20 @@ PROBE_KINDS: tuple[str, ...] = (
     RESILIENCE_GIVEUP,
     RESILIENCE_RECOVERED,
 )
+
+#: The kinds the kernel publishes from its hot paths. While none of them
+#: has a subscriber, a lone clock edge may run inline (no process
+#: activation, no timer event trigger).
+KERNEL_KINDS: tuple[str, ...] = (
+    PROCESS_ACTIVATE,
+    PROCESS_SUSPEND,
+    DELTA_BEGIN,
+    DELTA_END,
+    EVENT_NOTIFY,
+    SIGNAL_COMMIT,
+)
+#: The kernel kinds served by the scheduler's instrumented evaluation loop.
+_EVALUATION_KINDS = (PROCESS_ACTIVATE, PROCESS_SUSPEND, DELTA_BEGIN, DELTA_END)
 
 #: kind -> name of the per-kind subscriber-tuple attribute on ProbeBus.
 _KIND_ATTR: dict[str, str] = {
@@ -213,6 +232,12 @@ class ProbeBus:
     was current when the probe fired, so a callback may subscribe or
     unsubscribe anything (including itself) mid-emission without
     corrupting the iteration.
+
+    Two flags summarise the kernel kinds for the scheduler:
+    ``_evaluation_observed`` (a process or delta kind has a subscriber,
+    so the evaluation loop runs instrumented) and ``_kernel_observed``
+    (any kernel kind has one, so every clock edge takes the process
+    path).
     """
 
     def __init__(self) -> None:
@@ -221,6 +246,8 @@ class ProbeBus:
         }
         for attr in _KIND_ATTR.values():
             setattr(self, attr, None)
+        self._evaluation_observed = False
+        self._kernel_observed = False
 
     def __repr__(self) -> str:
         active = {
@@ -241,6 +268,13 @@ class ProbeBus:
     def _refresh(self, kind: str) -> None:
         subs = self._subscribers[kind]
         setattr(self, _KIND_ATTR[kind], tuple(subs) if subs else None)
+        if kind in KERNEL_KINDS:
+            self._evaluation_observed = any(
+                self._subscribers[k] for k in _EVALUATION_KINDS
+            )
+            self._kernel_observed = any(
+                self._subscribers[k] for k in KERNEL_KINDS
+            )
 
     def subscribe(self, kind: str, callback: Callback) -> Callback:
         """Register *callback* for *kind*; returns the callback (token)."""

@@ -41,9 +41,17 @@ class Event:
         #: Scheduler._schedule_delta_event).
         self._delta_pending: bool = False
         #: Causal edge for the probe bus: the Process that requested the
-        #: pending notification. Recorded only while a bus is attached
-        #: (probes-off runs never touch it) and consumed by _trigger.
+        #: pending notification. Recorded only while ``event.notify`` has
+        #: a subscriber and consumed by _trigger.
         self._notify_cause: "Process | None" = None
+        #: None, or a callable the scheduler may run instead of
+        #: triggering this timer when it is the only timed notification
+        #: due at an instant and no kernel probe kind is observed. It
+        #: runs the whole delta the trigger would start (the one woken
+        #: process's activation, its commit and the notifications that
+        #: follow) and returns True, or does nothing and returns False
+        #: to take the process path. A clock's timer carries one.
+        self._inline: "typing.Callable[[], bool] | None" = None
 
     def __repr__(self) -> str:
         label = self.name or "<anonymous>"
@@ -78,15 +86,18 @@ class Event:
 
     def notify(self) -> None:
         """Immediately wake all waiting processes (same evaluation phase)."""
-        if self._scheduler._probes is not None:
+        probes = self._scheduler._probes
+        if probes is not None and probes._event_notify is not None:
             self._notify_cause = self._scheduler.current_process
         self._trigger()
 
     def notify_delta(self) -> None:
         """Schedule a wake-up of all waiting processes at the next delta."""
-        if self._scheduler._probes is not None:
-            self._notify_cause = self._scheduler.current_process
-        self._scheduler._schedule_delta_event(self)
+        scheduler = self._scheduler
+        probes = scheduler._probes
+        if probes is not None and probes._event_notify is not None:
+            self._notify_cause = scheduler.current_process
+        scheduler._schedule_delta_event(self)
 
     def notify_after(self, delay: int) -> None:
         """Schedule a wake-up *delay* femtoseconds in the future."""
@@ -95,7 +106,8 @@ class Event:
     def _schedule_after(self, delay: int) -> None:
         """notify_after for a *delay* the caller has already validated."""
         scheduler = self._scheduler
-        if scheduler._probes is not None:
+        probes = scheduler._probes
+        if probes is not None and probes._event_notify is not None:
             self._notify_cause = scheduler.current_process
         if delay:
             scheduler._schedule_timed_event(self, delay)
@@ -104,15 +116,29 @@ class Event:
 
     def _trigger(self) -> None:
         """Make every waiter runnable; called by the scheduler or notify()."""
-        probes = self._scheduler._probes
+        scheduler = self._scheduler
+        probes = scheduler._probes
+        record = False
         if probes is not None:
-            cause, self._notify_cause = self._notify_cause, None
-            probes.event_notify(self._scheduler._time, self, cause)
+            if probes._event_notify is not None:
+                cause, self._notify_cause = self._notify_cause, None
+                probes.event_notify(scheduler._time, self, cause)
+            record = probes._process_activate is not None
         waiters = self._dynamic_waiters
         if waiters:
             self._dynamic_waiters = []
+            runnable = scheduler._runnable
             for process in waiters:
-                process._wake(self)
+                if process._wait_event is not self:
+                    process._wake(self)
+                    continue
+                # A single-event wait on this event: Process._wake inlined.
+                process._wait_event = None
+                if record:
+                    process._wake_trigger = self
+                if not process._runnable:
+                    process._runnable = True
+                    runnable.append(process)
         for process in self._static_waiters:
             process._wake_static(self)
         callbacks = self._callbacks

@@ -13,6 +13,7 @@ Two SystemC-like process kinds are supported:
 
 from __future__ import annotations
 
+import heapq
 import typing
 from collections.abc import Generator
 
@@ -95,8 +96,9 @@ class Process:
         self.exception: BaseException | None = None
         #: Causal edge for the probe bus: the Event whose trigger made
         #: this process runnable (None for the initial activation).
-        #: Recorded only while a bus is attached; consumed and reset by
-        #: the scheduler's instrumented evaluation loop.
+        #: Recorded only while ``process.activate`` has a subscriber;
+        #: consumed and reset by the scheduler's instrumented evaluation
+        #: loop.
         self._wake_trigger: Event | None = None
 
     def __repr__(self) -> str:
@@ -137,7 +139,8 @@ class Process:
             self._wait_events = ()
         else:
             self._wait_event = None
-        if self._scheduler._probes is not None:
+        probes = self._scheduler._probes
+        if probes is not None and probes._process_activate is not None:
             self._wake_trigger = trigger
         if not self._runnable:
             self._runnable = True
@@ -150,7 +153,8 @@ class Process:
         if self._wait_event is not None or self._wait_events:
             # A thread with an explicit dynamic wait ignores static triggers.
             return
-        if self._scheduler._probes is not None:
+        probes = self._scheduler._probes
+        if probes is not None and probes._process_activate is not None:
             self._wake_trigger = trigger
         self._make_runnable()
 
@@ -172,7 +176,11 @@ class Process:
     # -- execution ------------------------------------------------------------
 
     def _execute(self) -> None:
-        """Run one activation; called only by the scheduler."""
+        """Run one activation; called only by the scheduler.
+
+        The scheduler's uninstrumented loop resumes a started thread
+        (``_send`` set) itself, with the same steps as below.
+        """
         self._runnable = False
         if self.done:
             return
@@ -215,16 +223,34 @@ class Process:
         self._send = result.send
         return self._send
 
+    def _timer(self) -> Event:
+        """The event every Timeout wait of this thread reuses."""
+        event = self._timeout_event
+        if event is None:
+            event = self._timeout_event = Event(
+                self._scheduler, f"{self.name}.timeout"
+            )
+        return event
+
     def _register_wait(self, wait_spec: object) -> None:
         if isinstance(wait_spec, Timeout):
             event = self._timeout_event
             if event is None:
-                event = self._timeout_event = Event(
-                    self._scheduler, f"{self.name}.timeout"
+                event = self._timer()
+            # Event._schedule_after inlined. The Timeout validated its
+            # delay when it was built and cannot change.
+            scheduler = self._scheduler
+            probes = scheduler._probes
+            if probes is not None and probes._event_notify is not None:
+                event._notify_cause = scheduler.current_process
+            delay = wait_spec._delay
+            if delay:
+                scheduler._timed_seq = seq = scheduler._timed_seq + 1
+                heapq.heappush(
+                    scheduler._timed, (scheduler._time + delay, seq, event)
                 )
-            # The Timeout validated its delay when it was built and
-            # cannot change, so skip notify_after's check.
-            event._schedule_after(wait_spec._delay)
+            else:
+                scheduler._schedule_delta_event(event)
             self._wait_event = event
             event._dynamic_waiters.append(self)
             return
@@ -246,6 +272,9 @@ class Process:
 
     def _finish(self) -> None:
         self.done = True
+        # A finished thread is never resumed: the scheduler's fast loop
+        # hands a process without ``_send`` to _execute, which skips it.
+        self._send = None
         self._clear_waits()
         self.terminated_event.notify_delta()
 

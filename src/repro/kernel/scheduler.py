@@ -12,6 +12,13 @@ Implements the SystemC evaluation/update/delta-notification cycle:
    anything became runnable, start a new delta cycle at the same time.
 4. **Time advance** — otherwise pop the earliest timed notifications,
    advance simulation time, and evaluate again.
+
+Two fast paths keep the schedule identical while skipping work nobody
+observes. The uninstrumented evaluation loop resumes started threads
+itself. And when the only notification due at an instant is a timer
+carrying an ``_inline`` hook (a clock's) and no kernel probe kind has a
+subscriber, the hook runs that instant's first delta itself; the delta
+is counted as if the woken process had run.
 """
 
 from __future__ import annotations
@@ -53,7 +60,8 @@ class Scheduler:
         #: The process being evaluated right now (None between activations).
         self.current_process: Process | None = None
         #: Probe bus attached by the owning Simulator; None keeps every
-        #: probe site on the single-truthiness-check fast path.
+        #: probe site on the single-truthiness-check fast path. Each hot
+        #: site then checks its own kind's subscribers on the bus.
         self._probes: "ProbeBus | None" = None
 
     # -- introspection ------------------------------------------------------
@@ -140,32 +148,51 @@ class Scheduler:
         deadline = None if duration is None else self._time + duration
         self._stop_requested = False
         self.running = True
+        timed = self._timed
+        deltas_run = 0
         try:
             while True:
-                self._run_delta_cycles()
+                self._run_delta_cycles(deltas_run)
                 if self._stop_requested:
                     break
-                if not self._timed:
+                if not timed:
                     break
-                next_time = self._timed[0][0]
+                next_time = timed[0][0]
                 if deadline is not None and next_time > deadline:
                     self._time = deadline
                     break
-                self._advance_to(next_time)
+                deltas_run = self._advance_to(next_time)
+                if deltas_run and self._stop_requested:
+                    # The inline delta ended like any delta: on a stop.
+                    break
             if deadline is not None and self._time < deadline and not self._stop_requested:
                 self._time = deadline
             return self._time
         finally:
             self.running = False
 
-    def _advance_to(self, next_time: int) -> None:
+    def _advance_to(self, next_time: int) -> int:
+        """Trigger the timed notifications due at *next_time*.
+
+        :returns: the deltas already run at *next_time*: 1 when a lone
+            timer's ``_inline`` hook ran the first one, else 0.
+        """
         self._time = next_time
         timed = self._timed
+        event = heapq.heappop(timed)[2]
+        if not timed or timed[0][0] != next_time:
+            inline = event._inline
+            if inline is not None:
+                probes = self._probes
+                if (probes is None or not probes._kernel_observed) and inline():
+                    self._delta_count += 1
+                    return 1
+        event._trigger()
         while timed and timed[0][0] == next_time:
             heapq.heappop(timed)[2]._trigger()
+        return 0
 
-    def _run_delta_cycles(self) -> None:
-        deltas_this_step = 0
+    def _run_delta_cycles(self, deltas_this_step: int = 0) -> None:
         runnable = self._runnable
         popleft = runnable.popleft
         while runnable or self._delta_events or self._update_queue:
@@ -177,10 +204,11 @@ class Scheduler:
                 )
             self._delta_count += 1
             probes = self._probes
+            observed = probes is not None and probes._evaluation_observed
             # Evaluation phase. current_process names each process while
             # it runs and is reset once, when the phase ends or raises.
             try:
-                if probes is not None:
+                if observed:
                     probes.delta_begin(self._time, self._delta_count)
                     while runnable:
                         process = popleft()
@@ -195,7 +223,23 @@ class Scheduler:
                     while runnable:
                         process = popleft()
                         self.current_process = process
-                        process._execute()
+                        send = process._send
+                        if send is None:
+                            # Methods, first activations, finished threads.
+                            process._execute()
+                            continue
+                        # Process._execute inlined for a started thread.
+                        process._runnable = False
+                        try:
+                            wait_spec = send(None)
+                        except StopIteration:
+                            process._finish()
+                            continue
+                        if isinstance(wait_spec, Event):
+                            process._wait_event = wait_spec
+                            wait_spec._dynamic_waiters.append(process)
+                        else:
+                            process._register_wait(wait_spec)
             finally:
                 self.current_process = None
             # Update phase.
@@ -213,7 +257,7 @@ class Scheduler:
                 for event in events:
                     event._delta_pending = False
                     event._trigger()
-            if probes is not None:
+            if observed:
                 probes.delta_end(self._time, self._delta_count)
             if self._stop_requested:
                 return

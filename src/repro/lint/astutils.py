@@ -124,12 +124,6 @@ def first_arg_name(node: FunctionNode) -> str | None:
     return args[0].arg if args else None
 
 
-def body_nodes(node: FunctionNode) -> list[ast.AST]:
-    if isinstance(node, ast.Lambda):
-        return [node.body]
-    return list(node.body)
-
-
 def attr_chain(node: ast.AST) -> list[str] | None:
     """``self.a.b`` -> ``["self", "a", "b"]``; ``None`` for anything else."""
     parts: list[str] = []

@@ -503,24 +503,6 @@ class GlobalObject:
             f"attempts (policy {policy!r})"
         )
 
-    def set_retry_policy(
-        self, policy: typing.Any, *methods: str
-    ) -> "GlobalObject":
-        """Attach *policy* to this handle's connection group.
-
-        With no *methods*, the policy covers every method that has no
-        explicit policy of its own (the ``"*"`` slot). Returns ``self``
-        for chaining.
-        """
-        for method in methods or ("*",):
-            self.space.retry_policies[method] = policy
-        return self
-
-    def retry_policy_for(self, method: str) -> typing.Any:
-        """The policy :meth:`call` would apply to *method* (or None)."""
-        policies = self.space.retry_policies
-        return policies.get(method) or policies.get("*")
-
     def try_call(self, method: str, *args: object, **kwargs: object):
         """Non-blocking variant: ``(granted, result)``, never suspends."""
         if self._root()._lowered is not None:

@@ -94,10 +94,6 @@ class PciMaster(Module):
         yield done
         return operation
 
-    @property
-    def queue_depth(self) -> int:
-        return len(self._queue)
-
     # -- engine process ----------------------------------------------------------
 
     def _engine(self):

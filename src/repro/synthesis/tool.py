@@ -105,10 +105,6 @@ class SynthesizedGroup:
         #: Netlists of polymorphic dispatches found in the object state.
         self.dispatch_irs = dispatch_irs or []
 
-    @property
-    def client_count(self) -> int:
-        return len(self.channel.clients)
-
 
 class SynthesisResult:
     """Outcome of one synthesis run."""

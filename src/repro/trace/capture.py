@@ -45,10 +45,6 @@ class WaveformCapture:
             if name.startswith(prefix) and isinstance(obj, (Signal, ResolvedSignal)):
                 self.add_signal(obj)
 
-    @property
-    def signal_names(self) -> tuple[str, ...]:
-        return tuple(self.history)
-
     # -- tracer protocol ---------------------------------------------------
 
     def record_change(self, time: int, signal: Traceable, value: object) -> None:

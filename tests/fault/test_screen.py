@@ -7,6 +7,9 @@ The check throughout: simulating such a run against a golden reference
 without a trajectory (which screens nothing) gives the same outcome.
 """
 
+import copy
+import json
+
 import pytest
 
 import repro.fault.campaign as campaign
@@ -228,6 +231,39 @@ class TestScreenPaths:
         first = execute_run(spec, self._late(golden, run_id=1), golden)
         first.detail = "edited"
         assert golden.outcome.detail == "fault never activated"
+
+    def test_relabel_copies_only_the_score(self):
+        spec = _spec([FaultSpec("stuck_at", "top.bus.devsel_n")],
+                     telemetry=True, trace_spans=True, resilience=True)
+        golden = run_golden(spec)
+        run = self._late(golden, run_id=5)
+        outcome = campaign._screen(spec, run, golden)
+        # The relabel the screen made before: a deep copy of the golden
+        # outcome carrying the run's identity.
+        expected = copy.deepcopy(golden.outcome)
+        expected.run_id = run.run_id
+        expected.kind = run.kind
+        expected.target_path = run.target_path
+        expected.window = run.window
+        expected.score["label"] = run.label
+        for canonical in (False, True):
+            assert json.dumps(outcome.to_dict(canonical)) == \
+                json.dumps(expected.to_dict(canonical))
+        assert outcome.spans_assembled and outcome.score["transactions"]
+
+        def containers(value):
+            if isinstance(value, (dict, list, set)):
+                yield id(value)
+                items = value.values() if isinstance(value, dict) else value
+                for item in items:
+                    yield from containers(item)
+
+        def mutable_state(result):
+            return {i for value in vars(result).values()
+                    for i in containers(value)}
+
+        assert mutable_state(outcome)
+        assert not mutable_state(outcome) & mutable_state(golden.outcome)
 
     @pytest.mark.parametrize("kind, target", [
         ("stuck_at", "top.bus.frame_n"),  # not matched by the spec

@@ -9,7 +9,9 @@ from repro.fault import (
     demo_campaign_spec,
     expand_campaign,
     match_targets,
+    run_campaign,
 )
+from repro.fault.spec import check_target_widths
 from repro.kernel import NS
 
 SIGNALS = ["top.bus.ad", "top.bus.frame_n", "top.bus.irdy_n", "top.clk"]
@@ -51,6 +53,71 @@ class TestDeclarations:
             "top.bus.ad", "top.bus.frame_n", "top.bus.irdy_n",
         ]
         assert match_targets("*.clk", SIGNALS) == ["top.clk"]
+
+
+class TestSpecsFailWhenBuilt:
+    """A bad fault line raises before any run starts, naming the line."""
+
+    def test_misspelt_param(self):
+        with pytest.raises(
+            FaultInjectionError,
+            match=r"FaultSpec\(glitch @ 'top.bus.ack' x1\): glitch takes no "
+                  r"param 'vlaue'",
+        ):
+            FaultSpec("glitch", "top.bus.ack", params={"vlaue": 1})
+
+    def test_reversed_window(self):
+        with pytest.raises(
+            FaultInjectionError,
+            match=r"FaultSpec\(glitch @ 'top.bus.ack' x1\): window "
+                  r"\(1000000000, 10\) ends before it starts",
+        ):
+            FaultSpec("glitch", "top.bus.ack", window=(10**9, 10))
+
+    def test_params_every_model_takes_pass(self):
+        for spec in (demo_campaign_spec(bus) for bus in (
+            "pci", "wishbone", "axi4lite", "tlmgp", "functional"
+        )):
+            for fault in spec.faults:
+                FaultSpec(fault.kind, fault.target, params=fault.params)
+        FaultSpec("glitch", "x", window=(10, 10), params={"duration": 5})
+
+    def test_widths_checked_per_matched_target(self):
+        widths = {"top.bus.ad": 32, "top.bus.frame_n": 1, "top.obj": None}
+
+        def check(kind, target, **params):
+            check_target_widths(
+                _spec([FaultSpec(kind, target, params=params)]), widths
+            )
+
+        check("bit_flip", "top.bus.ad", bit=31)
+        check("bit_flip", "top.*", bit=None)  # drawn per run
+        check("bit_flip", "top.obj", bit=99)  # a plain-value signal
+        check("stuck_at", "top.bus.frame_n", value=1)
+        check("glitch", "top.bus.*", value=0)
+        for kind, target, params, problem in (
+            ("bit_flip", "top.bus.ad", {"bit": 32}, "bit 32 is outside"),
+            ("bit_flip", "top.bus.*", {"bit": 5}, "bit 5 is outside"),
+            ("bit_flip", "top.bus.ad", {"bit": -1}, "bit -1 is outside"),
+            ("stuck_at", "top.bus.frame_n", {"value": 2},
+             "value 2 does not fit"),
+            ("glitch", "top.bus.frame_n", {"value": -1},
+             "value -1 does not fit"),
+        ):
+            with pytest.raises(FaultInjectionError, match=problem):
+                check(kind, target, **params)
+
+    @pytest.mark.parametrize("fault, problem", [
+        (FaultSpec("bit_flip", "top.bus.dat_w", params={"bit": 40}),
+         "bit 40 is outside the 32-bit target 'top.bus.dat_w'"),
+        (FaultSpec("stuck_at", "top.bus.ack", params={"value": 7}),
+         "value 7 does not fit the 1-bit target 'top.bus.ack'"),
+    ], ids=["bit", "value"])
+    def test_planning_rejects_what_does_not_fit(self, fault, problem):
+        spec = _spec([fault], platform="wishbone")
+        with pytest.raises(FaultInjectionError) as error:
+            run_campaign(spec, workers=1)
+        assert f"fault line {fault!r}: {problem}" in str(error.value)
 
 
 class TestExpansion:

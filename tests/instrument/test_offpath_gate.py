@@ -1,4 +1,4 @@
-"""The off-path gate's call count repeats, and one added call trips it."""
+"""The off-path gate's call counts repeat, and one added call trips them."""
 
 import importlib.util
 import os
@@ -30,6 +30,16 @@ def _noop():
     pass
 
 
+def _one_extra_call_per_signal_write(monkeypatch):
+    write = Signal.write
+
+    def write_with_extra_call(self, value):
+        _noop()
+        return write(self, value)
+
+    monkeypatch.setattr(Signal, "write", write_with_extra_call)
+
+
 class TestOffPathGate:
     def test_pci_count_repeats_and_passes(self, gate, pci_call_limit):
         counts = []
@@ -44,12 +54,14 @@ class TestOffPathGate:
     def test_one_extra_call_per_signal_write_fails(
         self, gate, pci_call_limit, monkeypatch
     ):
-        write = Signal.write
-
-        def write_with_extra_call(self, value):
-            _noop()
-            return write(self, value)
-
-        monkeypatch.setattr(Signal, "write", write_with_extra_call)
+        _one_extra_call_per_signal_write(monkeypatch)
         calls, __ = gate.count_calls(gate.pci_off)
         assert calls > pci_call_limit
+
+    def test_one_extra_call_per_signal_write_trips_the_matrix_row(
+        self, gate, monkeypatch
+    ):
+        call_limit, __ = gate.limits("matrix", gate.load_baseline())
+        _one_extra_call_per_signal_write(monkeypatch)
+        calls, __ = gate.count_calls(gate.matrix_sweep)
+        assert calls > call_limit

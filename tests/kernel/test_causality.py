@@ -1,9 +1,11 @@
 """Notify→wake causal edges surfaced through the probe bus.
 
-When a probe bus is attached, every event notification records the
-notifying process and every process activation records the waking
-event — the raw edges span tracing turns into critical paths. Without
-a bus neither attribute is ever written (the zero-cost off path).
+While ``event.notify`` is subscribed, every event notification records
+the notifying process, and while ``process.activate`` is subscribed,
+every process activation records the waking event — the raw edges span
+tracing turns into critical paths. Otherwise neither attribute is ever
+written (the zero-cost off path; ``test_probe_gating`` covers a bus
+with only other kinds subscribed).
 """
 
 from repro.instrument import EVENT_NOTIFY, PROCESS_ACTIVATE, ProbeBus
