@@ -10,7 +10,7 @@ import pytest
 from _tables import print_table
 
 from repro.core import generate_workload
-from repro.flow import PciPlatformConfig, build_pci_platform
+from repro.flow import PciPlatformConfig, build_platform
 from repro.kernel import MS, NS
 from repro.osss import (
     FcfsArbiter,
@@ -30,8 +30,9 @@ def _run(arbiter, synthesize=False):
                           max_burst=2)
         for i in range(N_APPS)
     ]
-    bundle = build_pci_platform(
-        workloads, PciPlatformConfig(arbiter=arbiter), synthesize=synthesize
+    bundle = build_platform(
+        workloads, PciPlatformConfig(arbiter=arbiter), bus="pci",
+        synthesize=synthesize,
     )
     bundle.run(400 * MS)
     apps = bundle.handle.applications

@@ -45,7 +45,7 @@ from repro.core import CommandType  # noqa: E402
 from repro.core.workload import _Lcg  # noqa: E402
 from repro.fault.runner import run_campaign  # noqa: E402
 from repro.fault.spec import demo_campaign_spec  # noqa: E402
-from repro.flow import PciPlatformConfig, build_pci_platform  # noqa: E402
+from repro.flow import PciPlatformConfig, build_platform  # noqa: E402
 from repro.kernel import MS, NS  # noqa: E402
 from repro.synthesis.tool import set_synthesis_sink  # noqa: E402
 
@@ -71,8 +71,9 @@ def _channel_ir():
         lambda sim, result: captured.append(result)
     )
     try:
-        build_pci_platform(
-            [COMMANDS], PciPlatformConfig(wait_states=1), synthesize=True
+        build_platform(
+            [COMMANDS], PciPlatformConfig(wait_states=1), bus="pci",
+            synthesize=True,
         )
     finally:
         set_synthesis_sink(previous)
@@ -138,7 +139,7 @@ def measure_platform() -> dict:
         config = PciPlatformConfig(
             clock_period=CLOCK_PERIOD, backend=backend
         )
-        bundle = build_pci_platform([commands], config, synthesize=True)
+        bundle = build_platform([commands], config, bus="pci", synthesize=True)
         started = time.perf_counter()
         bundle.run(100 * MS)
         return time.perf_counter() - started

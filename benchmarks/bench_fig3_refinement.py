@@ -9,11 +9,7 @@ import pytest
 from _tables import print_table
 
 from repro.core import compare_refinement, generate_workload
-from repro.flow import (
-    PciPlatformConfig,
-    build_functional_platform,
-    build_pci_platform,
-)
+from repro.flow import PciPlatformConfig, build_platform
 from repro.kernel import MS
 
 WORKLOAD = generate_workload(seed=2024, n_commands=40, address_span=0x800,
@@ -25,7 +21,9 @@ def test_fig3_functional_platform(benchmark):
     """Simulation cost of the high-level model (the fast side)."""
 
     def run():
-        return build_functional_platform([WORKLOAD], CONFIG).run(100 * MS)
+        return build_platform(
+            [WORKLOAD], CONFIG, bus="functional"
+        ).run(100 * MS)
 
     result = benchmark(run)
     assert result.transactions == 40
@@ -35,7 +33,7 @@ def test_fig3_pin_accurate_platform(benchmark):
     """Simulation cost of the implementation model (the slow side)."""
 
     def run():
-        return build_pci_platform([WORKLOAD], CONFIG).run(100 * MS)
+        return build_platform([WORKLOAD], CONFIG, bus="pci").run(100 * MS)
 
     result = benchmark.pedantic(run, rounds=3, iterations=1)
     assert result.transactions == 40
@@ -46,8 +44,10 @@ def test_fig3_refinement_comparison(benchmark):
 
     def run():
         return compare_refinement(
-            lambda: build_functional_platform([WORKLOAD], CONFIG).handle,
-            lambda: build_pci_platform([WORKLOAD], CONFIG).handle,
+            lambda: build_platform(
+                [WORKLOAD], CONFIG, bus="functional"
+            ).handle,
+            lambda: build_platform([WORKLOAD], CONFIG, bus="pci").handle,
             max_time=100 * MS,
         )
 

@@ -10,7 +10,7 @@ import os
 from _tables import print_table
 
 from repro.core import CommandType
-from repro.flow import PciPlatformConfig, build_pci_platform
+from repro.flow import PciPlatformConfig, build_platform
 from repro.kernel import MS, NS
 from repro.trace import VcdTracer, WaveformCapture, render
 
@@ -21,8 +21,9 @@ COMMANDS = [
 
 
 def _traced_run(vcd_path=None):
-    bundle = build_pci_platform(
-        [COMMANDS], PciPlatformConfig(wait_states=1), synthesize=True
+    bundle = build_platform(
+        [COMMANDS], PciPlatformConfig(wait_states=1), bus="pci",
+        synthesize=True,
     )
     sim = bundle.handle.sim
     capture = WaveformCapture()
@@ -72,8 +73,9 @@ def test_fig4_tracing_overhead(benchmark):
     """Cost of full-bus tracing relative to the untraced simulation."""
 
     def untraced():
-        bundle = build_pci_platform(
-            [COMMANDS], PciPlatformConfig(wait_states=1), synthesize=True
+        bundle = build_platform(
+            [COMMANDS], PciPlatformConfig(wait_states=1), bus="pci",
+            synthesize=True,
         )
         return bundle.run(10 * MS)
 

@@ -11,24 +11,22 @@ import pytest
 from _tables import print_table
 
 from repro.core import default_library, generate_workload
-from repro.flow import (
-    build_functional_platform,
-    build_pci_platform,
-    build_wishbone_platform,
-)
+from repro.flow import build_platform
 from repro.kernel import MS, NS
 
 WORKLOAD = generate_workload(seed=404, n_commands=25, address_span=0x400,
                              max_burst=4, partial_byte_enable_fraction=0.2)
 
 PLATFORMS = [
-    ("functional (bus-agnostic TLM)", lambda: build_functional_platform([WORKLOAD])),
-    ("pci pin-accurate", lambda: build_pci_platform([WORKLOAD])),
-    ("pci post-synthesis", lambda: build_pci_platform([WORKLOAD],
+    ("functional (bus-agnostic TLM)",
+     lambda: build_platform([WORKLOAD], bus="functional")),
+    ("pci pin-accurate", lambda: build_platform([WORKLOAD], bus="pci")),
+    ("pci post-synthesis", lambda: build_platform([WORKLOAD], bus="pci",
                                                       synthesize=True)),
-    ("wishbone pin-accurate", lambda: build_wishbone_platform([WORKLOAD])),
-    ("wishbone post-synthesis", lambda: build_wishbone_platform(
-        [WORKLOAD], synthesize=True)),
+    ("wishbone pin-accurate",
+     lambda: build_platform([WORKLOAD], bus="wishbone")),
+    ("wishbone post-synthesis", lambda: build_platform(
+        [WORKLOAD], bus="wishbone", synthesize=True)),
 ]
 
 

@@ -28,7 +28,7 @@ if os.path.join(_ROOT, "src") not in sys.path:
     sys.path.insert(0, os.path.join(_ROOT, "src"))
 
 from repro.core import generate_workload  # noqa: E402
-from repro.flow import build_pci_platform  # noqa: E402
+from repro.flow import build_platform  # noqa: E402
 from repro.lint import astutils  # noqa: E402
 from repro.lint.context import DesignContext  # noqa: E402
 from repro.lint.engine import DESIGN, LintEngine  # noqa: E402
@@ -38,7 +38,7 @@ import repro.lint.runner  # noqa: E402,F401  (rule registration)
 def _build_sim():
     workloads = [generate_workload(seed=11, n_commands=20,
                                    address_span=0x400, max_burst=4)]
-    return build_pci_platform(workloads).handle.sim
+    return build_platform(workloads, bus="pci").handle.sim
 
 
 def main() -> int:

@@ -10,7 +10,7 @@ import pytest
 from _tables import print_table
 
 from repro.core import CommandType
-from repro.flow import PciPlatformConfig, build_pci_platform
+from repro.flow import PciPlatformConfig, build_platform
 from repro.kernel import MS, NS
 
 CLOCK_PERIOD = 30 * NS
@@ -27,7 +27,7 @@ def _throughput(burst, wait_states):
         )
     config = PciPlatformConfig(clock_period=CLOCK_PERIOD,
                                wait_states=wait_states)
-    bundle = build_pci_platform([commands], config)
+    bundle = build_platform([commands], config, bus="pci")
     result = bundle.run(100 * MS)
     cycles = result.sim_time / CLOCK_PERIOD
     words = sum(t.word_count for t in bundle.monitor.completed_transactions)

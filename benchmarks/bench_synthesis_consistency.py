@@ -12,7 +12,7 @@ paper reports "step 3 showed no problems".
 from _tables import print_table
 
 from repro.core import generate_workload
-from repro.flow import build_pci_platform
+from repro.flow import build_platform
 from repro.kernel import MS, NS
 from repro.synthesis import SynthesisConfig
 from repro.verify import check_bus_transactions, check_traces
@@ -22,12 +22,12 @@ WORKLOAD = generate_workload(seed=55, n_commands=25, address_span=0x400,
 
 
 def _pre_synthesis():
-    bundle = build_pci_platform([WORKLOAD])
+    bundle = build_platform([WORKLOAD], bus="pci")
     return bundle, bundle.run(100 * MS)
 
 
 def _post_synthesis():
-    bundle = build_pci_platform([WORKLOAD], synthesize=True)
+    bundle = build_platform([WORKLOAD], bus="pci", synthesize=True)
     return bundle, bundle.run(200 * MS)
 
 
@@ -40,10 +40,8 @@ def test_exp_syn_step2_synthesize(benchmark):
     """Synthesis tool runtime (netlist generation + HDL emission)."""
 
     def run():
-        from repro.flow import build_pci_platform as build
-
-        return build([WORKLOAD], synthesize=True,
-                     synthesis_config=SynthesisConfig())
+        return build_platform([WORKLOAD], bus="pci", synthesize=True,
+                              synthesis_config=SynthesisConfig())
 
     bundle = benchmark(run)
     assert bundle.synthesis is not None

@@ -34,7 +34,7 @@ import repro.fault.campaign as fault_campaign  # noqa: E402
 from repro.compile import CompiledChannel  # noqa: E402
 from repro.core import CommandType  # noqa: E402
 from repro.fault import demo_campaign_spec, run_campaign  # noqa: E402
-from repro.flow import PciPlatformConfig, build_pci_platform  # noqa: E402
+from repro.flow import PciPlatformConfig, build_platform  # noqa: E402
 from repro.kernel import MS  # noqa: E402
 from repro.synthesis.tool import synthesize_group_shape  # noqa: E402
 from repro.trace import VcdTracer  # noqa: E402
@@ -53,9 +53,9 @@ COMMANDS = [
 
 
 def _run(backend: str, vcd_path: "str | None" = None):
-    bundle = build_pci_platform(
+    bundle = build_platform(
         [COMMANDS],
-        PciPlatformConfig(wait_states=1, backend=backend),
+        PciPlatformConfig(wait_states=1, backend=backend), bus="pci",
         synthesize=True,
     )
     sim = bundle.handle.sim

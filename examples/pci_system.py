@@ -11,7 +11,7 @@ Run:  python examples/pci_system.py
 """
 
 from repro.core import CommandType
-from repro.flow import PciPlatformConfig, build_pci_platform
+from repro.flow import PciPlatformConfig, build_platform
 from repro.kernel import MS, NS
 from repro.trace import VcdTracer, WaveformCapture, render
 
@@ -26,7 +26,7 @@ def main():
         CommandType.read(0x0001_0004, count=1),      # peripheral STATUS
     ]
     config = PciPlatformConfig(clock_period=30 * NS, wait_states=1)
-    bundle = build_pci_platform([commands], config, synthesize=True)
+    bundle = build_platform([commands], config, bus="pci", synthesize=True)
 
     # Attach tracing to the shared bus wires + clock before running.
     sim = bundle.handle.sim

@@ -15,7 +15,7 @@ Run:  python examples/refinement.py
 """
 
 from repro.core import compare_refinement, default_library, generate_workload
-from repro.flow import PciPlatformConfig, build_functional_platform, build_pci_platform
+from repro.flow import PciPlatformConfig, build_platform
 from repro.kernel import MS
 
 
@@ -34,8 +34,8 @@ def main():
     config = PciPlatformConfig()
 
     report = compare_refinement(
-        lambda: build_functional_platform([workload], config).handle,
-        lambda: build_pci_platform([workload], config).handle,
+        lambda: build_platform([workload], config, bus="functional").handle,
+        lambda: build_platform([workload], config, bus="pci").handle,
         max_time=20 * MS,
     )
     print(report.summary())

@@ -11,11 +11,7 @@ Run:  python examples/wishbone_port.py
 """
 
 from repro.core import default_library, generate_workload
-from repro.flow import (
-    build_functional_platform,
-    build_pci_platform,
-    build_wishbone_platform,
-)
+from repro.flow import build_platform
 from repro.kernel import MS, NS
 
 
@@ -30,9 +26,8 @@ def main():
     workload = generate_workload(seed=99, n_commands=30, address_span=0x400,
                                  max_burst=4)
     runs = {
-        "functional": build_functional_platform([workload]).run(200 * MS),
-        "pci": build_pci_platform([workload]).run(200 * MS),
-        "wishbone": build_wishbone_platform([workload]).run(200 * MS),
+        bus: build_platform([workload], bus=bus).run(200 * MS)
+        for bus in ("functional", "pci", "wishbone")
     }
 
     reference = runs["functional"].traces

@@ -54,11 +54,10 @@ from .flow import (
     BUS_FAMILIES,
     DesignFlow,
     PciPlatformConfig,
-    build_functional_platform,
-    build_pci_platform,
     build_platform,
     standard_flow_builders,
 )
+from .iface import IfaceParams
 from .kernel import MS, NS
 from .trace import VcdTracer, WaveformCapture, render
 
@@ -79,7 +78,9 @@ def _default_workloads(seed: int, n_commands: int):
 def _platform_config(args: argparse.Namespace, **overrides):
     """A PciPlatformConfig honouring the global --response-capacity."""
     capacity = getattr(args, "response_capacity", None)
-    return PciPlatformConfig(response_capacity=capacity, **overrides)
+    if capacity is not None:
+        overrides["params"] = IfaceParams(response_capacity=capacity)
+    return PciPlatformConfig(**overrides)
 
 
 def _effective_bus(args: argparse.Namespace) -> str:
@@ -113,7 +114,7 @@ def _cmd_refine(args: argparse.Namespace) -> int:
     config = _platform_config(args)
     bus = _effective_bus(args)
     report = compare_refinement(
-        lambda: build_functional_platform(workloads, config).handle,
+        lambda: build_platform(workloads, config, bus="functional").handle,
         lambda: build_platform(workloads, config, bus=bus).handle,
         max_time=200 * MS,
     )
@@ -157,8 +158,9 @@ def _cmd_waveforms(args: argparse.Namespace) -> int:
     if _effective_bus(args) != "pci":
         print("waveforms: the Figure 4 dump is PCI-specific; drop --bus")
         return 2
-    bundle = build_pci_platform(
-        [commands], _platform_config(args, wait_states=1), synthesize=True
+    bundle = build_platform(
+        [commands], _platform_config(args, wait_states=1), bus="pci",
+        synthesize=True,
     )
     sim = bundle.handle.sim
     capture = WaveformCapture()

@@ -162,6 +162,8 @@ class BusInterface(Module):
         #: :class:`~repro.resilience.recovery.InterfaceRecovery`, duck
         #: typed); ``None`` keeps the shipping zero-recovery fast path.
         self.recovery: typing.Any = None
+        #: Bus operations that still failed after any replay.
+        self.operations_failed = 0
         self.operations_replayed = 0
         self.operations_recovered = 0
 

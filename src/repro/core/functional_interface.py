@@ -19,6 +19,7 @@ from ..kernel.process import Timeout
 from ..kernel.simulator import Simulator
 from ..osss.arbiter import Arbiter
 from ..tlm.interfaces import TlmTarget
+from .bus_interface import BusInterfaceChannel
 from .command import DataType
 
 
@@ -41,14 +42,10 @@ class FunctionalBusInterface(InterfaceElement):
         target: TlmTarget,
         word_latency: int = 0,
         arbiter: Arbiter | None = None,
-        response_capacity: int | None = None,
-        channel_cls: type | None = None,
+        channel_cls: type = BusInterfaceChannel,
         params: IfaceParams | None = None,
     ) -> None:
-        from .bus_interface import BusInterfaceChannel
-
-        super().__init__(parent, name, arbiter, params, response_capacity,
-                         channel_cls or BusInterfaceChannel)
+        super().__init__(parent, name, arbiter, params, channel_cls)
         if word_latency < 0:
             raise SimulationError(f"word latency must be >= 0, got {word_latency}")
         self.target = target

@@ -24,7 +24,8 @@ from ..osss.arbiter import Arbiter
 from ..pci.constants import STATUS_OK
 from ..pci.master import PciMaster
 from ..pci.signals import PciBus
-from .command import DataType
+from .bus_interface import BusInterfaceChannel
+from .command import CommandType
 
 
 class PciBusInterface(InterfaceElement):
@@ -33,6 +34,9 @@ class PciBusInterface(InterfaceElement):
     :param bus: the PCI wire bundle to attach to.
     :param clk: the bus clock.
     :param master_index: which REQ#/GNT# pair to use.
+
+    With recovery armed, failed operations (master abort, target abort,
+    read-parity mismatch) are replayed from the command.
     """
 
     BUS_NAME = "pci"
@@ -46,21 +50,16 @@ class PciBusInterface(InterfaceElement):
         clk: Signal,
         master_index: int = 0,
         arbiter: Arbiter | None = None,
-        response_capacity: int | None = None,
-        channel_cls: type | None = None,
+        channel_cls: type = BusInterfaceChannel,
         params: IfaceParams | None = None,
     ) -> None:
-        from .bus_interface import BusInterfaceChannel
-
         if params is None:
             params = IfaceParams(data_width=bus.ad_width)
-        super().__init__(parent, name, arbiter, params, response_capacity,
-                         channel_cls or BusInterfaceChannel)
+        super().__init__(parent, name, arbiter, params, channel_cls)
         self.check_bus_widths(data_width=bus.ad_width)
         self.bus = bus
         self.clk = clk
         self.master = PciMaster(self, "master", bus, clk, master_index)
-        self.operations_failed = 0
         self.thread(self._dispatch, "dispatch")
 
     def _apply_recovery(self, recovery) -> None:
@@ -69,38 +68,14 @@ class PciBusInterface(InterfaceElement):
             getattr(recovery, "check_parity", False)
         )
 
+    #: A command's bus operation is its PCI lowering.
+    _operation = staticmethod(CommandType.to_pci_operation)
+
     @staticmethod
     def _operation_failure(operation) -> str | None:
-        """Failure tag of a completed PCI operation, None on success."""
+        """The status check, plus read parity."""
         if operation.status != STATUS_OK:
             return operation.status
         if operation.parity_error:
             return "parity"
         return None
-
-    def _dispatch(self):
-        """Forever: take a command from the channel, run it on the pins.
-
-        With recovery armed, failed operations (master abort, target
-        abort, read-parity mismatch) are replayed from the command a
-        bounded number of times before the failure is surfaced.
-        """
-        while True:
-            epoch, command = yield from self.channel.call("get_command")
-            if self.recovery is None:
-                operation = command.to_pci_operation()
-                yield from self.master.transact(operation)
-            else:
-                operation = yield from self._transact_with_recovery(
-                    command,
-                    lambda cmd: cmd.to_pci_operation(),
-                    self.master.transact,
-                    self._operation_failure,
-                )
-            self.commands_serviced += 1
-            if self._operation_failure(operation) is not None:
-                self.operations_failed += 1
-            if command.is_read:
-                response = DataType(operation.data, operation.status)
-                response.corr_id = operation.corr_id
-                yield from self.channel.call("put_response", epoch, response)

@@ -304,13 +304,14 @@ def plan_campaign(
     bundle = build_campaign_platform(spec)
     signal_paths, channel_paths = injectable_targets(bundle)
     sim = bundle.handle.sim
-    check_target_widths(
-        spec, {path: sim.lookup(path).width for path in signal_paths}
-    )
+    widths = {path: sim.lookup(path).width for path in signal_paths}
+    check_target_widths(spec, widths)
     golden = _run_golden(
         spec, bundle, fault_targets(spec, signal_paths, channel_paths)
     )
-    runs = expand_campaign(spec, signal_paths, channel_paths, golden.horizon)
+    runs = expand_campaign(
+        spec, signal_paths, channel_paths, golden.horizon, widths
+    )
     return golden, runs
 
 

@@ -43,7 +43,10 @@ reports for the same spec and seed.
 from __future__ import annotations
 
 import concurrent.futures
+import multiprocessing
+import multiprocessing.connection
 import os
+import threading
 import time as _time
 import typing
 from concurrent.futures.process import BrokenProcessPool
@@ -77,11 +80,26 @@ SERIAL_FALLBACK_MIN_BREAKS = 2
 _WORKER_STATE: dict = {}
 
 
+def _exit_with_parent() -> None:
+    """Block until the campaign process is gone, then end this worker.
+
+    A parent killed with SIGKILL runs no cleanup, so without this its
+    pool workers would sleep on their call queue forever.
+    """
+    parent = multiprocessing.parent_process()
+    if parent is not None:
+        multiprocessing.connection.wait([parent.sentinel])
+        os._exit(1)
+
+
 def _init_worker(
     spec: CampaignSpec,
     golden: GoldenReference,
     heartbeat_channel=None,
 ) -> None:
+    threading.Thread(
+        target=_exit_with_parent, name="exit-with-parent", daemon=True
+    ).start()
     _WORKER_STATE["spec"] = spec
     _WORKER_STATE["golden"] = golden
     # Live telemetry: a manager-queue proxy (picklable, unlike a raw

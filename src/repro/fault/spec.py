@@ -333,11 +333,15 @@ def _draw_window(
     return (start, start + span)
 
 
-def _draw_params(rng: _Lcg, kind: str, params: dict) -> dict:
-    """Fill seed-drawn parameter values left unset in the spec."""
+def _draw_params(
+    rng: _Lcg, kind: str, params: dict, width: "int | None"
+) -> dict:
+    """Fill seed-drawn parameter values left unset in the spec; a
+    ``bit_flip`` bit is drawn below the target's *width* (32 when the
+    width is unknown)."""
     drawn = dict(params)
     if kind == "bit_flip" and drawn.get("bit") is None:
-        drawn["bit"] = rng.next_int(32)
+        drawn["bit"] = rng.next_int(width or 32)
     if kind == "command_corruption" and drawn.get("mask") is None:
         drawn["mask"] = 1 << rng.next_int(30)
     return {k: v for k, v in drawn.items() if v is not None}
@@ -348,6 +352,7 @@ def expand_campaign(
     signal_paths: typing.Iterable[str],
     channel_paths: typing.Iterable[str],
     horizon: int,
+    widths: "typing.Mapping[str, int | None] | None" = None,
 ) -> list[RunSpec]:
     """Expand a campaign into its deterministic run list.
 
@@ -357,6 +362,9 @@ def expand_campaign(
         handle.
     :param horizon: the golden run's end time (fs), the reference for
         seeded window placement.
+    :param widths: signal path -> width, as for
+        :func:`check_target_widths`; a drawn ``bit_flip`` bit stays
+        below its target's width.
     :raises FaultInjectionError: when a fault line matches nothing —
         a silently empty campaign is always a spec bug.
     """
@@ -390,7 +398,10 @@ def expand_campaign(
                         fault.kind,
                         path,
                         window,
-                        _draw_params(rng, fault.kind, fault.params),
+                        _draw_params(
+                            rng, fault.kind, fault.params,
+                            widths.get(path) if widths else None,
+                        ),
                     )
                 )
                 run_id += 1

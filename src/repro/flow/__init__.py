@@ -5,12 +5,7 @@ from .platforms import (
     BUS_FAMILIES,
     PciPlatformConfig,
     PlatformBundle,
-    build_axi4lite_platform,
-    build_functional_platform,
-    build_pci_platform,
     build_platform,
-    build_tlmgp_platform,
-    build_wishbone_platform,
     standard_flow_builders,
 )
 
@@ -21,11 +16,6 @@ __all__ = [
     "FlowStage",
     "PciPlatformConfig",
     "PlatformBundle",
-    "build_axi4lite_platform",
-    "build_functional_platform",
-    "build_pci_platform",
     "build_platform",
-    "build_tlmgp_platform",
-    "build_wishbone_platform",
     "standard_flow_builders",
 ]

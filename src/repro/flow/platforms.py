@@ -4,8 +4,7 @@ Every platform hosts the same IPs (a memory and a register-block
 peripheral) behind the same address map, and the same applications —
 only the bus interface element differs, which is exactly the paper's
 refinement claim. Examples, tests and benches build their systems
-through :func:`build_platform` (or the per-family wrappers) instead of
-hand-wiring testbenches.
+through :func:`build_platform` instead of hand-wiring testbenches.
 
 Address map::
 
@@ -74,7 +73,6 @@ class PciPlatformConfig:
         disconnect_after: int | None = None,
         word_latency: int = 0,
         arbiter: Arbiter | None = None,
-        response_capacity: int | None = None,
         monitor_strict: bool = True,
         app_think_time: int = 0,
         resilience: object | None = None,
@@ -92,20 +90,8 @@ class PciPlatformConfig:
         self.word_latency = word_latency
         self.arbiter = arbiter
         #: Structural parameters of the interface element (widths, burst
-        #: bound, response-FIFO depth). An explicit ``response_capacity``
-        #: argument overrides the one inside ``params`` — the historical
-        #: spelling of the only knob that predates IfaceParams.
-        if params is None:
-            params = IfaceParams(
-                response_capacity=(
-                    4 if response_capacity is None else response_capacity
-                )
-            )
-        elif response_capacity is not None:
-            params = params.with_response_capacity(response_capacity)
-        self.params = params
-        #: Legacy mirror of ``params.response_capacity``.
-        self.response_capacity = params.response_capacity
+        #: bound, response-FIFO depth).
+        self.params = IfaceParams() if params is None else params
         self.monitor_strict = monitor_strict
         #: fs of local work each application simulates between commands
         #: (0 = back-to-back traffic; >0 leaves idle bus cycles).
@@ -190,18 +176,40 @@ class PlatformBundle:
 # ``top.clock``/``top.bus``/``top.monitor``.
 
 
-def _attach_functional(top: Module, config: PciPlatformConfig,
-                       element_cls: type) -> None:
+def _routed_ips(top: Module, config: PciPlatformConfig) -> AddressRouter:
+    """The memory and register block behind one transaction-level router."""
     top.memory = Memory(config.mem_size)
     top.peripheral = StatusRegisterBlock()
     router = AddressRouter()
     router.add_target(0, config.mem_size, top.memory, "mem")
     router.add_target(config.peripheral_base, 0x10, top.peripheral, "regs")
+    return router
+
+
+def _attach_functional(top: Module, config: PciPlatformConfig,
+                       element_cls: type) -> None:
     top.interface = element_cls(
         top,
         "interface",
-        router,
+        _routed_ips(top, config),
         word_latency=config.word_latency,
+        arbiter=config.arbiter,
+        params=config.params,
+    )
+
+
+def _attach_pin_element(top: Module, config: PciPlatformConfig,
+                        element_cls: type, monitor_cls: type) -> None:
+    """The bus monitor, then the element itself, on ``top.bus``."""
+    top.monitor = monitor_cls(
+        top, "monitor", top.bus, top.clock.clk,
+        strict=config.monitor_strict,
+    )
+    top.interface = element_cls(
+        top,
+        "interface",
+        top.bus,
+        top.clock.clk,
         arbiter=config.arbiter,
         params=config.params,
     )
@@ -230,18 +238,31 @@ def _attach_pci(top: Module, config: PciPlatformConfig,
         base=config.peripheral_base, size=0x10,
         decode_latency=config.decode_latency,
     )
-    top.monitor = PciMonitor(
-        top, "monitor", top.bus, top.clock.clk,
-        strict=config.monitor_strict,
+    _attach_pin_element(top, config, element_cls, PciMonitor)
+
+
+def _attach_slave_bus(top: Module, config: PciPlatformConfig,
+                      element_cls: type, bus_cls: type, slave_cls: type,
+                      monitor_cls: type, latency: str) -> None:
+    """Wishbone or AXI4-Lite: a memory slave and a register slave.
+
+    :param latency: the slave keyword ``config.wait_states`` maps onto.
+    """
+    top.clock = Clock(top, "clock", period=config.clock_period)
+    top.bus = bus_cls(top, "bus",
+                      data_width=config.params.data_width,
+                      addr_width=config.params.addr_width)
+    top.memory = Memory(config.mem_size)
+    top.peripheral = StatusRegisterBlock()
+    top.mem_slave = slave_cls(
+        top, "mem_slave", top.bus, top.clock.clk, top.memory,
+        base=0, size=config.mem_size, **{latency: config.wait_states},
     )
-    top.interface = element_cls(
-        top,
-        "interface",
-        top.bus,
-        top.clock.clk,
-        arbiter=config.arbiter,
-        params=config.params,
+    top.reg_slave = slave_cls(
+        top, "reg_slave", top.bus, top.clock.clk, top.peripheral,
+        base=config.peripheral_base, size=0x10,
     )
+    _attach_pin_element(top, config, element_cls, monitor_cls)
 
 
 def _attach_wishbone(top: Module, config: PciPlatformConfig,
@@ -250,33 +271,8 @@ def _attach_wishbone(top: Module, config: PciPlatformConfig,
     from ..wishbone.signals import WishboneBus
     from ..wishbone.slave import WishboneSlave
 
-    top.clock = Clock(top, "clock", period=config.clock_period)
-    top.bus = WishboneBus(top, "bus",
-                          data_width=config.params.data_width,
-                          addr_width=config.params.addr_width)
-    top.memory = Memory(config.mem_size)
-    top.peripheral = StatusRegisterBlock()
-    top.mem_slave = WishboneSlave(
-        top, "mem_slave", top.bus, top.clock.clk, top.memory,
-        base=0, size=config.mem_size,
-        ack_latency=config.wait_states,
-    )
-    top.reg_slave = WishboneSlave(
-        top, "reg_slave", top.bus, top.clock.clk, top.peripheral,
-        base=config.peripheral_base, size=0x10,
-    )
-    top.monitor = WishboneMonitor(
-        top, "monitor", top.bus, top.clock.clk,
-        strict=config.monitor_strict,
-    )
-    top.interface = element_cls(
-        top,
-        "interface",
-        top.bus,
-        top.clock.clk,
-        arbiter=config.arbiter,
-        params=config.params,
-    )
+    _attach_slave_bus(top, config, element_cls, WishboneBus, WishboneSlave,
+                      WishboneMonitor, "ack_latency")
 
 
 def _attach_axi4lite(top: Module, config: PciPlatformConfig,
@@ -285,33 +281,8 @@ def _attach_axi4lite(top: Module, config: PciPlatformConfig,
     from ..axi.signals import AxiLiteBus
     from ..axi.slave import AxiLiteSlave
 
-    top.clock = Clock(top, "clock", period=config.clock_period)
-    top.bus = AxiLiteBus(top, "bus",
-                         data_width=config.params.data_width,
-                         addr_width=config.params.addr_width)
-    top.memory = Memory(config.mem_size)
-    top.peripheral = StatusRegisterBlock()
-    top.mem_slave = AxiLiteSlave(
-        top, "mem_slave", top.bus, top.clock.clk, top.memory,
-        base=0, size=config.mem_size,
-        accept_latency=config.wait_states,
-    )
-    top.reg_slave = AxiLiteSlave(
-        top, "reg_slave", top.bus, top.clock.clk, top.peripheral,
-        base=config.peripheral_base, size=0x10,
-    )
-    top.monitor = AxiLiteMonitor(
-        top, "monitor", top.bus, top.clock.clk,
-        strict=config.monitor_strict,
-    )
-    top.interface = element_cls(
-        top,
-        "interface",
-        top.bus,
-        top.clock.clk,
-        arbiter=config.arbiter,
-        params=config.params,
-    )
+    _attach_slave_bus(top, config, element_cls, AxiLiteBus, AxiLiteSlave,
+                      AxiLiteMonitor, "accept_latency")
 
 
 def _attach_tlmgp(top: Module, config: PciPlatformConfig,
@@ -321,13 +292,8 @@ def _attach_tlmgp(top: Module, config: PciPlatformConfig,
     # A clock so the channel can still be synthesized (the generic
     # payload itself never touches wires).
     top.clock = Clock(top, "clock", period=config.clock_period)
-    top.memory = Memory(config.mem_size)
-    top.peripheral = StatusRegisterBlock()
-    router = AddressRouter()
-    router.add_target(0, config.mem_size, top.memory, "mem")
-    router.add_target(config.peripheral_base, 0x10, top.peripheral, "regs")
     top.socket = GpTargetSocket(
-        router,
+        _routed_ips(top, config),
         accept_latency=config.decode_latency * config.clock_period,
         word_latency=config.word_latency,
     )
@@ -440,11 +406,6 @@ def build_platform(
         family = _family_of_element(element)
     else:
         family = bus
-        if family not in BUS_FAMILIES:
-            raise RefinementError(
-                f"unknown bus family {family!r}; expected one of "
-                f"{BUS_FAMILIES}"
-            )
         element = _default_element(family)
     if synthesize and family == "functional":
         raise RefinementError(
@@ -486,71 +447,6 @@ def build_platform(
     )
 
 
-def build_functional_platform(
-    workloads: typing.Sequence[typing.Sequence[CommandType]],
-    config: PciPlatformConfig | None = None,
-    label: str = "functional",
-) -> PlatformBundle:
-    """The high-level executable model: TLM interface, functional IPs."""
-    return build_platform(workloads, config, bus="functional", label=label)
-
-
-def build_pci_platform(
-    workloads: typing.Sequence[typing.Sequence[CommandType]],
-    config: PciPlatformConfig | None = None,
-    synthesize: bool = False,
-    label: str | None = None,
-    synthesis_config: object | None = None,
-) -> PlatformBundle:
-    """The implementation model: pin-accurate PCI interface + targets."""
-    return build_platform(
-        workloads, config, bus="pci", synthesize=synthesize, label=label,
-        synthesis_config=synthesis_config,
-    )
-
-
-def build_wishbone_platform(
-    workloads: typing.Sequence[typing.Sequence[CommandType]],
-    config: PciPlatformConfig | None = None,
-    synthesize: bool = False,
-    label: str | None = None,
-    synthesis_config: object | None = None,
-) -> PlatformBundle:
-    """The same system behind the library's Wishbone interface element."""
-    return build_platform(
-        workloads, config, bus="wishbone", synthesize=synthesize, label=label,
-        synthesis_config=synthesis_config,
-    )
-
-
-def build_axi4lite_platform(
-    workloads: typing.Sequence[typing.Sequence[CommandType]],
-    config: PciPlatformConfig | None = None,
-    synthesize: bool = False,
-    label: str | None = None,
-    synthesis_config: object | None = None,
-) -> PlatformBundle:
-    """The same system behind the library's AXI4-Lite interface element."""
-    return build_platform(
-        workloads, config, bus="axi4lite", synthesize=synthesize, label=label,
-        synthesis_config=synthesis_config,
-    )
-
-
-def build_tlmgp_platform(
-    workloads: typing.Sequence[typing.Sequence[CommandType]],
-    config: PciPlatformConfig | None = None,
-    synthesize: bool = False,
-    label: str | None = None,
-    synthesis_config: object | None = None,
-) -> PlatformBundle:
-    """The same system behind the generic-payload interface element."""
-    return build_platform(
-        workloads, config, bus="tlmgp", synthesize=synthesize, label=label,
-        synthesis_config=synthesis_config,
-    )
-
-
 def standard_flow_builders(
     workloads: typing.Sequence[typing.Sequence[CommandType]],
     config: PciPlatformConfig | None = None,
@@ -561,7 +457,7 @@ def standard_flow_builders(
         raise RefinementError("standard platforms need at least one workload")
 
     def functional_builder():
-        return build_functional_platform(workloads, config).handle
+        return build_platform(workloads, config, bus="functional").handle
 
     def implementation_builder(synthesize: bool, backend: str = "interpreted"):
         bundle = build_platform(

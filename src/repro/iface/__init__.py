@@ -9,14 +9,12 @@ AXI4-Lite and TLM-GP elements at every refinement level with
 per-transaction consistency verdicts.
 """
 
-from .element import InterfaceElement, element_params, is_interface_element
+from .element import InterfaceElement
 from .params import IfaceParams
 
 __all__ = [
     "IfaceParams",
     "InterfaceElement",
-    "element_params",
-    "is_interface_element",
     "run_swap_matrix",
     "SwapMatrixReport",
 ]

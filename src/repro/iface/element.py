@@ -14,6 +14,7 @@ from __future__ import annotations
 import typing
 
 from ..core.bus_interface import BusInterface, BusInterfaceChannel
+from ..core.command import CommandType, DataType
 from ..hdl.module import Module
 from ..kernel.simulator import Simulator
 from ..osss.arbiter import Arbiter
@@ -25,9 +26,12 @@ class InterfaceElement(BusInterface):
 
     :param params: structural parameters; ``None`` elaborates the
         defaults (32-bit paths, burst 8, response FIFO of 4).
-    :param response_capacity: legacy knob — when given it overrides
-        ``params.response_capacity`` so existing call sites that only
-        pass the FIFO depth keep working unchanged.
+
+    The pin-level elements (PCI, Wishbone, AXI4-Lite) share one command
+    loop, :meth:`_dispatch`, and supply two hooks: :meth:`_operation`
+    builds the bus operation for a command, :meth:`_operation_failure`
+    names a completed operation's failure. Each drives its operation
+    through ``self.master.transact``.
     """
 
     def __init__(
@@ -36,21 +40,52 @@ class InterfaceElement(BusInterface):
         name: str,
         arbiter: Arbiter | None = None,
         params: IfaceParams | None = None,
-        response_capacity: int | None = None,
         channel_cls: type = BusInterfaceChannel,
     ) -> None:
         if params is None:
             params = IfaceParams()
-        if (
-            response_capacity is not None
-            and response_capacity != params.response_capacity
-        ):
-            params = params.with_response_capacity(response_capacity)
         super().__init__(
             parent, name, arbiter, params.response_capacity, channel_cls
         )
         #: The parameters this element was elaborated with.
         self.params = params
+
+    # -- the pin-level command loop -------------------------------------------
+
+    def _operation(self, command: CommandType) -> typing.Any:
+        """The fresh bus operation that carries out *command*."""
+        raise NotImplementedError
+
+    @staticmethod
+    def _operation_failure(operation: typing.Any) -> str | None:
+        """Failure tag of a completed operation, None on success."""
+        return None if operation.status == "ok" else operation.status
+
+    def _dispatch(self):
+        """Forever: take a command from the channel, run it on the pins.
+
+        With recovery armed, failed operations are replayed from the
+        command a bounded number of times before the failure is surfaced.
+        """
+        while True:
+            epoch, command = yield from self.channel.call("get_command")
+            if self.recovery is None:
+                operation = self._operation(command)
+                yield from self.master.transact(operation)
+            else:
+                operation = yield from self._transact_with_recovery(
+                    command,
+                    self._operation,
+                    self.master.transact,
+                    self._operation_failure,
+                )
+            self.commands_serviced += 1
+            if self._operation_failure(operation) is not None:
+                self.operations_failed += 1
+            if command.is_read:
+                response = DataType(operation.data, operation.status)
+                response.corr_id = operation.corr_id
+                yield from self.channel.call("put_response", epoch, response)
 
     def check_bus_widths(self, **widths: int) -> None:
         """Assert the attached wire bundle matches ``self.params``.
@@ -91,21 +126,3 @@ class InterfaceElement(BusInterface):
             "max_burst": params.max_burst,
             "response_capacity": params.response_capacity,
         }
-
-
-def element_params(
-    params: IfaceParams | None, response_capacity: int | None
-) -> IfaceParams:
-    """Resolve the (params, legacy response_capacity) pair one way."""
-    resolved = params or IfaceParams()
-    if (
-        response_capacity is not None
-        and response_capacity != resolved.response_capacity
-    ):
-        resolved = resolved.with_response_capacity(response_capacity)
-    return resolved
-
-
-def is_interface_element(module: typing.Any) -> bool:
-    """True for instances of the parameterized element base."""
-    return isinstance(module, InterfaceElement)

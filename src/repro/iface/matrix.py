@@ -312,11 +312,7 @@ def run_swap_matrix(
     import time as _time
 
     from ..core.workload import expected_memory_image
-    from ..flow.platforms import (
-        PciPlatformConfig,
-        build_functional_platform,
-        build_platform,
-    )
+    from ..flow.platforms import PciPlatformConfig, build_platform
 
     workload = _matrix_workload(seed, n_commands)
     golden_image = expected_memory_image(workload, 0x400 // 4)
@@ -327,7 +323,7 @@ def run_swap_matrix(
     cycle_fs = config.clock_period if config is not None else 30 * NS
     cell_config = config or PciPlatformConfig()
 
-    ref_bundle = build_functional_platform([workload], config)
+    ref_bundle = build_platform([workload], config, bus="functional")
     reference = _traced_run(
         ref_bundle, max_time, cycle_fs, telemetry=telemetry
     )

@@ -1,10 +1,14 @@
 """Metrics aggregation over the probe bus.
 
-:class:`MetricsCollector` subscribes to every quantitative probe kind
-and maintains counters and time histograms per process, per signal, per
-channel method and per transaction source — the raw material for the
-``python -m repro profile`` tables and for regression assertions in
-tests and benchmarks.
+:class:`MetricsCollector` counts what the kernel, the fault models and
+the design flow publish — deltas, notified events, process activations
+and signal commits, fault activations and flow stages — per process and
+per signal. Guarded-method traffic and bus transactions it reads from
+the :class:`~repro.telemetry.scorecard.ScorecardProbe` it owns, the one
+subscriber to those kinds, so its per-``channel.method`` and per-source
+rows and a communication scorecard always come from the same pairing.
+Together they are the raw material for the ``python -m repro profile``
+tables and for regression assertions in tests and benchmarks.
 
 Every time distribution is a :class:`~repro.telemetry.digest.LatencyDigest`,
 the same power-of-two histogram the scorecards use, so adding a sample
@@ -18,23 +22,16 @@ from __future__ import annotations
 import typing
 
 from ..telemetry.digest import LatencyDigest
+from ..telemetry.scorecard import MethodMetrics, ScorecardProbe
 from .probes import (
     DELTA_BEGIN,
     DETECTION,
     EVENT_NOTIFY,
     FAULT_ACTIVATE,
     FLOW_STAGE,
-    METHOD_CALL,
-    METHOD_COMPLETE,
-    METHOD_GRANT,
-    METHOD_GUARD_BLOCK,
-    METHOD_QUEUE,
     PROCESS_ACTIVATE,
     SIGNAL_COMMIT,
-    TRANSACTION_BEGIN,
-    TRANSACTION_END,
     ProbeBus,
-    txn_key,
 )
 
 
@@ -60,41 +57,6 @@ class Counter:
 
     def __repr__(self) -> str:
         return f"Counter(total={self.total}, labels={len(self.counts)})"
-
-
-class MethodMetrics:
-    """Per guarded-method traffic record (one channel + method name)."""
-
-    def __init__(self, channel: str, method: str) -> None:
-        self.channel = channel
-        self.method = method
-        self.calls = 0
-        self.queued = 0
-        self.grants = 0
-        self.completions = 0
-        #: Arrival -> grant femtoseconds.
-        self.wait_times = LatencyDigest()
-        #: Grant -> completion femtoseconds.
-        self.service_times = LatencyDigest()
-        #: Arrival -> completion femtoseconds.
-        self.total_times = LatencyDigest()
-
-    @property
-    def key(self) -> str:
-        return f"{self.channel}.{self.method}"
-
-    def to_dict(self) -> dict:
-        return {
-            "channel": self.channel,
-            "method": self.method,
-            "calls": self.calls,
-            "queued": self.queued,
-            "grants": self.grants,
-            "completions": self.completions,
-            "wait": self.wait_times.to_dict(),
-            "service": self.service_times.to_dict(),
-            "total": self.total_times.to_dict(),
-        }
 
 
 class DetectionLog:
@@ -143,15 +105,10 @@ class MetricsCollector:
         self.events_notified = 0
         self.process_activations = Counter()
         self.signal_commits = Counter()
-        self.method_metrics: dict[str, MethodMetrics] = {}
-        self.guard_blocks = Counter()
-        self.transactions = Counter()
-        #: Transaction durations (fs) per source path.
-        self.transaction_times: dict[str, LatencyDigest] = {}
         self.fault_activations = Counter()
-        self.detections = 0
         self.flow_stages: list[tuple[str, str, float]] = []
-        self._open_transactions: dict[tuple[str, object], int] = {}
+        #: Guarded-method and transaction traffic.
+        self.traffic = ScorecardProbe()
         self._bus: ProbeBus | None = None
 
     # -- wiring ------------------------------------------------------------
@@ -161,21 +118,14 @@ class MetricsCollector:
         (EVENT_NOTIFY, "_on_event_notify"),
         (PROCESS_ACTIVATE, "_on_process_activate"),
         (SIGNAL_COMMIT, "_on_signal_commit"),
-        (METHOD_CALL, "_on_method_call"),
-        (METHOD_QUEUE, "_on_method_queue"),
-        (METHOD_GRANT, "_on_method_grant"),
-        (METHOD_GUARD_BLOCK, "_on_guard_block"),
-        (METHOD_COMPLETE, "_on_method_complete"),
-        (TRANSACTION_BEGIN, "_on_transaction_begin"),
-        (TRANSACTION_END, "_on_transaction_end"),
         (FAULT_ACTIVATE, "_on_fault_activate"),
-        (DETECTION, "_on_detection"),
         (FLOW_STAGE, "_on_flow_stage"),
     )
 
     def attach(self, bus: ProbeBus) -> "MetricsCollector":
         for kind, handler in self._SUBSCRIPTIONS:
             bus.subscribe(kind, getattr(self, handler))
+        self.traffic.attach(bus)
         self._bus = bus
         return self
 
@@ -184,6 +134,7 @@ class MetricsCollector:
             return
         for kind, handler in self._SUBSCRIPTIONS:
             self._bus.unsubscribe(kind, getattr(self, handler))
+        self.traffic.detach()
         self._bus = None
 
     # -- handlers ------------------------------------------------------------
@@ -204,73 +155,52 @@ class MetricsCollector:
     def _on_signal_commit(self, time: int, signal: object, value: object) -> None:
         self.signal_commits.add(getattr(signal, "name", repr(signal)))
 
-    def _method(self, space: object, method: str) -> MethodMetrics:
-        channel = getattr(space, "name", repr(space))
-        key = f"{channel}.{method}"
-        record = self.method_metrics.get(key)
-        if record is None:
-            record = self.method_metrics[key] = MethodMetrics(channel, method)
-        return record
-
-    def _on_method_call(self, time: int, space: object, request: object) -> None:
-        self._method(space, request.method).calls += 1
-
-    def _on_method_queue(self, time: int, space: object, request: object) -> None:
-        self._method(space, request.method).queued += 1
-
-    def _on_method_grant(self, time: int, space: object, request: object) -> None:
-        record = self._method(space, request.method)
-        record.grants += 1
-        grant_time = getattr(request, "grant_time", None)
-        arrival = getattr(request, "arrival_time", None)
-        if grant_time is not None and arrival is not None:
-            record.wait_times.add(grant_time - arrival)
-
-    def _on_guard_block(self, time: int, space: object, requests: object) -> None:
-        self.guard_blocks.add(getattr(space, "name", repr(space)))
-
-    def _on_method_complete(self, time: int, space: object, request: object) -> None:
-        record = self._method(space, request.method)
-        record.completions += 1
-        arrival = getattr(request, "arrival_time", None)
-        grant = getattr(request, "grant_time", None)
-        complete = getattr(request, "complete_time", None)
-        if complete is None:
-            complete = time
-        if grant is not None:
-            record.service_times.add(complete - grant)
-        if arrival is not None:
-            record.total_times.add(complete - arrival)
-
-    def _on_transaction_begin(self, time: int, source: str, payload: object) -> None:
-        self._open_transactions[txn_key(source, payload)] = time
-
-    def _on_transaction_end(self, time: int, source: str, payload: object) -> None:
-        self.transactions.add(source)
-        begin = self._open_transactions.pop(txn_key(source, payload), None)
-        if begin is not None:
-            histogram = self.transaction_times.get(source)
-            if histogram is None:
-                histogram = self.transaction_times[source] = LatencyDigest()
-            histogram.add(time - begin)
-
     def _on_fault_activate(self, time: int, fault: object) -> None:
         self.fault_activations.add(getattr(fault, "kind", repr(fault)))
 
-    def _on_detection(self, record: object) -> None:
-        self.detections += 1
-
     def _on_flow_stage(self, name: str, status: str, wall_seconds: float) -> None:
         self.flow_stages.append((name, status, wall_seconds))
+
+    # -- the traffic rows ------------------------------------------------------
+
+    @property
+    def method_metrics(self) -> dict[str, MethodMetrics]:
+        """``channel.method`` -> traffic row."""
+        return {row.key: row for row in self.traffic.methods.values()}
+
+    @property
+    def guard_blocks(self) -> Counter:
+        """Guard-block events per channel."""
+        counter = Counter()
+        for channel, count in self.traffic.guard_blocks.items():
+            counter.add(channel, count)
+        return counter
+
+    @property
+    def transactions(self) -> Counter:
+        """transaction.end events per source."""
+        counter = Counter()
+        for source, row in self.traffic.sources.items():
+            counter.add(source, row.ends)
+        return counter
+
+    @property
+    def transaction_times(self) -> dict[str, LatencyDigest]:
+        """Paired transaction durations (fs) per source."""
+        return {
+            source: row.latency
+            for source, row in self.traffic.sources.items() if row.paired
+        }
+
+    @property
+    def detections(self) -> int:
+        return self.traffic.detections
 
     # -- reporting ------------------------------------------------------------
 
     def method_rows(self) -> list[MethodMetrics]:
         """Method records sorted by call count (descending)."""
-        return sorted(
-            self.method_metrics.values(),
-            key=lambda record: (-record.calls, record.key),
-        )
+        return self.traffic.method_rows()
 
     def to_dict(self) -> dict:
         return {

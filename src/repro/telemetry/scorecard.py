@@ -1,12 +1,17 @@
 """Communication scorecards: per-bus gauges derived from probe events.
 
-A :class:`ScorecardProbe` subscribes to the transaction and
-guarded-method probe kinds of one run and reduces the stream to a
-:class:`CellScore` — bus occupancy, throughput in beats per bus cycle,
-arbitration fairness, queue pressure and latency quantiles. Nothing is
-read off platform objects: every gauge is derived from probe events, so
-the same probe works unchanged on every bus family and abstraction
-level (including the wire-less TLM-GP and functional platforms).
+A :class:`ScorecardProbe` is the one subscriber to the eight
+communication probe kinds (guarded-method call, queue, grant, guard
+block and completion; transaction begin and end; detection). It keeps
+one :class:`MethodMetrics` row per ``channel.method`` and one
+:class:`SourceMetrics` row per transaction source, and reduces them to
+a :class:`CellScore` — bus occupancy, throughput in beats per bus
+cycle, arbitration fairness, queue pressure and latency quantiles. The
+:class:`~repro.instrument.metrics.MetricsCollector` reports the same
+rows from a probe it owns. Nothing is read off platform objects: every
+gauge is derived from probe events, so the same probe works unchanged
+on every bus family and abstraction level (including the wire-less
+TLM-GP and functional platforms).
 
 :class:`MatrixScorecard` aggregates the per-cell scores of one
 ``run_swap_matrix`` sweep into the paper's missing comparison surface:
@@ -241,6 +246,65 @@ class CellScore:
         )
 
 
+class MethodMetrics:
+    """Per guarded-method traffic record (one channel + method name)."""
+
+    def __init__(self, channel: str, method: str) -> None:
+        self.channel = channel
+        self.method = method
+        self.calls = 0
+        self.queued = 0
+        self.grants = 0
+        self.completions = 0
+        #: Arrival -> grant femtoseconds.
+        self.wait_times = LatencyDigest()
+        #: Grant -> completion femtoseconds.
+        self.service_times = LatencyDigest()
+        #: Arrival -> completion femtoseconds.
+        self.total_times = LatencyDigest()
+
+    @property
+    def key(self) -> str:
+        return f"{self.channel}.{self.method}"
+
+    def to_dict(self) -> dict:
+        return {
+            "channel": self.channel,
+            "method": self.method,
+            "calls": self.calls,
+            "queued": self.queued,
+            "grants": self.grants,
+            "completions": self.completions,
+            "wait": self.wait_times.to_dict(),
+            "service": self.service_times.to_dict(),
+            "total": self.total_times.to_dict(),
+        }
+
+
+class SourceMetrics:
+    """Per transaction-source record (one emitter path)."""
+
+    def __init__(self, source: str) -> None:
+        self.source = source
+        #: transaction.end events, paired or not.
+        self.ends = 0
+        #: Ends matched to a begin.
+        self.paired = 0
+        #: Begin -> end femtoseconds of the paired transactions.
+        self.latency = LatencyDigest()
+        #: Data beats the paired transactions moved.
+        self.beats = 0
+        #: (begin, end) of every paired transaction.
+        self.intervals: list[tuple[int, int]] = []
+
+
+def _channel_name(space: object) -> str:
+    try:
+        return space.name
+    except AttributeError:  # a bare stand-in for a channel
+        return repr(space)
+
+
 class ScorecardProbe:
     """Probe-bus subscriber reducing one run to a :class:`CellScore`.
 
@@ -261,20 +325,17 @@ class ScorecardProbe:
 
     def __init__(self, cycle_fs: int = 0) -> None:
         self.cycle_fs = cycle_fs
+        #: (channel name, method) -> traffic row.
+        self.methods: dict[tuple[str, str], MethodMetrics] = {}
+        #: transaction source -> row, in order of first end.
+        self.sources: dict[str, SourceMetrics] = {}
+        #: channel name -> guard-block events.
+        self.guard_blocks: dict[str, int] = {}
+        self.detections = 0
         self._open: dict[tuple[str, object], int] = {}
-        #: source -> [paired, latency digest, beats, intervals]
-        self._sources: dict[str, list] = {}
-        self._ends_total = 0
         self._first_time: int | None = None
         self._last_time: int | None = None
-        self._calls = 0
-        self._queued = 0
-        self._grants = 0
-        self._completions = 0
-        self._guard_blocks = 0
-        self._detections = 0
         self._grants_by_client: dict[str, int] = {}
-        self._wait = LatencyDigest()
         self._bus: ProbeBus | None = None
 
     # -- wiring --------------------------------------------------------------
@@ -294,11 +355,13 @@ class ScorecardProbe:
 
     # -- handlers ------------------------------------------------------------
 
-    def _source(self, source: str) -> list:
-        record = self._sources.get(source)
-        if record is None:
-            record = self._sources[source] = [0, LatencyDigest(), 0, []]
-        return record
+    def _method(self, space: object, method: str) -> MethodMetrics:
+        key = (_channel_name(space), method)
+        try:
+            return self.methods[key]
+        except KeyError:
+            row = self.methods[key] = MethodMetrics(*key)
+            return row
 
     def _clock(self, time: int) -> None:
         if self._first_time is None or time < self._first_time:
@@ -312,24 +375,27 @@ class ScorecardProbe:
 
     def _on_end(self, time: int, source: str, payload: object) -> None:
         self._clock(time)
-        self._ends_total += 1
+        row = self.sources.get(source)
+        if row is None:
+            row = self.sources[source] = SourceMetrics(source)
+        row.ends += 1
         begin = self._open.pop(txn_key(source, payload), None)
         if begin is None:
             return
-        record = self._source(source)
-        record[0] += 1
-        record[1].add(time - begin)
-        record[2] += beats_of(payload)
-        record[3].append((begin, time))
+        row.paired += 1
+        row.latency.add(time - begin)
+        row.beats += beats_of(payload)
+        row.intervals.append((begin, time))
 
     def _on_call(self, time: int, space: object, request: object) -> None:
-        self._calls += 1
+        self._method(space, request.method).calls += 1
 
     def _on_queue(self, time: int, space: object, request: object) -> None:
-        self._queued += 1
+        self._method(space, request.method).queued += 1
 
     def _on_grant(self, time: int, space: object, request: object) -> None:
-        self._grants += 1
+        row = self._method(space, request.method)
+        row.grants += 1
         client = str(getattr(request, "client", "?"))
         self._grants_by_client[client] = (
             self._grants_by_client.get(client, 0) + 1
@@ -337,18 +403,36 @@ class ScorecardProbe:
         grant_time = getattr(request, "grant_time", None)
         arrival = getattr(request, "arrival_time", None)
         if grant_time is not None and arrival is not None:
-            self._wait.add(grant_time - arrival)
+            row.wait_times.add(grant_time - arrival)
 
     def _on_complete(self, time: int, space: object, request: object) -> None:
-        self._completions += 1
+        row = self._method(space, request.method)
+        row.completions += 1
+        arrival = getattr(request, "arrival_time", None)
+        grant = getattr(request, "grant_time", None)
+        complete = getattr(request, "complete_time", None)
+        if complete is None:
+            complete = time
+        if grant is not None:
+            row.service_times.add(complete - grant)
+        if arrival is not None:
+            row.total_times.add(complete - arrival)
 
     def _on_guard_block(self, time: int, space: object, requests: object) -> None:
-        self._guard_blocks += 1
+        channel = _channel_name(space)
+        self.guard_blocks[channel] = self.guard_blocks.get(channel, 0) + 1
 
     def _on_detection(self, record: object) -> None:
-        self._detections += 1
+        self.detections += 1
 
     # -- reduction -----------------------------------------------------------
+
+    def method_rows(self) -> list[MethodMetrics]:
+        """Method rows sorted by call count (descending)."""
+        return sorted(
+            self.methods.values(),
+            key=lambda row: (-row.calls, row.key),
+        )
 
     def score(
         self, bus: str = "", level: str = "", label: str = ""
@@ -356,33 +440,33 @@ class ScorecardProbe:
         """Reduce everything observed so far to a :class:`CellScore`."""
         cell = CellScore(bus, level, label)
         cell.cycle_fs = self.cycle_fs
-        cell.ends_total = self._ends_total
-        cell.calls = self._calls
-        cell.queued = self._queued
-        cell.grants = self._grants
-        cell.completions = self._completions
-        cell.guard_blocks = self._guard_blocks
-        cell.detections = self._detections
+        methods = self.methods.values()
+        cell.calls = sum(row.calls for row in methods)
+        cell.queued = sum(row.queued for row in methods)
+        cell.grants = sum(row.grants for row in methods)
+        cell.completions = sum(row.completions for row in methods)
+        cell.wait = LatencyDigest.merged(row.wait_times for row in methods)
+        cell.guard_blocks = sum(self.guard_blocks.values())
+        cell.detections = self.detections
         cell.grants_by_client = dict(self._grants_by_client)
-        cell.wait = LatencyDigest.merged([self._wait])
+        cell.ends_total = sum(row.ends for row in self.sources.values())
         if self._first_time is not None and self._last_time is not None:
             cell.span_fs = self._last_time - self._first_time
-        intervals: list = []
-        for record in self._sources.values():
-            intervals.extend(record[3])
-        cell.busy_fs = _merge_intervals(intervals)
-        if self._sources:
+        paired = [row for row in self.sources.values() if row.paired]
+        cell.busy_fs = _merge_intervals(
+            [interval for row in paired for interval in row.intervals]
+        )
+        if paired:
             # The primary source carries the latency/throughput gauges:
             # the emitter that paired the most transactions (ties break
             # on the shortest, then lexicographically smallest path).
             primary = min(
-                self._sources.items(),
-                key=lambda kv: (-kv[1][0], len(kv[0]), kv[0]),
+                paired, key=lambda row: (-row.paired, len(row.source), row.source)
             )
-            cell.primary_source = primary[0]
-            cell.transactions = primary[1][0]
-            cell.latency = LatencyDigest.merged([primary[1][1]])
-            cell.beats = primary[1][2]
+            cell.primary_source = primary.source
+            cell.transactions = primary.paired
+            cell.latency = LatencyDigest.merged([primary.latency])
+            cell.beats = primary.beats
         return cell
 
 

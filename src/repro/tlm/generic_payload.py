@@ -176,12 +176,10 @@ class TlmGpBusInterface(InterfaceElement):
         name: str,
         socket: GpTargetSocket,
         arbiter: Arbiter | None = None,
-        response_capacity: int | None = None,
         params: IfaceParams | None = None,
     ) -> None:
-        super().__init__(parent, name, arbiter, params, response_capacity)
+        super().__init__(parent, name, arbiter, params)
         self.socket = socket
-        self.payloads_failed = 0
         self.thread(self._dispatch, "dispatch")
 
     def _dispatch(self):
@@ -199,7 +197,7 @@ class TlmGpBusInterface(InterfaceElement):
                 probes.emit(TRANSACTION_END, self.sim.time, self.path, payload)
             self.commands_serviced += 1
             if not payload.is_response_ok:
-                self.payloads_failed += 1
+                self.operations_failed += 1
             if command.is_read:
                 response = DataType(
                     payload.data, "ok" if payload.is_response_ok

@@ -118,14 +118,11 @@ def trace_level(level: str, workload: list, causal: bool = True,
         behavioural reference element).
     :returns: ``(tracer, run_result)``; the tracer is finalized.
     """
-    from ..flow.platforms import (
-        build_functional_platform,
-        build_platform,
-    )
+    from ..flow.platforms import build_platform
     from ..kernel.simtime import MS
 
     if level == "functional":
-        bundle = build_functional_platform([workload])
+        bundle = build_platform([workload], bus="functional")
         max_time = 100 * MS
     elif level == "pin_accurate":
         bundle = build_platform([workload], bus=bus)

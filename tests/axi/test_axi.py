@@ -19,7 +19,7 @@ from repro.core import (
     generate_workload,
 )
 from repro.errors import ProtocolError
-from repro.flow import build_axi4lite_platform, build_functional_platform
+from repro.flow import build_platform
 from repro.hdl import Clock, Module
 from repro.kernel import MS, NS, Simulator
 from repro.tlm import Memory
@@ -164,7 +164,7 @@ class TestLibraryElement:
         workload = generate_workload(seed=44, n_commands=25,
                                      address_span=0x200, max_burst=4,
                                      partial_byte_enable_fraction=0.3)
-        bundle = build_axi4lite_platform([workload])
+        bundle = build_platform([workload], bus="axi4lite")
         bundle.run(100 * MS)
         golden = expected_memory_image(workload, 0x200 // 4)
         check_memory_image(bundle.memory, golden)
@@ -175,7 +175,7 @@ class TestLibraryElement:
             CommandType.write(0x0001_0008, 0x42),
             CommandType.read(0x0001_0008, count=1),
         ]
-        bundle = build_axi4lite_platform([commands])
+        bundle = build_platform([commands], bus="axi4lite")
         bundle.run(10 * MS)
         app = bundle.handle.applications[0]
         assert app.records[1].response.data == [0x42 ^ 0xFFFFFFFF]
@@ -183,15 +183,15 @@ class TestLibraryElement:
     def test_matches_functional_traces(self):
         workload = generate_workload(seed=4, n_commands=15,
                                      address_span=0x200, max_burst=3)
-        functional = build_functional_platform([workload]).run(100 * MS)
-        axi = build_axi4lite_platform([workload]).run(100 * MS)
+        functional = build_platform([workload], bus="functional").run(100 * MS)
+        axi = build_platform([workload], bus="axi4lite").run(100 * MS)
         assert functional.traces == axi.traces
 
     def test_synthesis_consistency(self):
         workload = generate_workload(seed=5, n_commands=10,
                                      address_span=0x100, max_burst=2)
-        pre = build_axi4lite_platform([workload]).run(100 * MS)
-        post = build_axi4lite_platform([workload], synthesize=True).run(
+        pre = build_platform([workload], bus="axi4lite").run(100 * MS)
+        post = build_platform([workload], bus="axi4lite", synthesize=True).run(
             200 * MS
         )
         assert pre.traces == post.traces

@@ -12,8 +12,7 @@ import os
 
 from repro.compile import CompiledChannel
 from repro.core import CommandType, generate_workload
-from repro.flow import PciPlatformConfig, build_pci_platform
-from repro.flow.platforms import build_wishbone_platform
+from repro.flow import PciPlatformConfig, build_platform
 from repro.hdl import Clock
 from repro.instrument.probes import DELTA_END
 from repro.kernel import MS, NS, Simulator
@@ -109,9 +108,9 @@ class TestFig4Parity:
         """The non-negotiable gate: the committed Figure-4 waveform
         reproduces byte for byte under the compiled backend."""
         fresh = str(tmp_path / "fig4_compiled.vcd")
-        bundle = build_pci_platform(
+        bundle = build_platform(
             [FIG4_COMMANDS],
-            PciPlatformConfig(wait_states=1, backend="compiled"),
+            PciPlatformConfig(wait_states=1, backend="compiled"), bus="pci",
             synthesize=True,
         )
         channel = bundle.synthesis.groups[0].channel
@@ -129,10 +128,11 @@ class TestFig4Parity:
         assert actual == expected
 
 
-def _run_platform(build, backend, trace_spans=False):
-    bundle = build(
+def _run_platform(bus, backend, trace_spans=False):
+    bundle = build_platform(
         [WORKLOAD],
         PciPlatformConfig(backend=backend),
+        bus=bus,
         synthesize=True,
     )
     sim = bundle.handle.sim
@@ -159,8 +159,8 @@ def _run_platform(build, backend, trace_spans=False):
 
 class TestWorkloadParity:
     def test_pci_platform_parity(self):
-        a = _run_platform(build_pci_platform, "interpreted")
-        b = _run_platform(build_pci_platform, "compiled")
+        a = _run_platform("pci", "interpreted")
+        b = _run_platform("pci", "compiled")
         assert not a["compiled"] and b["compiled"]
         check_traces(
             a["traces"], b["traces"], "interpreted", "compiled"
@@ -174,8 +174,8 @@ class TestWorkloadParity:
         assert a["memory"] == b["memory"]
 
     def test_wishbone_platform_parity(self):
-        a = _run_platform(build_wishbone_platform, "interpreted")
-        b = _run_platform(build_wishbone_platform, "compiled")
+        a = _run_platform("wishbone", "interpreted")
+        b = _run_platform("wishbone", "compiled")
         assert not a["compiled"] and b["compiled"]
         check_traces(
             a["traces"], b["traces"], "interpreted", "compiled"
@@ -187,9 +187,9 @@ class TestWorkloadParity:
         assert a["memory"] == b["memory"]
 
     def test_span_trees_identical(self):
-        a = _run_platform(build_pci_platform, "interpreted",
+        a = _run_platform("pci", "interpreted",
                           trace_spans=True)
-        b = _run_platform(build_pci_platform, "compiled",
+        b = _run_platform("pci", "compiled",
                           trace_spans=True)
         assert a["spans"] == b["spans"]
         assert a["spans"][0] > 0

@@ -9,11 +9,7 @@ from repro.core import (
     expected_memory_image,
     generate_workload,
 )
-from repro.flow import (
-    PciPlatformConfig,
-    build_functional_platform,
-    build_pci_platform,
-)
+from repro.flow import PciPlatformConfig, build_platform
 from repro.kernel import MS, NS, Simulator
 from repro.tlm import AddressRouter, Memory
 from repro.verify import check_memory_image
@@ -68,7 +64,7 @@ class TestBothPlatformsAgainstGoldenModel:
         workload = generate_workload(seed, 30, address_span=0x200,
                                      max_burst=4,
                                      partial_byte_enable_fraction=0.3)
-        bundle = build_functional_platform([workload])
+        bundle = build_platform([workload], bus="functional")
         bundle.run(10 * MS)
         golden = expected_memory_image(workload, 0x200 // 4)
         check_memory_image(bundle.memory, golden)
@@ -78,7 +74,7 @@ class TestBothPlatformsAgainstGoldenModel:
         workload = generate_workload(seed, 20, address_span=0x200,
                                      max_burst=4,
                                      partial_byte_enable_fraction=0.3)
-        bundle = build_pci_platform([workload])
+        bundle = build_platform([workload], bus="pci")
         bundle.run(20 * MS)
         golden = expected_memory_image(workload, 0x200 // 4)
         check_memory_image(bundle.memory, golden)
@@ -89,7 +85,7 @@ class TestBothPlatformsAgainstGoldenModel:
         workload = generate_workload(5, 12, address_span=0x100, max_burst=4)
         config = PciPlatformConfig(wait_states=2, retry_count=1,
                                    disconnect_after=2)
-        bundle = build_pci_platform([workload], config)
+        bundle = build_platform([workload], config, bus="pci")
         bundle.run(50 * MS)
         golden = expected_memory_image(workload, 0x100 // 4)
         check_memory_image(bundle.memory, golden)
@@ -102,8 +98,8 @@ class TestPeripheralThroughInterface:
             CommandType.read(0x0001_0008, count=1),   # inverted readback
             CommandType.read(0x0001_0004, count=1),   # STATUS
         ]
-        for builder in (build_functional_platform, build_pci_platform):
-            bundle = builder([commands])
+        for bus in ("functional", "pci"):
+            bundle = build_platform([commands], bus=bus)
             bundle.run(10 * MS)
             app = bundle.handle.applications[0]
             assert app.records[1].response.data == [0x1234 ^ 0xFFFFFFFF]

@@ -13,7 +13,7 @@ from repro.core import (
     generate_workload,
 )
 from repro.errors import RefinementError
-from repro.flow import build_functional_platform, build_pci_platform
+from repro.flow import build_platform
 from repro.kernel import MS, Simulator
 
 
@@ -60,7 +60,7 @@ class TestPlatformHandle:
 
     def test_unfinished_application_detected(self):
         workload = generate_workload(1, 50, max_burst=4)
-        bundle = build_pci_platform([workload])
+        bundle = build_platform([workload], bus="pci")
         with pytest.raises(RefinementError, match="did not finish"):
             bundle.handle.run(100)  # far too short
 
@@ -69,8 +69,8 @@ class TestRefinementComparison:
     def test_consistent_platforms(self):
         workload = generate_workload(21, 15, address_span=0x200)
         report = compare_refinement(
-            lambda: build_functional_platform([workload]).handle,
-            lambda: build_pci_platform([workload]).handle,
+            lambda: build_platform([workload], bus="functional").handle,
+            lambda: build_platform([workload], bus="pci").handle,
             max_time=20 * MS,
         )
         assert report.consistent
@@ -83,8 +83,8 @@ class TestRefinementComparison:
         workload_a = [CommandType.write(0x0, [1]), CommandType.read(0x0)]
         workload_b = [CommandType.write(0x0, [2]), CommandType.read(0x0)]
         report = compare_refinement(
-            lambda: build_functional_platform([workload_a]).handle,
-            lambda: build_functional_platform([workload_b]).handle,
+            lambda: build_platform([workload_a], bus="functional").handle,
+            lambda: build_platform([workload_b], bus="functional").handle,
             max_time=1 * MS,
         )
         assert not report.consistent

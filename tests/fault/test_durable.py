@@ -405,6 +405,30 @@ class TestInterrupt:
         assert _canonical(resumed) == _canonical(full)
 
 
+def _children(pid):
+    """Pids whose parent is *pid*, read from /proc."""
+    children = []
+    for entry in os.listdir("/proc"):
+        if entry.isdigit() and _stat(int(entry))[1] == pid:
+            children.append(int(entry))
+    return children
+
+
+def _stat(pid):
+    """``(state, ppid)`` of *pid*, or ``(None, None)`` once it is gone."""
+    try:
+        with open(f"/proc/{pid}/stat") as stream:
+            fields = stream.read().rpartition(")")[2].split()
+    except OSError:
+        return None, None
+    return fields[0], int(fields[1])
+
+
+def _alive(pid):
+    # An orphan that exited stays a zombie until init reaps it.
+    return _stat(pid)[0] not in (None, "Z")
+
+
 @pytest.mark.slow
 class TestParentKill:
     """The real thing: SIGKILL the campaign process, then resume."""
@@ -433,6 +457,7 @@ print("COMPLETE")
         )
         # Wait for at least two fsync'd outcome lines, then kill -9.
         path = os.path.join(jdir, "journal.jsonl")
+        workers = []
         deadline = time.time() + 60
         while time.time() < deadline:
             if child.poll() is not None:
@@ -443,10 +468,16 @@ print("COMPLETE")
             except OSError:
                 lines = 0
             if lines >= 3:  # header + >= 2 outcomes
+                workers = _children(child.pid)
                 child.kill()
                 break
             time.sleep(0.02)
         child.wait(timeout=60)
+        if child.returncode == -signal.SIGKILL:
+            assert workers, "the campaign had no pool workers to orphan"
+            # Orphaned workers notice their parent is gone and exit.
+            time.sleep(10)
+            assert not [pid for pid in workers if _alive(pid)], workers
 
         spec = demo_campaign_spec(platform="pci", seed=55, runs=12)
         spec.wall_timeout = 30.0

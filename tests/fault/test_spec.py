@@ -9,6 +9,7 @@ from repro.fault import (
     demo_campaign_spec,
     expand_campaign,
     match_targets,
+    plan_campaign,
     run_campaign,
 )
 from repro.fault.spec import check_target_widths
@@ -193,6 +194,26 @@ class TestExpansion:
         drawn, fixed = expand_campaign(spec, SIGNALS, CHANNELS, HORIZON)
         assert 0 <= drawn.params["bit"] < 32
         assert fixed.params["bit"] == 9
+
+    def test_drawn_bit_fits_a_narrow_target(self):
+        """A bit_flip line without a bit draws every run's bit below its
+        target's width: the PCI byte enables are 4 bits wide."""
+        line = FaultSpec("bit_flip", "top.bus.cbe_n", repeats=6,
+                         params={"bit": None})
+        __, runs = plan_campaign(_spec([line], platform="pci"))
+        assert len(runs) == 6
+        assert all(0 <= run.params["bit"] < 4 for run in runs), \
+            [run.params["bit"] for run in runs]
+
+    def test_32_bit_draws_unchanged_by_widths(self):
+        spec = _spec([FaultSpec("bit_flip", "top.bus.ad", repeats=4,
+                                params={"bit": None})], seed=23)
+        widths = dict.fromkeys(SIGNALS, 32)
+        assert [r.params for r in expand_campaign(
+            spec, SIGNALS, CHANNELS, HORIZON, widths
+        )] == [r.params for r in expand_campaign(
+            spec, SIGNALS, CHANNELS, HORIZON
+        )]
 
 
 class TestDemoSpec:

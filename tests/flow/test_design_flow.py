@@ -7,8 +7,7 @@ from repro.errors import ConsistencyError, RefinementError
 from repro.flow import (
     DesignFlow,
     PciPlatformConfig,
-    build_functional_platform,
-    build_pci_platform,
+    build_platform,
     standard_flow_builders,
 )
 from repro.iface import IfaceParams
@@ -54,7 +53,7 @@ class TestFullFlow:
                                        address_span=0x100)]
 
         def bad_functional():
-            return build_functional_platform(different).handle
+            return build_platform(different, bus="functional").handle
 
         __, implementation = standard_flow_builders(WORKLOADS)
         flow = DesignFlow({"name": "broken"}, bad_functional, implementation)
@@ -93,7 +92,7 @@ class TestBuilders:
             [CommandType.write(0x00, [1])],
             [CommandType.write(0x40, [2])],
         ]
-        bundle = build_pci_platform(workloads)
+        bundle = build_platform(workloads, bus="pci")
         assert len(bundle.handle.applications) == 2
         bundle.run(5 * MS)
         assert bundle.memory.read_word(0x00) == 1
@@ -105,12 +104,12 @@ class TestBuilders:
 
     def test_config_reaches_target(self):
         config = PciPlatformConfig(wait_states=3, decode_latency=2)
-        bundle = build_pci_platform(WORKLOADS, config)
+        bundle = build_platform(WORKLOADS, config, bus="pci")
         assert bundle.top.mem_target.wait_states == 3
         assert bundle.top.mem_target.decode_latency == 2
 
     def test_synthesized_platform_reports(self):
-        bundle = build_pci_platform(WORKLOADS, synthesize=True)
+        bundle = build_platform(WORKLOADS, bus="pci", synthesize=True)
         assert bundle.synthesis is not None
         bundle.run(20 * MS)
         channel = bundle.synthesis.groups[0].channel

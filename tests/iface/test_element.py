@@ -1,5 +1,7 @@
 """The InterfaceElement base: re-seated library IPs and width plumbing."""
 
+import inspect
+
 import pytest
 
 from repro.core import default_library, generate_workload
@@ -9,7 +11,7 @@ from repro.flow import (
     PciPlatformConfig,
     build_platform,
 )
-from repro.flow.platforms import _family_of_element
+from repro.flow.platforms import _default_element, _family_of_element
 from repro.iface import IfaceParams, InterfaceElement
 from repro.kernel import MS
 
@@ -58,36 +60,35 @@ class TestReSeat:
 
 
 class TestResponseCapacityPlumbing:
-    """Satellite: response_capacity flows config -> element -> channel."""
+    """response_capacity flows config -> element -> channel, and
+    IfaceParams is the one place it is set."""
 
-    def test_config_legacy_knob(self):
-        config = PciPlatformConfig(response_capacity=2)
-        assert config.params.response_capacity == 2
-        assert config.response_capacity == 2
+    def test_config_has_no_legacy_knob(self):
+        with pytest.raises(TypeError):
+            PciPlatformConfig(response_capacity=2)
+        assert not hasattr(PciPlatformConfig(), "response_capacity")
 
     def test_config_params_object(self):
         params = IfaceParams(response_capacity=6)
         config = PciPlatformConfig(params=params)
         assert config.params is params
-        assert config.response_capacity == 6
-
-    def test_legacy_knob_overrides_params(self):
-        config = PciPlatformConfig(
-            params=IfaceParams(data_width=64), response_capacity=9
-        )
-        assert config.params.data_width == 64
-        assert config.params.response_capacity == 9
 
     @pytest.mark.parametrize("bus", ["pci", "wishbone", "axi4lite", "tlmgp"])
     def test_capacity_reaches_the_channel(self, bus):
-        config = PciPlatformConfig(response_capacity=2)
+        config = PciPlatformConfig(params=IfaceParams(response_capacity=2))
         bundle = build_platform([_workload()], config, bus=bus)
         assert bundle.interface.params.response_capacity == 2
         assert bundle.interface.channel_state.response_capacity == 2
 
+    @pytest.mark.parametrize("bus", BUS_FAMILIES)
+    def test_no_element_takes_the_legacy_knob(self, bus):
+        for cls in (_default_element(bus), InterfaceElement):
+            parameters = inspect.signature(cls).parameters
+            assert "response_capacity" not in parameters, cls
+
     def test_capacity_one_still_consistent(self):
         workload = _workload(seed=9, n=10)
-        config = PciPlatformConfig(response_capacity=1)
+        config = PciPlatformConfig(params=IfaceParams(response_capacity=1))
         reference = build_platform([workload], bus="wishbone").run(100 * MS)
         shallow = build_platform(
             [workload], config, bus="wishbone"

@@ -54,12 +54,14 @@ class TestDerived:
     def test_addr_mask(self):
         assert IfaceParams(addr_width=16).addr_mask == 0xFFFF
 
-    def test_with_response_capacity(self):
+    def test_replace_revalidates(self):
         base = IfaceParams(data_width=64)
-        deeper = base.with_response_capacity(9)
+        deeper = dataclasses.replace(base, response_capacity=9)
         assert deeper.response_capacity == 9
         assert deeper.data_width == 64
         assert base.response_capacity == 4  # original untouched
+        with pytest.raises(RefinementError):
+            dataclasses.replace(base, response_capacity=0)
 
     def test_describe(self):
         record = IfaceParams(data_width=16).describe()

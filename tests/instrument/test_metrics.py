@@ -186,6 +186,25 @@ class TestMetricsCollector:
         assert metrics.transactions["top.monitor"] == 1
         assert metrics.transaction_times["top.monitor"].total == 300
 
+    def test_traffic_kinds_reach_only_the_owned_scorecard(self):
+        from repro.instrument import (
+            METHOD_CALL,
+            METHOD_COMPLETE,
+            METHOD_GRANT,
+            METHOD_GUARD_BLOCK,
+            METHOD_QUEUE,
+            TRANSACTION_BEGIN,
+            TRANSACTION_END,
+        )
+
+        bus = ProbeBus()
+        metrics = MetricsCollector().attach(bus)
+        for kind in (METHOD_CALL, METHOD_QUEUE, METHOD_GRANT,
+                     METHOD_GUARD_BLOCK, METHOD_COMPLETE, TRANSACTION_BEGIN,
+                     TRANSACTION_END, DETECTION):
+            owners = {callback.__self__ for callback in bus.subscribers(kind)}
+            assert owners == {metrics.traffic}, kind
+
     def test_flow_stage_probes_collected(self):
         bus = ProbeBus()
         metrics = MetricsCollector().attach(bus)
@@ -198,11 +217,12 @@ class TestMetricsCollector:
 class TestMonitorTransactionProbes:
     def test_pci_platform_emits_transactions(self):
         from repro.core import CommandType
-        from repro.flow import build_pci_platform
+        from repro.flow import build_platform
         from repro.kernel import MS
 
-        bundle = build_pci_platform(
-            [[CommandType.write(0x40, [1, 2]), CommandType.read(0x40, count=2)]]
+        bundle = build_platform(
+            [[CommandType.write(0x40, [1, 2]), CommandType.read(0x40, count=2)]],
+            bus="pci",
         )
         sim = bundle.handle.sim
         metrics = MetricsCollector().attach(sim.probes)
@@ -216,12 +236,12 @@ class TestMonitorTransactionProbes:
     def test_fault_activation_probe(self):
         from repro.core import CommandType
         from repro.fault.models import make_fault
-        from repro.flow import PciPlatformConfig, build_pci_platform
+        from repro.flow import PciPlatformConfig, build_platform
         from repro.kernel import MS
 
-        bundle = build_pci_platform(
+        bundle = build_platform(
             [[CommandType.write(0x40, [1])]],
-            PciPlatformConfig(monitor_strict=False),
+            PciPlatformConfig(monitor_strict=False), bus="pci",
         )
         sim = bundle.handle.sim
         sim.elaborate()

@@ -1,5 +1,6 @@
 """The off-path gate's call counts repeat, and one added call trips them."""
 
+import ast
 import importlib.util
 import os
 
@@ -26,18 +27,21 @@ def pci_call_limit(gate):
     return call_limit
 
 
-def _noop():
-    pass
+@pytest.fixture(scope="module")
+def analyze_warm(gate):
+    """One unmetered analysis first: like the gate's timed runs, it
+    fills the parsed-source caches the counted run then reads."""
+    gate.analyze_netlists(lambda fn, *args, **kwargs: fn(*args, **kwargs))
 
 
 def _one_extra_call_per_signal_write(monkeypatch):
+    """Run every ``Signal.write`` inside one more Python frame."""
     write = Signal.write
 
-    def write_with_extra_call(self, value):
-        _noop()
+    def write_in_one_more_frame(self, value):
         return write(self, value)
 
-    monkeypatch.setattr(Signal, "write", write_with_extra_call)
+    monkeypatch.setattr(Signal, "write", write_in_one_more_frame)
 
 
 class TestOffPathGate:
@@ -64,4 +68,27 @@ class TestOffPathGate:
         call_limit, __ = gate.limits("matrix", gate.load_baseline())
         _one_extra_call_per_signal_write(monkeypatch)
         calls, __ = gate.count_calls(gate.matrix_sweep)
+        assert calls > call_limit
+
+    def test_analyze_count_repeats_and_passes(self, gate, analyze_warm):
+        call_limit, __ = gate.limits("analyze", gate.load_baseline())
+        first, second = (
+            gate.count_calls(gate.analyze_netlists)[0] for __ in range(2)
+        )
+        assert abs(first - second) <= 0.001 * first, (first, second)
+        assert second <= call_limit
+
+    def test_one_extra_call_per_ast_node_trips_the_analyze_row(
+        self, gate, analyze_warm, monkeypatch
+    ):
+        """The analysis walks method ASTs node by node; one more frame
+        per node visited is a regression the row must catch."""
+        call_limit, __ = gate.limits("analyze", gate.load_baseline())
+        iter_child_nodes = ast.iter_child_nodes
+
+        def in_one_more_frame(node):
+            return iter_child_nodes(node)
+
+        monkeypatch.setattr(ast, "iter_child_nodes", in_one_more_frame)
+        calls, __ = gate.count_calls(gate.analyze_netlists)
         assert calls > call_limit

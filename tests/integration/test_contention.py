@@ -3,7 +3,7 @@
 import pytest
 
 from repro.core import generate_workload
-from repro.flow import PciPlatformConfig, build_pci_platform
+from repro.flow import PciPlatformConfig, build_platform
 from repro.kernel import MS
 from repro.osss import RoundRobinArbiter, StaticPriorityArbiter
 
@@ -16,7 +16,7 @@ def _contending_platform(n_apps, arbiter=None, synthesize=False, n_commands=6):
         for i in range(n_apps)
     ]
     config = PciPlatformConfig(arbiter=arbiter)
-    return build_pci_platform(workloads, config, synthesize=synthesize)
+    return build_platform(workloads, config, bus="pci", synthesize=synthesize)
 
 
 class TestContention:

@@ -7,7 +7,7 @@ covergroups to close.
 """
 
 from repro.core import CommandType, generate_workload
-from repro.flow import PciPlatformConfig, build_pci_platform
+from repro.flow import PciPlatformConfig, build_platform
 from repro.kernel import MS
 from repro.verify import CoverageCollector, OneHotChecker
 
@@ -23,8 +23,9 @@ def _make_collector():
 
 
 def _covered_run(commands, config=None, coverage=None):
-    bundle = build_pci_platform(
-        [commands], config or PciPlatformConfig(monitor_strict=False)
+    bundle = build_platform(
+        [commands], config or PciPlatformConfig(monitor_strict=False),
+        bus="pci",
     )
     bundle.run(200 * MS)
     coverage = coverage or _make_collector()
@@ -82,7 +83,7 @@ class TestChannelInvariants:
                               address_base=0x400 * i, address_span=0x400)
             for i in range(3)
         ]
-        bundle = build_pci_platform(workloads, synthesize=True)
+        bundle = build_platform(workloads, bus="pci", synthesize=True)
         channel = bundle.synthesis.groups[0].channel
         checker = OneHotChecker(
             bundle.top, "gnt_checker", channel.gnt, strict=True
@@ -95,7 +96,7 @@ class TestChannelInvariants:
         """DONE is only ever asserted for the currently granted client."""
         workloads = [generate_workload(seed=33, n_commands=6,
                                        address_span=0x200)]
-        bundle = build_pci_platform(workloads, synthesize=True)
+        bundle = build_platform(workloads, bus="pci", synthesize=True)
         channel = bundle.synthesis.groups[0].channel
         violations = []
 

@@ -4,7 +4,7 @@ import pytest
 
 from repro.core import CommandType
 from repro.errors import ProtocolError
-from repro.flow import PciPlatformConfig, build_pci_platform
+from repro.flow import PciPlatformConfig, build_platform
 from repro.hdl import Clock, Module
 from repro.kernel import MS, NS, Simulator
 from repro.pci import (
@@ -147,8 +147,8 @@ class TestApplicationLevelErrors:
         """A read from an unmapped address returns a failed DataType to
         the application instead of hanging it."""
         commands = [CommandType.read(0x8000_0000, count=1)]
-        bundle = build_pci_platform(
-            [commands], PciPlatformConfig(monitor_strict=False)
+        bundle = build_platform(
+            [commands], PciPlatformConfig(monitor_strict=False), bus="pci"
         )
         bundle.run(10 * MS)
         app = bundle.handle.applications[0]

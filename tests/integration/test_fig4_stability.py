@@ -9,7 +9,7 @@ byte for byte.
 import os
 
 from repro.core import CommandType
-from repro.flow import PciPlatformConfig, build_pci_platform
+from repro.flow import PciPlatformConfig, build_platform
 from repro.kernel import MS
 from repro.trace import VcdTracer
 
@@ -25,8 +25,9 @@ COMMANDS = [
 
 def test_fig4_vcd_is_byte_identical(tmp_path):
     fresh = str(tmp_path / "fig4.vcd")
-    bundle = build_pci_platform(
-        [COMMANDS], PciPlatformConfig(wait_states=1), synthesize=True
+    bundle = build_platform(
+        [COMMANDS], PciPlatformConfig(wait_states=1), bus="pci",
+        synthesize=True,
     )
     sim = bundle.handle.sim
     vcd = VcdTracer(fresh)

@@ -11,8 +11,7 @@ from repro.core import (
 from repro.flow import (
     DesignFlow,
     PciPlatformConfig,
-    build_functional_platform,
-    build_pci_platform,
+    build_platform,
     standard_flow_builders,
 )
 from repro.hdl import Module
@@ -72,8 +71,8 @@ class TestFig3Refinement:
                                      address_span=0x400, max_burst=4,
                                      partial_byte_enable_fraction=0.2)
         report = compare_refinement(
-            lambda: build_functional_platform([workload]).handle,
-            lambda: build_pci_platform([workload]).handle,
+            lambda: build_platform([workload], bus="functional").handle,
+            lambda: build_platform([workload], bus="pci").handle,
             max_time=50 * MS,
         )
         assert report.consistent
@@ -85,8 +84,10 @@ class TestFig3Refinement:
         config = PciPlatformConfig(wait_states=2, retry_count=1,
                                    disconnect_after=2)
         report = compare_refinement(
-            lambda: build_functional_platform([workload], config).handle,
-            lambda: build_pci_platform([workload], config).handle,
+            lambda: build_platform(
+                [workload], config, bus="functional"
+            ).handle,
+            lambda: build_platform([workload], config, bus="pci").handle,
             max_time=100 * MS,
         )
         assert report.consistent
@@ -98,7 +99,7 @@ class TestExpSynConsistency:
     def _run(self, synthesize):
         workload = generate_workload(seed=55, n_commands=15,
                                      address_span=0x200, max_burst=3)
-        bundle = build_pci_platform([workload], synthesize=synthesize)
+        bundle = build_platform([workload], bus="pci", synthesize=synthesize)
         result = bundle.run(50 * MS)
         return result, bundle
 
@@ -140,7 +141,7 @@ class TestFig4Waveforms:
             CommandType.write(0x100, [0xDEADBEEF, 0x12345678]),
             CommandType.read(0x100, count=2),
         ]
-        bundle = build_pci_platform([commands], synthesize=True)
+        bundle = build_platform([commands], bus="pci", synthesize=True)
         sim = bundle.handle.sim
         stream = io.StringIO()
         vcd = VcdTracer(stream)
@@ -170,7 +171,7 @@ class TestFig4Waveforms:
 
     def test_waveforms_show_the_handshake(self):
         commands = [CommandType.write(0x100, [0x1])]
-        bundle = build_pci_platform([commands])
+        bundle = build_platform([commands], bus="pci")
         sim = bundle.handle.sim
         capture = WaveformCapture()
         capture.add_signals([bundle.bus.frame_n, bundle.bus.irdy_n,

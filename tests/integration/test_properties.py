@@ -3,7 +3,7 @@
 from hypothesis import given, settings, strategies as st
 
 from repro.core import expected_memory_image, generate_workload
-from repro.flow import build_functional_platform, build_pci_platform
+from repro.flow import build_platform
 from repro.hdl import Clock, Module
 from repro.kernel import MS, NS, Simulator
 from repro.osss import GlobalObject, connect, guarded_method
@@ -103,7 +103,7 @@ def test_pci_platform_matches_golden_model(seed, n_commands, max_burst):
     workload = generate_workload(seed, n_commands, address_span=0x100,
                                  max_burst=max_burst,
                                  partial_byte_enable_fraction=0.3)
-    bundle = build_pci_platform([workload])
+    bundle = build_platform([workload], bus="pci")
     bundle.run(100 * MS)
     golden = expected_memory_image(workload, 0x100 // 4)
     check_memory_image(bundle.memory, golden)
@@ -116,6 +116,6 @@ def test_pci_platform_matches_golden_model(seed, n_commands, max_burst):
 def test_functional_and_pci_traces_agree(seed):
     """Refinement consistency holds for arbitrary workloads."""
     workload = generate_workload(seed, 8, address_span=0x100, max_burst=3)
-    functional = build_functional_platform([workload]).run(100 * MS)
-    pci = build_pci_platform([workload]).run(100 * MS)
+    functional = build_platform([workload], bus="functional").run(100 * MS)
+    pci = build_platform([workload], bus="pci").run(100 * MS)
     assert functional.traces == pci.traces

@@ -7,7 +7,7 @@ operations that were already in flight on the bus when reset hit.
 """
 
 from repro.core import CommandType, FunctionalBusInterface
-from repro.flow import build_pci_platform
+from repro.flow import build_platform
 from repro.hdl import Module
 from repro.kernel import MS, NS, Simulator, Timeout
 from repro.tlm import AddressRouter, Memory
@@ -90,7 +90,7 @@ class TestResetSemantics:
         commands = [CommandType.write(0x10, [0xAA])]
         # Build without synthesis first so the extra handle joins the
         # group before lowering.
-        bundle = build_pci_platform([commands], synthesize=False)
+        bundle = build_platform([commands], bus="pci", synthesize=False)
         sim = bundle.handle.sim
         iface = bundle.interface
         user_port = GlobalObject(bundle.top, "user2_port", BusInterfaceChannel)

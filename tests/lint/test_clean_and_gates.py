@@ -5,13 +5,7 @@ import pytest
 
 from repro.core import generate_workload
 from repro.errors import SynthesisError
-from repro.flow import (
-    DesignFlow,
-    build_functional_platform,
-    build_pci_platform,
-    build_wishbone_platform,
-    standard_flow_builders,
-)
+from repro.flow import DesignFlow, build_platform, standard_flow_builders
 from repro.hdl.module import Module
 from repro.kernel import MS
 from repro.lint import LintConfig, lint_design, lint_synthesis
@@ -26,19 +20,19 @@ class TestExamplesLintClean:
     """The checked-in example platforms must produce zero findings."""
 
     def test_functional_platform(self):
-        bundle = build_functional_platform(WORKLOADS)
+        bundle = build_platform(WORKLOADS, bus="functional")
         assert lint_design(bundle.handle.sim).clean
 
     def test_pci_platform(self):
-        bundle = build_pci_platform(WORKLOADS)
+        bundle = build_platform(WORKLOADS, bus="pci")
         assert lint_design(bundle.handle.sim).clean
 
     def test_wishbone_platform(self):
-        bundle = build_wishbone_platform(WORKLOADS)
+        bundle = build_platform(WORKLOADS, bus="wishbone")
         assert lint_design(bundle.handle.sim).clean
 
     def test_synthesized_pci_platform_and_netlists(self):
-        bundle = build_pci_platform(WORKLOADS, synthesize=True)
+        bundle = build_platform(WORKLOADS, bus="pci", synthesize=True)
         assert lint_design(bundle.handle.sim).clean
         report = lint_synthesis(bundle.synthesis)
         assert report.clean

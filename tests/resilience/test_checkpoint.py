@@ -6,7 +6,7 @@ import pytest
 
 from repro.core.command import CommandType
 from repro.errors import CheckpointError
-from repro.flow.platforms import PciPlatformConfig, build_pci_platform
+from repro.flow.platforms import PciPlatformConfig, build_platform
 from repro.hdl.module import Module
 from repro.kernel.process import Timeout
 from repro.kernel.simtime import MS, NS, US
@@ -169,7 +169,7 @@ _COMMANDS = [
 
 
 def _platform_builder():
-    return build_pci_platform([list(_COMMANDS)], PciPlatformConfig())
+    return build_platform([list(_COMMANDS)], PciPlatformConfig(), bus="pci")
 
 
 class TestReplayCheckpointer:
@@ -219,7 +219,7 @@ class TestReplayCheckpointer:
                 if len(builds) == 1
                 else [CommandType.write(0x40, [99])]
             )
-            return build_pci_platform([commands], PciPlatformConfig())
+            return build_platform([commands], PciPlatformConfig(), bus="pci")
 
         checkpointer = ReplayCheckpointer(flaky_builder)
         checkpointer.baseline(2 * US)
@@ -228,7 +228,7 @@ class TestReplayCheckpointer:
 
 
 def _vcd_dump(config):
-    bundle = build_pci_platform([list(_COMMANDS)], config)
+    bundle = build_platform([list(_COMMANDS)], config, bus="pci")
     sim = bundle.handle.sim
     stream = io.StringIO()
     tracer = VcdTracer(stream)

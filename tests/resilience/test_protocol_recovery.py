@@ -10,11 +10,7 @@ import pytest
 
 from repro.core.command import CommandType
 from repro.fault.models import make_fault
-from repro.flow.platforms import (
-    PciPlatformConfig,
-    build_pci_platform,
-    build_wishbone_platform,
-)
+from repro.flow.platforms import PciPlatformConfig, build_platform
 from repro.kernel.simtime import MS, NS, US
 from repro.resilience import InterfaceRecovery, RecoveryLog, ResilienceConfig
 
@@ -43,8 +39,9 @@ def _config(resilience=None):
 
 
 def _run_pci(synthesize, fault_spec=None, resilience=None):
-    bundle = build_pci_platform(
-        [list(_COMMANDS)], _config(resilience), synthesize=synthesize
+    bundle = build_platform(
+        [list(_COMMANDS)], _config(resilience), bus="pci",
+        synthesize=synthesize,
     )
     log = RecoveryLog().attach(bundle.handle.sim.probes)
     fault = None
@@ -110,7 +107,7 @@ class TestPciParityReplay:
 class TestWishboneReplay:
     def test_bus_error_replays_to_golden_behaviour(self):
         config = PciPlatformConfig(monitor_strict=False)
-        golden = build_wishbone_platform([list(_COMMANDS)], config)
+        golden = build_platform([list(_COMMANDS)], config, bus="wishbone")
         golden_result = golden.run(10 * MS)
 
         damaged_config = PciPlatformConfig(
@@ -120,7 +117,9 @@ class TestWishboneReplay:
                 interface=InterfaceRecovery(replay_limit=3, backoff=2 * US),
             ),
         )
-        bundle = build_wishbone_platform([list(_COMMANDS)], damaged_config)
+        bundle = build_platform(
+            [list(_COMMANDS)], damaged_config, bus="wishbone"
+        )
         log = RecoveryLog().attach(bundle.handle.sim.probes)
         # ERR asserted over a short window: in-flight operations abort
         # with a bus_error status and replay once the wire clears.
@@ -142,7 +141,7 @@ class TestWishboneReplay:
                 guard_policy=None, interface=InterfaceRecovery()
             ),
         )
-        bundle = build_wishbone_platform([list(_COMMANDS)], config)
+        bundle = build_platform([list(_COMMANDS)], config, bus="wishbone")
         log = RecoveryLog().attach(bundle.handle.sim.probes)
         bundle.run(10 * MS)
         assert bundle.interface.operations_replayed == 0
@@ -157,7 +156,7 @@ class TestRecoveryAccounting:
         assert bundle.interface.operations_recovered == 0
 
     def test_enable_recovery_arms_parity_checking(self):
-        bundle = build_pci_platform([list(_COMMANDS)], _config())
+        bundle = build_platform([list(_COMMANDS)], _config(), bus="pci")
         assert bundle.interface.master.check_parity is False
         bundle.interface.enable_recovery(
             InterfaceRecovery(check_parity=True)

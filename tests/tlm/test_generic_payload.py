@@ -9,7 +9,7 @@ from repro.core import (
     generate_workload,
 )
 from repro.errors import ProtocolError
-from repro.flow import build_functional_platform, build_tlmgp_platform
+from repro.flow import build_platform
 from repro.kernel import MS
 from repro.tlm import (
     GP_ADDRESS_ERROR,
@@ -112,27 +112,35 @@ class TestLibraryElement:
         workload = generate_workload(seed=44, n_commands=25,
                                      address_span=0x200, max_burst=4,
                                      partial_byte_enable_fraction=0.3)
-        bundle = build_tlmgp_platform([workload])
+        bundle = build_platform([workload], bus="tlmgp")
         bundle.run(100 * MS)
         golden = expected_memory_image(workload, 0x200 // 4)
         check_memory_image(bundle.memory, golden)
-        assert bundle.interface.payloads_failed == 0
+        assert bundle.interface.operations_failed == 0
 
     def test_peripheral_reachable(self):
         commands = [
             CommandType.write(0x0001_0008, 0x42),
             CommandType.read(0x0001_0008, count=1),
         ]
-        bundle = build_tlmgp_platform([commands])
+        bundle = build_platform([commands], bus="tlmgp")
         bundle.run(10 * MS)
         app = bundle.handle.applications[0]
         assert app.records[1].response.data == [0x42 ^ 0xFFFFFFFF]
 
+    def test_failed_payload_counted(self):
+        commands = [CommandType.read(0x0002_0000, count=1)]  # unmapped
+        bundle = build_platform([commands], bus="tlmgp")
+        bundle.run(10 * MS)
+        response = bundle.handle.applications[0].records[0].response
+        assert response.status == GP_ADDRESS_ERROR
+        assert bundle.interface.operations_failed == 1
+
     def test_matches_functional_traces(self):
         workload = generate_workload(seed=4, n_commands=15,
                                      address_span=0x200, max_burst=3)
-        functional = build_functional_platform([workload]).run(100 * MS)
-        tlm = build_tlmgp_platform([workload]).run(100 * MS)
+        functional = build_platform([workload], bus="functional").run(100 * MS)
+        tlm = build_platform([workload], bus="tlmgp").run(100 * MS)
         assert functional.traces == tlm.traces
 
     def test_annotated_delay_advances_time(self):
@@ -140,9 +148,9 @@ class TestLibraryElement:
                                      address_span=0x100)
         from repro.flow import PciPlatformConfig
 
-        fast = build_tlmgp_platform([workload]).run(100 * MS)
-        slow = build_tlmgp_platform(
-            [workload], PciPlatformConfig(word_latency=50_000)
+        fast = build_platform([workload], bus="tlmgp").run(100 * MS)
+        slow = build_platform(
+            [workload], PciPlatformConfig(word_latency=50_000), bus="tlmgp"
         ).run(100 * MS)
         assert fast.traces == slow.traces
         assert slow.sim_time > fast.sim_time
@@ -150,8 +158,8 @@ class TestLibraryElement:
     def test_synthesis_consistency(self):
         workload = generate_workload(seed=5, n_commands=10,
                                      address_span=0x100, max_burst=2)
-        pre = build_tlmgp_platform([workload]).run(100 * MS)
-        post = build_tlmgp_platform([workload], synthesize=True).run(
+        pre = build_platform([workload], bus="tlmgp").run(100 * MS)
+        post = build_platform([workload], bus="tlmgp", synthesize=True).run(
             200 * MS
         )
         assert pre.traces == post.traces

@@ -1,6 +1,6 @@
 """Unit and integration tests for the causal span tracer."""
 
-from repro.flow import build_pci_platform
+from repro.flow import build_platform
 from repro.instrument import ProbeBus
 from repro.instrument.probes import (
     METHOD_CALL,
@@ -162,7 +162,7 @@ def _traced_platform(n_commands=4, synthesize=True):
         CommandType.write(0x200, 0x11223344),
         CommandType.read(0x200),
     ][:n_commands]
-    bundle = build_pci_platform([commands], synthesize=synthesize)
+    bundle = build_platform([commands], bus="pci", synthesize=synthesize)
     tracer = SpanTracer().attach(bundle.handle.sim.probes)
     bundle.run(100 * MS)
     return tracer.finalize()

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.core import generate_workload
-from repro.flow import build_pci_platform
+from repro.flow import build_platform
 from repro.kernel import MS
 from repro.verify import LatencySummary, PlatformStats, percentile
 
@@ -48,7 +48,7 @@ class TestPlatformStats:
     def bundle(self):
         workload = generate_workload(seed=71, n_commands=12,
                                      address_span=0x200, max_burst=3)
-        bundle = build_pci_platform([workload], synthesize=True)
+        bundle = build_platform([workload], bus="pci", synthesize=True)
         bundle.run(100 * MS)
         return bundle
 

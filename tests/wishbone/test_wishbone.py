@@ -5,12 +5,7 @@ import pytest
 from repro.core import CommandType, default_library, generate_workload
 from repro.core import expected_memory_image
 from repro.errors import ProtocolError
-from repro.flow import (
-    PciPlatformConfig,
-    build_functional_platform,
-    build_pci_platform,
-    build_wishbone_platform,
-)
+from repro.flow import PciPlatformConfig, build_platform
 from repro.hdl import Clock, Module
 from repro.kernel import MS, NS, Simulator
 from repro.tlm import Memory
@@ -158,7 +153,7 @@ class TestLibraryElement:
         workload = generate_workload(seed=44, n_commands=25,
                                      address_span=0x200, max_burst=4,
                                      partial_byte_enable_fraction=0.3)
-        bundle = build_wishbone_platform([workload])
+        bundle = build_platform([workload], bus="wishbone")
         bundle.run(100 * MS)
         golden = expected_memory_image(workload, 0x200 // 4)
         check_memory_image(bundle.memory, golden)
@@ -169,7 +164,7 @@ class TestLibraryElement:
             CommandType.write(0x0001_0008, 0x42),
             CommandType.read(0x0001_0008, count=1),
         ]
-        bundle = build_wishbone_platform([commands])
+        bundle = build_platform([commands], bus="wishbone")
         bundle.run(10 * MS)
         app = bundle.handle.applications[0]
         assert app.records[1].response.data == [0x42 ^ 0xFFFFFFFF]
@@ -181,16 +176,16 @@ class TestCrossBusPortability:
     def test_same_traces_on_three_platforms(self):
         workload = generate_workload(seed=4, n_commands=15,
                                      address_span=0x200, max_burst=3)
-        functional = build_functional_platform([workload]).run(100 * MS)
-        pci = build_pci_platform([workload]).run(100 * MS)
-        wishbone = build_wishbone_platform([workload]).run(100 * MS)
+        functional = build_platform([workload], bus="functional").run(100 * MS)
+        pci = build_platform([workload], bus="pci").run(100 * MS)
+        wishbone = build_platform([workload], bus="wishbone").run(100 * MS)
         assert functional.traces == pci.traces == wishbone.traces
 
     def test_wishbone_synthesis_consistency(self):
         workload = generate_workload(seed=5, n_commands=10,
                                      address_span=0x100, max_burst=2)
-        pre = build_wishbone_platform([workload]).run(100 * MS)
-        post = build_wishbone_platform([workload], synthesize=True).run(
+        pre = build_platform([workload], bus="wishbone").run(100 * MS)
+        post = build_platform([workload], bus="wishbone", synthesize=True).run(
             200 * MS
         )
         assert pre.traces == post.traces
@@ -198,9 +193,9 @@ class TestCrossBusPortability:
     def test_wait_states_dont_change_traces(self):
         workload = generate_workload(seed=6, n_commands=10,
                                      address_span=0x100)
-        fast = build_wishbone_platform([workload]).run(100 * MS)
-        slow = build_wishbone_platform(
-            [workload], PciPlatformConfig(wait_states=3)
+        fast = build_platform([workload], bus="wishbone").run(100 * MS)
+        slow = build_platform(
+            [workload], PciPlatformConfig(wait_states=3), bus="wishbone"
         ).run(200 * MS)
         assert fast.traces == slow.traces
         assert slow.sim_time > fast.sim_time
