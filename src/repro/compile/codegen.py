@@ -6,7 +6,7 @@ expression trees node by node, :func:`compile_module` emits the same
 levelized evaluation order as *generated Python source* — one flat
 function per netlist, no recursion, no event queue, no delta churn.
 
-The generated artifact has two entry points:
+The generated artifact has three entry points:
 
 ``_comb(env)``
     One settled delta cycle over the full combinational netlist, with
@@ -20,7 +20,7 @@ The generated artifact has two entry points:
 
     * **phase A** evaluates the pre-edge combinational slice needed by
       the sequential logic (FSM transition conditions, clocked-assign
-      data/enable expressions, observed control flags);
+      data/enable expressions);
     * **phase B** computes every register's next value from the
       pre-edge picture, then commits them together — the two-phase
       semantics a clocked process gets from the kernel's staged signal
@@ -28,6 +28,17 @@ The generated artifact has two entry points:
     * **phase C** re-evaluates the output-port cone from the *new*
       register values, so outputs carry the same values the interpreted
       channel commits at the same edge.
+
+``_step(*registers, *inputs)``
+    The same edge as positional slots, with no dict on the path: the
+    register values in :attr:`CompiledNetlist.register_names` order,
+    then the pre-edge inputs in :attr:`CompiledNetlist.step_inputs`
+    order (input ports in declaration order, then ``external`` nets in
+    the order given). The caller passes values that fit their widths;
+    the step masks nothing on entry. It runs phases A and B and returns
+    a tuple of the next register values, in the same order. Output
+    ports are a function of the registers and are not part of the step;
+    a caller that needs them runs ``_cycle`` or ``_comb``.
 
 Netlist cones the runtime substitutes behaviourally (for the channel:
 the arbiter-internal state, whose executable policy object is shared
@@ -155,8 +166,8 @@ class CompiledNetlist:
     """One netlist lowered to executable Python.
 
     :attr:`source` holds the generated module text (what
-    ``python -m repro compile --dump`` prints); :attr:`cycle` and
-    :attr:`comb` are the compiled functions themselves.
+    ``python -m repro compile --dump`` prints); :attr:`cycle`,
+    :attr:`step` and :attr:`comb` are the compiled functions themselves.
     """
 
     def __init__(
@@ -164,21 +175,23 @@ class CompiledNetlist:
         module: ir.RtlModule,
         source: str,
         cycle_fn,
+        step_fn,
         comb_fn,
         resets: dict[str, int],
         input_names: list[str],
+        step_inputs: list[str],
         output_names: list[str],
-        observed: list[str],
         stats: dict,
     ) -> None:
         self.module = module
         self.source = source
         self.cycle = cycle_fn
+        self.step = step_fn
         self._comb = comb_fn
         self._resets = resets
         self.input_names = input_names
+        self.step_inputs = step_inputs
         self.output_names = output_names
-        self.observed = observed
         self.stats = stats
 
     def reset_registers(self) -> dict[str, int]:
@@ -272,7 +285,6 @@ def _comb_closure(
 def compile_module(
     module: ir.RtlModule,
     external: typing.Sequence[str] = (),
-    observe: typing.Sequence[str] = (),
     skip_register_prefixes: typing.Sequence[str] = (),
 ) -> CompiledNetlist:
     """Lower *module* to a :class:`CompiledNetlist`.
@@ -280,8 +292,6 @@ def compile_module(
     :param external: net names whose values the runtime supplies as
         inputs instead of their netlist drivers (cutting their cones
         out of the generated code).
-    :param observe: comb net names published into the ``outs`` dict
-        under ``"pre:<name>"`` keys with their *pre-edge* values.
     :param skip_register_prefixes: registers (by name prefix) owned by
         an externally-substituted cone; their clocked assigns are
         dropped and they carry no state in the compiled register file.
@@ -329,7 +339,7 @@ def compile_module(
     ]
 
     nets_by_name = {net.name: net for net in module.all_nets()}
-    for name in external_names | set(observe):
+    for name in external_names:
         if name not in nets_by_name:
             raise CodegenError(
                 f"module {module.name!r} has no net {name!r}"
@@ -338,7 +348,7 @@ def compile_module(
     emitter = _Emitter(_local_names(module.all_nets()))
 
     # -- slice the edge function -------------------------------------------
-    phase_a_roots: list[ir.Net] = [nets_by_name[name] for name in observe]
+    phase_a_roots: list[ir.Net] = []
     for fsm in kept_fsms:
         for transition in fsm.transitions:
             if transition.condition is not None:
@@ -357,6 +367,50 @@ def compile_module(
     )
     inputs = dict(sorted({**inputs_a, **inputs_c}.items()))
 
+    # Phase A (the pre-edge slice) and the phase B next-value lines are
+    # shared by both edge entry points.
+    phase_a: list[str] = [
+        f"    {emitter.local(step.target)} = {emitter.emit_step(step)}"
+        for step in ordered
+        if id(step.target) in needed_a
+    ]
+    phase_b: list[str] = []
+    committed: list[ir.Register] = []
+    for fsm in kept_fsms:
+        state_local = emitter.local(fsm.state_register)
+        phase_b.append(f"    # fsm {fsm.name}: flattened state dispatch")
+        first = True
+        for state in fsm.states:
+            arcs = [t for t in fsm.transitions if t.source == state]
+            if not arcs:
+                continue
+            code = state_local  # no arc taken: hold
+            for transition in reversed(arcs):
+                target = fsm.encode(transition.target)
+                if transition.condition is None:
+                    code = str(target)
+                else:
+                    condition = emitter.emit(transition.condition)
+                    code = f"({target} if {condition} else {code})"
+            keyword_ = "if" if first else "elif"
+            first = False
+            phase_b.append(f"    {keyword_} {state_local} == {fsm.encode(state)}:")
+            phase_b.append(f"        _n_{state_local} = {code}")
+        if first:
+            phase_b.append(f"    _n_{state_local} = {state_local}")
+        else:
+            phase_b.append("    else:")
+            phase_b.append(f"        _n_{state_local} = {state_local}")
+        committed.append(fsm.state_register)
+    for clocked in plain_clocked:
+        local = emitter.local(clocked.target)
+        code = emitter.emit(clocked.expr)
+        if clocked.enable is not None:
+            enable = emitter.emit(clocked.enable)
+            code = f"({code}) if {enable} else {local}"
+        phase_b.append(f"    _n_{local} = {code}")
+        committed.append(clocked.target)
+
     # -- generate ----------------------------------------------------------
     lines: list[str] = []
     emit = lines.append
@@ -374,50 +428,9 @@ def compile_module(
     for register in kept_registers:
         emit(f"    {emitter.local(register)} = __regs[{register.name!r}]")
     emit("    # phase A: pre-edge combinational slice")
-    for step in ordered:
-        if id(step.target) in needed_a:
-            emit(
-                f"    {emitter.local(step.target)} = "
-                f"{emitter.emit_step(step)}"
-            )
-    for name in observe:
-        emit(f"    __outs['pre:{name}'] = {emitter.local(nets_by_name[name])}")
+    lines.extend(phase_a)
     emit("    # phase B: next-state values, then a single commit")
-    committed: list[ir.Register] = []
-    for fsm in kept_fsms:
-        state_local = emitter.local(fsm.state_register)
-        emit(f"    # fsm {fsm.name}: flattened state dispatch")
-        first = True
-        for state in fsm.states:
-            arcs = [t for t in fsm.transitions if t.source == state]
-            if not arcs:
-                continue
-            code = state_local  # no arc taken: hold
-            for transition in reversed(arcs):
-                target = fsm.encode(transition.target)
-                if transition.condition is None:
-                    code = str(target)
-                else:
-                    condition = emitter.emit(transition.condition)
-                    code = f"({target} if {condition} else {code})"
-            keyword_ = "if" if first else "elif"
-            first = False
-            emit(f"    {keyword_} {state_local} == {fsm.encode(state)}:")
-            emit(f"        _n_{state_local} = {code}")
-        if first:
-            emit(f"    _n_{state_local} = {state_local}")
-        else:
-            emit("    else:")
-            emit(f"        _n_{state_local} = {state_local}")
-        committed.append(fsm.state_register)
-    for clocked in plain_clocked:
-        local = emitter.local(clocked.target)
-        code = emitter.emit(clocked.expr)
-        if clocked.enable is not None:
-            enable = emitter.emit(clocked.enable)
-            code = f"({code}) if {enable} else {local}"
-        emit(f"    _n_{local} = {code}")
-        committed.append(clocked.target)
+    lines.extend(phase_b)
     for register in committed:
         local = emitter.local(register)
         emit(f"    __regs[{register.name!r}] = {local} = _n_{local}")
@@ -432,6 +445,34 @@ def compile_module(
         emit(f"    __outs[{port.name!r}] = {emitter.local(port)}")
     if not (inputs or kept_registers or needed_a or committed or out_ports):
         emit("    pass")
+    emit("")
+    emit("")
+
+    # -- the positional next-state step ---------------------------------------
+    # Registers, then the pre-edge inputs: ports in declaration order,
+    # then external nets in the order they were named.
+    port_rank = {id(port): rank for rank, port in enumerate(module.ports)}
+    external_rank = {name: rank for rank, name in enumerate(external)}
+    step_inputs = sorted(
+        inputs_a.values(),
+        key=lambda net: (
+            (1, external_rank[net.name]) if net.name in external_rank
+            else (0, port_rank[id(net)])
+        ),
+    )
+    committed_ids = {id(register) for register in committed}
+    results = [
+        f"_n_{emitter.local(register)}" if id(register) in committed_ids
+        else emitter.local(register)
+        for register in kept_registers
+    ]
+    params = [emitter.local(register) for register in kept_registers] + [
+        emitter.local(net) for net in step_inputs
+    ]
+    emit(f"def _step({', '.join(params)}):")
+    lines.extend(phase_a)
+    lines.extend(phase_b)
+    emit(f"    return ({''.join(result + ', ' for result in results)})")
     emit("")
     emit("")
 
@@ -475,10 +516,11 @@ def compile_module(
         module,
         source,
         namespace["_cycle"],
+        namespace["_step"],
         namespace["_comb"],
         resets,
         list(inputs),
+        [net.name for net in step_inputs],
         [port.name for port in out_ports],
-        [f"pre:{name}" for name in observe],
         stats,
     )

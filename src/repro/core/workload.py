@@ -11,6 +11,9 @@ import typing
 from ..errors import SimulationError
 from .command import CommandType
 
+if typing.TYPE_CHECKING:  # pragma: no cover - import cycle guard
+    from ..iface.params import IfaceParams
+
 
 class _Lcg:
     """Minimal 31-bit linear congruential generator."""
@@ -36,6 +39,7 @@ def generate_workload(
     max_burst: int = 4,
     write_fraction: float = 0.5,
     partial_byte_enable_fraction: float = 0.0,
+    params: "IfaceParams | None" = None,
 ) -> list[CommandType]:
     """Build a reproducible mixed read/write command list.
 
@@ -44,12 +48,22 @@ def generate_workload(
     :param max_burst: maximum words per command.
     :param write_fraction: probability a command is a write.
     :param partial_byte_enable_fraction: probability a command uses a
-        partial (non-0xF) byte-enable mask.
+        partial (non-full) byte-enable mask.
+    :param params: the interface parameters the workload must fit (see
+        :meth:`~repro.iface.params.IfaceParams.misfit`): the window is
+        cut at the end of the address space, and byte enables and data
+        are drawn within the data path, at most four 8-bit lanes. The
+        default parameters draw the same commands as no parameters.
     """
+    if params is not None:
+        address_span = min(address_span, (1 << params.addr_width) - address_base)
     if address_base % 4 or address_span % 4 or address_span <= 0:
         raise SimulationError(
             f"bad address window base={address_base:#x} span={address_span:#x}"
         )
+    lanes = 4 if params is None else min(4, params.byte_lanes)
+    full_lanes = (1 << lanes) - 1
+    data_bits = 8 * lanes
     if max_burst < 1:
         raise SimulationError(f"max_burst must be >= 1, got {max_burst}")
     if not 0.0 <= write_fraction <= 1.0:
@@ -62,11 +76,14 @@ def generate_workload(
         burst = min(burst, words_in_span)
         start_word = rng.next_int(words_in_span - burst + 1)
         address = address_base + 4 * start_word
-        byte_enables = 0xF
+        byte_enables = full_lanes
         if rng.next_float() < partial_byte_enable_fraction:
-            byte_enables = 1 + rng.next_int(0xF)  # never zero
+            byte_enables = 1 + rng.next_int(full_lanes)  # never zero
         if rng.next_float() < write_fraction:
-            data = [rng.next_int(1 << 31) * 2 + rng.next_int(2) for _ in range(burst)]
+            data = [
+                rng.next_int(1 << (data_bits - 1)) * 2 + rng.next_int(2)
+                for _ in range(burst)
+            ]
             commands.append(CommandType.write(address, data, byte_enables))
         else:
             commands.append(CommandType.read(address, count=burst, byte_enables=byte_enables))

@@ -400,8 +400,19 @@ def build_platform(
     :param synthesize: apply communication synthesis to every
         global-object channel before returning (the paper's step 2).
         Rejected for the functional family — there is nothing to lower.
+    :raises RefinementError: naming the first command of *workloads*
+        that does not fit ``config.params`` (its address range, byte
+        enables or data exceed the interface's widths).
     """
     config = config or PciPlatformConfig()
+    for app, commands in enumerate(workloads):
+        for index, command in enumerate(commands):
+            problem = config.params.misfit(command)
+            if problem is not None:
+                raise RefinementError(
+                    f"workload {app}, command {index} ({command!r}) does "
+                    f"not fit {config.params}: {problem}"
+                )
     if element is not None:
         family = _family_of_element(element)
     else:

@@ -16,8 +16,12 @@ and emitted Verilog/VHDL, and into the compiled backend's masking — the
 from __future__ import annotations
 
 import dataclasses
+import typing
 
 from ..errors import RefinementError
+
+if typing.TYPE_CHECKING:  # pragma: no cover - import cycle guard
+    from ..core.command import CommandType
 
 
 @dataclasses.dataclass(frozen=True)
@@ -82,6 +86,31 @@ class IfaceParams:
     def word_bytes(self) -> int:
         """Bytes per full-width data beat."""
         return self.data_width // 8
+
+    def misfit(self, command: "CommandType") -> str | None:
+        """Why *command* does not fit these parameters, or None.
+
+        A command covers ``4 * count`` bytes from its address, which must
+        lie inside the address space; its byte enables must name lanes
+        of the data path and every data word must fit its width.
+        """
+        end = command.address + 4 * command.count
+        if command.address < 0 or end > 1 << self.addr_width:
+            return (
+                f"its bytes {command.address:#x}..{end - 1:#x} exceed the "
+                f"{self.addr_width}-bit address space"
+            )
+        if command.byte_enables & ~self.byte_enable_mask:
+            return (
+                f"its byte enables {command.byte_enables:#x} exceed the "
+                f"{self.byte_lanes}-lane mask {self.byte_enable_mask:#x}"
+            )
+        for word in command.data:
+            if word < 0 or word & ~self.data_mask:
+                return (
+                    f"its data word {word:#x} exceeds {self.data_width} bits"
+                )
+        return None
 
     def describe(self) -> dict:
         """Flat record for reports and ``describe()`` metadata."""

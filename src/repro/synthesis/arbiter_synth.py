@@ -5,7 +5,9 @@ lowered forms, kept consistent with each other:
 
 * an **executable cycle-accurate policy** (:class:`RtlArbiterPolicy`
   subclasses) used by the executable RT-level channel — registered state
-  updated once per clock, exactly what the emitted netlist does;
+  updated once per clock, exactly what the emitted netlist does (a
+  channel may defer runs of identical clocks; the policy replays them
+  before its state is read);
 * an **IR fragment** (:func:`emit_arbiter_ir`) — the priority encoder /
   rotating encoder / age-compare tree / LFSR structure written into the
   synthesized module for the HDL backends and the area report.
@@ -47,7 +49,13 @@ LFSR_TAPS = (15, 14, 12, 3)
 # ---------------------------------------------------------------------------
 
 class RtlArbiterPolicy:
-    """Clock-synchronous arbitration policy (registered state)."""
+    """Clock-synchronous arbitration policy (registered state).
+
+    The per-clock register update may be deferred: a channel whose
+    request vector has not moved since the last :meth:`tick` adds the
+    clocks it skips to :attr:`lag`, and the policy replays them with
+    that vector, exactly, before its state is next read.
+    """
 
     kind = "base"
 
@@ -55,9 +63,27 @@ class RtlArbiterPolicy:
         if n_clients < 1:
             raise SynthesisError("arbiter needs at least one client")
         self.n_clients = n_clients
+        #: Clocks deferred since the last tick, all with its request vector.
+        self.lag = 0
+        self._requesting: typing.Sequence[bool] = [False] * n_clients
 
     def tick(self, requesting: typing.Sequence[bool]) -> None:
         """Called once per clock with the sampled request vector."""
+        if self.lag:
+            self.catch_up()
+        self._requesting = requesting
+        self.advance(requesting, 1)
+
+    def catch_up(self) -> None:
+        """Replay the :attr:`lag` deferred clocks."""
+        lag, self.lag = self.lag, 0
+        self.advance(self._requesting, lag)
+
+    def advance(self, requesting: typing.Sequence[bool], cycles: int) -> None:
+        """Apply *cycles* (>= 1) clocks that all sample *requesting*.
+
+        Stateless policies have no per-clock update.
+        """
 
     def select(self, eligible: typing.Sequence[int]) -> int:
         """Pick a client index from the non-empty eligible set."""
@@ -71,19 +97,25 @@ class RtlFcfsPolicy(RtlArbiterPolicy):
 
     def __init__(self, n_clients: int) -> None:
         super().__init__(n_clients)
-        self.ages = [0] * n_clients
+        self._ages = [0] * n_clients
 
-    def tick(self, requesting: typing.Sequence[bool]) -> None:
+    @property
+    def ages(self) -> list[int]:
+        if self.lag:
+            self.catch_up()
+        return self._ages
+
+    def advance(self, requesting: typing.Sequence[bool], cycles: int) -> None:
         limit = (1 << FCFS_AGE_BITS) - 1
-        for index in range(self.n_clients):
-            if requesting[index]:
-                self.ages[index] = min(limit, self.ages[index] + 1)
-            else:
-                self.ages[index] = 0
+        self._ages = [
+            min(limit, age + cycles) if bit else 0
+            for age, bit in zip(self._ages, requesting)
+        ]
 
     def select(self, eligible: typing.Sequence[int]) -> int:
-        chosen = max(eligible, key=lambda i: (self.ages[i], -i))
-        self.ages[chosen] = 0
+        ages = self.ages
+        chosen = max(eligible, key=lambda i: (ages[i], -i))
+        ages[chosen] = 0
         return chosen
 
 
@@ -130,13 +162,23 @@ class RtlRandomPolicy(RtlArbiterPolicy):
 
     def __init__(self, n_clients: int, seed: int = 0xACE1) -> None:
         super().__init__(n_clients)
-        self.lfsr = seed & ((1 << LFSR_BITS) - 1) or 0xACE1
+        self._lfsr = seed & ((1 << LFSR_BITS) - 1) or 0xACE1
 
-    def tick(self, requesting: typing.Sequence[bool]) -> None:
-        feedback = 0
-        for tap in LFSR_TAPS:
-            feedback ^= (self.lfsr >> tap) & 1
-        self.lfsr = ((self.lfsr << 1) | feedback) & ((1 << LFSR_BITS) - 1)
+    @property
+    def lfsr(self) -> int:
+        if self.lag:
+            self.catch_up()
+        return self._lfsr
+
+    def advance(self, requesting: typing.Sequence[bool], cycles: int) -> None:
+        lfsr = self._lfsr
+        mask = (1 << LFSR_BITS) - 1
+        for __ in range(cycles):
+            feedback = 0
+            for tap in LFSR_TAPS:
+                feedback ^= (lfsr >> tap) & 1
+            lfsr = ((lfsr << 1) | feedback) & mask
+        self._lfsr = lfsr
 
     def select(self, eligible: typing.Sequence[int]) -> int:
         start = self.lfsr % self.n_clients

@@ -20,13 +20,45 @@ Handshake (all sampled/driven on the rising clock edge):
 An uncontended call therefore costs a handful of clocks, and contention
 adds arbitration wait — the temporal behaviour the paper defers to
 "evaluation after synthesis", reproduced by the EXP-TIME bench.
+
+:class:`RtlMethodChannel` is the one core of both execution backends:
+the client, the call log and statistics, and the edge loop that samples
+the request wires, arbitrates, evaluates the guards, runs the method
+bodies and drives the handshake wires. A backend supplies only its
+next-state step, :meth:`RtlMethodChannel._next_state`: here the
+hand-written server FSM, in
+:class:`~repro.compile.channel.CompiledChannel` the generated netlist
+function.
+
+While the channel is *unperturbed* the edge loop takes two fast paths.
+Every committed value, call-log entry and cycle count stays as the RTL
+poll has it:
+
+* **Blocked edge.** An IDLE edge whose request and payload wires have
+  not committed since an edge that found no guard true counts its idle
+  cycle, defers the arbiter's clock (replayed exactly before the policy
+  is next read) and does nothing else.
+* **Sleeping client.** A waiting client samples ``done`` at the first
+  posedge after it issues, as the RTL poll does, then sleeps on its
+  call's ``done_event``. The server fires it at the edge where DONE is
+  first sampled.
+
+Unperturbed means that no activation-level kernel probe kind
+(``process.*``, ``delta.*``, ``event.notify``) has a subscriber, that
+``space.descriptor`` is not patched on the instance, that no channel
+wire carries a per-instance ``_perform_update``, and that since the
+last full edge no channel wire was forced and the space was not touched
+(a checkpoint restore does both). Otherwise each edge is a full edge that writes ``server_state``
+as the RTL server does, and the clients poll ``done`` at every posedge.
+Fault models and activation observers then see exactly the RTL poll.
 """
 
 from __future__ import annotations
 
 import typing
 
-from ..errors import SynthesisError
+from ..errors import ProtocolError, SynthesisError
+from ..hdl.bitvector import BITS
 from ..hdl.module import Module
 from ..hdl.signal import Signal
 from ..instrument.probes import METHOD_CALL, METHOD_COMPLETE, METHOD_GRANT
@@ -39,6 +71,8 @@ from .arbiter_synth import RtlArbiterPolicy, lower_arbiter
 #: Server FSM state encodings (mirrored onto a trace signal).
 ST_IDLE, ST_EXEC, ST_DONE = 0, 1, 2
 STATE_NAMES = {ST_IDLE: "IDLE", ST_EXEC: "EXEC", ST_DONE: "DONE"}
+
+ZERO, ONE = BITS
 
 
 class ChannelCallRecord:
@@ -67,8 +101,59 @@ class ChannelCallRecord:
         return self.done_time - self.request_time
 
 
+class _Wire(Signal):
+    """A channel wire that reports to its channel when it is forced and
+    when a per-instance ``_perform_update`` hook (a signal fault's, or a
+    test's) is installed on it.
+
+    ``_perform_update`` is a property here: the update phase reads it on
+    the instance, as for every signal, and gets the wire's own commit or
+    the hook installed over it.
+    """
+
+    def __init__(
+        self,
+        channel: "RtlMethodChannel",
+        name: str,
+        width: int | None,
+        init: object,
+    ) -> None:
+        super().__init__(channel.sim, f"{channel.path}.{name}", width, init)
+        channel.sim.register_named(self.name, self)
+        self._channel = channel
+
+    _commit = Signal._perform_update
+    _hook: "typing.Callable[[], None] | None" = None
+
+    @property
+    def _perform_update(self) -> typing.Callable[[], None]:
+        hook = self._hook
+        return self._commit if hook is None else hook
+
+    @_perform_update.setter
+    def _perform_update(self, hook: typing.Callable[[], None]) -> None:
+        self._channel._hooked = True
+        self._hook = hook
+
+    def force(self, value: object) -> None:
+        self._channel._perturbed = True
+        super().force(value)
+
+
+class _RequestWire(_Wire):
+    """A ``req`` or ``payload`` wire: every commit may move the request
+    picture, so it ends a blocked phase."""
+
+    def _commit(self) -> None:
+        self._channel._requests_moved = True
+        Signal._perform_update(self)
+
+
 class RtlMethodChannel(Module):
     """RT-level implementation of one connection group's communication.
+
+    The core both backends share; this class is the interpreted
+    backend, whose next-state step is the hand-written server FSM.
 
     :param space: the shared state space being lowered (its behavioural
         server must already be stopped by the synthesizer).
@@ -103,26 +188,49 @@ class RtlMethodChannel(Module):
             space.arbiter, n, self.client_paths
         )
         # Per-client wires.
-        self.req = [self.signal(f"req_{i}", width=1, init=0) for i in range(n)]
-        self.gnt = [self.signal(f"gnt_{i}", width=1, init=0) for i in range(n)]
-        self.done = [self.signal(f"done_{i}", width=1, init=0) for i in range(n)]
+        self.req = [_RequestWire(self, f"req_{i}", 1, 0) for i in range(n)]
+        self.gnt = [_Wire(self, f"gnt_{i}", 1, 0) for i in range(n)]
+        self.done = [_Wire(self, f"done_{i}", 1, 0) for i in range(n)]
         self.payload: list[Signal] = [
-            self.signal(f"payload_{i}", init=None) for i in range(n)
+            _RequestWire(self, f"payload_{i}", None, None) for i in range(n)
         ]
         self.result: list[Signal] = [
-            self.signal(f"result_{i}", init=None) for i in range(n)
+            _Wire(self, f"result_{i}", None, None) for i in range(n)
         ]
         # Observability.
-        self.state_sig = self.signal("server_state", width=2, init=ST_IDLE)
-        self.grant_sig = self.signal("grant_index", width=max(1, (n - 1).bit_length() or 1), init=0)
+        self.state_sig = _Wire(self, "server_state", 2, ST_IDLE)
+        self.grant_sig = _Wire(
+            self, "grant_index", max(1, (n - 1).bit_length() or 1), 0
+        )
         # Client-side mutexes (one outstanding call per hardware port).
         self._port_busy = [False] * n
         self._port_free = [self.event(f"port_free_{i}") for i in range(n)]
+        #: The calls whose clients sleep on their ``done_event``.
+        self._sleepers: list[MethodRequest] = []
+        self._method_code_of = {m: k for k, m in enumerate(self.method_names)}
+        self._method_codes = [0] * n
         self.call_log: list[ChannelCallRecord] = []
         self.calls_serviced = 0
         self.idle_cycles = 0
         self.busy_cycles = 0
-        self.thread(self._server, "server")
+        # Server registers the core keeps for every backend.
+        self._state = ST_IDLE
+        self._grant = 0
+        self._current: MethodRequest | None = None
+        self._completed = False
+        self._exec_counter = 0
+        #: The ``req`` bits as last sampled (and ticked into the policy).
+        self._requests = [0] * n
+        # Fast-path flags: the last full edge was an IDLE edge that
+        # granted nothing; req/payload committed since the last sample;
+        # a wire was forced or the space touched since the last full
+        # edge; a wire carries a per-instance update hook.
+        self._blocked = False
+        self._requests_moved = False
+        self._perturbed = False
+        self._hooked = False
+        space._activity.add_callback(self._touched)
+        self.thread(self._serve, "server")
 
     # -- client side -----------------------------------------------------------
 
@@ -163,120 +271,223 @@ class RtlMethodChannel(Module):
                 args=args,
                 kwargs=kwargs,
                 arrival_time=self.sim.time,
-                done_event=Event(self.sim.scheduler, f"{self.path}.unused"),
+                done_event=Event(self.sim.scheduler, f"{self.path}.wake_{index}"),
                 priority=priority,
             )
             self.payload[index].write(request)
+            self._method_codes[index] = self._method_code_of.get(method, 0)
             self.req[index].write(1)
             self.space.stats.total_requests += 1
             probes = self.sim._probes
             if probes is not None:
                 probes.emit(METHOD_CALL, self.sim.time, self.space, request)
+            # Sample DONE at the next posedge, as the RTL poll does. After
+            # that, an unperturbed channel lets the client sleep until the
+            # server fires the call's done event.
+            done = self.done[index]
+            posedge = self.clk.posedge
+            wait = posedge
             while True:
-                yield self.clk.posedge
-                if self.done[index].read().to_int_default(0):
+                yield wait
+                if done.read().to_int_default(0):
                     break
+                if self._quiet():
+                    self._sleepers.append(request)
+                    wait = request.done_event
+                else:
+                    wait = posedge
             outcome = self.result[index].read()
             self.req[index].write(0)
             # Let the server observe the dropped request before this port
             # can issue again (DONE must clear between calls).
-            yield self.clk.posedge
+            yield posedge
         finally:
             self._port_busy[index] = False
             self._port_free[index].notify()
+        if type(outcome) is not tuple:
+            raise ProtocolError(
+                f"{self.path}: port {index} ({request.client}) sampled "
+                f"DONE but result_{index} holds no result ({outcome!r})"
+            )
         error = typing.cast("BaseException | None", outcome[1])
         if error is not None:
             raise error
         return outcome[0]
 
+    # -- the fast-path predicate -------------------------------------------------
+
+    def _quiet(self) -> bool:
+        """No observer or fault needs the RTL poll (the fast-path
+        predicate, less the one-shot force/touch flag)."""
+        if self._hooked or "descriptor" in self.space.__dict__:
+            return False
+        probes = self.sim._probes
+        return probes is None or not (
+            probes._evaluation_observed or probes._event_notify is not None
+        )
+
+    def _touched(self) -> None:
+        """The space's activity event fired (``space.touch()``): the
+        shared state may have moved out of band."""
+        self._perturbed = True
+        self.space._activity.add_callback(self._touched)
+
     # -- server side -------------------------------------------------------------
 
-    def _sample_requests(self) -> list["MethodRequest | None"]:
-        sampled: list["MethodRequest | None"] = []
-        for index in range(len(self.clients)):
-            if self.req[index].read().to_int_default(0):
-                sampled.append(typing.cast(MethodRequest, self.payload[index].read()))
-            else:
-                sampled.append(None)
-        return sampled
-
-    def _server(self):
-        space = self.space
-        state = ST_IDLE
-        grant = 0
-        exec_counter = 0
-        current: MethodRequest | None = None
+    def _serve(self):
+        posedge = self.clk.posedge
+        policy = self.policy
         while True:
-            yield self.clk.posedge
-            requests = self._sample_requests()
-            requesting = [request is not None for request in requests]
-            self.policy.tick(requesting)
-            if state == ST_IDLE:
+            yield posedge
+            if (
+                self._blocked
+                and not (self._requests_moved or self._perturbed)
+                and self._quiet()
+            ):
+                # Nothing a guard or the arbiter reads has moved since
+                # an IDLE edge that granted nothing, so this edge grants
+                # nothing either.
                 self.idle_cycles += 1
-                eligible = [
-                    index
-                    for index, request in enumerate(requests)
-                    if request is not None
-                    and space.descriptor(request.method).guard_true(space.state)
-                ]
-                if eligible:
-                    grant = self.policy.select(eligible)
-                    current = requests[grant]
-                    assert current is not None
-                    current.grant_time = self.sim.time
-                    space.stats.record_grant(current, self.sim.time)
-                    probes = self.sim._probes
-                    if probes is not None:
-                        probes.emit(METHOD_GRANT, self.sim.time, space, current)
-                    self.gnt[grant].write(1)
-                    self.grant_sig.write(grant)
-                    exec_counter = self.body_cycles
-                    state = ST_EXEC
-            elif state == ST_EXEC:
-                self.busy_cycles += 1
-                exec_counter -= 1
-                if exec_counter == 0:
-                    assert current is not None
-                    descriptor = space.descriptor(current.method)
-                    try:
-                        value = descriptor.invoke(
-                            space.state, *current.args, **current.kwargs
-                        )
-                        outcome: tuple = (value, None)
-                    except Exception as error:
-                        current.error = error
-                        outcome = (None, error)
-                    current.result = outcome[0]
-                    current.completed = True
-                    current.complete_time = self.sim.time
-                    space.stats.record_completion(current)
-                    probes = self.sim._probes
-                    if probes is not None:
-                        probes.emit(
-                            METHOD_COMPLETE, self.sim.time, space, current
-                        )
-                    self.result[grant].write(outcome)
-                    self.done[grant].write(1)
-                    state = ST_DONE
-            elif state == ST_DONE:
-                self.busy_cycles += 1
-                if not self.req[grant].read().to_int_default(0):
-                    assert current is not None
-                    self.call_log.append(
-                        ChannelCallRecord(
-                            current.client,
-                            current.method,
-                            current.arrival_time,
-                            current.grant_time or current.arrival_time,
-                            self.sim.time,
-                        )
-                    )
-                    self.calls_serviced += 1
-                    self.done[grant].write(0)
-                    self.gnt[grant].write(0)
-                    current = None
-                    state = ST_IDLE
-            self.state_sig.write(state)
+                policy.lag += 1
+                continue
+            self._edge()
+
+    def _edge(self) -> None:
+        """One full clock edge: sample, arbitrate, step, act, drive."""
+        moved = self._requests_moved or self._perturbed
+        quiet = not self._perturbed and self._quiet()
+        self._perturbed = self._requests_moved = self._blocked = False
+        space = self.space
+        state = self._state
+        if moved:
+            requests = self._requests = [
+                1 if wire._value is ONE
+                else 0 if wire._value is ZERO
+                else wire._value.to_int_default(0)
+                for wire in self.req
+            ]
+            self.policy.tick(requests)
+        else:
+            # The request vector the policy last ticked still holds.
+            requests = self._requests
+            self.policy.lag += 1
+        eligible: list[int] = []
+        grant = None
+        if state == ST_IDLE:
+            self.idle_cycles += 1
+            payload = self.payload
+            for index, bit in enumerate(requests):
+                if bit and space.descriptor(
+                    payload[index].read().method
+                ).guard_true(space.state):
+                    eligible.append(index)
+            if eligible:
+                grant = self.policy.select(eligible)
+        else:
+            self.busy_cycles += 1
+        new_state = self._next_state(state, requests, eligible, grant)
+        if state == ST_IDLE:
+            if new_state == ST_IDLE:
+                self._blocked = quiet
+            else:
+                self._take_grant(typing.cast(int, grant))
+        elif state == ST_EXEC:
+            if new_state == ST_DONE:
+                self._complete()
+        else:
+            if self._completed:
+                # The edge where the client's poll first samples DONE.
+                self._completed = False
+                current = self._current
+                if quiet and current in self._sleepers:
+                    self._sleepers.remove(current)
+                    current.done_event.notify()
+            if new_state == ST_IDLE:
+                self._release()
+        if not quiet and self._sleepers:
+            # Every sleeper samples DONE at this edge, as its poll would.
+            sleepers, self._sleepers = self._sleepers, []
+            for request in sleepers:
+                request.done_event.notify()
+        if new_state != state or not quiet:
+            self.state_sig.write(new_state)
+        self._state = new_state
+
+    def _next_state(
+        self,
+        state: int,
+        requests: list[int],
+        eligible: list[int],
+        grant: int | None,
+    ) -> int:
+        """The backend's next-state step: the server FSM's next state from
+        the pre-edge state, the sampled ``req`` bits, the eligible ports
+        and the arbiter's pick among them (None when none is eligible).
+
+        Here it is the hand-written FSM.
+        """
+        if state == ST_IDLE:
+            if grant is None:
+                return ST_IDLE
+            self._exec_counter = self.body_cycles
+            return ST_EXEC
+        if state == ST_EXEC:
+            self._exec_counter -= 1
+            return ST_DONE if self._exec_counter == 0 else ST_EXEC
+        return ST_DONE if requests[self._grant] else ST_IDLE
+
+    def _take_grant(self, grant: int) -> None:
+        space = self.space
+        now = self.sim.time
+        current = typing.cast(MethodRequest, self.payload[grant].read())
+        self._grant = grant
+        self._current = current
+        current.grant_time = now
+        space.stats.record_grant(current, now)
+        probes = self.sim._probes
+        if probes is not None:
+            probes.emit(METHOD_GRANT, now, space, current)
+        self.gnt[grant].write(1)
+        self.grant_sig.write(grant)
+
+    def _complete(self) -> None:
+        space = self.space
+        current = self._current
+        assert current is not None
+        descriptor = space.descriptor(current.method)
+        try:
+            value = descriptor.invoke(space.state, *current.args, **current.kwargs)
+            outcome: tuple = (value, None)
+        except Exception as error:
+            current.error = error
+            outcome = (None, error)
+        current.result = outcome[0]
+        current.completed = True
+        current.complete_time = self.sim.time
+        space.stats.record_completion(current)
+        probes = self.sim._probes
+        if probes is not None:
+            probes.emit(METHOD_COMPLETE, self.sim.time, space, current)
+        self.result[self._grant].write(outcome)
+        self.done[self._grant].write(1)
+        self._completed = True
+
+    def _release(self) -> None:
+        current = self._current
+        assert current is not None
+        self.call_log.append(
+            ChannelCallRecord(
+                current.client,
+                current.method,
+                current.arrival_time,
+                current.grant_time or current.arrival_time,
+                self.sim.time,
+            )
+        )
+        self.calls_serviced += 1
+        self.done[self._grant].write(0)
+        self.gnt[self._grant].write(0)
+        self._current = None
 
     # -- statistics -----------------------------------------------------------------
 

@@ -13,6 +13,7 @@ from repro.analyze import levelize
 from repro.analyze.schedule import EvaluationError
 from repro.compile import CodegenError, compile_module, emit_yosys_script
 from repro.core.workload import _Lcg
+from repro.synthesis.channel_synth import build_channel_ir
 from repro.synthesis.ir import BinOp, Concat, Const, Fsm, Mux, RtlModule, UnOp
 
 from tests.analyze.test_passes import build_synthesized_design
@@ -171,6 +172,36 @@ class TestChannelNetlistCrossCheck:
                 for net in boundary
             }
             assert netlist.comb(env) == schedule.evaluate(env)
+
+    @pytest.mark.parametrize("arbiter", ["fcfs", "round_robin", "random"])
+    def test_positional_step_matches_cycle(self, arbiter):
+        """``_step`` on register and input slots is ``_cycle`` without
+        the dicts: the same next registers for every in-range pre-edge
+        picture."""
+        n = 3
+        module = build_channel_ir("ch", n, ["get", "put"], arbiter)
+        external = ["arb_grant_index"] + [f"eligible_{i}" for i in range(n)]
+        netlist = compile_module(
+            module, external=external, skip_register_prefixes=("arb_",),
+        )
+        nets = {net.name: net for net in module.all_nets()}
+        assert netlist.step_inputs == (
+            [f"req_{i}" for i in range(n)] + [f"method_{i}" for i in range(n)]
+            + ["arg_data"] + external
+        )
+        rng = _Lcg(0x5EED)
+        for _ in range(200):
+            regs = {
+                name: rng.next_int(1 << nets[name].width)
+                for name in netlist.register_names
+            }
+            ins = {
+                name: rng.next_int(1 << min(nets[name].width, 30))
+                for name in netlist.step_inputs
+            }
+            stepped = netlist.step(*regs.values(), *ins.values())
+            netlist.cycle(regs, ins, {})
+            assert stepped == tuple(regs.values())
 
     def test_stats_and_describe(self):
         __, result = build_synthesized_design()

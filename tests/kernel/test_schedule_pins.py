@@ -45,21 +45,24 @@ SCHEDULE = {
 
 #: (bus, level) -> (process activations, digest of the activation
 #: sequence), probes on. The digest covers time, process name and the
-#: name of the waking event of every activation, in order.
+#: name of the waking event of every activation, in order. Under this
+#: observer both channel backends take the RTL poll, so each compiled
+#: cell activates exactly as its interpreted cell does (only the
+#: platform label in the process names differs).
 ACTIVATIONS = {
     ("functional", "behavioural"): (332, "629a6f295dbbe7c5"),
     ("pci", "behavioural"): (5538, "cf5ded4dbbf9457e"),
     ("pci", "interpreted"): (14059, "4cf85b6fb54d87cd"),
-    ("pci", "compiled"): (9521, "d718933df42755e0"),
+    ("pci", "compiled"): (14059, "f26d20356f9320b0"),
     ("wishbone", "behavioural"): (9983, "ec7e181009c01e88"),
     ("wishbone", "interpreted"): (21408, "0dc12c002e4c3bc0"),
-    ("wishbone", "compiled"): (13982, "7504d40f8357e03d"),
+    ("wishbone", "compiled"): (21408, "b08bf33d808cd861"),
     ("axi4lite", "behavioural"): (9983, "193a49e5a4050b7c"),
     ("axi4lite", "interpreted"): (21408, "19551050595a53c6"),
-    ("axi4lite", "compiled"): (13982, "69a8817481b3c3a4"),
+    ("axi4lite", "compiled"): (21408, "ccb64589b0978802"),
     ("tlmgp", "behavioural"): (561, "d6ed44f5e40cb2fa"),
     ("tlmgp", "interpreted"): (5059, "789fc86c142bfa62"),
-    ("tlmgp", "compiled"): (2293, "28f7a1c3bec67d92"),
+    ("tlmgp", "compiled"): (5059, "b5d5e5c4c55b060b"),
 }
 
 #: (bus, level) -> calls of ``_perform_update`` on the cell's resolved
@@ -80,6 +83,21 @@ RESOLVED_UPDATES = {
     ("tlmgp", "behavioural"): 0,
     ("tlmgp", "interpreted"): 0,
     ("tlmgp", "compiled"): 0,
+}
+
+#: (bus, level) -> per synthesized channel: (calls logged, digest of
+#: the call log, idle cycles, busy cycles), probes off, so the channel's
+#: fast paths run. The digest covers client, method, request, grant and
+#: done time of every record, in order.
+CALL_LOGS = {
+    ("pci", "interpreted"): [(158, "b5ddfe9eb885b93d", 707, 474)],
+    ("pci", "compiled"): [(158, "b5ddfe9eb885b93d", 707, 474)],
+    ("wishbone", "interpreted"): [(158, "32b8e82bc2daf5c8", 1507, 474)],
+    ("wishbone", "compiled"): [(158, "32b8e82bc2daf5c8", 1507, 474)],
+    ("axi4lite", "interpreted"): [(158, "32b8e82bc2daf5c8", 1507, 474)],
+    ("axi4lite", "compiled"): [(158, "32b8e82bc2daf5c8", 1507, 474)],
+    ("tlmgp", "interpreted"): [(158, "13ebe3a7102e38ac", 159, 474)],
+    ("tlmgp", "compiled"): [(158, "13ebe3a7102e38ac", 159, 474)],
 }
 
 CELLS = list(SCHEDULE)
@@ -151,3 +169,55 @@ def test_resolved_update_calls_pinned(cell):
     run = bundle.run(100 * MS)
     assert calls == RESOLVED_UPDATES[cell]
     assert (run.sim_time, run.delta_cycles) == SCHEDULE[cell][:2]
+
+
+@pytest.mark.parametrize("cell", list(CALL_LOGS), ids=lambda cell: "/".join(cell))
+def test_channel_call_log_pinned(cell):
+    bundle = _build(*cell)
+    channels = [group.channel for group in bundle.synthesis.groups]
+    sleeps = [0]
+
+    class Sleepers(list):
+        def append(self, request):
+            sleeps[0] += 1
+            super().append(request)
+
+    for channel in channels:
+        channel._sleepers = Sleepers()
+    run = bundle.run(100 * MS)
+    pins = []
+    for channel in channels:
+        digest = hashlib.sha256()
+        for record in channel.call_log:
+            digest.update(
+                f"{record.client} {record.method} {record.request_time} "
+                f"{record.grant_time} {record.done_time}\n".encode()
+            )
+        pins.append((
+            len(channel.call_log), digest.hexdigest()[:16],
+            channel.idle_cycles, channel.busy_cycles,
+        ))
+    assert pins == CALL_LOGS[cell]
+    assert (run.sim_time, run.delta_cycles) == SCHEDULE[cell][:2]
+    # Unobserved, the waiting clients slept until their DONE edge.
+    assert sleeps[0] > 0
+
+
+@pytest.mark.parametrize("bus", ["pci", "wishbone", "axi4lite", "tlmgp"])
+def test_compiled_cell_activates_as_interpreted(bus):
+    sequences = {}
+    for level in ("interpreted", "compiled"):
+        bundle = _build(bus, level)
+        label = f"{bus}/{level}"
+        sequence = sequences[level] = []
+        bundle.handle.sim.probes.subscribe(
+            PROCESS_ACTIVATE,
+            lambda time, process, cause, label=label, sequence=sequence:
+                sequence.append((
+                    time, process.name.replace(label, "<cell>"),
+                    cause.name.replace(label, "<cell>")
+                    if cause is not None else "-",
+                )),
+        )
+        bundle.run(100 * MS)
+    assert sequences["interpreted"] == sequences["compiled"]

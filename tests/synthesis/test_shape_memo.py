@@ -30,18 +30,21 @@ def cold_memo():
     synthesize_group_shape.cache_clear()
 
 
-def _workloads(apps):
+def _workloads(apps, params):
     return [
-        generate_workload(seed=3 + app, n_commands=4, address_span=0x100)
+        generate_workload(
+            seed=3 + app, n_commands=4, address_span=0x100, params=params
+        )
         for app in range(apps)
     ]
 
 
 def _build(bus, backend, width=32, apps=2):
-    config = PciPlatformConfig(
-        backend=backend, params=IfaceParams(data_width=width)
+    params = IfaceParams(data_width=width)
+    config = PciPlatformConfig(backend=backend, params=params)
+    return build_platform(
+        _workloads(apps, params), config, bus=bus, synthesize=True
     )
-    return build_platform(_workloads(apps), config, bus=bus, synthesize=True)
 
 
 def _artefacts(bundle):
@@ -173,7 +176,7 @@ class TestSharedCompiledNetlist:
         a = first.synthesis.groups[0].channel
         b = second.synthesis.groups[0].channel
         assert a.netlist is b.netlist
-        reset = a.netlist.reset_registers()
+        reset = tuple(a.netlist.reset_registers().values())
         # Step the first platform until its channel leaves reset.
         sim = first.handle.sim
         for __ in range(200):
