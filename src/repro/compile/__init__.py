@@ -1,9 +1,9 @@
 """repro.compile — the compiled fast-sim backend.
 
 Lowers synthesized RTL netlists (``repro.synthesis.ir``) to generated
-straight-line Python and packages the result as a
-:class:`CompiledChannel`, a drop-in replacement for the interpreted
-:class:`~repro.synthesis.rtl_channel.RtlMethodChannel` selected with
+straight-line Python. :class:`CompiledChannel` is the shared channel
+core of :class:`~repro.synthesis.rtl_channel.RtlMethodChannel` with the
+generated netlist as its next-state step, selected with
 ``backend="compiled"`` on :class:`~repro.synthesis.tool.SynthesisConfig`
 (or the platform/flow/CLI knobs layered above it). The two backends are
 cycle- and commit-equivalent by construction; the equivalence gate is

@@ -36,6 +36,7 @@ from .report import ModuleReport, SynthesisReport
 from .rtl_channel import RtlMethodChannel
 
 if typing.TYPE_CHECKING:
+    from ..compile.channel import CompiledChannel
     from ..compile.codegen import CompiledNetlist
 
 
@@ -55,7 +56,8 @@ class SynthesisConfig:
     :param backend: execution backend for the synthesized channels —
         ``"interpreted"`` (the generator-based RTL channel) or
         ``"compiled"`` (the channel IR lowered to generated Python by
-        :mod:`repro.compile`; cycle-equivalent, much faster).
+        :mod:`repro.compile` as the channel's next-state step;
+        cycle-equivalent).
     """
 
     def __init__(
@@ -359,27 +361,24 @@ def synthesize_communication(
         group_name = f"chan{index}_" + root.path.replace(".", "_")
         # Stop the behavioural server; the RTL channel takes over.
         space.server.kill()
+        channel_class = RtlMethodChannel
         if config.backend == "compiled":
             # Imported lazily: repro.compile imports synthesis and analyze.
             from ..compile.channel import CompiledChannel
 
-            channel: RtlMethodChannel = typing.cast(
-                RtlMethodChannel,
-                CompiledChannel(
-                    top, group_name, space, handles, clk, config.body_cycles
-                ),
-            )
-        else:
-            channel = RtlMethodChannel(
-                top, group_name, space, handles, clk, config.body_cycles
-            )
+            channel_class = CompiledChannel
+        channel = channel_class(
+            top, group_name, space, handles, clk, config.body_cycles
+        )
         for handle in handles:
             handle._root()._lowered = channel
         shape = _group_shape(index, group_name, channel, config)
         netlists = synthesize_group_shape(shape)
         if netlists.compiled is not None:
             # The compiled backend *executes* the synthesized netlist.
-            channel.bind_netlist(netlists.compiled)
+            typing.cast("CompiledChannel", channel).bind_netlist(
+                netlists.compiled
+            )
         report.add_group(
             netlists.modules,
             netlists.dispatches,
