@@ -19,11 +19,13 @@ Figure-4 PCI platform and requires zero analysis errors.
 
 Each row is gated against ``benchmarks/offpath_baseline.json`` on its
 exact ``sys.setprofile`` call count, taken after the timed runs have
-warmed the synthesis shape memo. Python 3.12 inlines list, dict and set
-comprehensions (PEP 709), so their frames are not counted on 3.11
-either: every supported interpreter counts the same calls. The count
-repeats run to run, so the 1% bounds of ``pci`` and ``matrix`` fire on
-one added Python frame per ``Signal.write`` and never flake.
+warmed the synthesis shape memo, with the cyclic collector paused.
+Python 3.12 inlines list, dict and set comprehensions (PEP 709), so
+their frames are not counted on 3.11 either: every supported
+interpreter counts the same calls. The count repeats run to run and
+does not depend on the allocation history, so the 1% bounds of ``pci``
+and ``matrix`` fire on one added Python frame per ``Signal.write`` and
+never flake.
 Best-of-7 wall time, normalized by a pure-Python calibration loop timed
 on the same host, is a coarse backstop for slowdowns that add no call;
 it moves 5-9% between identical runs.
@@ -41,6 +43,7 @@ Usage::
 from __future__ import annotations
 
 import argparse
+import gc
 import json
 import os
 import sys
@@ -261,7 +264,13 @@ INLINED = frozenset({"<listcomp>", "<dictcomp>", "<setcomp>"})
 
 def count_calls(run):
     """``(calls, result)`` of one *run*, counting Python and C calls
-    (comprehension frames excepted, see :data:`INLINED`)."""
+    (comprehension frames excepted, see :data:`INLINED`).
+
+    The cyclic collector is paused while counting: a collection that
+    finalizes suspended generators resumes their frames, and where it
+    lands depends on the process's allocation history (whether modules
+    were loaded from cached bytecode, say), not on the code counted.
+    """
     calls = 0
 
     def profile(frame, event, arg):
@@ -272,11 +281,16 @@ def count_calls(run):
             calls += 1
 
     def meter(fn, *args, **kwargs):
+        collecting = gc.isenabled()
+        gc.collect()
+        gc.disable()
         sys.setprofile(profile)
         try:
             return fn(*args, **kwargs)
         finally:
             sys.setprofile(None)
+            if collecting:
+                gc.enable()
 
     result = run(meter)
     return calls, result

@@ -150,6 +150,7 @@ class AxiLiteMaster(Module):
     # -- engine -----------------------------------------------------------
 
     def _engine(self):
+        posedge = self.clk.posedge
         while True:
             if not self._queue:
                 yield self._op_available
@@ -168,10 +169,13 @@ class AxiLiteMaster(Module):
                 address = operation.address + 4 * index
                 if operation.is_write:
                     status = yield from self._write_beat(
-                        address, operation.data[index], operation.strb
+                        address, operation.data[index], operation.strb,
+                        posedge,
                     )
                 else:
-                    status, word = yield from self._read_beat(address)
+                    status, word = yield from self._read_beat(
+                        address, posedge
+                    )
                     if status == "ok":
                         operation.data.append(word)
                 if status != "ok":
@@ -189,7 +193,7 @@ class AxiLiteMaster(Module):
                 self.ops_completed += 1
             done.notify_delta()
 
-    def _write_beat(self, address: int, word: int, strb: int):
+    def _write_beat(self, address: int, word: int, strb: int, posedge):
         """AW+W handshakes, then the B response; returns the status."""
         bus = self.bus
         bus.awvalid.write(1)
@@ -200,11 +204,11 @@ class AxiLiteMaster(Module):
         aw_done = w_done = False
         waited = 0
         while not (aw_done and w_done):
-            yield self.clk.posedge
-            if not aw_done and high(bus.awready.read()):
+            yield posedge
+            if not aw_done and high(bus.awready._value):
                 aw_done = True
                 bus.awvalid.write(0)
-            if not w_done and high(bus.wready.read()):
+            if not w_done and high(bus.wready._value):
                 w_done = True
                 bus.wvalid.write(0)
             waited += 1
@@ -215,9 +219,9 @@ class AxiLiteMaster(Module):
         bus.bready.write(1)
         waited = 0
         while True:
-            yield self.clk.posedge
-            if high(bus.bvalid.read()):
-                resp = bus.bresp.read().to_int_default(RESP_DECERR)
+            yield posedge
+            if high(bus.bvalid._value):
+                resp = bus.bresp._value.to_int_default(RESP_DECERR)
                 bus.bready.write(0)
                 return _RESP_STATUS[resp]
             waited += 1
@@ -225,15 +229,15 @@ class AxiLiteMaster(Module):
                 bus.bready.write(0)
                 return "timeout"
 
-    def _read_beat(self, address: int):
+    def _read_beat(self, address: int, posedge):
         """AR handshake, then the R beat; returns (status, word)."""
         bus = self.bus
         bus.arvalid.write(1)
         bus.araddr.write(LogicVector(bus.addr_width, address & bus.addr_mask))
         waited = 0
         while True:
-            yield self.clk.posedge
-            if high(bus.arready.read()):
+            yield posedge
+            if high(bus.arready._value):
                 bus.arvalid.write(0)
                 break
             waited += 1
@@ -243,13 +247,13 @@ class AxiLiteMaster(Module):
         bus.rready.write(1)
         waited = 0
         while True:
-            yield self.clk.posedge
-            if high(bus.rvalid.read()):
-                resp = bus.rresp.read().to_int_default(RESP_DECERR)
+            yield posedge
+            if high(bus.rvalid._value):
+                resp = bus.rresp._value.to_int_default(RESP_DECERR)
                 bus.rready.write(0)
                 if resp != RESP_OKAY:
                     return _RESP_STATUS[resp], 0
-                value = bus.rdata.read()
+                value = bus.rdata._value
                 if not value.is_fully_defined:
                     raise ProtocolError(
                         f"{self.path}: RVALID with undefined RDATA at "

@@ -88,28 +88,29 @@ class AxiLiteMonitor(Module):
 
     def _watch(self):
         bus = self.bus
+        posedge = self.clk.posedge
         while True:
-            yield self.clk.posedge
+            yield posedge
             self.cycles_observed += 1
-            if (high(bus.awvalid.read()) or high(bus.wvalid.read())
-                    or high(bus.arvalid.read())):
+            if (high(bus.awvalid._value) or high(bus.wvalid._value)
+                    or high(bus.arvalid._value)):
                 self.busy_cycles += 1
             self._check_stability()
             if bus.aw_handshake():
-                addr = bus.awaddr.read()
+                addr = bus.awaddr._value
                 if not addr.is_fully_defined:
                     self._violation("AW handshake with undefined AWADDR")
                     continue
                 self._pending_aw.append(addr.to_int())
                 self._held_awaddr = None
             if bus.w_handshake():
-                data = bus.wdata.read()
-                strb = bus.wstrb.read().to_int_default(bus.strb_mask)
+                data = bus.wdata._value
+                strb = bus.wstrb._value.to_int_default(bus.strb_mask)
                 self._pending_w.append(
                     (data.to_int() if data.is_fully_defined else None, strb)
                 )
             if bus.ar_handshake():
-                addr = bus.araddr.read()
+                addr = bus.araddr._value
                 if not addr.is_fully_defined:
                     self._violation("AR handshake with undefined ARADDR")
                     continue
@@ -123,15 +124,15 @@ class AxiLiteMonitor(Module):
     def _check_stability(self) -> None:
         """Payload wires must hold steady while VALID awaits READY."""
         bus = self.bus
-        if high(bus.awvalid.read()) and not high(bus.awready.read()):
-            addr = bus.awaddr.read().to_int_default(None)
+        if high(bus.awvalid._value) and not high(bus.awready._value):
+            addr = bus.awaddr._value.to_int_default(None)
             if self._held_awaddr is not None and addr != self._held_awaddr:
                 self._violation("AWADDR changed while AWVALID held")
             self._held_awaddr = addr
         else:
             self._held_awaddr = None
-        if high(bus.arvalid.read()) and not high(bus.arready.read()):
-            addr = bus.araddr.read().to_int_default(None)
+        if high(bus.arvalid._value) and not high(bus.arready._value):
+            addr = bus.araddr._value.to_int_default(None)
             if self._held_araddr is not None and addr != self._held_araddr:
                 self._violation("ARADDR changed while ARVALID held")
             self._held_araddr = addr
@@ -140,7 +141,7 @@ class AxiLiteMonitor(Module):
 
     def _complete_write(self) -> None:
         bus = self.bus
-        resp = bus.bresp.read().to_int_default(None)
+        resp = bus.bresp._value.to_int_default(None)
         if resp is None:
             self._violation("B handshake with undefined BRESP")
             return
@@ -159,7 +160,7 @@ class AxiLiteMonitor(Module):
 
     def _complete_read(self) -> None:
         bus = self.bus
-        resp = bus.rresp.read().to_int_default(None)
+        resp = bus.rresp._value.to_int_default(None)
         if resp is None:
             self._violation("R handshake with undefined RRESP")
             return
@@ -169,7 +170,7 @@ class AxiLiteMonitor(Module):
             self._violation("R beat without matching AR handshake")
             return
         address = self._pending_ar.popleft()
-        value = bus.rdata.read()
+        value = bus.rdata._value
         data: int | None = None
         if value.is_fully_defined:
             data = value.to_int()

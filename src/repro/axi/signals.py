@@ -19,9 +19,11 @@ stay released, which the monitor checks.
 from __future__ import annotations
 
 from ..errors import ProtocolError
-from ..hdl.bitvector import LogicVector
+from ..hdl.bitvector import BITS, LogicVector
 from ..hdl.module import Module
 from ..kernel.simulator import Simulator
+
+ZERO, ONE = BITS
 
 #: AXI response encodings (BRESP/RRESP).
 RESP_OKAY = 0b00
@@ -42,7 +44,15 @@ ADDR_WIDTH = 32
 
 
 def high(value: LogicVector) -> bool:
-    """Sampled high: fully driven to 1 (released rails read as low)."""
+    """Sampled high: fully driven to 1 (released rails read as low).
+
+    The shared width-1 vectors answer by identity; any other value (a
+    released rail, a forced or faulted wire) takes the full check.
+    """
+    if value is ONE:
+        return True
+    if value is ZERO:
+        return False
     return value.is_fully_defined and value.to_int() == 1
 
 
@@ -103,16 +113,16 @@ class AxiLiteBus(Module):
     # -- sampling helpers (committed values as of the clock edge) ---------
 
     def aw_handshake(self) -> bool:
-        return high(self.awvalid.read()) and high(self.awready.read())
+        return high(self.awvalid._value) and high(self.awready._value)
 
     def w_handshake(self) -> bool:
-        return high(self.wvalid.read()) and high(self.wready.read())
+        return high(self.wvalid._value) and high(self.wready._value)
 
     def b_handshake(self) -> bool:
-        return high(self.bvalid.read()) and high(self.bready.read())
+        return high(self.bvalid._value) and high(self.bready._value)
 
     def ar_handshake(self) -> bool:
-        return high(self.arvalid.read()) and high(self.arready.read())
+        return high(self.arvalid._value) and high(self.arready._value)
 
     def r_handshake(self) -> bool:
-        return high(self.rvalid.read()) and high(self.rready.read())
+        return high(self.rvalid._value) and high(self.rready._value)

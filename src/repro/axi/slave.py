@@ -64,33 +64,34 @@ class AxiLiteSlave(Module):
 
     def _serve(self):
         bus = self.bus
+        posedge = self.clk.posedge
         while True:
-            yield self.clk.posedge
-            aw = bus.awvalid.read().to_int_default(0) == 1
-            w = bus.wvalid.read().to_int_default(0) == 1
-            ar = bus.arvalid.read().to_int_default(0) == 1
+            yield posedge
+            aw = high(bus.awvalid._value)
+            w = high(bus.wvalid._value)
+            ar = high(bus.arvalid._value)
             if aw and w:
-                addr = bus.awaddr.read()
+                addr = bus.awaddr._value
                 if addr.is_fully_defined and self.decodes(addr.to_int()):
-                    yield from self._write(addr.to_int())
+                    yield from self._write(addr.to_int(), posedge)
                 continue
             if ar:
-                addr = bus.araddr.read()
+                addr = bus.araddr._value
                 if addr.is_fully_defined and self.decodes(addr.to_int()):
-                    yield from self._read(addr.to_int())
+                    yield from self._read(addr.to_int(), posedge)
 
-    def _write(self, address: int):
+    def _write(self, address: int, posedge):
         bus = self.bus
         for __ in range(self.accept_latency):
-            yield self.clk.posedge
-            if bus.awvalid.read().to_int_default(0) != 1:
+            yield posedge
+            if not high(bus.awvalid._value):
                 return
-        data = bus.wdata.read()
-        strb = bus.wstrb.read().to_int_default(bus.strb_mask)
+        data = bus.wdata._value
+        strb = bus.wstrb._value.to_int_default(bus.strb_mask)
         # Accept AW and W together for exactly one clock.
         self._awready.write(1)
         self._wready.write(1)
-        yield self.clk.posedge
+        yield posedge
         self._awready.release()
         self._wready.release()
         resp = RESP_OKAY
@@ -105,20 +106,20 @@ class AxiLiteSlave(Module):
         self._bvalid.write(1)
         self._bresp.write(LogicVector(2, resp))
         while True:
-            yield self.clk.posedge
-            if high(bus.bready.read()):
+            yield posedge
+            if high(bus.bready._value):
                 break
         self._bvalid.release()
         self._bresp.release()
 
-    def _read(self, address: int):
+    def _read(self, address: int, posedge):
         bus = self.bus
         for __ in range(self.accept_latency):
-            yield self.clk.posedge
-            if bus.arvalid.read().to_int_default(0) != 1:
+            yield posedge
+            if not high(bus.arvalid._value):
                 return
         self._arready.write(1)
-        yield self.clk.posedge
+        yield posedge
         self._arready.release()
         resp = RESP_OKAY
         value = 0
@@ -132,8 +133,8 @@ class AxiLiteSlave(Module):
         self._rdata.write(LogicVector(bus.data_width, value))
         self._rresp.write(LogicVector(2, resp))
         while True:
-            yield self.clk.posedge
-            if high(bus.rready.read()):
+            yield posedge
+            if high(bus.rready._value):
                 break
         self._rvalid.release()
         self._rdata.release()

@@ -35,6 +35,11 @@ class LogicVector:
             raise WidthError(f"vector width must be positive, got {width}")
         self._width = width
         mask = (1 << width) - 1
+        if type(value) is int:
+            self._ones = value & mask
+            self._x = self._z = 0
+            self.is_fully_defined = True
+            return
         if value is None:
             # All-X: the canonical power-on value of an uninitialised register.
             self._ones, self._x, self._z = 0, mask, 0

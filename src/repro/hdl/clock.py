@@ -20,7 +20,9 @@ class Clock(Module):
     The phase lives on the object and the toggle thread has one wait
     point, so the scheduler may run an edge inline (:meth:`_inline_edge`)
     when the clock's timer is the only notification due at an instant,
-    and the thread resumes correctly after either kind of edge.
+    and the thread resumes correctly after either kind of edge. An
+    unobserved falling edge runs inline with the next rising edge, so an
+    unobserved cycle costs the scheduler one time step.
 
     :param period: full period in femtoseconds.
     :param duty: high fraction of the period (default 0.5).
@@ -85,6 +87,15 @@ class Clock(Module):
         commits the new level as the update phase would, and triggers
         ``changed`` and the edge event in the order the delta
         notification phase would.
+
+        A falling edge that triggers nothing (``clk`` has no ``changed``
+        or ``negedge`` event; the scheduler calls this hook only while
+        no kernel probe kind, ``signal.commit`` included, is observed)
+        is fused into the next rising edge when no timer and no run
+        deadline falls before that edge. The call then counts the
+        falling edge's delta, moves the time on to the rising edge and
+        runs it: one time step per cycle. It leaves the low level
+        uncommitted, as nothing could read it before the rising edge.
         """
         clk = self.clk
         high = self._high
@@ -94,10 +105,21 @@ class Clock(Module):
             or "_perform_update" in clk.__dict__
         ):
             return False
+        scheduler = self.sim.scheduler
+        if high and clk._changed is None and clk._negedge is None:
+            rise = scheduler._time + self.low_time
+            timed = scheduler._timed
+            deadline = scheduler._deadline
+            if (not timed or timed[0][0] > rise) and (
+                deadline is None or rise <= deadline
+            ):
+                scheduler._delta_count += 1
+                scheduler._time = rise
+                high = False
         self._high = high = not high
         # Inline edges run only while event.notify is unobserved, so the
         # re-arm records no notify cause.
-        self.sim.scheduler._schedule_timed_event(
+        scheduler._schedule_timed_event(
             self._timer, self.high_time if high else self.low_time
         )
         if high:

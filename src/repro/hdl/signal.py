@@ -176,7 +176,12 @@ class Signal(UpdateTarget):
         ):
             return
         self._value = new
-        self._fire_edges(old, new)
+        if (
+            self._changed is not None
+            or self._posedge is not None
+            or self._negedge is not None
+        ):
+            self._fire_edges(old, new)
         # Inline the signal-commit probe: this is the hottest observation
         # point in the kernel, so it must cost one None check when no bus
         # is attached and one more when nobody subscribes the kind.

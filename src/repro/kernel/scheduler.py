@@ -18,7 +18,11 @@ observes. The uninstrumented evaluation loop resumes started threads
 itself. And when the only notification due at an instant is a timer
 carrying an ``_inline`` hook (a clock's) and no kernel probe kind has a
 subscriber, the hook runs that instant's first delta itself; the delta
-is counted as if the woken process had run.
+is counted as if the woken process had run. A clock's hook may go
+further and run a falling edge that nothing observes together with the
+next rising edge (:meth:`repro.hdl.clock.Clock._inline_edge`); it reads
+the heap and :attr:`Scheduler._deadline` to see that nothing else is due
+in between.
 """
 
 from __future__ import annotations
@@ -56,6 +60,8 @@ class Scheduler:
         self._processes: list[Process] = []
         self._max_deltas = max_deltas_per_timestep
         self._stop_requested = False
+        #: The end of the current :meth:`run` (None: until starvation).
+        self._deadline: int | None = None
         self.running = False
         #: The process being evaluated right now (None between activations).
         self.current_process: Process | None = None
@@ -145,7 +151,9 @@ class Scheduler:
         """
         if duration is not None:
             check_delay(duration)
-        deadline = None if duration is None else self._time + duration
+        self._deadline = deadline = (
+            None if duration is None else self._time + duration
+        )
         self._stop_requested = False
         self.running = True
         timed = self._timed
@@ -174,8 +182,11 @@ class Scheduler:
     def _advance_to(self, next_time: int) -> int:
         """Trigger the timed notifications due at *next_time*.
 
-        :returns: the deltas already run at *next_time*: 1 when a lone
-            timer's ``_inline`` hook ran the first one, else 0.
+        :returns: the deltas already run at the instant the step ends
+            at: 1 when a lone timer's ``_inline`` hook ran the first one,
+            else 0. A hook that fuses a clock's falling edge into its
+            next rising edge counts the falling edge's delta and moves
+            the time on to the rising edge itself.
         """
         self._time = next_time
         timed = self._timed

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from ..hdl.module import Module
 from ..hdl.signal import Signal
-from .signals import PciBus
+from .signals import PciBus, is_asserted
 
 
 class PciCentralArbiter(Module):
@@ -37,12 +37,12 @@ class PciCentralArbiter(Module):
         self.thread(self._arbitrate, "arbitrate")
 
     def _requesting(self, index: int) -> bool:
-        value = self.bus.req_n[index].read()
-        return value.is_fully_defined and value.to_int() == 0
+        return is_asserted(self.bus.req_n[index]._value)
 
     def _arbitrate(self):
+        posedge = self.clk.posedge
         while True:
-            yield self.clk.posedge
+            yield posedge
             n_masters = self.bus.n_masters
             busy = not self.bus.idle
             if busy:

@@ -97,16 +97,17 @@ class PciMaster(Module):
     # -- engine process ----------------------------------------------------------
 
     def _engine(self):
+        posedge = self.clk.posedge
         while True:
             if not self._queue:
                 self.req_n.write(1)
                 yield self._op_available
                 continue
             operation, done = self._queue.popleft()
-            yield from self._run_operation(operation)
+            yield from self._run_operation(operation, posedge)
             done.notify_delta()
 
-    def _run_operation(self, operation: PciOperation):
+    def _run_operation(self, operation: PciOperation, posedge):
         operation.start_time = self.sim.time
         if operation.txn_id is None:
             operation.txn_id = new_txn_id()
@@ -115,7 +116,9 @@ class PciMaster(Module):
             probes.emit(TRANSACTION_BEGIN, self.sim.time, self.path, operation)
         words_done = 0
         while True:
-            outcome, words_done = yield from self._attempt(operation, words_done)
+            outcome, words_done = yield from self._attempt(
+                operation, words_done, posedge
+            )
             if outcome == "abort":
                 operation.status = STATUS_MASTER_ABORT
                 self.aborts_seen += 1
@@ -139,7 +142,7 @@ class PciMaster(Module):
 
     # -- one arbitration + transaction attempt --------------------------------------
 
-    def _attempt(self, operation: PciOperation, words_done: int):
+    def _attempt(self, operation: PciOperation, words_done: int, posedge):
         bus = self.bus
         pins = self.pins
         remaining = operation.count - words_done
@@ -148,9 +151,9 @@ class PciMaster(Module):
         # Arbitration: request, wait for grant on an idle bus.
         self.req_n.write(0)
         while True:
-            yield self.clk.posedge
+            yield posedge
             self._parity_duty()
-            if is_asserted(self.gnt_n.read()) and bus.idle:
+            if is_asserted(self.gnt_n._value) and bus.idle:
                 break
         if operation.grant_time is None:
             operation.grant_time = self.sim.time
@@ -161,7 +164,7 @@ class PciMaster(Module):
         pins.ad.write(LogicVector(bus.ad_width, address))
         pins.cbe_n.write(LogicVector(bus.cbe_width, operation.command))
         self._drive_ad_flag(True)
-        yield self.clk.posedge
+        yield posedge
         self._parity_duty()
 
         # First data phase.
@@ -182,11 +185,11 @@ class PciMaster(Module):
         devsel_wait = 0
         transferred = 0
         while True:
-            yield self.clk.posedge
+            yield posedge
             self._parity_duty()
-            trdy = is_asserted(bus.trdy_n.read())
-            devsel = is_asserted(bus.devsel_n.read())
-            stop = is_asserted(bus.stop_n.read())
+            trdy = is_asserted(bus.trdy_n._value)
+            devsel = is_asserted(bus.devsel_n._value)
+            stop = is_asserted(bus.stop_n._value)
 
             if not devsel_seen:
                 if devsel:
@@ -194,14 +197,14 @@ class PciMaster(Module):
                 else:
                     devsel_wait += 1
                     if devsel_wait > DEVSEL_TIMEOUT:
-                        yield from self._back_off(frame_low)
+                        yield from self._back_off(frame_low, posedge)
                         return "abort", words_done
                     continue
 
             transfer_now = trdy  # our IRDY# is asserted throughout
             if transfer_now:
                 if operation.is_read:
-                    data = bus.ad.read()
+                    data = bus.ad._value
                     if not data.is_fully_defined:
                         raise ProtocolError(
                             f"{self.path}: read data undefined ({data}) at "
@@ -209,7 +212,7 @@ class PciMaster(Module):
                         )
                     operation.data.append(data.to_int())
                     if self.check_parity:
-                        cbe = bus.cbe_n.read()
+                        cbe = bus.cbe_n._value
                         if cbe.is_fully_defined:
                             self._parity_pending = (
                                 parity_of(data.to_int(), cbe.to_int(),
@@ -221,7 +224,7 @@ class PciMaster(Module):
                 self.words_transferred += 1
 
             if stop:
-                yield from self._back_off(frame_low)
+                yield from self._back_off(frame_low, posedge)
                 return "stopped", words_done
 
             if transfer_now:
@@ -231,7 +234,7 @@ class PciMaster(Module):
                     pins.ad.release()
                     self._drive_ad_flag(False)
                     pins.cbe_n.release()
-                    yield self.clk.posedge
+                    yield posedge
                     self._parity_duty()
                     self._release_bus()
                     return "done", words_done
@@ -243,18 +246,18 @@ class PciMaster(Module):
                     pins.frame_n.write(1)
                     frame_low = False
 
-    def _back_off(self, frame_still_low: bool):
+    def _back_off(self, frame_still_low: bool, posedge):
         """Orderly termination: FRAME# up, then IRDY# up, then release."""
         pins = self.pins
         if frame_still_low:
             pins.frame_n.write(1)
-            yield self.clk.posedge
+            yield posedge
             self._parity_duty()
         pins.irdy_n.write(1)
         pins.ad.release()
         self._drive_ad_flag(False)
         pins.cbe_n.release()
-        yield self.clk.posedge
+        yield posedge
         self._parity_duty()
         self._release_bus()
 
@@ -278,13 +281,13 @@ class PciMaster(Module):
         if pending is not None:
             self._parity_pending = None
             expected, operation = pending
-            par = self.bus.par.read()
+            par = self.bus.par._value
             if par.is_fully_defined and par.to_int() != expected:
                 operation.parity_error = True
                 self.parity_errors_seen += 1
         if self._drove_ad:
-            ad = self.bus.ad.read()
-            cbe = self.bus.cbe_n.read()
+            ad = self.bus.ad._value
+            cbe = self.bus.cbe_n._value
             if ad.is_fully_defined and cbe.is_fully_defined:
                 self.pins.par.write(
                     parity_of(ad.to_int(), cbe.to_int(), self.bus.ad_width)

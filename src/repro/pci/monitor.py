@@ -74,16 +74,17 @@ class PciMonitor(Module):
 
     def _watch(self):
         bus = self.bus
+        posedge = self.clk.posedge
         while True:
-            yield self.clk.posedge
+            yield posedge
             self.cycles_observed += 1
-            frame = is_asserted(bus.frame_n.read())
-            irdy = is_asserted(bus.irdy_n.read())
-            trdy = is_asserted(bus.trdy_n.read())
-            devsel = is_asserted(bus.devsel_n.read())
-            stop = is_asserted(bus.stop_n.read())
-            ad = bus.ad.read()
-            cbe = bus.cbe_n.read()
+            frame = is_asserted(bus.frame_n._value)
+            irdy = is_asserted(bus.irdy_n._value)
+            trdy = is_asserted(bus.trdy_n._value)
+            devsel = is_asserted(bus.devsel_n._value)
+            stop = is_asserted(bus.stop_n._value)
+            ad = bus.ad._value
+            cbe = bus.cbe_n._value
 
             if not (frame or irdy):
                 busy = False
@@ -102,7 +103,7 @@ class PciMonitor(Module):
                         self._violation(
                             f"address phase with undefined AD ({ad}) or C/BE ({cbe})"
                         )
-                        yield from self._wait_idle()
+                        yield from self._wait_idle(posedge)
                         continue
                     self._current = PciTransaction(
                         cbe.to_int(), ad.to_int(), self.sim.time
@@ -185,9 +186,9 @@ class PciMonitor(Module):
             )
         self._current = None
 
-    def _wait_idle(self):
+    def _wait_idle(self, posedge):
         while True:
-            yield self.clk.posedge
+            yield posedge
             if self.bus.idle:
                 return
 
@@ -197,7 +198,7 @@ class PciMonitor(Module):
         expected = parity_of_vectors(self._last_ad, self._last_cbe)
         if expected is None:
             return
-        par = self.bus.par.read()
+        par = self.bus.par._value
         if not par.is_fully_defined:
             return
         if par.to_int() != expected:

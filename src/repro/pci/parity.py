@@ -18,11 +18,7 @@ def parity_of(ad_value: int, cbe_value: int, ad_width: int = AD_WIDTH) -> int:
     combined = (ad_value & data_mask(ad_width)) | (
         (cbe_value & byte_enable_mask(ad_width)) << ad_width
     )
-    parity = 0
-    while combined:
-        parity ^= combined & 1
-        combined >>= 1
-    return parity
+    return bin(combined).count("1") & 1
 
 
 def parity_of_vectors(ad: LogicVector, cbe: LogicVector) -> int | None:

@@ -29,7 +29,7 @@ from .constants import (
     READ_COMMANDS,
 )
 from .parity import parity_of
-from .signals import PciAgentPins, PciBus, is_asserted, is_deasserted
+from .signals import PciAgentPins, PciBus, is_asserted
 
 
 class _MasterWentIdle(Exception):
@@ -120,15 +120,16 @@ class PciTarget(Module):
 
     def _run(self):
         bus = self.bus
+        posedge = self.clk.posedge
         while True:
-            yield self.clk.posedge
+            yield posedge
             self._parity_duty()
-            if not is_asserted(bus.frame_n.read()):
+            if not is_asserted(bus.frame_n._value):
                 continue
-            ad = bus.ad.read()
-            cbe = bus.cbe_n.read()
+            ad = bus.ad._value
+            cbe = bus.cbe_n._value
             if not (ad.is_fully_defined and cbe.is_fully_defined):
-                yield from self._wait_bus_idle()
+                yield from self._wait_bus_idle(posedge)
                 continue
             address = ad.to_int()
             command = cbe.to_int()
@@ -150,33 +151,33 @@ class PciTarget(Module):
                 read_fn = lambda a: space.config_read(a & 0xFF)
                 write_fn = lambda a, d, e: space.config_write(a & 0xFF, d, e)
             else:
-                yield from self._wait_bus_idle()
+                yield from self._wait_bus_idle(posedge)
                 continue
             try:
                 yield from self._claimed_transaction(
-                    address, command, read_fn, write_fn
+                    address, command, read_fn, write_fn, posedge
                 )
             except _MasterWentIdle:
                 pass
             self.pins.release_all()
             self._drove_ad = False
 
-    def _wait_bus_idle(self):
+    def _wait_bus_idle(self, posedge):
         """Sit out a transaction addressed to someone else."""
         while True:
-            yield self.clk.posedge
+            yield posedge
             if self.bus.idle:
                 return
 
-    def _tick(self):
+    def _tick(self, posedge):
         """One clock: advance, fulfil parity duty, detect master abandon."""
-        yield self.clk.posedge
+        yield posedge
         self._parity_duty()
         if self.bus.idle:
             raise _MasterWentIdle()
 
     def _claimed_transaction(self, address: int, command: int, read_fn,
-                             write_fn):
+                             write_fn, posedge):
         pins = self.pins
         bus = self.bus
         self.transactions_claimed += 1
@@ -184,20 +185,20 @@ class PciTarget(Module):
 
         # DEVSEL# appears decode_latency clocks after the address phase.
         for __ in range(self.decode_latency - 1):
-            yield from self._tick()
+            yield from self._tick(posedge)
         pins.devsel_n.write(0)
 
         if self._retries_left > 0:
             self._retries_left -= 1
             self.retries_issued += 1
-            yield from self._terminate(retry=True)
+            yield from self._terminate(posedge, retry=True)
             return
         self._retries_left = self.retry_count
 
         if is_read:
             # Mandatory bus turnaround before the target may drive AD.
             pins.trdy_n.write(1)
-            yield from self._tick()
+            yield from self._tick(posedge)
 
         current_address = address
         words_done = 0
@@ -207,7 +208,7 @@ class PciTarget(Module):
                 if self._drove_ad:
                     pins.ad.release()
                     self._drove_ad = False
-                yield from self._tick()
+                yield from self._tick(posedge)
 
             stopping = (
                 self.disconnect_after is not None
@@ -223,13 +224,13 @@ class PciTarget(Module):
 
             # Wait for the transfer edge (IRDY# and TRDY# sampled low).
             while True:
-                yield from self._tick()
-                if is_asserted(bus.irdy_n.read()) and is_asserted(bus.trdy_n.read()):
+                yield from self._tick(posedge)
+                if is_asserted(bus.irdy_n._value) and is_asserted(bus.trdy_n._value):
                     break
-            frame_still = is_asserted(bus.frame_n.read())
+            frame_still = is_asserted(bus.frame_n._value)
             if not is_read:
-                data = bus.ad.read()
-                cbe = bus.cbe_n.read()
+                data = bus.ad._value
+                cbe = bus.cbe_n._value
                 if not data.is_fully_defined or not cbe.is_fully_defined:
                     raise ProtocolError(
                         f"{self.path}: write data phase with undefined AD/CBE "
@@ -243,14 +244,14 @@ class PciTarget(Module):
 
             if stopping:
                 self.disconnects_issued += 1
-                yield from self._terminate(retry=False)
+                yield from self._terminate(posedge, retry=False)
                 return
             if not frame_still:
                 # That was the final data phase; hand the bus back.
-                yield from self._final_parity()
+                yield from self._final_parity(posedge)
                 return
 
-    def _terminate(self, retry: bool):
+    def _terminate(self, posedge, retry: bool):
         """STOP# termination; hold STOP# until the master backs off."""
         pins = self.pins
         pins.trdy_n.write(1)
@@ -259,14 +260,12 @@ class PciTarget(Module):
             pins.ad.release()
             self._drove_ad = False
         while True:
-            yield self.clk.posedge
+            yield posedge
             self._parity_duty()
-            if is_deasserted(self.bus.frame_n.read()) and is_deasserted(
-                self.bus.irdy_n.read()
-            ):
+            if self.bus.idle:
                 return
 
-    def _final_parity(self):
+    def _final_parity(self, posedge):
         """One extra cycle to drive PAR for the last read data phase."""
         pins = self.pins
         pins.trdy_n.write(1)
@@ -274,7 +273,7 @@ class PciTarget(Module):
         if self._drove_ad:
             pins.ad.release()
             # The flag stays set so _parity_duty covers the final cycle.
-        yield self.clk.posedge
+        yield posedge
         self._parity_duty()
         self._drove_ad = False
 
@@ -283,8 +282,8 @@ class PciTarget(Module):
     def _parity_duty(self) -> None:
         """Drive PAR for the cycle that just ended if we owned AD in it."""
         if self._drove_ad:
-            ad = self.bus.ad.read()
-            cbe = self.bus.cbe_n.read()
+            ad = self.bus.ad._value
+            cbe = self.bus.cbe_n._value
             if ad.is_fully_defined and cbe.is_fully_defined:
                 self.pins.par.write(
                     parity_of(ad.to_int(), cbe.to_int(), self.bus.ad_width)

@@ -6,11 +6,14 @@ in two fidelities:
 * :class:`KernelCheckpoint` — a **passive state snapshot**: committed
   signal values (including per-driver contributions of resolved buses),
   deep copies of every shared-object state, and the done flags of all
-  processes. :func:`capture` takes one at a *quiescent* point (no
-  pending guarded calls); :func:`restore` pushes the state back into a
-  live simulator of the same hierarchy. Process program counters are
-  untouched — restore is for state-level recovery at transaction
-  boundaries, not time travel.
+  processes. A synthesized channel's payload wire carries its last
+  call's :class:`~repro.osss.request.MethodRequest`, whose done event
+  belongs to the kernel; the snapshot copies the request and shares
+  that event (:func:`_snapshot`). :func:`capture` takes one at a
+  *quiescent* point (no pending guarded calls); :func:`restore` pushes
+  the state back into a live simulator of the same hierarchy. Process
+  program counters are untouched — restore is for state-level recovery
+  at transaction boundaries, not time travel.
 
 * :class:`ReplayCheckpointer` — **full-fidelity rollback** by
   determinism: rebuild the platform from its builder and re-run it to
@@ -34,8 +37,22 @@ from collections import deque
 from ..errors import CheckpointError
 from ..hdl.resolved import ResolvedSignal
 from ..hdl.signal import Signal
+from ..osss.request import MethodRequest
 
 _PLAIN_TYPES = (int, float, str, bool, bytes, type(None))
+
+
+def _snapshot(value: object) -> object:
+    """An independent copy of a committed signal value.
+
+    A :class:`MethodRequest` gets a shallow copy: its done event (which
+    reaches the scheduler and its process generators) and its arguments
+    are shared, its outcome fields are frozen. Everything else is deep
+    copied.
+    """
+    if isinstance(value, MethodRequest):
+        return copy.copy(value)
+    return copy.deepcopy(value)
 
 
 def stable_content_hash(document: object) -> str:
@@ -176,7 +193,7 @@ def capture(sim: typing.Any, strict: bool = True) -> KernelCheckpoint:
                 for name in obj.driver_names
             }
         elif isinstance(obj, Signal):
-            checkpoint.signal_values[path] = copy.deepcopy(obj.read())
+            checkpoint.signal_values[path] = _snapshot(obj.read())
     for process in sim.scheduler.processes:
         checkpoint.process_done[process.name] = process.done
     return checkpoint
@@ -222,7 +239,7 @@ def restore(sim: typing.Any, checkpoint: KernelCheckpoint) -> None:
     for path, value in checkpoint.signal_values.items():
         signal = named[path]
         if signal.read() != value:
-            signal.force(copy.deepcopy(value))
+            signal.force(_snapshot(value))
     for path, contributions in checkpoint.driver_values.items():
         bus = typing.cast(ResolvedSignal, named[path])
         for name, contribution in contributions.items():

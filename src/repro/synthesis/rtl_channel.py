@@ -205,8 +205,11 @@ class RtlMethodChannel(Module):
         # Client-side mutexes (one outstanding call per hardware port).
         self._port_busy = [False] * n
         self._port_free = [self.event(f"port_free_{i}") for i in range(n)]
-        #: The calls whose clients sleep on their ``done_event``.
+        #: The calls whose clients sleep on their ``done_event``, and the
+        #: call each port issued last (what its client sleeps on, even
+        #: when a forced payload wire carries another request).
         self._sleepers: list[MethodRequest] = []
+        self._issued: list[MethodRequest | None] = [None] * n
         self._method_code_of = {m: k for k, m in enumerate(self.method_names)}
         self._method_codes = [0] * n
         self.call_log: list[ChannelCallRecord] = []
@@ -275,6 +278,7 @@ class RtlMethodChannel(Module):
                 priority=priority,
             )
             self.payload[index].write(request)
+            self._issued[index] = request
             self._method_codes[index] = self._method_code_of.get(method, 0)
             self.req[index].write(1)
             self.space.stats.total_requests += 1
@@ -377,9 +381,16 @@ class RtlMethodChannel(Module):
             self.idle_cycles += 1
             payload = self.payload
             for index, bit in enumerate(requests):
-                if bit and space.descriptor(
-                    payload[index].read().method
-                ).guard_true(space.state):
+                if not bit:
+                    continue
+                request = payload[index]._value
+                if not isinstance(request, MethodRequest):
+                    raise ProtocolError(
+                        f"{self.path}: port {index} "
+                        f"({self.client_paths[index]}) raised REQ but "
+                        f"payload_{index} holds no request ({request!r})"
+                    )
+                if space.descriptor(request.method).guard_true(space.state):
                     eligible.append(index)
             if eligible:
                 grant = self.policy.select(eligible)
@@ -398,10 +409,10 @@ class RtlMethodChannel(Module):
             if self._completed:
                 # The edge where the client's poll first samples DONE.
                 self._completed = False
-                current = self._current
-                if quiet and current in self._sleepers:
-                    self._sleepers.remove(current)
-                    current.done_event.notify()
+                issued = self._issued[self._grant]
+                if quiet and issued in self._sleepers:
+                    self._sleepers.remove(issued)
+                    issued.done_event.notify()
             if new_state == ST_IDLE:
                 self._release()
         if not quiet and self._sleepers:

@@ -130,6 +130,7 @@ class WishboneMaster(Module):
 
     def _engine(self):
         bus = self.bus
+        posedge = self.clk.posedge
         while True:
             if not self._queue:
                 yield self._op_available
@@ -160,14 +161,14 @@ class WishboneMaster(Module):
                     bus.we.write(0)
                 waited = 0
                 while True:
-                    yield self.clk.posedge
+                    yield posedge
                     if bus.err_active():
                         status = "bus_error"
                         self.errors_seen += 1
                         break
                     if bus.ack_active():
                         if not operation.is_write:
-                            value = bus.dat_r.read()
+                            value = bus.dat_r._value
                             if not value.is_fully_defined:
                                 raise ProtocolError(
                                     f"{self.path}: ACK with undefined DAT_R"
@@ -184,7 +185,7 @@ class WishboneMaster(Module):
                 # Phase done: deassert STB for one cycle (classic cycle with
                 # a gap keeps the simple slave's bookkeeping unambiguous).
                 bus.stb.write(0)
-                yield self.clk.posedge
+                yield posedge
             bus.cyc.write(0)
             bus.stb.write(0)
             operation.status = status

@@ -69,8 +69,9 @@ class WishboneMonitor(Module):
 
     def _watch(self):
         bus = self.bus
+        posedge = self.clk.posedge
         while True:
-            yield self.clk.posedge
+            yield posedge
             self.cycles_observed += 1
             request = bus.request_active()
             ack = bus.ack_active()
@@ -85,16 +86,16 @@ class WishboneMonitor(Module):
                 continue
             if not (ack or err):
                 continue
-            adr = bus.adr.read()
+            adr = bus.adr._value
             if not adr.is_fully_defined:
                 self._violation("termination with undefined ADR")
                 continue
-            is_write = bus.we.read().to_int_default(0) == 1
-            sel = bus.sel.read().to_int_default(bus.sel_mask)
+            is_write = bus.we._value.to_int_default(0) == 1
+            sel = bus.sel._value.to_int_default(bus.sel_mask)
             data: int | None = None
             if ack:
                 source = bus.dat_w if is_write else bus.dat_r
-                value = source.read()
+                value = source._value
                 if not value.is_fully_defined:
                     self._violation("ACK with undefined data")
                     continue

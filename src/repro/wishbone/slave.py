@@ -58,12 +58,13 @@ class WishboneSlave(Module):
 
     def _serve(self):
         bus = self.bus
+        posedge = self.clk.posedge
         while True:
-            yield self.clk.posedge
+            yield posedge
             if not bus.request_active():
                 self._release()
                 continue
-            adr = bus.adr.read()
+            adr = bus.adr._value
             if not adr.is_fully_defined or not self.decodes(adr.to_int()):
                 self._release()
                 continue
@@ -71,7 +72,7 @@ class WishboneSlave(Module):
             # Wait states before terminating the phase.
             aborted = False
             for __ in range(self.ack_latency):
-                yield self.clk.posedge
+                yield posedge
                 if not bus.request_active():
                     aborted = True
                     break
@@ -79,11 +80,11 @@ class WishboneSlave(Module):
                 self._release()
                 continue
             local = address - self.base
-            we = bus.we.read().to_int_default(0)
+            we = bus.we._value.to_int_default(0)
             try:
                 if we:
-                    sel = bus.sel.read().to_int_default(bus.sel_mask)
-                    data = bus.dat_w.read()
+                    sel = bus.sel._value.to_int_default(bus.sel_mask)
+                    data = bus.dat_w._value
                     if not data.is_fully_defined:
                         raise ProtocolError(
                             f"{self.path}: write with undefined DAT_W"
@@ -103,7 +104,7 @@ class WishboneSlave(Module):
                 self._dat_r.release()
                 self.errors_signalled += 1
             # Hold the termination for exactly one clock.
-            yield self.clk.posedge
+            yield posedge
             self._ack.write(0)
             self._err.write(0)
             self._dat_r.release()

@@ -98,12 +98,15 @@ _LETTERS = {"benign": "b", "detected": "d", "silent": "s", "error": "e"}
 
 #: Classification of every run of :func:`_wire_spec`, one letter per
 #: run id, as the interpreted backend classified them before the two
-#: backends shared a channel core. The one change since: run 14 at seed
-#: 55 (a glitch on ``done_1`` before any result was written) raised a
-#: ``TypeError`` in the client (``e``) and now raises a ProtocolError
-#: naming the port (``d``).
+#: backends shared a channel core. Two changes since, each a broken
+#: handshake that crashed the channel with a Python error (``e``) and
+#: now raises a ProtocolError naming the port (``d``): run 14 at seed
+#: 55, a glitch on ``done_1`` before any result was written (the
+#: client indexed the wire's initial value), and run 2 at seed 11, a
+#: glitch raising ``req_1`` before port 1 ever issued (the server read
+#: ``payload_1``'s initial ``False`` as a request).
 WIRE_CLASSIFICATIONS = {
-    11: "bbebbdbbbbbbbbbbbbbbddddbbbbbbbbbddbbbbbbsbsdbbbbbbbbdddddbb",
+    11: "bbdbbdbbbbbbbbbbbbbbddddbbbbbbbbbddbbbbbbsbsdbbbbbbbbdddddbb",
     55: "bsdbbbbbbbbbbbdbbsbbbddddbbbbbbbbdddbdbbbbsbdsbbbbbbbsbbbdbb",
 }
 
@@ -182,6 +185,34 @@ class TestDoneSampledWithoutResult:
         run = runs[14]
         assert (run.kind, run.target_path, run.window) == (
             "glitch", f"{CHANNEL}.done_1", (454689024, 578589024),
+        )
+        outcome = execute_run(spec, run, golden)
+        assert outcome.classification == "detected"
+        assert "ProtocolError" in outcome.detail
+
+
+class TestRequestWithoutPayload:
+    """A glitch raises ``req_1`` before port 1 ever issued a call: the
+    server reports the broken handshake instead of reading the payload
+    wire's initial value as a request."""
+
+    WINDOW = (58252074, 198952074)
+
+    @pytest.mark.parametrize("backend", ["interpreted", "compiled"])
+    def test_server_raises_protocol_error_naming_the_port(self, backend):
+        bundle = build_campaign_platform(_wire_spec(11, backend))
+        TransientGlitchFault(
+            f"{CHANNEL}.req_1", window=self.WINDOW, value=1,
+        ).arm(bundle.handle.sim)
+        with pytest.raises(ProtocolError, match="port 1 .* payload_1"):
+            bundle.run(200_000 * NS)
+
+    def test_campaign_run_classifies_detected(self):
+        spec = _wire_spec(11, "interpreted")
+        golden, runs = plan_campaign(spec)
+        run = runs[2]
+        assert (run.kind, run.target_path, run.window) == (
+            "glitch", f"{CHANNEL}.req_1", self.WINDOW,
         )
         outcome = execute_run(spec, run, golden)
         assert outcome.classification == "detected"

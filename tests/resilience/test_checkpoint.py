@@ -7,6 +7,7 @@ import pytest
 from repro.core.command import CommandType
 from repro.errors import CheckpointError
 from repro.flow.platforms import PciPlatformConfig, build_platform
+from repro.hdl import Clock
 from repro.hdl.module import Module
 from repro.kernel.process import Timeout
 from repro.kernel.simtime import MS, NS, US
@@ -14,6 +15,7 @@ from repro.kernel.simulator import Simulator
 from repro.osss.global_object import GlobalObject
 from repro.osss.guarded_method import guarded_method
 from repro.resilience import ReplayCheckpointer, capture, restore
+from repro.synthesis import SynthesisConfig, synthesize_communication
 from repro.trace.vcd import VcdTracer
 
 
@@ -160,6 +162,60 @@ class TestCaptureRestore:
         _Different(other, "top")
         with pytest.raises(CheckpointError, match="missing"):
             restore(other, checkpoint)
+
+
+class _Total:
+    def __init__(self):
+        self.total = 0
+
+    @guarded_method()
+    def add(self, amount):
+        self.total += amount
+        return self.total
+
+
+class _Adder(Module):
+    """One guarded call every microsecond; quiescent in between."""
+
+    def __init__(self, parent, name):
+        super().__init__(parent, name)
+        self.acc = GlobalObject(self, "acc", _Total)
+        self.results = []
+        self.thread(self._work, "work")
+
+    def _work(self):
+        while True:
+            yield Timeout(1 * US)
+            total = yield from self.acc.add(1)
+            self.results.append(total)
+
+
+class TestSynthesizedChannel:
+    def test_roundtrip_with_requests_on_the_wires(self):
+        """The payload wire carries the last call's request, whose done
+        event reaches the kernel's generators: the checkpoint copies the
+        request and shares the event, and calls go on after a restore."""
+        sim = Simulator()
+        clock = Clock(sim, "clock", period=10 * NS)
+        top = _Adder(sim, "top")
+        synthesis = synthesize_communication(
+            sim, clock.clk, SynthesisConfig(emit_hdl=False)
+        )
+        payload = synthesis.groups[0].channel.payload[0]
+        sim.run(int(5.5 * US))
+        issued = payload.read()
+        checkpoint = sim.checkpoint()
+        saved = checkpoint.signal_values[payload.name]
+        assert saved is not issued and saved.done_event is issued.done_event
+        assert (saved.method, saved.args, saved.result) == ("add", (1,), 5)
+        sim.run(4 * US)
+        assert top.acc.state.total == 9
+        sim.restore(checkpoint)
+        assert top.acc.state.total == 5
+        assert payload.read() is not saved
+        assert payload.read().result == 5
+        sim.run(2 * US)
+        assert top.results == [1, 2, 3, 4, 5, 6, 7, 8, 9, 6, 7]
 
 
 _COMMANDS = [

@@ -194,6 +194,21 @@ def sleeping_time():
 
 
 @pytest.fixture(scope="module")
+def called_time():
+    """The first posedge after a call completed: the channel's wires
+    carry requests."""
+    return _first_time(lambda channel: bool(channel.call_log))
+
+
+@pytest.fixture(scope="module")
+def blocked_after_call_time():
+    return _first_time(
+        lambda channel: bool(channel.call_log) and _blocked_with_request(channel),
+        hold=3,
+    )
+
+
+@pytest.fixture(scope="module")
 def sleeping_port(sleeping_time):
     sim, channel, __ = _build()
     sim.run(sleeping_time)
@@ -327,7 +342,12 @@ class TestOutOfBandState:
         )
 
     @pytest.mark.parametrize("backend", BACKENDS)
-    def test_checkpoint_restore(self, backend, blocked_time):
+    def test_checkpoint_restore(
+        self, backend, called_time, blocked_after_call_time
+    ):
+        """The restore reopens the gate and puts the captured requests
+        back on the payload wires, while the clients sleep on later
+        calls of their own."""
         saved = {}
 
         def capture(sim, channel):
@@ -336,9 +356,12 @@ class TestOutOfBandState:
         def restore(sim, channel):
             sim.restore(saved["checkpoint"])
 
-        _same_as_polling(
-            [(1 * NS, capture), (blocked_time, restore)], backend
+        outcome = _same_as_polling(
+            [(called_time, capture), (blocked_after_call_time, restore)],
+            backend,
         )
+        assert outcome["error"] is None
+        assert outcome["results"] != _outcome(True, [], backend)["results"]
 
 
 class TestActivationObserver:
