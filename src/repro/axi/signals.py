@@ -19,11 +19,9 @@ stay released, which the monitor checks.
 from __future__ import annotations
 
 from ..errors import ProtocolError
-from ..hdl.bitvector import BITS, LogicVector
+from ..hdl.bitvector import is_one
 from ..hdl.module import Module
 from ..kernel.simulator import Simulator
-
-ZERO, ONE = BITS
 
 #: AXI response encodings (BRESP/RRESP).
 RESP_OKAY = 0b00
@@ -43,17 +41,8 @@ DATA_WIDTH = 32
 ADDR_WIDTH = 32
 
 
-def high(value: LogicVector) -> bool:
-    """Sampled high: fully driven to 1 (released rails read as low).
-
-    The shared width-1 vectors answer by identity; any other value (a
-    released rail, a forced or faulted wire) takes the full check.
-    """
-    if value is ONE:
-        return True
-    if value is ZERO:
-        return False
-    return value.is_fully_defined and value.to_int() == 1
+#: Sampled high: fully driven to 1 (released rails read as low).
+high = is_one
 
 
 class AxiLiteBus(Module):

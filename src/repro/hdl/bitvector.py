@@ -399,6 +399,32 @@ class LogicVector:
 #: The width-1 vectors for int writes of 0 and 1, shared by every
 #: signal and bus driver (vectors are immutable, so sharing is invisible).
 BITS = (LogicVector(1, 0), LogicVector(1, 1))
+_ZERO, _ONE = BITS
+
+
+def is_one(value: LogicVector) -> bool:
+    """Sampled 1: every bit driven and the value 1 (X or Z reads as not 1).
+
+    The shared :data:`BITS` vectors answer by identity; any other value
+    (a released rail, a forced or faulted wire) takes the full check.
+    """
+    if value is _ONE:
+        return True
+    if value is _ZERO:
+        return False
+    return value.is_fully_defined and value.to_int() == 1
+
+
+def is_zero(value: LogicVector) -> bool:
+    """Sampled 0: every bit driven and the value 0 (X or Z reads as not 0).
+
+    Tested like :func:`is_one`: the shared vectors by identity first.
+    """
+    if value is _ZERO:
+        return True
+    if value is _ONE:
+        return False
+    return value.is_fully_defined and value.to_int() == 0
 
 
 def _masks_from_char(char: str) -> tuple[int, int, int]:

@@ -91,10 +91,11 @@ class Clock(Module):
         A falling edge that triggers nothing (``clk`` has no ``changed``
         or ``negedge`` event; the scheduler calls this hook only while
         no kernel probe kind, ``signal.commit`` included, is observed)
-        is fused into the next rising edge when no timer and no run
-        deadline falls before that edge. The call then counts the
-        falling edge's delta, moves the time on to the rising edge and
-        runs it: one time step per cycle. It leaves the low level
+        is fused into the next rising edge when the scheduler can skip
+        to that edge (:meth:`~repro.kernel.scheduler.Scheduler._skip_to`:
+        no timer due by then, no run end before it). The skip counts the
+        falling edge's delta and moves the time on; the call then runs
+        the rising edge: one time step per cycle. It leaves the low level
         uncommitted, as nothing could read it before the rising edge.
         """
         clk = self.clk
@@ -106,16 +107,13 @@ class Clock(Module):
         ):
             return False
         scheduler = self.sim.scheduler
-        if high and clk._changed is None and clk._negedge is None:
-            rise = scheduler._time + self.low_time
-            timed = scheduler._timed
-            deadline = scheduler._deadline
-            if (not timed or timed[0][0] > rise) and (
-                deadline is None or rise <= deadline
-            ):
-                scheduler._delta_count += 1
-                scheduler._time = rise
-                high = False
+        if (
+            high
+            and clk._changed is None
+            and clk._negedge is None
+            and scheduler._skip_to(scheduler._time + self.low_time)
+        ):
+            high = False
         self._high = high = not high
         # Inline edges run only while event.notify is unobserved, so the
         # re-arm records no notify cause.

@@ -20,9 +20,8 @@ carrying an ``_inline`` hook (a clock's) and no kernel probe kind has a
 subscriber, the hook runs that instant's first delta itself; the delta
 is counted as if the woken process had run. A clock's hook may go
 further and run a falling edge that nothing observes together with the
-next rising edge (:meth:`repro.hdl.clock.Clock._inline_edge`); it reads
-the heap and :attr:`Scheduler._deadline` to see that nothing else is due
-in between.
+next rising edge (:meth:`repro.hdl.clock.Clock._inline_edge`), when
+:meth:`Scheduler._skip_to` finds nothing else due in between.
 """
 
 from __future__ import annotations
@@ -202,6 +201,25 @@ class Scheduler:
         while timed and timed[0][0] == next_time:
             heapq.heappop(timed)[2]._trigger()
         return 0
+
+    def _skip_to(self, time: int) -> bool:
+        """Let an inline hook end its step at the later instant *time*.
+
+        Declines (returns False, changing nothing) when a timer is due at
+        or before *time* or the current run ends before it. Otherwise
+        counts the delta the hook's elided instant would have run, moves
+        the time on to *time* and returns True; the hook then runs that
+        instant's first delta, which :meth:`_advance_to` counts.
+        """
+        timed = self._timed
+        if timed and timed[0][0] <= time:
+            return False
+        deadline = self._deadline
+        if deadline is not None and deadline < time:
+            return False
+        self._delta_count += 1
+        self._time = time
+        return True
 
     def _run_delta_cycles(self, deltas_this_step: int = 0) -> None:
         runnable = self._runnable

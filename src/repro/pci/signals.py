@@ -12,27 +12,15 @@ the behaviour the bus pull-ups give on real hardware.
 
 from __future__ import annotations
 
-from ..hdl.bitvector import BITS, LogicVector
+from ..hdl.bitvector import LogicVector, is_zero
 from ..hdl.module import Module
 from ..hdl.resolved import ResolvedSignal
 from ..hdl.signal import Signal
 from ..kernel.simulator import Simulator
 from .constants import AD_WIDTH, byte_enable_mask, cbe_width_for, data_mask
 
-ZERO, ONE = BITS
-
-
-def is_asserted(value: LogicVector) -> bool:
-    """Active-low control line sampled asserted (driven to 0).
-
-    The shared width-1 vectors answer by identity; any other value (a
-    released line, a forced or faulted wire) takes the full check.
-    """
-    if value is ZERO:
-        return True
-    if value is ONE:
-        return False
-    return value.is_fully_defined and value.to_int() == 0
+#: Active-low control line sampled asserted (driven to 0).
+is_asserted = is_zero
 
 
 def is_deasserted(value: LogicVector) -> bool:

@@ -8,8 +8,8 @@ in two fidelities:
   deep copies of every shared-object state, and the done flags of all
   processes. A synthesized channel's payload wire carries its last
   call's :class:`~repro.osss.request.MethodRequest`, whose done event
-  belongs to the kernel; the snapshot copies the request and shares
-  that event (:func:`_snapshot`). :func:`capture` takes one at a
+  belongs to the kernel; the snapshot deep copies the request but
+  shares that event (:func:`_snapshot`). :func:`capture` takes one at a
   *quiescent* point (no pending guarded calls); :func:`restore` pushes
   the state back into a live simulator of the same hierarchy. Process
   program counters are untouched — restore is for state-level recovery
@@ -45,13 +45,13 @@ _PLAIN_TYPES = (int, float, str, bool, bytes, type(None))
 def _snapshot(value: object) -> object:
     """An independent copy of a committed signal value.
 
-    A :class:`MethodRequest` gets a shallow copy: its done event (which
-    reaches the scheduler and its process generators) and its arguments
-    are shared, its outcome fields are frozen. Everything else is deep
-    copied.
+    A :class:`MethodRequest` is deep copied except for its done event,
+    which reaches the scheduler and its process generators and is
+    shared: later changes to the live call (its outcome, an argument a
+    consumer tags) do not reach the copy.
     """
     if isinstance(value, MethodRequest):
-        return copy.copy(value)
+        return copy.deepcopy(value, {id(value.done_event): value.done_event})
     return copy.deepcopy(value)
 
 

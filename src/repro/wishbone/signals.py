@@ -14,11 +14,10 @@ ERR. Keeping CYC asserted across consecutive STBs forms a burst.
 from __future__ import annotations
 
 from ..errors import ProtocolError
-from ..hdl.bitvector import BITS
+from ..hdl.bitvector import is_one
 from ..hdl.module import Module
 from ..kernel.simulator import Simulator
 
-ZERO, ONE = BITS
 
 #: Default width of the address and data paths (elaboration defaults;
 #: a parameterized bus derives SEL width and masks from its own widths).
@@ -76,35 +75,13 @@ class WishboneBus(Module):
         self.dat_r = self.resolved_signal("dat_r", data_width)
 
     # -- sampling helpers (committed values as of the clock edge) ---------
-    #
-    # Each tests the shared width-1 vectors by identity first; any other
-    # value (a released rail, a forced or faulted wire) takes the full
-    # check.
 
     def request_active(self) -> bool:
         """CYC and STB both sampled high."""
-        cyc = self.cyc._value
-        if cyc is ZERO or (cyc is not ONE and cyc.to_int_default(0) != 1):
-            return False
-        stb = self.stb._value
-        if stb is ONE:
-            return True
-        if stb is ZERO:
-            return False
-        return stb.to_int_default(0) == 1
+        return is_one(self.cyc._value) and is_one(self.stb._value)
 
     def ack_active(self) -> bool:
-        value = self.ack._value
-        if value is ONE:
-            return True
-        if value is ZERO:
-            return False
-        return value.is_fully_defined and value.to_int() == 1
+        return is_one(self.ack._value)
 
     def err_active(self) -> bool:
-        value = self.err._value
-        if value is ONE:
-            return True
-        if value is ZERO:
-            return False
-        return value.is_fully_defined and value.to_int() == 1
+        return is_one(self.err._value)

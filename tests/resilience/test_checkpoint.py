@@ -164,13 +164,20 @@ class TestCaptureRestore:
             restore(other, checkpoint)
 
 
+class _Amount:
+    """A mutable call argument, like a command a consumer tags later."""
+
+    def __init__(self, value):
+        self.value = value
+
+
 class _Total:
     def __init__(self):
         self.total = 0
 
     @guarded_method()
     def add(self, amount):
-        self.total += amount
+        self.total += amount.value
         return self.total
 
 
@@ -186,7 +193,7 @@ class _Adder(Module):
     def _work(self):
         while True:
             yield Timeout(1 * US)
-            total = yield from self.acc.add(1)
+            total = yield from self.acc.add(_Amount(1))
             self.results.append(total)
 
 
@@ -194,7 +201,8 @@ class TestSynthesizedChannel:
     def test_roundtrip_with_requests_on_the_wires(self):
         """The payload wire carries the last call's request, whose done
         event reaches the kernel's generators: the checkpoint copies the
-        request and shares the event, and calls go on after a restore."""
+        request and its arguments and shares only the event, and calls
+        go on after a restore."""
         sim = Simulator()
         clock = Clock(sim, "clock", period=10 * NS)
         top = _Adder(sim, "top")
@@ -207,13 +215,23 @@ class TestSynthesizedChannel:
         checkpoint = sim.checkpoint()
         saved = checkpoint.signal_values[payload.name]
         assert saved is not issued and saved.done_event is issued.done_event
-        assert (saved.method, saved.args, saved.result) == ("add", (1,), 5)
+        assert saved.args is not issued.args
+        assert saved.args[0] is not issued.args[0]
+        assert saved.kwargs is not issued.kwargs
+        # A consumer tagging the live call's argument after the capture
+        # leaves the checkpoint as it was taken.
+        issued.args[0].txn_id = "late"
+        issued.kwargs["late"] = True
+        assert not hasattr(saved.args[0], "txn_id") and saved.kwargs == {}
+        assert (saved.method, saved.args[0].value, saved.result) == ("add", 1, 5)
         sim.run(4 * US)
         assert top.acc.state.total == 9
         sim.restore(checkpoint)
         assert top.acc.state.total == 5
-        assert payload.read() is not saved
-        assert payload.read().result == 5
+        restored = payload.read()
+        assert restored is not saved and restored.args[0] is not saved.args[0]
+        assert restored.done_event is saved.done_event
+        assert restored.result == 5 and not hasattr(restored.args[0], "txn_id")
         sim.run(2 * US)
         assert top.results == [1, 2, 3, 4, 5, 6, 7, 8, 9, 6, 7]
 
