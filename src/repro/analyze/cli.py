@@ -14,17 +14,12 @@ is non-zero when any error-severity finding survives.
 from __future__ import annotations
 
 import argparse
-import runpy
 import sys
 import typing
 
-from ..lint.engine import (
-    LintConfig,
-    LintRuleError,
-    default_registry,
-    validate_suppressions,
-)
+from ..lint.cli import add_suppression_arguments, config_from_args, emit_report
 from ..lint.sarif import render_sarif
+from ..script_runner import add_script_arguments, run_script
 from ..synthesis.tool import set_synthesis_sink
 from .passes import AnalysisReport, analyze_design
 
@@ -34,25 +29,7 @@ if typing.TYPE_CHECKING:  # pragma: no cover - import cycle guard
 
 
 def add_arguments(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument(
-        "script",
-        help="Python script to execute under the analyzer "
-             "(e.g. examples/pci_system.py)",
-    )
-    parser.add_argument(
-        "script_args",
-        nargs=argparse.REMAINDER,
-        help="arguments passed through to the script",
-    )
-    parser.add_argument(
-        "--strict", action="store_true",
-        help="treat warnings as errors",
-    )
-    parser.add_argument(
-        "--suppress", action="append", default=[], metavar="RULE[@GLOB]",
-        help="suppress a rule, optionally limited to paths matching the "
-             "glob (repeatable, comma-separable)",
-    )
+    add_suppression_arguments(parser)
     parser.add_argument(
         "--format", choices=("table", "json", "sarif"), default="table",
         help="output format (default table)",
@@ -65,32 +42,12 @@ def add_arguments(parser: argparse.ArgumentParser) -> None:
         "--schedule", action="store_true",
         help="dump the levelized evaluation schedule of every netlist",
     )
-    parser.add_argument(
-        "--quiet-script", action="store_true",
-        help="suppress the analyzed script's stdout",
+    add_script_arguments(
+        parser,
+        "Python script to execute under the analyzer "
+        "(e.g. examples/pci_system.py)",
+        "suppress the analyzed script's stdout",
     )
-
-
-def _split_suppressions(entries: typing.Iterable[str]) -> list[str]:
-    result: list[str] = []
-    for entry in entries:
-        result.extend(part for part in entry.split(",") if part.strip())
-    return result
-
-
-def _run_script(script: str, script_args: list[str], quiet: bool) -> None:
-    saved_argv = sys.argv
-    sys.argv = [script, *script_args]
-    saved_stdout = sys.stdout
-    if quiet:
-        import io
-
-        sys.stdout = io.StringIO()
-    try:
-        runpy.run_path(script, run_name="__main__")
-    finally:
-        sys.stdout = saved_stdout
-        sys.argv = saved_argv
 
 
 def _render_table(reports: list[AnalysisReport], show_schedule: bool) -> str:
@@ -119,20 +76,8 @@ def _render_table(reports: list[AnalysisReport], show_schedule: bool) -> str:
 
 
 def run(args: argparse.Namespace) -> int:
-    entries = _split_suppressions(args.suppress)
-    try:
-        unknown = validate_suppressions(entries)
-        if unknown:
-            known = sorted(r.rule_id for r in default_registry.rules())
-            print(
-                "error: unknown rule in --suppress: "
-                + ", ".join(repr(u) for u in unknown)
-                + f" (known ids: {', '.join(known)})"
-            )
-            return 2
-        config = LintConfig(suppress=entries, strict=args.strict)
-    except LintRuleError as exc:
-        print(f"error: {exc}")
+    config = config_from_args(args)
+    if config is None:
         return 2
 
     captured: "list[tuple[Simulator, SynthesisResult]]" = []
@@ -140,7 +85,7 @@ def run(args: argparse.Namespace) -> int:
         lambda sim, result: captured.append((sim, result))
     )
     try:
-        _run_script(args.script, args.script_args, args.quiet_script)
+        run_script(args)
     finally:
         set_synthesis_sink(previous)
 
@@ -164,13 +109,7 @@ def run(args: argparse.Namespace) -> int:
         text = json.dumps([r.to_dict() for r in reports], indent=2)
     else:
         text = _render_table(reports, args.schedule)
-    if args.output:
-        with open(args.output, "w", encoding="utf-8") as handle:
-            handle.write(text + "\n")
-        for report in reports:
-            print(report.summary_line())
-    else:
-        print(text)
+    emit_report(text, args.output, reports)
     return 1 if any(r.has_errors for r in reports) else 0
 
 

@@ -10,7 +10,7 @@ parameterized interface-element library is meant to absorb.
 """
 
 from .interface import AxiLiteBusInterface, AxiLiteFunctionalInterface
-from .master import AxiLiteMaster, AxiLiteOperation
+from .master import AxiLiteMaster
 from .monitor import AxiLiteMonitor, AxiLiteTransfer
 from .signals import (
     RESP_DECERR,
@@ -28,7 +28,6 @@ __all__ = [
     "AxiLiteFunctionalInterface",
     "AxiLiteMaster",
     "AxiLiteMonitor",
-    "AxiLiteOperation",
     "AxiLiteSlave",
     "AxiLiteTransfer",
     "RESP_DECERR",

@@ -9,14 +9,13 @@ command loop drives the pin-level AXI4-Lite master. The element pair
 
 from __future__ import annotations
 
-from ..core.command import CommandType
 from ..core.functional_interface import FunctionalBusInterface
 from ..hdl.module import Module
 from ..hdl.signal import Signal
 from ..iface.element import InterfaceElement
 from ..iface.params import IfaceParams
 from ..osss.arbiter import Arbiter
-from .master import AxiLiteMaster, AxiLiteOperation
+from .master import AxiLiteMaster
 from .signals import AxiLiteBus
 
 
@@ -47,21 +46,6 @@ class AxiLiteBusInterface(InterfaceElement):
         self.clk = clk
         self.master = AxiLiteMaster(self, "master", bus, clk)
         self.thread(self._dispatch, "dispatch")
-
-    def _operation(self, command: CommandType) -> AxiLiteOperation:
-        strb_bits = self.bus.strb_width
-        if command.is_write:
-            operation = AxiLiteOperation.write(
-                command.address, command.data, strb=command.byte_enables,
-                strb_bits=strb_bits,
-            )
-        else:
-            operation = AxiLiteOperation.read(
-                command.address, count=command.count,
-                strb=command.byte_enables, strb_bits=strb_bits,
-            )
-        operation.corr_id = command.corr_id
-        return operation
 
 
 class AxiLiteFunctionalInterface(FunctionalBusInterface):

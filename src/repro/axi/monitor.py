@@ -4,11 +4,12 @@ from __future__ import annotations
 
 from collections import deque
 
-from ..errors import ProtocolError
+from ..hdl.bitvector import is_one
 from ..hdl.module import Module
 from ..hdl.signal import Signal
+from ..iface.agent import BusMonitor
 from ..instrument.probes import TRANSACTION_END, new_txn_id
-from .signals import RESP_EXOKAY, RESP_NAMES, AxiLiteBus, high
+from .signals import RESP_EXOKAY, RESP_NAMES, AxiLiteBus
 
 
 class AxiLiteTransfer:
@@ -37,13 +38,13 @@ class AxiLiteTransfer:
                 f"data={self.data!r} [{resp}])")
 
 
-class AxiLiteMonitor(Module):
+class AxiLiteMonitor(BusMonitor):
     """Watches the five channels; checks the basic handshake rules.
 
     Address/data payloads are captured at their own channel handshakes
     and matched to the eventual B/R completion, so a response with no
     preceding request is caught, as is payload instability while VALID
-    is held.
+    is held. Each VALID and READY wire is sampled at most once per edge.
     """
 
     def __init__(
@@ -54,27 +55,13 @@ class AxiLiteMonitor(Module):
         clk: Signal,
         strict: bool = True,
     ) -> None:
-        super().__init__(parent, name)
-        self.bus = bus
-        self.clk = clk
-        self.strict = strict
+        super().__init__(parent, name, bus, clk, strict)
         self.transfers: list[AxiLiteTransfer] = []
-        self.violations: list[str] = []
-        self.cycles_observed = 0
-        self.busy_cycles = 0
         self._pending_aw: deque[int] = deque()
         self._pending_w: deque[tuple[int, int]] = deque()
         self._pending_ar: deque[int] = deque()
         self._held_awaddr: int | None = None
         self._held_araddr: int | None = None
-        self.thread(self._watch, "watch")
-
-    def _violation(self, message: str) -> None:
-        text = f"{self.sim.time_str()}: {message}"
-        self.violations.append(text)
-        self.sim.report_detection(self.path, text)
-        if self.strict:
-            raise ProtocolError(f"{self.path}: {text}")
 
     def signatures(self) -> list[tuple]:
         return [t.signature() for t in self.transfers]
@@ -92,46 +79,51 @@ class AxiLiteMonitor(Module):
         while True:
             yield posedge
             self.cycles_observed += 1
-            if (high(bus.awvalid._value) or high(bus.wvalid._value)
-                    or high(bus.arvalid._value)):
+            awvalid = is_one(bus.awvalid._value)
+            wvalid = is_one(bus.wvalid._value)
+            arvalid = is_one(bus.arvalid._value)
+            if awvalid or wvalid or arvalid:
                 self.busy_cycles += 1
-            self._check_stability()
-            if bus.aw_handshake():
+            # A READY counts only under its VALID.
+            aw = awvalid and is_one(bus.awready._value)
+            ar = arvalid and is_one(bus.arready._value)
+            self._check_stability(awvalid and not aw, arvalid and not ar)
+            if aw:
                 addr = bus.awaddr._value
                 if not addr.is_fully_defined:
                     self._violation("AW handshake with undefined AWADDR")
                     continue
                 self._pending_aw.append(addr.to_int())
                 self._held_awaddr = None
-            if bus.w_handshake():
+            if wvalid and is_one(bus.wready._value):
                 data = bus.wdata._value
                 strb = bus.wstrb._value.to_int_default(bus.strb_mask)
                 self._pending_w.append(
                     (data.to_int() if data.is_fully_defined else None, strb)
                 )
-            if bus.ar_handshake():
+            if ar:
                 addr = bus.araddr._value
                 if not addr.is_fully_defined:
                     self._violation("AR handshake with undefined ARADDR")
                     continue
                 self._pending_ar.append(addr.to_int())
                 self._held_araddr = None
-            if bus.b_handshake():
+            if is_one(bus.bvalid._value) and is_one(bus.bready._value):
                 self._complete_write()
-            if bus.r_handshake():
+            if is_one(bus.rvalid._value) and is_one(bus.rready._value):
                 self._complete_read()
 
-    def _check_stability(self) -> None:
+    def _check_stability(self, aw_waiting: bool, ar_waiting: bool) -> None:
         """Payload wires must hold steady while VALID awaits READY."""
         bus = self.bus
-        if high(bus.awvalid._value) and not high(bus.awready._value):
+        if aw_waiting:
             addr = bus.awaddr._value.to_int_default(None)
             if self._held_awaddr is not None and addr != self._held_awaddr:
                 self._violation("AWADDR changed while AWVALID held")
             self._held_awaddr = addr
         else:
             self._held_awaddr = None
-        if high(bus.arvalid._value) and not high(bus.arready._value):
+        if ar_waiting:
             addr = bus.araddr._value.to_int_default(None)
             if self._held_araddr is not None and addr != self._held_araddr:
                 self._violation("ARADDR changed while ARVALID held")

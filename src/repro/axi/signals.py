@@ -19,7 +19,6 @@ stay released, which the monitor checks.
 from __future__ import annotations
 
 from ..errors import ProtocolError
-from ..hdl.bitvector import is_one
 from ..hdl.module import Module
 from ..kernel.simulator import Simulator
 
@@ -39,10 +38,6 @@ RESP_NAMES = {
 #: Default elaboration widths.
 DATA_WIDTH = 32
 ADDR_WIDTH = 32
-
-
-#: Sampled high: fully driven to 1 (released rails read as low).
-high = is_one
 
 
 class AxiLiteBus(Module):
@@ -98,20 +93,3 @@ class AxiLiteBus(Module):
         self.rdata = self.resolved_signal("rdata", data_width)
         self.rresp = self.resolved_signal("rresp", 2)
         self.rready = self.signal("rready", width=1, init=0)
-
-    # -- sampling helpers (committed values as of the clock edge) ---------
-
-    def aw_handshake(self) -> bool:
-        return high(self.awvalid._value) and high(self.awready._value)
-
-    def w_handshake(self) -> bool:
-        return high(self.wvalid._value) and high(self.wready._value)
-
-    def b_handshake(self) -> bool:
-        return high(self.bvalid._value) and high(self.bready._value)
-
-    def ar_handshake(self) -> bool:
-        return high(self.arvalid._value) and high(self.arready._value)
-
-    def r_handshake(self) -> bool:
-        return high(self.rvalid._value) and high(self.rready._value)

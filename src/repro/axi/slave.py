@@ -3,11 +3,11 @@
 from __future__ import annotations
 
 from ..errors import ProtocolError
-from ..hdl.bitvector import LogicVector
+from ..hdl.bitvector import LogicVector, is_one
 from ..hdl.module import Module
 from ..hdl.signal import Signal
 from ..tlm.interfaces import TlmTarget
-from .signals import RESP_OKAY, RESP_SLVERR, AxiLiteBus, high
+from .signals import RESP_OKAY, RESP_SLVERR, AxiLiteBus
 
 
 class AxiLiteSlave(Module):
@@ -67,9 +67,9 @@ class AxiLiteSlave(Module):
         posedge = self.clk.posedge
         while True:
             yield posedge
-            aw = high(bus.awvalid._value)
-            w = high(bus.wvalid._value)
-            ar = high(bus.arvalid._value)
+            aw = is_one(bus.awvalid._value)
+            w = is_one(bus.wvalid._value)
+            ar = is_one(bus.arvalid._value)
             if aw and w:
                 addr = bus.awaddr._value
                 if addr.is_fully_defined and self.decodes(addr.to_int()):
@@ -84,7 +84,7 @@ class AxiLiteSlave(Module):
         bus = self.bus
         for __ in range(self.accept_latency):
             yield posedge
-            if not high(bus.awvalid._value):
+            if not is_one(bus.awvalid._value):
                 return
         data = bus.wdata._value
         strb = bus.wstrb._value.to_int_default(bus.strb_mask)
@@ -107,7 +107,7 @@ class AxiLiteSlave(Module):
         self._bresp.write(LogicVector(2, resp))
         while True:
             yield posedge
-            if high(bus.bready._value):
+            if is_one(bus.bready._value):
                 break
         self._bvalid.release()
         self._bresp.release()
@@ -116,7 +116,7 @@ class AxiLiteSlave(Module):
         bus = self.bus
         for __ in range(self.accept_latency):
             yield posedge
-            if not high(bus.arvalid._value):
+            if not is_one(bus.arvalid._value):
                 return
         self._arready.write(1)
         yield posedge
@@ -134,7 +134,7 @@ class AxiLiteSlave(Module):
         self._rresp.write(LogicVector(2, resp))
         while True:
             yield posedge
-            if high(bus.rready._value):
+            if is_one(bus.rready._value):
                 break
         self._rvalid.release()
         self._rdata.release()

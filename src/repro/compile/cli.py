@@ -15,11 +15,11 @@ Verilog.
 from __future__ import annotations
 
 import argparse
-import runpy
 import sys
 import typing
 
 from ..core.workload import _Lcg
+from ..script_runner import add_script_arguments, run_script
 from ..synthesis.tool import set_synthesis_sink
 from .codegen import CodegenError, CompiledNetlist, compile_module
 from .yosys import emit_yosys_script
@@ -30,16 +30,6 @@ if typing.TYPE_CHECKING:  # pragma: no cover - import cycle guard
 
 
 def add_arguments(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument(
-        "script",
-        help="Python script to execute under the compiler "
-             "(e.g. examples/pci_system.py)",
-    )
-    parser.add_argument(
-        "script_args",
-        nargs=argparse.REMAINDER,
-        help="arguments passed through to the script",
-    )
     parser.add_argument(
         "--dump", action="store_true",
         help="print the generated Python source of every netlist",
@@ -58,25 +48,12 @@ def add_arguments(parser: argparse.ArgumentParser) -> None:
         help="also emit the Yosys synthesis script for the netlists' "
              "generated Verilog",
     )
-    parser.add_argument(
-        "--quiet-script", action="store_true",
-        help="suppress the compiled script's stdout",
+    add_script_arguments(
+        parser,
+        "Python script to execute under the compiler "
+        "(e.g. examples/pci_system.py)",
+        "suppress the compiled script's stdout",
     )
-
-
-def _run_script(script: str, script_args: list[str], quiet: bool) -> None:
-    saved_argv = sys.argv
-    sys.argv = [script, *script_args]
-    saved_stdout = sys.stdout
-    if quiet:
-        import io
-
-        sys.stdout = io.StringIO()
-    try:
-        runpy.run_path(script, run_name="__main__")
-    finally:
-        sys.stdout = saved_stdout
-        sys.argv = saved_argv
 
 
 def _cross_check(
@@ -117,7 +94,7 @@ def run(args: argparse.Namespace) -> int:
         lambda sim, result: captured.append((sim, result))
     )
     try:
-        _run_script(args.script, args.script_args, args.quiet_script)
+        run_script(args)
     finally:
         set_synthesis_sink(previous)
 

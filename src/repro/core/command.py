@@ -12,8 +12,6 @@ from __future__ import annotations
 import typing
 
 from ..errors import ProtocolError
-from ..pci.constants import CMD_MEM_READ, CMD_MEM_WRITE
-from ..pci.transaction import PciOperation
 
 #: Transfer kinds understood by every bus interface in the library.
 READ = "read"
@@ -88,25 +86,6 @@ class CommandType:
     @property
     def is_write(self) -> bool:
         return self.kind == WRITE
-
-    def to_pci_operation(self) -> PciOperation:
-        """Lower to the pin-level operation the PCI master executes."""
-        if self.is_write:
-            operation = PciOperation(
-                CMD_MEM_WRITE,
-                self.address,
-                data=self.data,
-                byte_enables=self.byte_enables,
-            )
-        else:
-            operation = PciOperation(
-                CMD_MEM_READ,
-                self.address,
-                count=self.count,
-                byte_enables=self.byte_enables,
-            )
-        operation.corr_id = self.corr_id
-        return operation
 
     def signature(self) -> tuple:
         """Observable content, used in trace comparison."""

@@ -21,9 +21,10 @@ from ..hdl.signal import Signal
 from ..iface.element import InterfaceElement
 from ..iface.params import IfaceParams
 from ..osss.arbiter import Arbiter
-from ..pci.constants import STATUS_OK
+from ..pci.constants import CMD_MEM_READ, CMD_MEM_WRITE, STATUS_OK
 from ..pci.master import PciMaster
 from ..pci.signals import PciBus
+from ..pci.transaction import PciOperation
 from .bus_interface import BusInterfaceChannel
 from .command import CommandType
 
@@ -68,8 +69,25 @@ class PciBusInterface(InterfaceElement):
             getattr(recovery, "check_parity", False)
         )
 
-    #: A command's bus operation is its PCI lowering.
-    _operation = staticmethod(CommandType.to_pci_operation)
+    @staticmethod
+    def _operation(command: CommandType) -> PciOperation:
+        """Lower *command* to the memory read or write the master runs."""
+        if command.is_write:
+            operation = PciOperation(
+                CMD_MEM_WRITE,
+                command.address,
+                data=command.data,
+                byte_enables=command.byte_enables,
+            )
+        else:
+            operation = PciOperation(
+                CMD_MEM_READ,
+                command.address,
+                count=command.count,
+                byte_enables=command.byte_enables,
+            )
+        operation.corr_id = command.corr_id
+        return operation
 
     @staticmethod
     def _operation_failure(operation) -> str | None:

@@ -373,7 +373,15 @@ def _run_parallel(
         )
         futures: dict = {}
         try:
-            futures = {pool.submit(_worker, run): run for run in runs}
+            for index, run in enumerate(runs):
+                try:
+                    futures[pool.submit(_worker, run)] = run
+                except BrokenProcessPool:
+                    # A worker died before the last submit. The runs
+                    # not yet submitted join the broken futures' runs
+                    # in the quarantine phase below.
+                    unfinished.extend(runs[index:])
+                    break
             pending = set(futures)
             try:
                 while pending:

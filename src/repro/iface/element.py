@@ -18,6 +18,7 @@ from ..core.command import CommandType, DataType
 from ..hdl.module import Module
 from ..kernel.simulator import Simulator
 from ..osss.arbiter import Arbiter
+from .agent import BusOperation
 from .params import IfaceParams
 
 
@@ -28,8 +29,9 @@ class InterfaceElement(BusInterface):
         defaults (32-bit paths, burst 8, response FIFO of 4).
 
     The pin-level elements (PCI, Wishbone, AXI4-Lite) share one command
-    loop, :meth:`_dispatch`, and supply two hooks: :meth:`_operation`
-    builds the bus operation for a command, :meth:`_operation_failure`
+    loop, :meth:`_dispatch`, with two hooks: :meth:`_operation` builds
+    the bus operation for a command (a :class:`BusOperation` unless the
+    element overrides it, as PCI does), :meth:`_operation_failure`
     names a completed operation's failure. Each drives its operation
     through ``self.master.transact``.
     """
@@ -54,7 +56,16 @@ class InterfaceElement(BusInterface):
 
     def _operation(self, command: CommandType) -> typing.Any:
         """The fresh bus operation that carries out *command*."""
-        raise NotImplementedError
+        operation = BusOperation(
+            command.is_write,
+            command.address,
+            data=command.data if command.is_write else None,
+            count=command.count,
+            byte_enables=command.byte_enables,
+            byte_lanes=self.params.byte_lanes,
+        )
+        operation.corr_id = command.corr_id
+        return operation
 
     @staticmethod
     def _operation_failure(operation: typing.Any) -> str | None:

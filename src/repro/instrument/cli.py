@@ -12,9 +12,8 @@ from __future__ import annotations
 
 import argparse
 import json
-import runpy
-import sys
 
+from ..script_runner import add_script_arguments, run_script
 from .metrics import MethodMetrics, MetricsCollector
 from .probes import ProbeBus, set_default_bus
 from .profiler import MAX_TRACE_EVENTS, WallClockProfiler
@@ -24,16 +23,6 @@ _FS_PER_NS = 1_000_000
 
 
 def add_arguments(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument(
-        "script",
-        help="Python script to execute under the profiler "
-             "(e.g. examples/pci_system.py)",
-    )
-    parser.add_argument(
-        "script_args",
-        nargs=argparse.REMAINDER,
-        help="arguments passed through to the script",
-    )
     parser.add_argument(
         "--top", type=int, default=10, metavar="N",
         help="rows per table (default 10)",
@@ -48,9 +37,11 @@ def add_arguments(parser: argparse.ArgumentParser) -> None:
         help="Chrome trace-event output path (default "
              "repro_profile_trace.json; 'none' disables)",
     )
-    parser.add_argument(
-        "--quiet-script", action="store_true",
-        help="suppress the profiled script's stdout",
+    add_script_arguments(
+        parser,
+        "Python script to execute under the profiler "
+        "(e.g. examples/pci_system.py)",
+        "suppress the profiled script's stdout",
     )
     parser.add_argument(
         "--max-trace-events", type=int, default=MAX_TRACE_EVENTS,
@@ -84,21 +75,6 @@ def _method_table(rows: list[MethodMetrics], top: int) -> str:
     return "\n".join(lines)
 
 
-def _run_script(script: str, script_args: list[str], quiet: bool) -> None:
-    saved_argv = sys.argv
-    sys.argv = [script, *script_args]
-    saved_stdout = sys.stdout
-    if quiet:
-        import io
-
-        sys.stdout = io.StringIO()
-    try:
-        runpy.run_path(script, run_name="__main__")
-    finally:
-        sys.stdout = saved_stdout
-        sys.argv = saved_argv
-
-
 def run(args: argparse.Namespace) -> int:
     bus = ProbeBus()
     metrics = MetricsCollector().attach(bus)
@@ -107,7 +83,7 @@ def run(args: argparse.Namespace) -> int:
     ).attach(bus)
     previous = set_default_bus(bus)
     try:
-        _run_script(args.script, args.script_args, args.quiet_script)
+        run_script(args)
     finally:
         set_default_bus(previous)
     report = profiler.report()

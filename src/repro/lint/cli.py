@@ -58,6 +58,54 @@ def _split_suppressions(entries: typing.Iterable[str]) -> list[str]:
     return result
 
 
+def add_suppression_arguments(parser: argparse.ArgumentParser) -> None:
+    """Add ``--strict`` and ``--suppress``, read by :func:`config_from_args`."""
+    parser.add_argument(
+        "--strict", action="store_true",
+        help="treat warnings as errors",
+    )
+    parser.add_argument(
+        "--suppress", action="append", default=[], metavar="RULE[@GLOB]",
+        help="suppress a rule, optionally limited to paths matching the "
+             "glob (repeatable, comma-separable)",
+    )
+
+
+def config_from_args(args: argparse.Namespace) -> LintConfig | None:
+    """The :class:`LintConfig` that ``--strict``/``--suppress`` ask for.
+
+    Prints the error and returns None when a suppression names an
+    unknown rule or is malformed (the caller exits with status 2).
+    """
+    entries = _split_suppressions(args.suppress)
+    try:
+        unknown = validate_suppressions(entries)
+        if unknown:
+            known = sorted(r.rule_id for r in default_registry.rules())
+            print(
+                "error: unknown rule in --suppress: "
+                + ", ".join(repr(u) for u in unknown)
+                + f" (known ids: {', '.join(known)})"
+            )
+            return None
+        return LintConfig(suppress=entries, strict=args.strict)
+    except LintRuleError as exc:
+        print(f"error: {exc}")
+        return None
+
+
+def emit_report(text: str, output: str | None, reports) -> None:
+    """Print *text*, or write it to *output* and print one summary line
+    per report."""
+    if output:
+        with open(output, "w", encoding="utf-8") as handle:
+            handle.write(text + "\n")
+        for report in reports:
+            print(report.summary_line())
+    else:
+        print(text)
+
+
 def list_rules() -> str:
     """Human-readable rule catalogue (``--list-rules``)."""
     lines = []
@@ -70,15 +118,7 @@ def list_rules() -> str:
 
 
 def add_arguments(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument(
-        "--strict", action="store_true",
-        help="treat warnings as errors",
-    )
-    parser.add_argument(
-        "--suppress", action="append", default=[], metavar="RULE[@GLOB]",
-        help="suppress a rule, optionally limited to paths matching the "
-             "glob (repeatable, comma-separable)",
-    )
+    add_suppression_arguments(parser)
     parser.add_argument(
         "--target", action="append", choices=TARGETS, default=None,
         help="platform(s) to lint (default: all)",
@@ -102,20 +142,8 @@ def run(args: argparse.Namespace) -> int:
     if args.list_rules:
         print(list_rules())
         return 0
-    entries = _split_suppressions(args.suppress)
-    try:
-        unknown = validate_suppressions(entries)
-        if unknown:
-            known = sorted(r.rule_id for r in default_registry.rules())
-            print(
-                "error: unknown rule in --suppress: "
-                + ", ".join(repr(u) for u in unknown)
-                + f" (known ids: {', '.join(known)})"
-            )
-            return 2
-        config = LintConfig(suppress=entries, strict=args.strict)
-    except LintRuleError as exc:
-        print(f"error: {exc}")
+    config = config_from_args(args)
+    if config is None:
         return 2
     targets = args.target or list(TARGETS)
     failed = False
@@ -131,13 +159,7 @@ def run(args: argparse.Namespace) -> int:
         text = render_json(reports)
     else:
         text = "\n".join(report.render() for report in reports)
-    if args.output:
-        with open(args.output, "w", encoding="utf-8") as handle:
-            handle.write(text + "\n")
-        for report in reports:
-            print(report.summary_line())
-    else:
-        print(text)
+    emit_report(text, args.output, reports)
     return 1 if failed else 0
 
 

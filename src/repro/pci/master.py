@@ -12,14 +12,11 @@ master abort (DEVSEL# timeout).
 
 from __future__ import annotations
 
-from collections import deque
-
 from ..errors import ProtocolError
 from ..hdl.bitvector import LogicVector
 from ..hdl.module import Module
 from ..hdl.signal import Signal
-from ..instrument.probes import TRANSACTION_BEGIN, TRANSACTION_END, new_txn_id
-from ..kernel.event import Event
+from ..iface.agent import PinMaster
 from .constants import (
     DEVSEL_TIMEOUT,
     STATUS_MASTER_ABORT,
@@ -30,7 +27,7 @@ from .signals import PciAgentPins, PciBus, is_asserted
 from .transaction import PciOperation
 
 
-class PciMaster(Module):
+class PciMaster(PinMaster):
     """A bus initiator with an in-order operation queue.
 
     :param bus: the wire bundle.
@@ -49,21 +46,17 @@ class PciMaster(Module):
         master_index: int = 0,
         max_retries: int = 1000,
     ) -> None:
-        super().__init__(parent, name)
         if not 0 <= master_index < bus.n_masters:
             raise ProtocolError(
                 f"master index {master_index} out of range "
                 f"(bus has {bus.n_masters} REQ#/GNT# pairs)"
             )
-        self.bus = bus
-        self.clk = clk
+        super().__init__(parent, name, bus, clk)
         self.master_index = master_index
         self.max_retries = max_retries
         self.pins = PciAgentPins(bus, self.path)
         self.req_n = bus.req_n[master_index]
         self.gnt_n = bus.gnt_n[master_index]
-        self._queue: deque[tuple[PciOperation, Event]] = deque()
-        self._op_available = self.event("op_available")
         self._drove_ad = False
         #: When True, read data phases are checked against the PAR the
         #: target drives one cycle later (PERR#-style detection); a
@@ -71,64 +64,32 @@ class PciMaster(Module):
         self.check_parity = False
         self._parity_pending: tuple[int, PciOperation] | None = None
         # Statistics.
-        self.ops_completed = 0
         self.words_transferred = 0
         self.retries_seen = 0
         self.aborts_seen = 0
         self.parity_errors_seen = 0
-        self.thread(self._engine, "engine")
 
-    # -- public API ----------------------------------------------------------
+    def _done_event_name(self, operation: PciOperation) -> str:
+        return f"op_done_{operation.command_name}"
 
-    def submit(self, operation: PciOperation) -> Event:
-        """Queue *operation*; the returned event fires on completion."""
-        done = self.event(f"op_done_{operation.command_name}")
-        operation.enqueue_time = self.sim.time
-        self._queue.append((operation, done))
-        self._op_available.notify()
-        return done
+    def _idle(self) -> None:
+        self.req_n.write(1)
 
-    def transact(self, operation: PciOperation):
-        """Blocking helper: ``yield from master.transact(op)`` returns *op*."""
-        done = self.submit(operation)
-        yield done
-        return operation
-
-    # -- engine process ----------------------------------------------------------
-
-    def _engine(self):
-        posedge = self.clk.posedge
-        while True:
-            if not self._queue:
-                self.req_n.write(1)
-                yield self._op_available
-                continue
-            operation, done = self._queue.popleft()
-            yield from self._run_operation(operation, posedge)
-            done.notify_delta()
-
-    def _run_operation(self, operation: PciOperation, posedge):
-        operation.start_time = self.sim.time
-        if operation.txn_id is None:
-            operation.txn_id = new_txn_id()
-        probes = self.sim._probes
-        if probes is not None:
-            probes.emit(TRANSACTION_BEGIN, self.sim.time, self.path, operation)
+    def _execute(self, operation: PciOperation, posedge):
+        """Re-attempt after retries and disconnects until every word is
+        through or the master aborts."""
         words_done = 0
         while True:
             outcome, words_done = yield from self._attempt(
                 operation, words_done, posedge
             )
             if outcome == "abort":
-                operation.status = STATUS_MASTER_ABORT
                 self.aborts_seen += 1
-                break
+                return STATUS_MASTER_ABORT
             if words_done >= operation.count:
                 # Either a clean completion or a disconnect that landed
                 # exactly on the final word.
-                operation.status = STATUS_OK
-                self.ops_completed += 1
-                break
+                return STATUS_OK
             # Retried or disconnected with words remaining: go again.
             operation.retries += 1
             self.retries_seen += 1
@@ -136,9 +97,6 @@ class PciMaster(Module):
                 raise ProtocolError(
                     f"{self.path}: {operation!r} exceeded {self.max_retries} retries"
                 )
-        operation.complete_time = self.sim.time
-        if probes is not None:
-            probes.emit(TRANSACTION_END, self.sim.time, self.path, operation)
 
     # -- one arbitration + transaction attempt --------------------------------------
 

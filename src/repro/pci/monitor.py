@@ -9,10 +9,9 @@ it produces the observable trace that consistency checking compares.
 
 from __future__ import annotations
 
-
-from ..errors import ProtocolError
 from ..hdl.module import Module
 from ..hdl.signal import Signal
+from ..iface.agent import BusMonitor
 from ..instrument.probes import TRANSACTION_BEGIN, TRANSACTION_END, new_txn_id
 from .constants import DEVSEL_TIMEOUT, READ_COMMANDS
 from .parity import parity_of_vectors
@@ -20,7 +19,7 @@ from .signals import PciBus, is_asserted
 from .transaction import PciTransaction
 
 
-class PciMonitor(Module):
+class PciMonitor(BusMonitor):
     """Protocol checker + transaction recorder.
 
     :param strict: raise :class:`~repro.errors.ProtocolError` on rule
@@ -36,31 +35,14 @@ class PciMonitor(Module):
         clk: Signal,
         strict: bool = True,
     ) -> None:
-        super().__init__(parent, name)
-        self.bus = bus
-        self.clk = clk
-        self.strict = strict
+        super().__init__(parent, name, bus, clk, strict)
         self.transactions: list[PciTransaction] = []
-        self.violations: list[str] = []
         self.parity_errors = 0
-        self.cycles_observed = 0
-        self.busy_cycles = 0
         self._current: PciTransaction | None = None
         self._devsel_seen = False
         self._devsel_wait = 0
         self._last_ad = None
         self._last_cbe = None
-        self._ad_was_defined = False
-        self.thread(self._watch, "watch")
-
-    # -- helpers ----------------------------------------------------------------
-
-    def _violation(self, message: str) -> None:
-        text = f"{self.sim.time_str()}: {message}"
-        self.violations.append(text)
-        self.sim.report_detection(self.path, text)
-        if self.strict:
-            raise ProtocolError(f"{self.path}: {text}")
 
     @property
     def completed_transactions(self) -> list[PciTransaction]:

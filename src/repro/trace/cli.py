@@ -20,11 +20,11 @@ from __future__ import annotations
 
 import argparse
 import json
-import runpy
 import sys
 
 from ..instrument.probes import ProbeBus, set_default_bus
 from ..instrument.profiler import write_chrome_trace
+from ..script_runner import add_script_arguments, run_script
 from .attribution import attribute
 from .correlate import SpanDiff, correlate
 from .spans import SpanTracer, critical_path
@@ -40,15 +40,6 @@ DIFF_COMMANDS = 25
 
 
 def add_arguments(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument(
-        "script", nargs="?", default=None,
-        help="Python script to trace (e.g. examples/pci_system.py); "
-             "omit when using --diff",
-    )
-    parser.add_argument(
-        "script_args", nargs=argparse.REMAINDER,
-        help="arguments passed through to the script",
-    )
     parser.add_argument(
         "--diff", nargs=2, metavar=("A", "B"), choices=DIFF_LEVELS,
         default=None,
@@ -75,25 +66,13 @@ def add_arguments(parser: argparse.ArgumentParser) -> None:
         "--no-causal", action="store_true",
         help="skip notify->wake edge recording (no critical path)",
     )
-    parser.add_argument(
-        "--quiet-script", action="store_true",
-        help="suppress the traced script's stdout",
+    add_script_arguments(
+        parser,
+        "Python script to trace (e.g. examples/pci_system.py); "
+        "omit when using --diff",
+        "suppress the traced script's stdout",
+        optional=True,
     )
-
-
-def _run_script(script: str, script_args: list[str], quiet: bool) -> None:
-    saved_argv = sys.argv
-    sys.argv = [script, *script_args]
-    saved_stdout = sys.stdout
-    if quiet:
-        import io
-
-        sys.stdout = io.StringIO()
-    try:
-        runpy.run_path(script, run_name="__main__")
-    finally:
-        sys.stdout = saved_stdout
-        sys.argv = saved_argv
 
 
 def _diff_workload(args: argparse.Namespace) -> list:
@@ -194,7 +173,7 @@ def _run_script_mode(args: argparse.Namespace) -> int:
     tracer = SpanTracer(causal=not args.no_causal).attach(bus)
     previous = set_default_bus(bus)
     try:
-        _run_script(args.script, args.script_args, args.quiet_script)
+        run_script(args)
     finally:
         set_default_bus(previous)
     tracer.finalize()

@@ -1,7 +1,7 @@
 """Wishbone bus substrate — the interface library's second bus."""
 
 from .interface import WishboneBusInterface, WishboneFunctionalInterface
-from .master import WishboneMaster, WishboneOperation
+from .master import WishboneMaster
 from .monitor import WishboneMonitor, WishboneTransfer
 from .signals import WishboneBus
 from .slave import WishboneSlave
@@ -12,7 +12,6 @@ __all__ = [
     "WishboneFunctionalInterface",
     "WishboneMaster",
     "WishboneMonitor",
-    "WishboneOperation",
     "WishboneSlave",
     "WishboneTransfer",
 ]

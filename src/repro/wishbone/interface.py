@@ -10,14 +10,13 @@ promises.
 
 from __future__ import annotations
 
-from ..core.command import CommandType
 from ..core.functional_interface import FunctionalBusInterface
 from ..hdl.module import Module
 from ..hdl.signal import Signal
 from ..iface.element import InterfaceElement
 from ..iface.params import IfaceParams
 from ..osss.arbiter import Arbiter
-from .master import WishboneMaster, WishboneOperation
+from .master import WishboneMaster
 from .signals import WishboneBus
 
 
@@ -48,21 +47,6 @@ class WishboneBusInterface(InterfaceElement):
         self.clk = clk
         self.master = WishboneMaster(self, "master", bus, clk)
         self.thread(self._dispatch, "dispatch")
-
-    def _operation(self, command: CommandType) -> WishboneOperation:
-        sel_bits = self.bus.sel_width
-        if command.is_write:
-            operation = WishboneOperation.write(
-                command.address, command.data, sel=command.byte_enables,
-                sel_bits=sel_bits,
-            )
-        else:
-            operation = WishboneOperation.read(
-                command.address, count=command.count,
-                sel=command.byte_enables, sel_bits=sel_bits,
-            )
-        operation.corr_id = command.corr_id
-        return operation
 
 
 class WishboneFunctionalInterface(FunctionalBusInterface):

@@ -2,9 +2,9 @@
 
 from __future__ import annotations
 
-from ..errors import ProtocolError
 from ..hdl.module import Module
 from ..hdl.signal import Signal
+from ..iface.agent import BusMonitor
 from ..instrument.probes import TRANSACTION_END, new_txn_id
 from .signals import WishboneBus
 
@@ -36,7 +36,7 @@ class WishboneTransfer:
                 f"data={self.data!r} [{self.terminated_by}])")
 
 
-class WishboneMonitor(Module):
+class WishboneMonitor(BusMonitor):
     """Watches the wires; checks the basic classic-cycle rules."""
 
     def __init__(
@@ -47,22 +47,8 @@ class WishboneMonitor(Module):
         clk: Signal,
         strict: bool = True,
     ) -> None:
-        super().__init__(parent, name)
-        self.bus = bus
-        self.clk = clk
-        self.strict = strict
+        super().__init__(parent, name, bus, clk, strict)
         self.transfers: list[WishboneTransfer] = []
-        self.violations: list[str] = []
-        self.cycles_observed = 0
-        self.busy_cycles = 0
-        self.thread(self._watch, "watch")
-
-    def _violation(self, message: str) -> None:
-        text = f"{self.sim.time_str()}: {message}"
-        self.violations.append(text)
-        self.sim.report_detection(self.path, text)
-        if self.strict:
-            raise ProtocolError(f"{self.path}: {text}")
 
     def signatures(self) -> list[tuple]:
         return [t.signature() for t in self.transfers]

@@ -1,7 +1,5 @@
 """Tests for the AXI4-Lite substrate and its library interface element."""
 
-import pytest
-
 from repro.axi import (
     RESP_SLVERR,
     AxiLiteBus,
@@ -9,7 +7,6 @@ from repro.axi import (
     AxiLiteFunctionalInterface,
     AxiLiteMaster,
     AxiLiteMonitor,
-    AxiLiteOperation,
     AxiLiteSlave,
 )
 from repro.core import (
@@ -18,9 +15,9 @@ from repro.core import (
     expected_memory_image,
     generate_workload,
 )
-from repro.errors import ProtocolError
 from repro.flow import build_platform
 from repro.hdl import Clock, Module
+from repro.iface import BusOperation
 from repro.kernel import MS, NS, Simulator
 from repro.tlm import Memory
 from repro.verify import check_memory_image
@@ -54,37 +51,11 @@ def _run_ops(ops, **tb_kwargs):
     return tb
 
 
-class TestOperation:
-    def test_factories(self):
-        read = AxiLiteOperation.read(0x10, count=2)
-        assert not read.is_write and read.count == 2
-        write = AxiLiteOperation.write(0x10, 5)
-        assert write.is_write and write.data == [5]
-        assert write.strb == 0xF
-
-    def test_validation(self):
-        with pytest.raises(ProtocolError):
-            AxiLiteOperation.read(0x2)  # unaligned
-        with pytest.raises(ProtocolError):
-            AxiLiteOperation.write(0x0, [])
-        with pytest.raises(ProtocolError):
-            AxiLiteOperation.read(0x0, count=0)
-        with pytest.raises(ProtocolError):
-            AxiLiteOperation.read(0x0, strb=0x100)
-
-    def test_wide_strb_needs_wide_bus(self):
-        # 8 lanes only validate when strb_bits says the bus has them.
-        with pytest.raises(ProtocolError):
-            AxiLiteOperation.write(0x0, [1], strb=0xFF)
-        op = AxiLiteOperation.write(0x0, [1], strb=0xFF, strb_bits=8)
-        assert op.strb == 0xFF
-
-
 class TestPinLevel:
     def test_write_read_roundtrip(self):
         ops = [
-            AxiLiteOperation.write(0x40, [0xAA, 0xBB, 0xCC]),
-            AxiLiteOperation.read(0x40, count=3),
+            BusOperation.write(0x40, [0xAA, 0xBB, 0xCC]),
+            BusOperation.read(0x40, count=3),
         ]
         tb = _run_ops(ops)
         assert ops[0].status == "ok"
@@ -93,30 +64,30 @@ class TestPinLevel:
 
     def test_strb_byte_lanes(self):
         ops = [
-            AxiLiteOperation.write(0x0, [0xFFFFFFFF]),
-            AxiLiteOperation.write(0x0, [0x0], strb=0x3),
-            AxiLiteOperation.read(0x0),
+            BusOperation.write(0x0, [0xFFFFFFFF]),
+            BusOperation.write(0x0, [0x0], byte_enables=0x3),
+            BusOperation.read(0x0),
         ]
         tb = _run_ops(ops)
         assert ops[2].data == [0xFFFF0000]
 
     def test_accept_latency_stretches(self):
-        fast_op = AxiLiteOperation.write(0x0, [1])
+        fast_op = BusOperation.write(0x0, [1])
         _run_ops([fast_op])
-        slow_op = AxiLiteOperation.write(0x0, [1])
+        slow_op = BusOperation.write(0x0, [1])
         _run_ops([slow_op], accept_latency=4)
         fast = fast_op.complete_time - fast_op.enqueue_time
         slow = slow_op.complete_time - slow_op.enqueue_time
         assert slow > fast
 
     def test_unmapped_address_times_out(self):
-        op = AxiLiteOperation.read(0x8000_0000 - 4)
+        op = BusOperation.read(0x8000_0000 - 4)
         tb = _run_ops([op])
         assert op.status == "timeout"
         assert tb.master.timeouts_seen == 1
 
     def test_slave_error_signals_slverr(self):
-        bad = AxiLiteOperation.write(0x0, [1])
+        bad = BusOperation.write(0x0, [1])
         from repro.tlm import RomMemory
 
         sim = Simulator()
@@ -136,8 +107,8 @@ class TestPinLevel:
 
     def test_monitor_records_transfers(self):
         ops = [
-            AxiLiteOperation.write(0x10, [7]),
-            AxiLiteOperation.read(0x10),
+            BusOperation.write(0x10, [7]),
+            BusOperation.read(0x10),
         ]
         tb = _run_ops(ops)
         signatures = tb.monitor.signatures()
@@ -145,7 +116,7 @@ class TestPinLevel:
         assert (0x10, False, 7, 0xF, 0) in signatures
 
     def test_multi_word_ops_become_beat_trains(self):
-        ops = [AxiLiteOperation.write(0x20, [1, 2, 3, 4])]
+        ops = [BusOperation.write(0x20, [1, 2, 3, 4])]
         tb = _run_ops(ops)
         # AXI4-Lite has no bursts: four beats at address + 4*i.
         addresses = [t.address for t in tb.monitor.transfers]

@@ -4,7 +4,6 @@ import pytest
 
 from repro.core import CommandType, DataType, READ, WRITE
 from repro.errors import ProtocolError
-from repro.pci import CMD_MEM_READ, CMD_MEM_WRITE
 
 
 class TestCommandType:
@@ -36,17 +35,6 @@ class TestCommandType:
             CommandType.write(0x0, [1 << 32])
         with pytest.raises(ProtocolError):
             CommandType.read(0x0, byte_enables=0x100)
-
-    def test_to_pci_operation_read(self):
-        op = CommandType.read(0x80, count=2, byte_enables=0x3).to_pci_operation()
-        assert op.command == CMD_MEM_READ
-        assert op.count == 2
-        assert op.byte_enables == 0x3
-
-    def test_to_pci_operation_write(self):
-        op = CommandType.write(0x80, [9]).to_pci_operation()
-        assert op.command == CMD_MEM_WRITE
-        assert op.data == [9]
 
     def test_equality_and_hash(self):
         a = CommandType.write(0x10, [1])

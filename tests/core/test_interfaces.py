@@ -6,11 +6,13 @@ from repro.core import (
     Application,
     CommandType,
     FunctionalBusInterface,
+    PciBusInterface,
     expected_memory_image,
     generate_workload,
 )
 from repro.flow import PciPlatformConfig, build_platform
 from repro.kernel import MS, NS, Simulator
+from repro.pci import CMD_MEM_READ, CMD_MEM_WRITE, PciOperation
 from repro.tlm import AddressRouter, Memory
 from repro.verify import check_memory_image
 
@@ -53,6 +55,25 @@ class TestFunctionalInterface:
     def test_negative_latency_rejected(self):
         with pytest.raises(Exception):
             self._platform([], word_latency=-1)
+
+
+class TestPciElementOperation:
+    """The PCI element lowers a command to a memory read or write."""
+
+    def test_read(self):
+        command = CommandType.read(0x80, count=2, byte_enables=0x3)
+        command.corr_id = "app#1"
+        op = PciBusInterface._operation(command)
+        assert isinstance(op, PciOperation)
+        assert op.command == CMD_MEM_READ
+        assert op.count == 2
+        assert op.byte_enables == 0x3
+        assert op.corr_id == "app#1"
+
+    def test_write(self):
+        op = PciBusInterface._operation(CommandType.write(0x80, [9]))
+        assert op.command == CMD_MEM_WRITE
+        assert op.data == [9]
 
 
 class TestBothPlatformsAgainstGoldenModel:

@@ -1,6 +1,8 @@
 """Tests for the parallel campaign runner and the report renderers."""
 
+import concurrent.futures
 import json
+from concurrent.futures.process import BrokenProcessPool
 
 from repro.fault import (
     CampaignSpec,
@@ -13,6 +15,7 @@ from repro.fault import (
     report_as_json,
     run_campaign,
 )
+from repro.fault.campaign import execute_run
 
 
 def _small_spec(seed=19):
@@ -74,6 +77,48 @@ class TestRunner:
 
     def test_default_workers_at_least_one(self):
         assert default_workers() >= 1
+
+
+class _PoolBrokenOnSubmit:
+    """A process pool whose ``submit`` raises ``BrokenProcessPool`` once
+    it has taken ``limit`` runs, as a real pool does when a worker died
+    before the last submit. The runs it takes execute in-process."""
+
+    limit = 2
+
+    def __init__(self, max_workers, initializer, initargs):
+        self.spec, self.golden = initargs[0], initargs[1]
+        self.taken = 0
+
+    def submit(self, fn, run):
+        if self.taken == self.limit:
+            raise BrokenProcessPool("a worker died")
+        self.taken += 1
+        future = concurrent.futures.Future()
+        future.set_result(execute_run(self.spec, run, self.golden))
+        return future
+
+    def shutdown(self, wait=True):
+        pass
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc_info):
+        self.shutdown()
+
+
+class TestBrokenSubmit:
+    def test_runs_not_submitted_are_quarantined(self, monkeypatch):
+        serial = run_campaign(_small_spec(), workers=1)
+        monkeypatch.setattr(
+            concurrent.futures, "ProcessPoolExecutor", _PoolBrokenOnSubmit
+        )
+        parallel = run_campaign(_small_spec(), workers=2)
+        assert _fingerprint(parallel) == _fingerprint(serial)
+        # Runs 0 and 1 were taken; the other four were retried alone,
+        # each in its own single-worker pool.
+        assert parallel.pool_restarts == 4
 
 
 class TestReport:

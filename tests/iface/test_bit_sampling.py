@@ -8,8 +8,8 @@ level, and X or Z as neither level.
 
 import pytest
 
-from repro.axi.signals import AxiLiteBus, high
-from repro.hdl.bitvector import BITS, LogicVector
+from repro.axi.signals import AxiLiteBus
+from repro.hdl.bitvector import BITS, LogicVector, is_one
 from repro.hdl.resolved import ResolvedSignal
 from repro.kernel import Simulator
 from repro.pci.signals import PciBus, is_asserted
@@ -61,9 +61,9 @@ CASES = {
     "wishbone.ack": (_wishbone, "ack", WishboneBus.ack_active),
     "wishbone.err": (_wishbone, "err", WishboneBus.err_active),
     "axi.bvalid": (lambda sim: AxiLiteBus(sim, "axi"), "bvalid",
-                   lambda bus: high(bus.bvalid.read())),
+                   lambda bus: is_one(bus.bvalid.read())),
     "axi.arready": (lambda sim: AxiLiteBus(sim, "axi"), "arready",
-                    lambda bus: high(bus.arready.read())),
+                    lambda bus: is_one(bus.arready.read())),
     "pci.frame_n": (lambda sim: PciBus(sim, "pci"), "frame_n",
                     lambda bus: (is_asserted(bus.frame_n.read()), bus.idle)),
     "pci.devsel_n": (lambda sim: PciBus(sim, "pci"), "devsel_n",

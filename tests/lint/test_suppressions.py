@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.analyze.cli import _split_suppressions
+from repro.lint.cli import _split_suppressions
 from repro.lint.diagnostics import Diagnostic, Severity
 from repro.lint.engine import (
     LintConfig,

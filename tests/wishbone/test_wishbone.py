@@ -1,12 +1,10 @@
 """Tests for the Wishbone substrate and its library interface element."""
 
-import pytest
-
 from repro.core import CommandType, default_library, generate_workload
 from repro.core import expected_memory_image
-from repro.errors import ProtocolError
 from repro.flow import PciPlatformConfig, build_platform
 from repro.hdl import Clock, Module
+from repro.iface import BusOperation
 from repro.kernel import MS, NS, Simulator
 from repro.tlm import Memory
 from repro.verify import check_memory_image
@@ -16,7 +14,6 @@ from repro.wishbone import (
     WishboneFunctionalInterface,
     WishboneMaster,
     WishboneMonitor,
-    WishboneOperation,
     WishboneSlave,
 )
 
@@ -49,29 +46,11 @@ def _run_ops(ops, **tb_kwargs):
     return tb
 
 
-class TestOperation:
-    def test_factories(self):
-        read = WishboneOperation.read(0x10, count=2)
-        assert not read.is_write and read.count == 2
-        write = WishboneOperation.write(0x10, 5)
-        assert write.is_write and write.data == [5]
-
-    def test_validation(self):
-        with pytest.raises(ProtocolError):
-            WishboneOperation.read(0x2)
-        with pytest.raises(ProtocolError):
-            WishboneOperation.write(0x0, [])
-        with pytest.raises(ProtocolError):
-            WishboneOperation.read(0x0, count=0)
-        with pytest.raises(ProtocolError):
-            WishboneOperation.read(0x0, sel=0x100)
-
-
 class TestPinLevel:
     def test_write_read_roundtrip(self):
         ops = [
-            WishboneOperation.write(0x40, [0xAA, 0xBB, 0xCC]),
-            WishboneOperation.read(0x40, count=3),
+            BusOperation.write(0x40, [0xAA, 0xBB, 0xCC]),
+            BusOperation.read(0x40, count=3),
         ]
         tb = _run_ops(ops)
         assert ops[0].status == "ok"
@@ -80,34 +59,34 @@ class TestPinLevel:
 
     def test_sel_byte_lanes(self):
         ops = [
-            WishboneOperation.write(0x0, [0xFFFFFFFF]),
-            WishboneOperation.write(0x0, [0x0], sel=0x3),
-            WishboneOperation.read(0x0),
+            BusOperation.write(0x0, [0xFFFFFFFF]),
+            BusOperation.write(0x0, [0x0], byte_enables=0x3),
+            BusOperation.read(0x0),
         ]
         tb = _run_ops(ops)
         assert ops[2].data == [0xFFFF0000]
 
     def test_ack_latency_stretches(self):
-        fast_op = WishboneOperation.write(0x0, [1])
+        fast_op = BusOperation.write(0x0, [1])
         _run_ops([fast_op])
-        slow_op = WishboneOperation.write(0x0, [1])
+        slow_op = BusOperation.write(0x0, [1])
         _run_ops([slow_op], ack_latency=4)
         fast_cycles = fast_op.complete_time - fast_op.enqueue_time
         slow_cycles = slow_op.complete_time - slow_op.enqueue_time
         assert slow_cycles > fast_cycles
 
     def test_unmapped_address_times_out(self):
-        op = WishboneOperation.read(0x8000_0000)
+        op = BusOperation.read(0x8000_0000)
         tb = _run_ops([op])
         assert op.status == "timeout"
         assert tb.master.timeouts_seen == 1
 
     def test_slave_error_propagates(self):
         # ROM region at offset beyond memory -> ProtocolError -> ERR.
-        op = WishboneOperation.write(0x1000 - 4, [1])
+        op = BusOperation.write(0x1000 - 4, [1])
         tb = _run_ops([op], mem_size=0x1000)
         assert op.status == "ok"  # last valid word is fine
-        bad = WishboneOperation.write(0x0, [1], sel=0xF)
+        bad = BusOperation.write(0x0, [1], byte_enables=0xF)
         # Force an internal store error by using a ROM.
         from repro.tlm import RomMemory
 
@@ -128,8 +107,8 @@ class TestPinLevel:
 
     def test_monitor_records_transfers(self):
         ops = [
-            WishboneOperation.write(0x10, [7]),
-            WishboneOperation.read(0x10),
+            BusOperation.write(0x10, [7]),
+            BusOperation.read(0x10),
         ]
         tb = _run_ops(ops)
         signatures = tb.monitor.signatures()
