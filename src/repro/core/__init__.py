@@ -2,7 +2,6 @@
 
 * :class:`BusInterfaceChannel` — the global object with the paper's
   guarded methods (putCommand / getCommand / appDataGet / reset);
-* :class:`BusInterface` — the pattern every library element follows;
 * :class:`PciBusInterface` — the pin-accurate PCI library element;
 * :class:`FunctionalBusInterface` — the transaction-level element;
 * :class:`InterfaceLibrary` — pick-the-right-IP registry;
@@ -11,7 +10,7 @@
 """
 
 from .application import Application, TransactionRecord, wait_for_all
-from .bus_interface import BusInterface, BusInterfaceChannel
+from .bus_interface import BusInterfaceChannel
 from .command import READ, WRITE, CommandType, DataType
 from .nonblocking import NonBlockingBusInterfaceChannel, PollingApplication
 from .refinement import (
@@ -45,7 +44,6 @@ def __getattr__(name: str):
 
 __all__ = [
     "Application",
-    "BusInterface",
     "BusInterfaceChannel",
     "CommandType",
     "DataType",

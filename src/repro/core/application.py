@@ -16,8 +16,11 @@ import typing
 from ..hdl.module import Module
 from ..kernel.process import Timeout
 from ..osss.global_object import GlobalObject
-from .bus_interface import BusInterface, BusInterfaceChannel
+from .bus_interface import BusInterfaceChannel
 from .command import CommandType, DataType
+
+if typing.TYPE_CHECKING:  # pragma: no cover - import cycle guard
+    from ..iface.element import InterfaceElement
 
 
 class TransactionRecord:
@@ -64,7 +67,7 @@ class Application(Module):
         parent: Module,
         name: str,
         commands: typing.Sequence[CommandType] = (),
-        interface: BusInterface | None = None,
+        interface: InterfaceElement | None = None,
         think_time: int = 0,
         repeat: int = 1,
     ) -> None:

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 
 from ..errors import RefinementError
-from .bus_interface import BusInterface
+from ..iface.element import InterfaceElement
 from .functional_interface import FunctionalBusInterface
 from .pci_interface import PciBusInterface
 
@@ -25,9 +25,12 @@ class InterfaceLibrary:
 
     def register(self, element_cls: type) -> type:
         """Add *element_cls*; keyed by its BUS_NAME / ABSTRACTION tags."""
-        if not (isinstance(element_cls, type) and issubclass(element_cls, BusInterface)):
+        if not (
+            isinstance(element_cls, type)
+            and issubclass(element_cls, InterfaceElement)
+        ):
             raise RefinementError(
-                f"{element_cls!r} is not a BusInterface subclass"
+                f"{element_cls!r} is not an InterfaceElement subclass"
             )
         key = (element_cls.BUS_NAME, element_cls.ABSTRACTION)
         if key in self._elements and self._elements[key] is not element_cls:

@@ -23,8 +23,11 @@ from ..kernel.process import Timeout
 from ..osss.global_object import GlobalObject
 from ..osss.guarded_method import guarded_method
 from .application import TransactionRecord
-from .bus_interface import BusInterface, BusInterfaceChannel
+from .bus_interface import BusInterfaceChannel
 from .command import CommandType, DataType
+
+if typing.TYPE_CHECKING:  # pragma: no cover - import cycle guard
+    from ..iface.element import InterfaceElement
 
 
 class NonBlockingBusInterfaceChannel(BusInterfaceChannel):
@@ -68,7 +71,7 @@ class PollingApplication(Module):
         parent: Module,
         name: str,
         commands: typing.Sequence[CommandType] = (),
-        interface: BusInterface | None = None,
+        interface: InterfaceElement | None = None,
         poll_interval: int = 1000,
     ) -> None:
         super().__init__(parent, name)

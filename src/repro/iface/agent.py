@@ -24,6 +24,7 @@ from ..hdl.module import Module
 from ..hdl.signal import Signal
 from ..instrument.probes import TRANSACTION_BEGIN, TRANSACTION_END, new_txn_id
 from ..kernel.event import Event
+from ..verify.checkers import report_violation
 
 
 class BusOperation:
@@ -216,8 +217,7 @@ class BusMonitor(Module):
         raise NotImplementedError
 
     def _violation(self, message: str) -> None:
-        text = f"{self.sim.time_str()}: {message}"
-        self.violations.append(text)
-        self.sim.report_detection(self.path, text)
-        if self.strict:
-            raise ProtocolError(f"{self.path}: {text}")
+        report_violation(
+            self.violations, self.sim, self.path,
+            f"{self.sim.time_str()}: {message}", self.strict,
+        )

@@ -31,7 +31,7 @@ from .probes import (
     FLOW_STAGE,
     PROCESS_ACTIVATE,
     SIGNAL_COMMIT,
-    ProbeBus,
+    ProbeSubscriber,
 )
 
 
@@ -59,7 +59,7 @@ class Counter:
         return f"Counter(total={self.total}, labels={len(self.counts)})"
 
 
-class DetectionLog:
+class DetectionLog(ProbeSubscriber):
     """Bus subscriber that collects detection records in firing order.
 
     The fault-injection classifier attaches one of these to a run's
@@ -69,20 +69,12 @@ class DetectionLog:
 
     def __init__(self) -> None:
         self.records: list = []
-        self._bus: ProbeBus | None = None
 
     def append(self, record: object) -> None:
         self.records.append(record)
 
-    def attach(self, bus: ProbeBus) -> "DetectionLog":
-        bus.subscribe(DETECTION, self.append)
-        self._bus = bus
-        return self
-
-    def detach(self) -> None:
-        if self._bus is not None:
-            self._bus.unsubscribe(DETECTION, self.append)
-            self._bus = None
+    def _subscriptions(self):
+        yield DETECTION, self.append
 
     def clear(self) -> None:
         self.records.clear()
@@ -97,7 +89,7 @@ class DetectionLog:
         return bool(self.records)
 
 
-class MetricsCollector:
+class MetricsCollector(ProbeSubscriber):
     """Counters + histograms for everything the probe bus publishes."""
 
     def __init__(self) -> None:
@@ -109,33 +101,17 @@ class MetricsCollector:
         self.flow_stages: list[tuple[str, str, float]] = []
         #: Guarded-method and transaction traffic.
         self.traffic = ScorecardProbe()
-        self._bus: ProbeBus | None = None
 
     # -- wiring ------------------------------------------------------------
 
-    _SUBSCRIPTIONS = (
-        (DELTA_BEGIN, "_on_delta_begin"),
-        (EVENT_NOTIFY, "_on_event_notify"),
-        (PROCESS_ACTIVATE, "_on_process_activate"),
-        (SIGNAL_COMMIT, "_on_signal_commit"),
-        (FAULT_ACTIVATE, "_on_fault_activate"),
-        (FLOW_STAGE, "_on_flow_stage"),
-    )
-
-    def attach(self, bus: ProbeBus) -> "MetricsCollector":
-        for kind, handler in self._SUBSCRIPTIONS:
-            bus.subscribe(kind, getattr(self, handler))
-        self.traffic.attach(bus)
-        self._bus = bus
-        return self
-
-    def detach(self) -> None:
-        if self._bus is None:
-            return
-        for kind, handler in self._SUBSCRIPTIONS:
-            self._bus.unsubscribe(kind, getattr(self, handler))
-        self.traffic.detach()
-        self._bus = None
+    def _subscriptions(self):
+        yield DELTA_BEGIN, self._on_delta_begin
+        yield EVENT_NOTIFY, self._on_event_notify
+        yield PROCESS_ACTIVATE, self._on_process_activate
+        yield SIGNAL_COMMIT, self._on_signal_commit
+        yield FAULT_ACTIVATE, self._on_fault_activate
+        yield FLOW_STAGE, self._on_flow_stage
+        yield from self.traffic._subscriptions()
 
     # -- handlers ------------------------------------------------------------
 

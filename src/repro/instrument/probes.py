@@ -1,10 +1,10 @@
 """The probe bus: typed publish/subscribe points over a running kernel.
 
 This module is deliberately dependency-free (it imports nothing from the
-rest of the package) so the kernel can import it without cycles. The
-payloads flowing over the bus are live kernel objects — processes,
-signals, requests — never copies; subscribers must treat them as
-read-only.
+rest of the package but the exception hierarchy) so the kernel can
+import it without cycles. The payloads flowing over the bus are live
+kernel objects — processes, signals, requests — never copies;
+subscribers must treat them as read-only.
 
 Probe-point catalogue (positional callback signatures):
 
@@ -65,6 +65,8 @@ from __future__ import annotations
 
 import itertools
 import typing
+
+from ..errors import ReproError
 
 PROCESS_ACTIVATE = "process.activate"
 PROCESS_SUSPEND = "process.suspend"
@@ -153,8 +155,8 @@ def txn_key(source: str, payload: object) -> tuple[str, object]:
     return (source, txn_id if txn_id is not None else id(payload))
 
 
-class ProbeError(ValueError):
-    """An unknown probe kind was used."""
+class ProbeError(ReproError, ValueError):
+    """An unknown probe kind was used, or a subscriber attached twice."""
 
 
 class ResilienceEvent:
@@ -360,6 +362,56 @@ class ProbeBus:
         if subs is not None:
             for callback in subs:
                 callback(time, signal, value)
+
+
+_Subscriber = typing.TypeVar("_Subscriber", bound="ProbeSubscriber")
+
+
+class ProbeSubscriber:
+    """The one attach/detach contract of every probe-bus observer.
+
+    A subclass yields its ``(kind, callback)`` pairs from
+    :meth:`_subscriptions`; each kind's callbacks fire in the order they
+    are yielded. :meth:`attach` subscribes them to one bus and keeps
+    them, so :meth:`detach` removes exactly what was subscribed.
+    """
+
+    _bus: ProbeBus | None = None
+    _subscribed: tuple[tuple[str, Callback], ...] = ()
+
+    def _subscriptions(self) -> typing.Iterable[tuple[str, Callback]]:
+        raise NotImplementedError
+
+    def attach(self: _Subscriber, bus: ProbeBus) -> _Subscriber:
+        """Subscribe to *bus*; returns ``self`` so construction chains.
+
+        :raises ProbeError: when already attached (a second attach would
+            deliver every probe twice) or a kind is unknown; the bus is
+            left unchanged.
+        """
+        if self._bus is not None:
+            raise ProbeError(
+                f"{type(self).__name__} is already attached to a bus; "
+                f"detach() it first"
+            )
+        pairs = tuple(self._subscriptions())
+        for kind, __ in pairs:
+            bus._check_kind(kind)
+        for kind, callback in pairs:
+            bus.subscribe(kind, callback)
+        self._bus = bus
+        self._subscribed = pairs
+        return self
+
+    def detach(self) -> None:
+        """Unsubscribe from the attached bus; a no-op when detached."""
+        bus = self._bus
+        if bus is None:
+            return
+        for kind, callback in self._subscribed:
+            bus.unsubscribe(kind, callback)
+        self._bus = None
+        self._subscribed = ()
 
 
 # -- process-wide default bus ---------------------------------------------------

@@ -20,7 +20,7 @@ from .probes import (
     DELTA_END,
     PROCESS_ACTIVATE,
     PROCESS_SUSPEND,
-    ProbeBus,
+    ProbeSubscriber,
 )
 
 #: Default Chrome-trace events kept before slices get dropped; every
@@ -215,7 +215,7 @@ class ProfileReport:
         )
 
 
-class WallClockProfiler:
+class WallClockProfiler(ProbeSubscriber):
     """Probe-bus subscriber that times process activations.
 
     Attach before (or during) a run, detach or just stop the run, then
@@ -249,26 +249,14 @@ class WallClockProfiler:
         self._delta_time: int | None = None
         self._total_seconds = 0.0
         self._total_deltas = 0
-        self._bus: ProbeBus | None = None
 
     # -- wiring ------------------------------------------------------------
 
-    def attach(self, bus: ProbeBus) -> "WallClockProfiler":
-        bus.subscribe(PROCESS_ACTIVATE, self._on_activate)
-        bus.subscribe(PROCESS_SUSPEND, self._on_suspend)
-        bus.subscribe(DELTA_BEGIN, self._on_delta_begin)
-        bus.subscribe(DELTA_END, self._on_delta_end)
-        self._bus = bus
-        return self
-
-    def detach(self) -> None:
-        if self._bus is None:
-            return
-        self._bus.unsubscribe(PROCESS_ACTIVATE, self._on_activate)
-        self._bus.unsubscribe(PROCESS_SUSPEND, self._on_suspend)
-        self._bus.unsubscribe(DELTA_BEGIN, self._on_delta_begin)
-        self._bus.unsubscribe(DELTA_END, self._on_delta_end)
-        self._bus = None
+    def _subscriptions(self):
+        yield PROCESS_ACTIVATE, self._on_activate
+        yield PROCESS_SUSPEND, self._on_suspend
+        yield DELTA_BEGIN, self._on_delta_begin
+        yield DELTA_END, self._on_delta_end
 
     # -- handlers ------------------------------------------------------------
 

@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import typing
 
-from .probes import SIGNAL_COMMIT, ProbeBus
+from .probes import SIGNAL_COMMIT, ProbeSubscriber
 
 #: Per-signal cap on recorded race observations (memory bound).
 _MAX_OBSERVATIONS = 16
@@ -47,7 +47,7 @@ class RaceObservation:
         )
 
 
-class RaceSanitizer:
+class RaceSanitizer(ProbeSubscriber):
     """Probe-bus subscriber detecting same-timestamp delta races.
 
     :param watch: signal names to track (e.g. from static ``RACE001``
@@ -62,19 +62,11 @@ class RaceSanitizer:
         #: tally, even past the per-signal observation cap).
         self.conflicts: dict[str, int] = {}
         self._last: dict[int, tuple[object, int, list[object]]] = {}
-        self._bus: ProbeBus | None = None
 
     # -- wiring --------------------------------------------------------------
 
-    def attach(self, bus: ProbeBus) -> "RaceSanitizer":
-        bus.subscribe(SIGNAL_COMMIT, self._on_commit)
-        self._bus = bus
-        return self
-
-    def detach(self) -> None:
-        if self._bus is not None:
-            self._bus.unsubscribe(SIGNAL_COMMIT, self._on_commit)
-            self._bus = None
+    def _subscriptions(self):
+        yield SIGNAL_COMMIT, self._on_commit
 
     # -- probe callback ------------------------------------------------------
 

@@ -12,6 +12,7 @@ the behaviour the bus pull-ups give on real hardware.
 
 from __future__ import annotations
 
+from ..errors import ProtocolError
 from ..hdl.bitvector import LogicVector, is_zero
 from ..hdl.module import Module
 from ..hdl.resolved import ResolvedSignal
@@ -34,6 +35,8 @@ class PciBus(Module):
     :param n_masters: how many REQ#/GNT# pairs to create.
     :param ad_width: elaboration width of the multiplexed AD lines; the
         C/BE# width and the byte-enable/data masks derive from it.
+    :raises ProtocolError: below 32 bits, where C/BE# has fewer than the
+        four lines the bus command rides on in the address phase.
     """
 
     def __init__(
@@ -43,11 +46,18 @@ class PciBus(Module):
         n_masters: int = 1,
         ad_width: int = AD_WIDTH,
     ) -> None:
+        cbe_width = cbe_width_for(ad_width)
+        if cbe_width < 4:
+            raise ProtocolError(
+                f"a {ad_width}-bit PCI bus has {cbe_width} C/BE# line(s), but "
+                f"the 4-bit bus command needs C/BE#[3:0]: elaborate AD at 32 "
+                f"bits or wider"
+            )
         super().__init__(parent, name)
         self.n_masters = n_masters
         #: Structural widths/masks the agents elaborate against.
         self.ad_width = ad_width
-        self.cbe_width = cbe_width_for(ad_width)
+        self.cbe_width = cbe_width
         self.byte_enable_mask = byte_enable_mask(ad_width)
         self.data_mask = data_mask(ad_width)
         self.frame_n = self.resolved_signal("frame_n", 1)

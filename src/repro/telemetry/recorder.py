@@ -61,7 +61,7 @@ def _path_of(obj: object) -> str:
     return type(obj).__name__
 
 
-class FlightRecorder:
+class FlightRecorder(_p.ProbeSubscriber):
     """Bounded recorder of structured probe events for one run.
 
     :param capacity: ring size; the oldest events fall out first.
@@ -81,26 +81,12 @@ class FlightRecorder:
         self._ring: collections.deque = collections.deque(maxlen=capacity)
         self._seq = itertools.count()
         self.seen = 0
-        self._bus: _p.ProbeBus | None = None
-        self._handlers: list[tuple[str, typing.Callable]] = []
 
     # -- wiring --------------------------------------------------------------
 
-    def attach(self, bus: _p.ProbeBus) -> "FlightRecorder":
+    def _subscriptions(self):
         for kind in self.kinds:
-            handler = self._make_handler(kind)
-            bus.subscribe(kind, handler)
-            self._handlers.append((kind, handler))
-        self._bus = bus
-        return self
-
-    def detach(self) -> None:
-        if self._bus is None:
-            return
-        for kind, handler in self._handlers:
-            self._bus.unsubscribe(kind, handler)
-        self._handlers.clear()
-        self._bus = None
+            yield kind, self._make_handler(kind)
 
     def _make_handler(self, kind: str) -> typing.Callable:
         summarize = _SUMMARIZERS.get(kind, _summarize_generic)

@@ -37,7 +37,7 @@ from ..instrument.probes import (
     METHOD_QUEUE,
     TRANSACTION_BEGIN,
     TRANSACTION_END,
-    ProbeBus,
+    ProbeSubscriber,
     txn_key,
 )
 from .digest import LatencyDigest
@@ -305,23 +305,12 @@ def _channel_name(space: object) -> str:
         return repr(space)
 
 
-class ScorecardProbe:
+class ScorecardProbe(ProbeSubscriber):
     """Probe-bus subscriber reducing one run to a :class:`CellScore`.
 
     :param cycle_fs: the platform's bus clock period (fs), needed only
         for the beats/cycle conversion; pass 0 to report raw beats.
     """
-
-    _SUBSCRIPTIONS = (
-        (TRANSACTION_BEGIN, "_on_begin"),
-        (TRANSACTION_END, "_on_end"),
-        (METHOD_CALL, "_on_call"),
-        (METHOD_QUEUE, "_on_queue"),
-        (METHOD_GRANT, "_on_grant"),
-        (METHOD_COMPLETE, "_on_complete"),
-        (METHOD_GUARD_BLOCK, "_on_guard_block"),
-        (DETECTION, "_on_detection"),
-    )
 
     def __init__(self, cycle_fs: int = 0) -> None:
         self.cycle_fs = cycle_fs
@@ -336,22 +325,18 @@ class ScorecardProbe:
         self._first_time: int | None = None
         self._last_time: int | None = None
         self._grants_by_client: dict[str, int] = {}
-        self._bus: ProbeBus | None = None
 
     # -- wiring --------------------------------------------------------------
 
-    def attach(self, bus: ProbeBus) -> "ScorecardProbe":
-        for kind, handler in self._SUBSCRIPTIONS:
-            bus.subscribe(kind, getattr(self, handler))
-        self._bus = bus
-        return self
-
-    def detach(self) -> None:
-        if self._bus is None:
-            return
-        for kind, handler in self._SUBSCRIPTIONS:
-            self._bus.unsubscribe(kind, getattr(self, handler))
-        self._bus = None
+    def _subscriptions(self):
+        yield TRANSACTION_BEGIN, self._on_begin
+        yield TRANSACTION_END, self._on_end
+        yield METHOD_CALL, self._on_call
+        yield METHOD_QUEUE, self._on_queue
+        yield METHOD_GRANT, self._on_grant
+        yield METHOD_COMPLETE, self._on_complete
+        yield METHOD_GUARD_BLOCK, self._on_guard_block
+        yield DETECTION, self._on_detection
 
     # -- handlers ------------------------------------------------------------
 

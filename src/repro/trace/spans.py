@@ -31,7 +31,7 @@ from ..instrument.probes import (
     PROCESS_ACTIVATE,
     TRANSACTION_BEGIN,
     TRANSACTION_END,
-    ProbeBus,
+    ProbeSubscriber,
     txn_key,
 )
 from ..osss.request import correlation_id_of
@@ -168,7 +168,7 @@ def _corr_sort_key(corr_id: str) -> tuple:
         return (path, 0)
 
 
-class SpanTracer:
+class SpanTracer(ProbeSubscriber):
     """Probe-bus subscriber assembling per-transaction span trees.
 
     Attach to a bus (``SpanTracer().attach(sim.probes)``), run, then
@@ -194,40 +194,19 @@ class SpanTracer:
         self._wire_spans: list[Span] = []
         self._last_notifier: dict[object, str] = {}
         self._finalized = False
-        self._bus: ProbeBus | None = None
 
     # -- wiring ------------------------------------------------------------
 
-    _SUBSCRIPTIONS = (
-        (METHOD_CALL, "_on_method_call"),
-        (METHOD_QUEUE, "_on_method_queue"),
-        (METHOD_GRANT, "_on_method_grant"),
-        (METHOD_COMPLETE, "_on_method_complete"),
-        (TRANSACTION_BEGIN, "_on_transaction_begin"),
-        (TRANSACTION_END, "_on_transaction_end"),
-    )
-    _CAUSAL_SUBSCRIPTIONS = (
-        (EVENT_NOTIFY, "_on_event_notify"),
-        (PROCESS_ACTIVATE, "_on_process_activate"),
-    )
-
-    def _subscriptions(self) -> tuple:
+    def _subscriptions(self):
+        yield METHOD_CALL, self._on_method_call
+        yield METHOD_QUEUE, self._on_method_queue
+        yield METHOD_GRANT, self._on_method_grant
+        yield METHOD_COMPLETE, self._on_method_complete
+        yield TRANSACTION_BEGIN, self._on_transaction_begin
+        yield TRANSACTION_END, self._on_transaction_end
         if self.causal:
-            return self._SUBSCRIPTIONS + self._CAUSAL_SUBSCRIPTIONS
-        return self._SUBSCRIPTIONS
-
-    def attach(self, bus: ProbeBus) -> "SpanTracer":
-        for kind, handler in self._subscriptions():
-            bus.subscribe(kind, getattr(self, handler))
-        self._bus = bus
-        return self
-
-    def detach(self) -> None:
-        if self._bus is None:
-            return
-        for kind, handler in self._subscriptions():
-            self._bus.unsubscribe(kind, getattr(self, handler))
-        self._bus = None
+            yield EVENT_NOTIFY, self._on_event_notify
+            yield PROCESS_ACTIVATE, self._on_process_activate
 
     # -- guarded-method handlers ----------------------------------------------
 

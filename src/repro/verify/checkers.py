@@ -1,13 +1,38 @@
-"""Runtime invariant checkers attached to signals."""
+"""Runtime invariant checkers attached to signals, and the one
+violation path every runtime checker reports through."""
 
 from __future__ import annotations
 
 import typing
 
-from ..errors import ProtocolError
+from ..errors import ProtocolError, ReproError
 from ..hdl.bitvector import LogicVector
 from ..hdl.module import Module
 from ..hdl.signal import Signal
+
+
+def report_violation(
+    log: list[str],
+    sim: typing.Any,
+    source: str,
+    text: str,
+    strict: bool,
+    error: type[ReproError] = ProtocolError,
+) -> None:
+    """Record one broken rule: the path of every runtime checker.
+
+    Appends *text* to the checker's *log*, reports it as a detection by
+    *source* when a simulator *sim* is given (so fault campaigns classify
+    the run as *detected* whether or not the checker is strict), and,
+    when *strict*, raises *error*. The raised message is *text* prefixed
+    with ``"<source>: "`` unless *text* already starts with it.
+    """
+    log.append(text)
+    if sim is not None:
+        sim.report_detection(source, text)
+    if strict:
+        prefix = f"{source}: "
+        raise error(text if text.startswith(prefix) else prefix + text)
 
 
 class InvariantChecker(Module):
@@ -41,11 +66,11 @@ class InvariantChecker(Module):
         value = self.watched.read()
         if self.predicate(value):
             return
-        text = f"{self.sim.time_str()}: {self.message} (value={value!r})"
-        self.violations.append(text)
-        self.sim.report_detection(self.path, text)
-        if self.strict:
-            raise ProtocolError(f"{self.path}: {text}")
+        report_violation(
+            self.violations, self.sim, self.path,
+            f"{self.sim.time_str()}: {self.message} (value={value!r})",
+            self.strict,
+        )
 
 
 class OneHotChecker(Module):
@@ -89,8 +114,8 @@ class OneHotChecker(Module):
         ]
         if len(asserted) <= 1:
             return
-        text = f"{self.sim.time_str()}: multiple asserted: {asserted}"
-        self.violations.append(text)
-        self.sim.report_detection(self.path, text)
-        if self.strict:
-            raise ProtocolError(f"{self.path}: {text}")
+        report_violation(
+            self.violations, self.sim, self.path,
+            f"{self.sim.time_str()}: multiple asserted: {asserted}",
+            self.strict,
+        )

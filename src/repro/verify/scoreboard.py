@@ -7,6 +7,7 @@ from collections import deque
 
 from ..errors import ConsistencyError
 from ..tlm.memory import Memory
+from .checkers import report_violation
 
 
 class Scoreboard:
@@ -47,11 +48,10 @@ class Scoreboard:
         self.matched += 1
 
     def _fail(self, message: str) -> None:
-        self.mismatches.append(message)
-        if self.sim is not None:
-            self.sim.report_detection(self.name, message)
-        if self.strict:
-            raise ConsistencyError(message)
+        report_violation(
+            self.mismatches, self.sim, self.name, message, self.strict,
+            ConsistencyError,
+        )
 
     @property
     def outstanding(self) -> int:

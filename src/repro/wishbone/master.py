@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from ..errors import ProtocolError
-from ..hdl.bitvector import LogicVector
+from ..hdl.bitvector import LogicVector, is_one
 from ..hdl.module import Module
 from ..hdl.signal import Signal
 from ..iface.agent import BusOperation, PinMaster
@@ -52,11 +52,11 @@ class WishboneMaster(PinMaster):
             waited = 0
             while True:
                 yield posedge
-                if bus.err_active():
+                if is_one(bus.err._value):
                     status = "bus_error"
                     self.errors_seen += 1
                     break
-                if bus.ack_active():
+                if is_one(bus.ack._value):
                     if not operation.is_write:
                         value = bus.dat_r._value
                         if not value.is_fully_defined:

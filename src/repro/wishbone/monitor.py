@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+from ..hdl.bitvector import is_one
 from ..hdl.module import Module
 from ..hdl.signal import Signal
 from ..iface.agent import BusMonitor
@@ -59,9 +60,9 @@ class WishboneMonitor(BusMonitor):
         while True:
             yield posedge
             self.cycles_observed += 1
-            request = bus.request_active()
-            ack = bus.ack_active()
-            err = bus.err_active()
+            request = is_one(bus.cyc._value) and is_one(bus.stb._value)
+            ack = is_one(bus.ack._value)
+            err = is_one(bus.err._value)
             if request:
                 self.busy_cycles += 1
             if (ack or err) and not request:

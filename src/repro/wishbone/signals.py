@@ -14,7 +14,6 @@ ERR. Keeping CYC asserted across consecutive STBs forms a burst.
 from __future__ import annotations
 
 from ..errors import ProtocolError
-from ..hdl.bitvector import is_one
 from ..hdl.module import Module
 from ..kernel.simulator import Simulator
 
@@ -73,15 +72,3 @@ class WishboneBus(Module):
         self.ack = self.resolved_signal("ack", 1)
         self.err = self.resolved_signal("err", 1)
         self.dat_r = self.resolved_signal("dat_r", data_width)
-
-    # -- sampling helpers (committed values as of the clock edge) ---------
-
-    def request_active(self) -> bool:
-        """CYC and STB both sampled high."""
-        return is_one(self.cyc._value) and is_one(self.stb._value)
-
-    def ack_active(self) -> bool:
-        return is_one(self.ack._value)
-
-    def err_active(self) -> bool:
-        return is_one(self.err._value)

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from ..errors import ProtocolError
-from ..hdl.bitvector import LogicVector
+from ..hdl.bitvector import LogicVector, is_one
 from ..hdl.module import Module
 from ..hdl.signal import Signal
 from ..tlm.interfaces import TlmTarget
@@ -61,7 +61,7 @@ class WishboneSlave(Module):
         posedge = self.clk.posedge
         while True:
             yield posedge
-            if not bus.request_active():
+            if not (is_one(bus.cyc._value) and is_one(bus.stb._value)):
                 self._release()
                 continue
             adr = bus.adr._value
@@ -73,7 +73,7 @@ class WishboneSlave(Module):
             aborted = False
             for __ in range(self.ack_latency):
                 yield posedge
-                if not bus.request_active():
+                if not (is_one(bus.cyc._value) and is_one(bus.stb._value)):
                     aborted = True
                     break
             if aborted:

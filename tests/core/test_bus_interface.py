@@ -3,8 +3,9 @@
 import pytest
 
 from repro.core import CommandType, DataType
-from repro.core.bus_interface import BusInterface, BusInterfaceChannel
+from repro.core.bus_interface import BusInterfaceChannel
 from repro.hdl import Module
+from repro.iface import InterfaceElement
 from repro.kernel import NS, Simulator, Timeout
 from repro.osss import GlobalObject, RoundRobinArbiter
 
@@ -121,7 +122,7 @@ class TestBlockingThroughGlobalObject:
 class TestBusInterfaceBase:
     def test_describe_metadata(self):
         sim = Simulator()
-        iface = BusInterface(sim, "iface", arbiter=RoundRobinArbiter())
+        iface = InterfaceElement(sim, "iface", arbiter=RoundRobinArbiter())
         info = iface.describe()
         assert info["bus"] == "abstract"
         assert info["path"] == "iface"
@@ -129,7 +130,7 @@ class TestBusInterfaceBase:
 
     def test_connect_application_merges_spaces(self):
         sim = Simulator()
-        iface = BusInterface(sim, "iface")
+        iface = InterfaceElement(sim, "iface")
         top = Module(sim, "app_host")
         app_handle = GlobalObject(top, "port", BusInterfaceChannel)
         iface.connect_application(app_handle)

@@ -1,4 +1,4 @@
-"""The bus sampling helpers answer the shared width-1 vectors by identity.
+"""The bus agents sample the shared width-1 vectors by identity.
 
 Any other width-1 value must sample as its level says: a non-shared
 ``LogicVector(1, 1)`` or ``LogicVector(1, 0)`` (a forced or faulted
@@ -9,11 +9,19 @@ level, and X or Z as neither level.
 import pytest
 
 from repro.axi.signals import AxiLiteBus
+from repro.hdl import Clock
 from repro.hdl.bitvector import BITS, LogicVector, is_one
 from repro.hdl.resolved import ResolvedSignal
-from repro.kernel import Simulator
+from repro.iface import BusOperation
+from repro.kernel import NS, Simulator
 from repro.pci.signals import PciBus, is_asserted
-from repro.wishbone.signals import WishboneBus
+from repro.tlm import Memory
+from repro.wishbone import (
+    WishboneBus,
+    WishboneMaster,
+    WishboneMonitor,
+    WishboneSlave,
+)
 
 LEVELS = {
     "shared_0": BITS[0],
@@ -49,17 +57,53 @@ def _samples(make_bus, wire_name, sample):
 
 def _wishbone(sim):
     bus = WishboneBus(sim, "wb")
-    # request_active needs both CYC and STB; hold the other one high.
+    # A request needs both CYC and STB; hold the other one high.
     bus.cyc.force(BITS[1])
     bus.stb.force(BITS[1])
     return bus
 
 
+def _resume(thread, edges):
+    """Resume an agent thread across *edges* rising edges (it waits on
+    nothing else); its return value if it ended by then."""
+    next(thread)
+    for __ in range(edges):
+        try:
+            thread.send(None)
+        except StopIteration as stop:
+            return stop.value
+    return None
+
+
+def _wishbone_agents(bus):
+    """What the Wishbone agents sample on the committed wires: whether
+    the slave serves a request and the monitor counts a busy cycle on
+    one edge, what the monitor records there, and how the master ends a
+    write (ACK, ERR or timeout). Their own writes stay staged, so every
+    agent sees the forced values."""
+    sim = bus.sim
+    clk = Clock(sim, "clock", period=10 * NS).clk
+    slave = WishboneSlave(sim, "slave", bus, clk, Memory(0x100), 0, 0x100)
+    monitor = WishboneMonitor(sim, "monitor", bus, clk, strict=False)
+    master = WishboneMaster(sim, "master", bus, clk)
+    _resume(slave._serve(), edges=1)
+    _resume(monitor._watch(), edges=1)
+    write = BusOperation(True, 0, data=[1], byte_lanes=bus.sel_width)
+    status = _resume(master._execute(write, clk.posedge), edges=64)
+    return (
+        slave.requests_served,
+        monitor.busy_cycles,
+        [transfer.terminated_by for transfer in monitor.transfers],
+        len(monitor.violations),
+        status,
+    )
+
+
 CASES = {
-    "wishbone.cyc": (_wishbone, "cyc", WishboneBus.request_active),
-    "wishbone.stb": (_wishbone, "stb", WishboneBus.request_active),
-    "wishbone.ack": (_wishbone, "ack", WishboneBus.ack_active),
-    "wishbone.err": (_wishbone, "err", WishboneBus.err_active),
+    "wishbone.cyc": (_wishbone, "cyc", _wishbone_agents),
+    "wishbone.stb": (_wishbone, "stb", _wishbone_agents),
+    "wishbone.ack": (_wishbone, "ack", _wishbone_agents),
+    "wishbone.err": (_wishbone, "err", _wishbone_agents),
     "axi.bvalid": (lambda sim: AxiLiteBus(sim, "axi"), "bvalid",
                    lambda bus: is_one(bus.bvalid.read())),
     "axi.arready": (lambda sim: AxiLiteBus(sim, "axi"), "arready",

@@ -45,7 +45,8 @@ class TestReSeat:
     @pytest.mark.parametrize("bus", ["pci", "wishbone", "axi4lite", "tlmgp"])
     def test_structural_summary(self, bus):
         bundle = build_platform([_workload()], bus=bus)
-        summary = bundle.interface.structural_summary()
+        summary = bundle.interface.describe()
+        assert summary["element"] == type(bundle.interface).__name__
         assert summary["bus"] == bus
         assert summary["data_width"] == 32
         assert summary["byte_lanes"] == 4

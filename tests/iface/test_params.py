@@ -13,8 +13,10 @@ class TestValidation:
         params = IfaceParams()
         assert params.data_width == 32
         assert params.addr_width == 32
-        assert params.max_burst == 8
         assert params.response_capacity == 4
+        assert [field.name for field in dataclasses.fields(params)] == [
+            "data_width", "addr_width", "response_capacity",
+        ]
 
     @pytest.mark.parametrize("width", [0, 4, 7, 12, -8])
     def test_data_width_must_be_byte_multiple(self, width):
@@ -24,10 +26,6 @@ class TestValidation:
     def test_addr_width_positive(self):
         with pytest.raises(RefinementError):
             IfaceParams(addr_width=0)
-
-    def test_max_burst_positive(self):
-        with pytest.raises(RefinementError):
-            IfaceParams(max_burst=0)
 
     def test_response_capacity_positive(self):
         with pytest.raises(RefinementError):
@@ -47,12 +45,8 @@ class TestDerived:
     def test_byte_lanes_track_data_width(self, width, lanes, be_mask):
         params = IfaceParams(data_width=width)
         assert params.byte_lanes == lanes
-        assert params.word_bytes == lanes
         assert params.byte_enable_mask == be_mask
         assert params.data_mask == (1 << width) - 1
-
-    def test_addr_mask(self):
-        assert IfaceParams(addr_width=16).addr_mask == 0xFFFF
 
     def test_replace_revalidates(self):
         base = IfaceParams(data_width=64)

@@ -5,13 +5,15 @@ element's :class:`IfaceParams` used to run anyway: Wishbone and
 AXI4-Lite at ``addr_width=8`` read aliased words, and 16- or 24-bit
 data paths raised deep inside the run or wrote a wrong memory image.
 ``build_platform`` now rejects such a workload when it is built, and
-``generate_workload(params=...)`` draws one that fits.
+``generate_workload(params=...)`` draws one that fits. PCI itself needs
+a data path of 32 bits or more and rejects a narrower one when it is
+built.
 """
 
 import pytest
 
 from repro.core import CommandType, generate_workload
-from repro.errors import RefinementError
+from repro.errors import ProtocolError, RefinementError
 from repro.flow import PciPlatformConfig, build_platform
 from repro.iface import IfaceParams
 from repro.kernel import MS
@@ -28,24 +30,18 @@ CASES = [
     (IfaceParams(data_width=16), BUSES),
     (IfaceParams(data_width=24), BUSES),
 ]
-#: A known gap: with a fitting workload, a 16-bit PCI element still
-#: disagrees with the functional platform.
-PCI_16 = pytest.mark.xfail(
-    strict=True,
-    reason="a 16-bit PCI element ends the read burst at 0xF54 with "
-    "master_abort where the functional platform returns data",
-)
 
 
-def _cells(known_gaps=False):
+def _cells(buildable=False):
+    """Every (params, bus) case; with *buildable*, only those whose
+    platform builds (PCI rejects a data path below 32 bits)."""
     return [
         pytest.param(
-            params, bus, id=f"{bus}-{params.data_width}-{params.addr_width}",
-            marks=PCI_16 if known_gaps and (bus, params.data_width) == ("pci", 16)
-            else (),
+            params, bus, id=f"{bus}-{params.data_width}-{params.addr_width}"
         )
         for params, buses in CASES
         for bus in buses
+        if not (buildable and bus == "pci" and params.data_width < 32)
     ]
 
 
@@ -81,6 +77,15 @@ class TestRejectedAtBuild:
         with pytest.raises(RefinementError, match=reason):
             build_platform([fits, [command]], PciPlatformConfig(params=params))
 
+    @pytest.mark.parametrize("width", [8, 16, 24])
+    def test_pci_below_32_bits(self, width):
+        """The bus command rides on C/BE#[3:0], one line per byte lane:
+        a narrower bus would deliver another command to the targets."""
+        params = IfaceParams(data_width=width)
+        workload = generate_workload(**DRAW, params=params)
+        with pytest.raises(ProtocolError, match=r"needs C/BE#\[3:0\]"):
+            build_platform([workload], PciPlatformConfig(params=params))
+
 
 class TestDrawnWithinParams:
     @pytest.mark.parametrize("params", [params for params, __ in CASES])
@@ -97,7 +102,7 @@ class TestDrawnWithinParams:
             ) == generate_workload(**DRAW, partial_byte_enable_fraction=0.3)
 
     @pytest.mark.parametrize("synthesize", [False, True])
-    @pytest.mark.parametrize("params, bus", _cells(known_gaps=True))
+    @pytest.mark.parametrize("params, bus", _cells(buildable=True))
     def test_matches_the_functional_platform(self, params, bus, synthesize):
         workload = generate_workload(
             **DRAW, partial_byte_enable_fraction=0.3, params=params

@@ -63,7 +63,8 @@ class TestWarmEqualsCold:
     @pytest.mark.parametrize("backend", ["interpreted", "compiled"])
     @pytest.mark.parametrize("bus", BUSES)
     def test_byte_identical_outputs(self, bus, backend):
-        for width in (16, 32, 64):
+        # PCI rejects a data path below 32 bits.
+        for width in (32, 64) if bus == "pci" else (16, 32, 64):
             for apps in (1, 2, 4):
                 synthesize_group_shape.cache_clear()
                 cold = _build(bus, backend, width, apps)

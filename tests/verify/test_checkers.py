@@ -2,10 +2,11 @@
 
 import pytest
 
-from repro.errors import ProtocolError
-from repro.hdl import Module
+from repro.errors import ConsistencyError, ProtocolError
+from repro.hdl import Clock, Module
 from repro.kernel import NS, Simulator, Timeout
-from repro.verify import InvariantChecker, OneHotChecker
+from repro.verify import InvariantChecker, OneHotChecker, Scoreboard
+from repro.wishbone import WishboneBus, WishboneMonitor
 
 
 @pytest.fixture
@@ -108,3 +109,82 @@ class TestOneHotChecker:
         sim.spawn(driver, "d")
         sim.run(10 * NS)
         assert checker.violations
+
+
+def _invariant(sim, strict):
+    top = Module(sim, "top")
+    signal = top.signal("s", width=8, init=0)
+    checker = InvariantChecker(top, "chk", signal, lambda v: v.to_int() < 100,
+                               "value too large", strict=strict)
+    signal.force(200)
+    return checker.violations, checker._check
+
+
+def _one_hot(sim, strict):
+    top = Module(sim, "top")
+    grants = [top.signal(f"g{i}", width=1, init=1) for i in range(2)]
+    checker = OneHotChecker(top, "chk", grants, strict=strict)
+    return checker.violations, checker._check
+
+
+def _scoreboard(sim, strict):
+    board = Scoreboard("sb", strict=strict, sim=sim)
+    return board.mismatches, lambda: board.observe(5)
+
+
+def _monitor(sim, strict):
+    top = Module(sim, "top")
+    clk = Clock(top, "clock", period=10 * NS).clk
+    monitor = WishboneMonitor(top, "mon", WishboneBus(top, "wb"), clk,
+                              strict=strict)
+    return monitor.violations, lambda: monitor._violation("ACK without CYC")
+
+
+_VALUE = "LogicVector(8, '11001000')"
+#: checker -> (its log entry, its source, exception class, raised message).
+VIOLATIONS = {
+    "invariant": (
+        _invariant, f"0 fs: value too large (value={_VALUE})", "top.chk",
+        ProtocolError, f"top.chk: 0 fs: value too large (value={_VALUE})",
+    ),
+    "one_hot": (
+        _one_hot, "0 fs: multiple asserted: ['top.g0', 'top.g1']", "top.chk",
+        ProtocolError, "top.chk: 0 fs: multiple asserted: ['top.g0', 'top.g1']",
+    ),
+    "scoreboard": (
+        _scoreboard, "sb: unexpected item 5", "sb",
+        ConsistencyError, "sb: unexpected item 5",
+    ),
+    "monitor": (
+        _monitor, "0 fs: ACK without CYC", "top.mon",
+        ProtocolError, "top.mon: 0 fs: ACK without CYC",
+    ),
+}
+
+
+class TestViolationPath:
+    """Checkers, scoreboards and monitors report through one path: log
+    the text, report it as a detection, raise when strict."""
+
+    @pytest.mark.parametrize("strict", [False, True])
+    @pytest.mark.parametrize("case", sorted(VIOLATIONS))
+    def test_logged_detected_and_raised(self, case, strict):
+        make, text, source, error, message = VIOLATIONS[case]
+        sim = Simulator()
+        log, fire = make(sim, strict)
+        if strict:
+            with pytest.raises(error) as raised:
+                fire()
+            assert type(raised.value) is error
+            assert str(raised.value) == message
+        else:
+            fire()
+        assert log == [text]
+        assert [(d.source, d.message) for d in sim.detections] == [
+            (source, text)
+        ]
+
+    def test_scoreboard_without_a_simulator(self):
+        board = Scoreboard("sb", strict=False)
+        board.observe(5)
+        assert board.mismatches == ["sb: unexpected item 5"]
