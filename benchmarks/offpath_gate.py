@@ -30,14 +30,25 @@ Best-of-7 wall time, normalized by a pure-Python calibration loop timed
 on the same host, is a coarse backstop for slowdowns that add no call;
 it moves 5-9% between identical runs.
 
+Four memory rows, one per bus (pci, wishbone, axi4lite, tlmgp), build
+the synthesized cell of that bus over the ``pci`` row's workload and run
+it. Each stores two ``tracemalloc`` byte counts: what the built cell
+holds, and what its run adds and keeps (the live bytes after a full
+collection, with the cyclic collector otherwise paused). A first,
+unmeasured build and run warms the synthesis shape memo and every lazy
+cache, so the counts repeat byte for byte across processes. Object
+sizes differ between interpreters, so the counts are stored per Python
+minor version, and each may grow by 1%.
+
 Five feature rows then run each subsystem's on-mode over its off path's
 workload, keep that subsystem's correctness checks, and print its cost
 relative to the off path.
 
 Usage::
 
-    python benchmarks/offpath_gate.py            # gate (exit 1 on failure)
-    python benchmarks/offpath_gate.py --update   # re-measure call counts
+    python benchmarks/offpath_gate.py                       # gate (exit 1 on failure)
+    python benchmarks/offpath_gate.py --update              # store every row
+    python benchmarks/offpath_gate.py --update memory.pci   # store named rows only
 """
 
 from __future__ import annotations
@@ -46,9 +57,11 @@ import argparse
 import gc
 import json
 import os
+import subprocess
 import sys
 import tempfile
 import time
+import tracemalloc
 
 _ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 if os.path.join(_ROOT, "src") not in sys.path:
@@ -148,12 +161,16 @@ def instrument_on(meter):
     assert all(causes.values()), f"a probe kind never carried a cause: {causes}"
 
 
-def _pci_run(meter, config=None, observe=None):
-    workload = generate_workload(
+def _cell_workload():
+    return generate_workload(
         seed=SEED, n_commands=N_COMMANDS, address_span=0x400,
         max_burst=4, partial_byte_enable_fraction=0.2,
     )
-    bundle = build_platform([workload], config, bus="pci", synthesize=True)
+
+
+def _pci_run(meter, config=None, observe=None):
+    bundle = build_platform([_cell_workload()], config, bus="pci",
+                            synthesize=True)
     observed = observe(bundle) if observe else None
     meter(bundle.run, 200 * MS)
     assert all(app.finished for app in bundle.handle.applications)
@@ -248,6 +265,14 @@ ROWS = {
     "analyze": (analyze_netlists, 0.02, 0.30),
 }
 
+#: memory row -> the bus whose synthesized cell it measures.
+MEMORY_ROWS = {f"memory.{bus}": bus
+               for bus in ("pci", "wishbone", "axi4lite", "tlmgp")}
+#: Allowed growth of either stored byte count.
+MEMORY_TOLERANCE = 0.01
+#: The key the memory references are stored under.
+PYTHON_VERSION = f"{sys.version_info.major}.{sys.version_info.minor}"
+
 #: (subsystem, the off path it must cost nothing on, its on-mode run).
 FEATURES = (
     ("instrument", "method", instrument_on),
@@ -296,6 +321,59 @@ def count_calls(run):
     return calls, result
 
 
+def _live_bytes():
+    """Traced bytes still reachable after a full collection (0 when
+    tracemalloc is off)."""
+    gc.collect()
+    return tracemalloc.get_traced_memory()[0]
+
+
+def _measure_cell(bus):
+    """``(built, retained)`` tracemalloc bytes of one synthesized *bus*
+    cell in this process: what the built cell holds, and what its run
+    adds and keeps.
+
+    The first pass is not traced: it fills the synthesis shape memo and
+    the lazy caches the measured pass then reuses.
+    """
+    collecting = gc.isenabled()
+    for traced in (False, True):
+        workload = _cell_workload()
+        gc.collect()
+        gc.disable()
+        if traced:
+            tracemalloc.start()
+        try:
+            bundle = build_platform([workload], bus=bus, synthesize=True)
+            built = _live_bytes()
+            bundle.run(200 * MS)
+            assert all(app.finished for app in bundle.handle.applications)
+            retained = _live_bytes() - built
+            del bundle
+        finally:
+            tracemalloc.stop()
+            if collecting:
+                gc.enable()
+    return built, retained
+
+
+def measure_memory(bus):
+    """:func:`_measure_cell` in a fresh interpreter.
+
+    What a process ran before moves the counts by kilobytes (id counters
+    outgrow the small-int cache, other rows fill caches), so every
+    memory row starts from the same state.
+    """
+    script = (f"import runpy; gate = runpy.run_path({__file__!r}); "
+              f"print(*gate['_measure_cell']({bus!r}))")
+    result = subprocess.run([sys.executable, "-c", script],
+                            capture_output=True, text=True)
+    if result.returncode:
+        raise RuntimeError(f"memory row of {bus} failed:\n{result.stderr}")
+    built, retained = map(int, result.stdout.split())
+    return built, retained
+
+
 def best_seconds(run):
     """Best-of-REPEATS wall seconds of *run*'s metered section."""
     samples = []
@@ -334,19 +412,40 @@ def limits(name, baseline):
             reference["wall_units"] * (1.0 + wall_tolerance))
 
 
+def memory_limits(name, baseline):
+    """``(built limit, retained limit)`` in bytes of memory row *name* on
+    this Python version, or None when no reference is stored for it."""
+    reference = baseline.get(name, {}).get(PYTHON_VERSION)
+    if reference is None:
+        return None
+    return (reference["built"] * (1.0 + MEMORY_TOLERANCE),
+            reference["retained"] * (1.0 + MEMORY_TOLERANCE))
+
+
 def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--update", action="store_true",
-                        help="rewrite the call-count references from this "
-                             "run; the wall references are kept")
+    parser.add_argument("--update", nargs="*", metavar="ROW",
+                        help="store this run's measurements of the named "
+                             "rows, or of every row when none is named: a "
+                             "call row's count (its wall reference is kept) "
+                             "or a memory row's bytes on this Python version")
     args = parser.parse_args(argv)
+    names = [*ROWS, *MEMORY_ROWS]
+    unknown = sorted(set(args.update or ()) - set(names))
+    if unknown:
+        parser.error(f"unknown row {', '.join(unknown)}; "
+                     f"rows are {', '.join(names)}")
+    selected = set(args.update or names)
     baseline = load_baseline()
-    calibration = min(_calibrate() for __ in range(REPEATS))
 
     failures = []
     measured = {}
-    print(f"counted rows (wall: best of {REPEATS}, in calibration units):")
-    for name, (run, *__) in ROWS.items():
+    call_rows = [name for name in ROWS if name in selected]
+    if call_rows:
+        calibration = min(_calibrate() for __ in range(REPEATS))
+        print(f"counted rows (wall: best of {REPEATS}, in calibration units):")
+    for name in call_rows:
+        run = ROWS[name][0]
         seconds = best_seconds(run)
         calls, __ = count_calls(run)
         measured[name] = (calls, seconds)
@@ -360,21 +459,47 @@ def main(argv=None):
         if failed:
             failures.append(name)
 
-    print("features (on-mode cost over its off path):")
-    for feature, path, run in FEATURES:
-        seconds = best_seconds(run)
-        calls, __ = count_calls(run)
-        off_calls, off_seconds = measured[path]
-        print(f"  {feature:<10} over {path:<8} {seconds / off_seconds:5.2f}x wall  "
-              f"{calls / off_calls:6.3f}x calls")
+    memory_rows = [name for name in MEMORY_ROWS if name in selected]
+    if memory_rows:
+        print(f"memory rows (tracemalloc bytes, Python {PYTHON_VERSION}):")
+    for name in memory_rows:
+        built, retained = measure_memory(MEMORY_ROWS[name])
+        measured[name] = {"built": built, "retained": retained}
+        bounds = memory_limits(name, baseline)
+        if bounds is None:
+            print(f"  {name:<15} built {built:>7,}  retained {retained:>7,}  "
+                  f"no Python {PYTHON_VERSION} reference")
+            failures.append(name)
+            continue
+        built_limit, retained_limit = bounds
+        failed = [label for label, over in
+                  (("built", built > built_limit),
+                   ("retained", retained > retained_limit)) if over]
+        print(f"  {name:<15} built {built:>7,} (limit {built_limit:>7,.0f})  "
+              f"retained {retained:>7,} (limit {retained_limit:>7,.0f})  "
+              f"{'FAIL: ' + ', '.join(failed) if failed else 'ok'}")
+        if failed:
+            failures.append(name)
 
-    if args.update:
-        for name, (calls, __) in measured.items():
-            baseline[name]["calls"] = calls
+    # Named updates skip the features: they need every off path measured.
+    if not args.update:
+        print("features (on-mode cost over its off path):")
+        for feature, path, run in FEATURES:
+            seconds = best_seconds(run)
+            calls, __ = count_calls(run)
+            off_calls, off_seconds = measured[path]
+            print(f"  {feature:<10} over {path:<8} {seconds / off_seconds:5.2f}x wall  "
+                  f"{calls / off_calls:6.3f}x calls")
+
+    if args.update is not None:
+        for name in call_rows:
+            baseline[name]["calls"] = measured[name][0]
+        for name in memory_rows:
+            baseline.setdefault(name, {})[PYTHON_VERSION] = measured[name]
         with open(BASELINE_PATH, "w") as handle:
             json.dump(baseline, handle, indent=2)
             handle.write("\n")
-        print(f"call counts updated: {BASELINE_PATH}")
+        print(f"updated {', '.join(call_rows + memory_rows)}: {BASELINE_PATH}")
         return 0
     if failures:
         print(f"FAIL: row over its limit: {', '.join(failures)}", file=sys.stderr)

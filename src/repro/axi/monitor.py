@@ -15,6 +15,9 @@ from .signals import RESP_EXOKAY, RESP_NAMES, AxiLiteBus
 class AxiLiteTransfer:
     """One completed single-beat transfer (B or R handshake)."""
 
+    __slots__ = ("address", "is_write", "data", "strb", "resp", "time",
+                 "txn_id", "corr_id")
+
     def __init__(self, address: int, is_write: bool, data: int | None,
                  strb: int, resp: int, time: int) -> None:
         self.address = address

@@ -26,6 +26,9 @@ if typing.TYPE_CHECKING:  # pragma: no cover - import cycle guard
 class TransactionRecord:
     """One completed application-level transaction."""
 
+    __slots__ = ("command", "response", "issue_time", "complete_time",
+                 "corr_id")
+
     def __init__(
         self,
         command: CommandType,

@@ -110,6 +110,8 @@ class DataType:
     :param status: completion status string (``"ok"`` on success).
     """
 
+    __slots__ = ("data", "status", "corr_id")
+
     def __init__(self, data: typing.Sequence[int], status: str = "ok") -> None:
         self.data: list[int] = list(data)
         self.status = status

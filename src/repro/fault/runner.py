@@ -9,7 +9,8 @@ Parallelism uses :class:`concurrent.futures.ProcessPoolExecutor` so a
 run that corrupts interpreter state, leaks design objects or spins
 cannot poison its siblings; per-run wall budgets are enforced *inside*
 the run by the in-sim watchdog (portable — no SIGALRM, no main-thread
-requirement).
+requirement). The pool modules are imported by the parallel paths
+alone, so serial campaigns, sweeps and matrices never load them.
 
 The runner degrades gracefully along a ladder, worst failure last:
 
@@ -42,14 +43,10 @@ reports for the same spec and seed.
 
 from __future__ import annotations
 
-import concurrent.futures
-import multiprocessing
-import multiprocessing.connection
 import os
 import threading
 import time as _time
 import typing
-from concurrent.futures.process import BrokenProcessPool
 
 from .campaign import (
     WORKER_ERROR,
@@ -86,6 +83,9 @@ def _exit_with_parent() -> None:
     A parent killed with SIGKILL runs no cleanup, so without this its
     pool workers would sleep on their call queue forever.
     """
+    import multiprocessing
+    import multiprocessing.connection
+
     parent = multiprocessing.parent_process()
     if parent is not None:
         multiprocessing.connection.wait([parent.sentinel])
@@ -297,6 +297,9 @@ def _quarantine_run(
     death on this exact run. Returns ``(outcome, pool_broke)`` so the
     caller can track the quarantine crash rate for the fallback rung.
     """
+    import concurrent.futures
+    from concurrent.futures.process import BrokenProcessPool
+
     with concurrent.futures.ProcessPoolExecutor(
         max_workers=1,
         initializer=_init_worker,
@@ -327,6 +330,9 @@ def _run_parallel(
 ) -> tuple[list[RunOutcome], int, bool, int]:
     """Pool execution; returns ``(outcomes, restarts, interrupted,
     serial_fallback_runs)``."""
+    import concurrent.futures
+    from concurrent.futures.process import BrokenProcessPool
+
     outcomes: list[RunOutcome] = []
     unfinished: list[RunSpec] = []
     collected: set[int] = set()

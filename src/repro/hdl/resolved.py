@@ -36,6 +36,8 @@ if typing.TYPE_CHECKING:  # pragma: no cover - import cycle guard
 class BusDriver:
     """One agent's contribution to a resolved bus."""
 
+    __slots__ = ("_bus", "name", "_contribution")
+
     def __init__(self, bus: "ResolvedSignal", name: str) -> None:
         self._bus = bus
         self.name = name

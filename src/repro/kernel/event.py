@@ -29,14 +29,25 @@ class Event:
 
     :param scheduler: the kernel this event belongs to.
     :param name: optional label used in traces and error messages.
+
+    Every signal, clock and process creates events, so the layout is
+    fixed by ``__slots__`` and the static-waiter and callback lists are
+    created on first use: most events never get either.
     """
+
+    __slots__ = (
+        "_scheduler", "name", "_dynamic_waiters", "_static_waiters",
+        "_callbacks", "_delta_pending", "_notify_cause", "_inline",
+    )
 
     def __init__(self, scheduler: "Scheduler", name: str = "") -> None:
         self._scheduler = scheduler
         self.name = name
         self._dynamic_waiters: list["Process"] = []
-        self._static_waiters: list["Process"] = []
-        self._callbacks: list[typing.Callable[[], None]] = []
+        #: Statically sensitive processes; None until the first add_static.
+        self._static_waiters: list["Process"] | None = None
+        #: One-shot callbacks for the next trigger; None when there are none.
+        self._callbacks: list[typing.Callable[[], None]] | None = None
         #: Set while queued for the next delta (O(1) dedup in
         #: Scheduler._schedule_delta_event).
         self._delta_pending: bool = False
@@ -70,8 +81,11 @@ class Event:
 
     def add_static(self, process: "Process") -> None:
         """Register *process* for static sensitivity on this event."""
-        if process not in self._static_waiters:
-            self._static_waiters.append(process)
+        waiters = self._static_waiters
+        if waiters is None:
+            self._static_waiters = [process]
+        elif process not in waiters:
+            waiters.append(process)
 
     def add_callback(self, callback: typing.Callable[[], None]) -> None:
         """Run *callback* once, at the next trigger of this event.
@@ -80,7 +94,11 @@ class Event:
         they must not wait — intended for lightweight plumbing such as
         delayed signal writes.
         """
-        self._callbacks.append(callback)
+        callbacks = self._callbacks
+        if callbacks is None:
+            self._callbacks = [callback]
+        else:
+            callbacks.append(callback)
 
     # -- notification -----------------------------------------------------
 
@@ -139,11 +157,15 @@ class Event:
                 if not process._runnable:
                     process._runnable = True
                     runnable.append(process)
-        for process in self._static_waiters:
-            process._wake_static(self)
+        static = self._static_waiters
+        if static is not None:
+            for process in static:
+                process._wake_static(self)
         callbacks = self._callbacks
-        if callbacks:
-            self._callbacks = []
+        if callbacks is not None:
+            # Detach first: a callback added by a callback waits for the
+            # next trigger.
+            self._callbacks = None
             for callback in callbacks:
                 callback()
 

@@ -60,6 +60,13 @@ class Process:
     THREAD = "thread"
     METHOD = "method"
 
+    __slots__ = (
+        "_scheduler", "name", "kind", "_func", "_generator", "_send",
+        "_wait_event", "_wait_events", "_all_of_pending", "_timeout_event",
+        "done", "started", "terminated_event", "_static_sensitivity",
+        "_runnable", "exception", "_wake_trigger",
+    )
+
     def __init__(
         self,
         scheduler: "Scheduler",

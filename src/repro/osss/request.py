@@ -18,6 +18,12 @@ _sequence = itertools.count()
 class MethodRequest:
     """One pending (or completed) guarded-method invocation."""
 
+    __slots__ = (
+        "client", "method", "args", "kwargs", "arrival_time", "priority",
+        "seq", "done_event", "result", "error", "completed", "cancelled",
+        "grant_time", "complete_time",
+    )
+
     def __init__(
         self,
         client: str,

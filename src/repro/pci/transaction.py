@@ -126,6 +126,12 @@ class PciOperation:
 class PciTransaction:
     """A transaction reconstructed from the wires by a bus monitor."""
 
+    __slots__ = (
+        "command", "address", "start_time", "end_time", "data",
+        "byte_enables", "terminated_by", "parity_errors", "txn_id",
+        "corr_id", "devsel_time", "first_data_time",
+    )
+
     def __init__(
         self,
         command: int,

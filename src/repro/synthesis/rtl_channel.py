@@ -78,6 +78,9 @@ ZERO, ONE = BITS
 class ChannelCallRecord:
     """Cycle-level log entry for one serviced call."""
 
+    __slots__ = ("client", "method", "request_time", "grant_time",
+                 "done_time")
+
     def __init__(
         self,
         client: str,

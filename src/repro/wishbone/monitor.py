@@ -13,6 +13,9 @@ from .signals import WishboneBus
 class WishboneTransfer:
     """One observed terminated phase."""
 
+    __slots__ = ("address", "is_write", "data", "sel", "time",
+                 "terminated_by", "txn_id", "corr_id")
+
     def __init__(self, address: int, is_write: bool, data: int | None,
                  sel: int, time: int, terminated_by: str) -> None:
         self.address = address

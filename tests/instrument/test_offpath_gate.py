@@ -1,7 +1,10 @@
-"""The off-path gate's call counts repeat, and one added call trips them."""
+"""The off-path gate's call counts repeat, and one added call trips them;
+its memory rows repeat, and a named update stores only those rows."""
 
 import ast
+import copy
 import importlib.util
+import json
 import os
 
 import pytest
@@ -92,3 +95,40 @@ class TestOffPathGate:
         monkeypatch.setattr(ast, "iter_child_nodes", in_one_more_frame)
         calls, __ = gate.count_calls(gate.analyze_netlists)
         assert calls > call_limit
+
+
+class TestMemoryRows:
+    def test_pci_bytes_repeat_and_pass(self, gate):
+        first, second = (gate.measure_memory("pci") for __ in range(2))
+        assert first == second
+        bounds = gate.memory_limits("memory.pci", gate.load_baseline())
+        assert bounds is not None, f"no Python {gate.PYTHON_VERSION} reference"
+        built, retained = second
+        assert built <= bounds[0] and retained <= bounds[1], (second, bounds)
+
+    def test_named_update_stores_only_those_rows(
+        self, gate, tmp_path, monkeypatch
+    ):
+        version = gate.PYTHON_VERSION
+        stale = copy.deepcopy(gate.load_baseline())
+        stale["method"]["calls"] = 1
+        stale["memory.pci"][version] = {"built": 1, "retained": 1}
+        stale["memory.tlmgp"][version] = {"built": 1, "retained": 1}
+        stale["memory.tlmgp"]["2.7"] = {"built": 2, "retained": 2}
+        path = tmp_path / "baseline.json"
+        path.write_text(json.dumps(stale))
+        monkeypatch.setattr(gate, "BASELINE_PATH", str(path))
+
+        assert gate.main(["--update", "memory.tlmgp"]) == 0
+
+        built, retained = gate.measure_memory("tlmgp")
+        expected = copy.deepcopy(stale)
+        expected["memory.tlmgp"][version] = {
+            "built": built, "retained": retained,
+        }
+        assert json.loads(path.read_text()) == expected
+
+    def test_update_rejects_an_unknown_row(self, gate, capsys):
+        with pytest.raises(SystemExit):
+            gate.main(["--update", "memory.isa"])
+        assert "unknown row memory.isa" in capsys.readouterr().err

@@ -42,3 +42,36 @@ def test_package_imports_first(package):
         timeout=120,
     )
     assert result.returncode == 0, result.stderr
+
+
+#: The repro modules the benchmark harness imports.
+BENCHMARK_IMPORTS = (
+    "repro.compile.channel", "repro.instrument.profiler",
+    "repro.synthesis.tool", "repro.telemetry.scorecard",
+    "repro.trace.correlate", "repro.trace.spans", "repro.fault",
+    "repro.fault.runner", "repro.flow.platforms", "repro.iface.matrix",
+)
+
+
+def test_process_pool_modules_load_on_demand():
+    """Serial campaigns, sweeps and matrices never start a pool, so
+    importing what they use must not load the pool machinery."""
+    path = os.pathsep.join(
+        filter(None, [str(SRC), os.environ.get("PYTHONPATH")])
+    )
+    script = "\n".join(
+        [f"import {name}" for name in BENCHMARK_IMPORTS] + [
+            "import sys",
+            "loaded = sorted(name for name in sys.modules if name in "
+            "('multiprocessing', 'concurrent.futures'))",
+            "assert not loaded, loaded",
+        ]
+    )
+    result = subprocess.run(
+        [sys.executable, "-c", script],
+        env={**os.environ, "PYTHONPATH": path},
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert result.returncode == 0, result.stderr
