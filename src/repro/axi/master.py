@@ -76,7 +76,7 @@ class AxiLiteMaster(PinMaster):
         """AW+W handshakes, then the B response; returns the status."""
         bus = self.bus
         bus.awvalid.write(1)
-        bus.awaddr.write(LogicVector(bus.addr_width, address & bus.addr_mask))
+        bus.awaddr.write(LogicVector(bus.addr_width, address))
         bus.wvalid.write(1)
         bus.wdata.write(LogicVector(bus.data_width, word))
         bus.wstrb.write(LogicVector(bus.strb_width, strb))
@@ -112,7 +112,7 @@ class AxiLiteMaster(PinMaster):
         """AR handshake, then the R beat; returns (status, word)."""
         bus = self.bus
         bus.arvalid.write(1)
-        bus.araddr.write(LogicVector(bus.addr_width, address & bus.addr_mask))
+        bus.araddr.write(LogicVector(bus.addr_width, address))
         waited = 0
         while True:
             yield posedge

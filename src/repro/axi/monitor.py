@@ -70,10 +70,10 @@ class AxiLiteMonitor(BusMonitor):
         return [t.signature() for t in self.transfers]
 
     def _record(self, transfer: AxiLiteTransfer) -> None:
-        transfer.txn_id = new_txn_id()
         self.transfers.append(transfer)
         probes = self.sim._probes
         if probes is not None:
+            transfer.txn_id = new_txn_id()
             probes.emit(TRANSACTION_END, self.sim.time, self.path, transfer)
 
     def _watch(self):

@@ -69,7 +69,6 @@ class AxiLiteBus(Module):
         self.strb_width = data_width // 8
         self.strb_mask = (1 << self.strb_width) - 1
         self.data_mask = (1 << data_width) - 1
-        self.addr_mask = (1 << addr_width) - 1
         # Write address channel (master -> slave).
         self.awvalid = self.signal("awvalid", width=1, init=0)
         self.awaddr = self.signal("awaddr", width=addr_width, init=0)

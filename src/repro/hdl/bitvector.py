@@ -36,7 +36,9 @@ class LogicVector:
         self._width = width
         mask = (1 << width) - 1
         if type(value) is int:
-            self._ones = value & mask
+            # Keep a value that fits as it is: masking makes a new int,
+            # and every record read off the wire would hold that copy.
+            self._ones = value if 0 <= value <= mask else value & mask
             self._x = self._z = 0
             self.is_fully_defined = True
             return

@@ -80,7 +80,8 @@ class BusOperation:
         self.complete_time: int | None = None
         #: Correlation id inherited from the issuing CommandType.
         self.corr_id: str | None = None
-        #: Stable id for transaction.begin/end probe pairing.
+        #: Stable id for transaction.begin/end probe pairing; drawn only
+        #: while a probe bus is attached.
         self.txn_id: int | None = None
 
     @classmethod
@@ -107,9 +108,10 @@ class PinMaster(Module):
     :meth:`submit` queues an operation and returns the event that fires
     (one delta after completion) when it is done; :meth:`transact` is
     the blocking helper for thread processes. The ``engine`` thread
-    stamps the operation's start and completion times and txn id, emits
-    its ``transaction.begin``/``end`` probes and counts successes; a bus
-    subclass drives the pins in :meth:`_execute`.
+    stamps the operation's start and completion times, emits its
+    ``transaction.begin``/``end`` probes (with a txn id, drawn only
+    while a probe bus is attached) and counts successes; a bus subclass
+    drives the pins in :meth:`_execute`.
     """
 
     def __init__(
@@ -167,10 +169,10 @@ class PinMaster(Module):
                 continue
             operation, done = queue.popleft()
             operation.start_time = self.sim.time
-            if operation.txn_id is None:
-                operation.txn_id = new_txn_id()
             probes = self.sim._probes
             if probes is not None:
+                if operation.txn_id is None:
+                    operation.txn_id = new_txn_id()
                 probes.emit(
                     TRANSACTION_BEGIN, self.sim.time, self.path, operation
                 )

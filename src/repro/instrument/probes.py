@@ -34,7 +34,8 @@ kind                  callback arguments
                       opened (``source`` is a hierarchical path string;
                       the payload carries a process-wide unique
                       ``txn_id`` from :func:`new_txn_id` so begin/end
-                      pair reliably across layers)
+                      pair reliably across layers; emitters draw it
+                      only while a probe bus is attached)
 ``transaction.end``   ``(time, source, payload)`` — the transaction closed
 ``flow.stage``        ``(name, status, wall_seconds)`` — a design-flow stage
                       finished (wall-clock, not simulation time)
@@ -141,7 +142,12 @@ _txn_ids = itertools.count(1)
 
 
 def new_txn_id() -> int:
-    """Allocate the next process-wide unique transaction id."""
+    """Allocate the next process-wide unique transaction id.
+
+    Only the probe pairing reads the ids, so every emitter draws one
+    only while its simulator has a probe bus: an unobserved run draws
+    none.
+    """
     return next(_txn_ids)
 
 

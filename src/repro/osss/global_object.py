@@ -189,7 +189,7 @@ class SharedStateSpace:
             self.pending.remove(request)
             self.busy = True
             request.grant_time = scheduler.time
-            self.stats.record_grant(request, scheduler.time)
+            self.stats.record_grant(request)
             probes = self.sim._probes
             if probes is not None:
                 probes.emit(METHOD_GRANT, scheduler.time, self, request)

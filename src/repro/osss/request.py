@@ -92,34 +92,42 @@ def correlation_id_of(request: MethodRequest) -> str | None:
 
 
 class RequestStats:
-    """Aggregated servicing statistics of one shared state space."""
+    """Aggregated servicing statistics of one shared state space.
+
+    Constant-size: waits are kept as a running sum and maximum over the
+    :attr:`total_completed` calls, and grants as one count per client,
+    so a finished run holds no per-call entry here (a synthesized
+    channel's ``call_log`` keeps the per-call record).
+    """
 
     def __init__(self) -> None:
         self.total_requests = 0
         self.total_completed = 0
-        self.wait_times: list[int] = []
         self.grants_by_client: dict[str, int] = {}
-        self.grant_log: list[tuple[int, str, str]] = []
+        self._wait_sum = 0
+        self._wait_max = 0
 
-    def record_grant(self, request: MethodRequest, time: int) -> None:
-        self.grant_log.append((time, request.client, request.method))
+    def record_grant(self, request: MethodRequest) -> None:
         self.grants_by_client[request.client] = (
             self.grants_by_client.get(request.client, 0) + 1
         )
 
     def record_completion(self, request: MethodRequest) -> None:
         self.total_completed += 1
-        self.wait_times.append(request.wait_time)
+        wait = request.wait_time
+        self._wait_sum += wait
+        if wait > self._wait_max:
+            self._wait_max = wait
 
     @property
     def mean_wait_time(self) -> float:
-        if not self.wait_times:
+        if not self.total_completed:
             return 0.0
-        return sum(self.wait_times) / len(self.wait_times)
+        return self._wait_sum / self.total_completed
 
     @property
     def max_wait_time(self) -> int:
-        return max(self.wait_times) if self.wait_times else 0
+        return self._wait_max
 
     def fairness_index(self) -> float:
         """Jain's fairness index over per-client grant counts (1.0 = fair)."""

@@ -90,10 +90,10 @@ class PciMonitor(BusMonitor):
                     self._current = PciTransaction(
                         cbe.to_int(), ad.to_int(), self.sim.time
                     )
-                    self._current.txn_id = new_txn_id()
                     self.transactions.append(self._current)
                     probes = self.sim._probes
                     if probes is not None:
+                        self._current.txn_id = new_txn_id()
                         probes.emit(
                             TRANSACTION_BEGIN,
                             self.sim.time,

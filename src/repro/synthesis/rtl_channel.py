@@ -457,7 +457,7 @@ class RtlMethodChannel(Module):
         self._grant = grant
         self._current = current
         current.grant_time = now
-        space.stats.record_grant(current, now)
+        space.stats.record_grant(current)
         probes = self.sim._probes
         if probes is not None:
             probes.emit(METHOD_GRANT, now, space, current)

@@ -186,9 +186,9 @@ class TlmGpBusInterface(InterfaceElement):
         while True:
             epoch, command = yield from self.channel.call("get_command")
             payload = _to_generic_payload(command)
-            payload.txn_id = new_txn_id()
             probes = self.sim._probes
             if probes is not None:
+                payload.txn_id = new_txn_id()
                 probes.emit(TRANSACTION_BEGIN, self.sim.time, self.path, payload)
             delay = self.socket.b_transport(payload)
             if delay:

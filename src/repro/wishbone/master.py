@@ -39,8 +39,7 @@ class WishboneMaster(PinMaster):
             address = operation.address + 4 * index
             bus.cyc.write(1)
             bus.stb.write(1)
-            bus.adr.write(LogicVector(bus.addr_width,
-                                       address & bus.addr_mask))
+            bus.adr.write(LogicVector(bus.addr_width, address))
             bus.sel.write(LogicVector(bus.sel_width, operation.byte_enables))
             if operation.is_write:
                 bus.we.write(1)

@@ -94,10 +94,10 @@ class WishboneMonitor(BusMonitor):
                 adr.to_int(), is_write, data, sel, self.sim.time,
                 "ack" if ack else "err",
             )
-            transfer.txn_id = new_txn_id()
             self.transfers.append(transfer)
             # Wishbone classic cycles terminate in the cycle they are
             # observed; only the end probe is meaningful.
             probes = self.sim._probes
             if probes is not None:
+                transfer.txn_id = new_txn_id()
                 probes.emit(TRANSACTION_END, self.sim.time, self.path, transfer)

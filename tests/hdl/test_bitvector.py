@@ -47,6 +47,17 @@ class TestConstruction:
         assert LogicVector.from_string("0b1010").to_int() == 10
         assert LogicVector.from_string("1_0_1").to_int() == 5
 
+    @given(st.integers(1, 96), st.integers(-(2**100), 2**100))
+    def test_int_masks_to_width_and_keeps_a_fitting_value(self, width, value):
+        """A value that fits is stored as the very int given: a monitor
+        record, a trace and a memory word share the int a master wrote."""
+        mask = (1 << width) - 1
+        vec = LogicVector(width, value)
+        assert vec._ones == value & mask
+        assert vec.is_fully_defined
+        if 0 <= value <= mask:
+            assert vec._ones is value
+
     def test_zero_width_rejected(self):
         with pytest.raises(WidthError):
             LogicVector(0, 0)

@@ -1,5 +1,6 @@
 """The off-path gate's call counts repeat, and one added call trips them;
-its memory rows repeat, and a named update stores only those rows."""
+its memory rows repeat, a per-grant log trips the pci row, and a named
+update stores only those rows."""
 
 import ast
 import copy
@@ -10,6 +11,7 @@ import os
 import pytest
 
 from repro.hdl.signal import Signal
+from repro.osss.request import RequestStats
 
 _GATE_PATH = os.path.join(
     os.path.dirname(__file__), "..", "..", "benchmarks", "offpath_gate.py"
@@ -127,6 +129,23 @@ class TestMemoryRows:
             "built": built, "retained": retained,
         }
         assert json.loads(path.read_text()) == expected
+
+    def test_a_per_grant_log_trips_the_retained_row(self, gate, monkeypatch):
+        """Channel statistics that keep one tuple per grant hold more
+        than the pci row allows a run to keep."""
+        record_grant = RequestStats.record_grant
+
+        def record_and_log(self, request):
+            self.__dict__.setdefault("grant_log", []).append(
+                (request.grant_time, request.client, request.method)
+            )
+            record_grant(self, request)
+
+        monkeypatch.setattr(RequestStats, "record_grant", record_and_log)
+        __, retained = gate._measure_cell("pci")
+        bounds = gate.memory_limits("memory.pci", gate.load_baseline())
+        assert bounds is not None, f"no Python {gate.PYTHON_VERSION} reference"
+        assert retained > bounds[1], (retained, bounds)
 
     def test_update_rejects_an_unknown_row(self, gate, capsys):
         with pytest.raises(SystemExit):

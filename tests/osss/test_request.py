@@ -1,6 +1,13 @@
 """Unit tests for method requests and servicing statistics."""
 
-from repro.kernel import Simulator
+import collections
+
+import pytest
+
+from repro.core import generate_workload
+from repro.flow import build_platform
+from repro.instrument.probes import METHOD_COMPLETE
+from repro.kernel import MS, Simulator
 from repro.kernel.event import Event
 from repro.osss import MethodRequest, RequestStats
 
@@ -50,12 +57,20 @@ class TestRequestStats:
         stats = RequestStats()
         request = _request(client="a", arrival=10)
         request.grant_time = 30
-        stats.record_grant(request, 30)
+        stats.record_grant(request)
         stats.record_completion(request)
         assert stats.grants_by_client == {"a": 1}
-        assert stats.grant_log == [(30, "a", "m")]
         assert stats.total_completed == 1
-        assert stats.wait_times == [20]
+        assert stats.mean_wait_time == 20.0
+        assert stats.max_wait_time == 20
+        second = _request(client="b", arrival=40)
+        second.grant_time = 45
+        stats.record_grant(second)
+        stats.record_completion(second)
+        assert stats.grants_by_client == {"a": 1, "b": 1}
+        assert stats.total_completed == 2
+        assert stats.mean_wait_time == 12.5
+        assert stats.max_wait_time == 20
 
     def test_mean_and_max_wait(self):
         stats = RequestStats()
@@ -78,3 +93,61 @@ class TestRequestStats:
         assert stats.fairness_index() == 1.0
         stats.grants_by_client = {"a": 3, "b": 0, "c": 0}
         assert 0.3 < stats.fairness_index() < 0.4
+
+
+def _contending_workloads():
+    return [
+        generate_workload(seed=40 + app, n_commands=8,
+                          address_base=0x400 * app, address_span=0x400,
+                          max_burst=3)
+        for app in range(3)
+    ]
+
+
+def _assert_stats_match(stats, waits, clients):
+    """*stats* holds the aggregates of the per-call *waits* and
+    *clients*, and no per-call list."""
+    assert stats.total_completed == len(waits)
+    assert stats.mean_wait_time == sum(waits) / len(waits)
+    assert stats.max_wait_time == max(waits)
+    assert stats.grants_by_client == dict(collections.Counter(clients))
+    assert not any(isinstance(value, list) for value in vars(stats).values())
+
+
+class TestStatsOfAFinishedRun:
+    """A run's constant-size statistics give what its per-call records
+    give when recomputed."""
+
+    @pytest.mark.parametrize("bus", ["pci", "wishbone", "axi4lite", "tlmgp"])
+    def test_synthesized_stats_match_the_call_log(self, bus):
+        bundle = build_platform(_contending_workloads(), bus=bus,
+                                synthesize=True)
+        bundle.run(100 * MS)
+        channels = [group.channel for group in bundle.synthesis.groups]
+        assert channels
+        for channel in channels:
+            log = channel.call_log
+            assert log
+            _assert_stats_match(
+                channel.space.stats,
+                [record.wait_time for record in log],
+                [record.client for record in log],
+            )
+        assert any(channel.space.stats.max_wait_time for channel in channels)
+
+    def test_behavioural_stats_match_the_completed_calls(self):
+        bundle = build_platform(_contending_workloads(), bus="pci")
+        completed = collections.defaultdict(list)
+        bundle.handle.sim.probes.subscribe(
+            METHOD_COMPLETE,
+            lambda time, space, request: completed[space].append(request),
+        )
+        bundle.run(100 * MS)
+        assert completed
+        for space, requests in completed.items():
+            _assert_stats_match(
+                space.stats,
+                [request.wait_time for request in requests],
+                [request.client for request in requests],
+            )
+        assert any(space.stats.max_wait_time for space in completed)
