@@ -206,8 +206,11 @@ def telemetry_on(meter):
 def resilience_on(meter):
     config = PciPlatformConfig(resilience=ResilienceConfig.default(SEED))
     bundle, __ = _pci_run(meter, config)
-    # A clean run must never replay; arming just adds bookkeeping.
-    assert bundle.interface.operations_replayed == 0
+    # A clean run must never replay; arming just adds bookkeeping. A PCI
+    # replay needs a failed operation: a master abort or a parity error.
+    failed = [t for t in bundle.monitor.transactions
+              if t.terminated_by == "master_abort" or t.parity_errors]
+    assert not failed, f"operations that would replay: {failed}"
 
 
 def _campaign_run(meter, **durable):

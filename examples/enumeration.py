@@ -9,6 +9,8 @@ enables memory decoding — and then uses the freshly-mapped devices.
 Run:  python examples/enumeration.py
 """
 
+from collections import Counter
+
 from repro.hdl import Clock, Module
 from repro.kernel import MS, NS, Simulator
 from repro.pci import (
@@ -75,8 +77,10 @@ def main():
 
     assert len(log["devices"]) == 2
     assert not system.monitor.violations
-    print(f"\nbus cycles observed: {system.monitor.cycles_observed}, "
-          f"transactions: {len(system.monitor.completed_transactions)}")
+    endings = Counter(
+        t.terminated_by for t in system.monitor.completed_transactions
+    )
+    print(f"\ntransactions by termination: {dict(sorted(endings.items()))}")
     print("enumeration OK")
 
 

@@ -47,9 +47,6 @@ class AxiLiteMaster(PinMaster):
             raise ProtocolError("timeout must be >= 1 cycle")
         super().__init__(parent, name, bus, clk)
         self.timeout_cycles = timeout_cycles
-        self.beats_transferred = 0
-        self.errors_seen = 0
-        self.timeouts_seen = 0
 
     def _execute(self, operation: BusOperation, posedge):
         for index in range(operation.count):
@@ -64,12 +61,7 @@ class AxiLiteMaster(PinMaster):
                 if status == "ok":
                     operation.data.append(word)
             if status != "ok":
-                if status == "timeout":
-                    self.timeouts_seen += 1
-                else:
-                    self.errors_seen += 1
                 return status
-            self.beats_transferred += 1
         return "ok"
 
     def _write_beat(self, address: int, word: int, strb: int, posedge):

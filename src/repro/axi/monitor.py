@@ -81,12 +81,9 @@ class AxiLiteMonitor(BusMonitor):
         posedge = self.clk.posedge
         while True:
             yield posedge
-            self.cycles_observed += 1
             awvalid = is_one(bus.awvalid._value)
             wvalid = is_one(bus.wvalid._value)
             arvalid = is_one(bus.arvalid._value)
-            if awvalid or wvalid or arvalid:
-                self.busy_cycles += 1
             # A READY counts only under its VALID.
             aw = awvalid and is_one(bus.awready._value)
             ar = arvalid and is_one(bus.arready._value)

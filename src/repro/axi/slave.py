@@ -55,8 +55,6 @@ class AxiLiteSlave(Module):
         self._rvalid = bus.rvalid.get_driver(self.path)
         self._rdata = bus.rdata.get_driver(self.path)
         self._rresp = bus.rresp.get_driver(self.path)
-        self.requests_served = 0
-        self.errors_signalled = 0
         self.thread(self._serve, "serve")
 
     def decodes(self, address: int) -> bool:
@@ -99,10 +97,8 @@ class AxiLiteSlave(Module):
             if not data.is_fully_defined:
                 raise ProtocolError(f"{self.path}: write with undefined WDATA")
             self.store.write_word(address - self.base, data.to_int(), strb)
-            self.requests_served += 1
         except ProtocolError:
             resp = RESP_SLVERR
-            self.errors_signalled += 1
         self._bvalid.write(1)
         self._bresp.write(LogicVector(2, resp))
         while True:
@@ -125,10 +121,8 @@ class AxiLiteSlave(Module):
         value = 0
         try:
             value = self.store.read_word(address - self.base)
-            self.requests_served += 1
         except ProtocolError:
             resp = RESP_SLVERR
-            self.errors_signalled += 1
         self._rvalid.write(1)
         self._rdata.write(LogicVector(bus.data_width, value))
         self._rresp.write(LogicVector(2, resp))

@@ -46,8 +46,6 @@ class BusInterfaceChannel:
         #: Incremented by reset(); stale in-flight responses are dropped.
         self.epoch = 0
         self.commands_put = 0
-        self.commands_taken = 0
-        self.responses_delivered = 0
 
     # -- state predicates (the guards) --------------------------------------
 
@@ -80,7 +78,6 @@ class BusInterfaceChannel:
         """Protocol side: take the pending command (blocks until one)."""
         command = self.pending_command
         self.pending_command = None
-        self.commands_taken += 1
         return self.epoch, command
 
     @guarded_method(lambda self: self.has_response_space)
@@ -95,7 +92,6 @@ class BusInterfaceChannel:
     def app_data_get(self) -> DataType:
         """Application side: fetch the result of a read (blocking)."""
         __, response = self.responses.popleft()
-        self.responses_delivered += 1
         return response
 
     @guarded_method()

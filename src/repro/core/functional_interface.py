@@ -50,7 +50,6 @@ class FunctionalBusInterface(InterfaceElement):
             raise SimulationError(f"word latency must be >= 0, got {word_latency}")
         self.target = target
         self.word_latency = word_latency
-        self.words_transferred = 0
         self.thread(self._dispatch, "dispatch")
 
     def _dispatch(self):
@@ -69,7 +68,6 @@ class FunctionalBusInterface(InterfaceElement):
                     self.target.write_word(
                         command.address + 4 * offset, word, command.byte_enables
                     )
-                self.words_transferred += command.count
                 if probes is not None:
                     probes.emit(TRANSACTION_END, self.sim.time, self.path, command)
             else:
@@ -77,7 +75,6 @@ class FunctionalBusInterface(InterfaceElement):
                     self.target.read_word(command.address + 4 * i)
                     for i in range(command.count)
                 ]
-                self.words_transferred += command.count
                 if probes is not None:
                     probes.emit(TRANSACTION_END, self.sim.time, self.path, command)
                 response = DataType(words, "ok")

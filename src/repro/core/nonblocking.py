@@ -53,7 +53,6 @@ class NonBlockingBusInterfaceChannel(BusInterfaceChannel):
         if not self.responses:
             return False, None
         __, response = self.responses.popleft()
-        self.responses_delivered += 1
         return True, response
 
 

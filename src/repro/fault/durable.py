@@ -181,8 +181,6 @@ class CampaignJournal:
         self.path = path
         self.content_hash = content_hash
         self._stream: typing.IO[str] | None = None
-        #: Outcome lines appended by this process (not resumed ones).
-        self.appended = 0
 
     # -- construction --------------------------------------------------------
 
@@ -263,7 +261,6 @@ class CampaignJournal:
 
     def append_outcome(self, outcome: RunOutcome) -> None:
         self._append({"type": "outcome", "outcome": outcome.to_dict()})
-        self.appended += 1
 
     def append_event(self, event: str, **fields: object) -> None:
         """Degradation-ladder / lifecycle marker (quarantine, pool

@@ -9,9 +9,8 @@ they drive, so the agents share everything else:
 * :class:`PinMaster` — the operation queue, :meth:`~PinMaster.submit`,
   :meth:`~PinMaster.transact` and the ``engine`` thread's bookkeeping;
   a bus master supplies only :meth:`~PinMaster._execute`;
-* :class:`BusMonitor` — the ``watch`` thread, the cycle counters and
-  the violation log; a bus monitor supplies only ``_watch``, its
-  per-edge checks.
+* :class:`BusMonitor` — the ``watch`` thread and the violation log; a
+  bus monitor supplies only ``_watch``, its per-edge checks.
 """
 
 from __future__ import annotations
@@ -108,10 +107,10 @@ class PinMaster(Module):
     :meth:`submit` queues an operation and returns the event that fires
     (one delta after completion) when it is done; :meth:`transact` is
     the blocking helper for thread processes. The ``engine`` thread
-    stamps the operation's start and completion times, emits its
-    ``transaction.begin``/``end`` probes (with a txn id, drawn only
-    while a probe bus is attached) and counts successes; a bus subclass
-    drives the pins in :meth:`_execute`.
+    stamps the operation's start and completion times and status, and
+    emits its ``transaction.begin``/``end`` probes (with a txn id, drawn
+    only while a probe bus is attached); a bus subclass drives the pins
+    in :meth:`_execute`.
     """
 
     def __init__(
@@ -122,7 +121,6 @@ class PinMaster(Module):
         self.clk = clk
         self._queue: deque[tuple[typing.Any, Event]] = deque()
         self._op_available = self.event("op_available")
-        self.ops_completed = 0
         self.thread(self._engine, "engine")
 
     # -- public API ----------------------------------------------------------
@@ -181,8 +179,6 @@ class PinMaster(Module):
             operation.complete_time = self.sim.time
             if probes is not None:
                 probes.emit(TRANSACTION_END, self.sim.time, self.path, operation)
-            if status == "ok":
-                self.ops_completed += 1
             done.notify_delta()
 
 
@@ -193,9 +189,8 @@ class BusMonitor(Module):
         violation (otherwise it is only recorded in :attr:`violations`).
 
     A bus subclass implements ``_watch``, the thread that samples the
-    wires on every rising edge, counts :attr:`cycles_observed` and
-    :attr:`busy_cycles`, records what it observes and reports broken
-    rules through :meth:`_violation`.
+    wires on every rising edge, records what it observes and reports
+    broken rules through :meth:`_violation`.
     """
 
     def __init__(
@@ -211,8 +206,6 @@ class BusMonitor(Module):
         self.clk = clk
         self.strict = strict
         self.violations: list[str] = []
-        self.cycles_observed = 0
-        self.busy_cycles = 0
         self.thread(self._watch, "watch")
 
     def _watch(self):

@@ -85,10 +85,6 @@ class InterfaceElement(Module):
         #: :class:`~repro.resilience.recovery.InterfaceRecovery`, duck
         #: typed); ``None`` keeps the shipping zero-recovery fast path.
         self.recovery: typing.Any = None
-        #: Bus operations that still failed after any replay.
-        self.operations_failed = 0
-        self.operations_replayed = 0
-        self.operations_recovered = 0
         #: The parameters this element was elaborated with.
         self.params = params
 
@@ -134,8 +130,6 @@ class InterfaceElement(Module):
             else:
                 operation = yield from self._transact_with_recovery(command)
             self.commands_serviced += 1
-            if self._operation_failure(operation) is not None:
-                self.operations_failed += 1
             if command.is_read:
                 response = DataType(operation.data, operation.status)
                 response.corr_id = operation.corr_id
@@ -185,7 +179,6 @@ class InterfaceElement(Module):
                 yield Timeout(delay)
             operation = self._operation(command)
             yield from self.master.transact(operation)
-            self.operations_replayed += 1
             previous_failure = failure
             failure = self._operation_failure(operation)
             if failure is None:
@@ -193,7 +186,6 @@ class InterfaceElement(Module):
                     self.sim, RESILIENCE_RECOVERED, self.path, tag,
                     replay, previous_failure,
                 )
-                self.operations_recovered += 1
                 return operation
         emit_resilience(
             self.sim, RESILIENCE_GIVEUP, self.path, tag,

@@ -245,7 +245,6 @@ class WallClockProfiler(ProbeSubscriber):
         self._trace_events: list[dict] = []
         self._dropped = 0
         self._active: tuple[str, float] | None = None
-        self._delta_started: float | None = None
         self._delta_time: int | None = None
         self._total_seconds = 0.0
         self._total_deltas = 0
@@ -301,7 +300,6 @@ class WallClockProfiler(ProbeSubscriber):
 
     def _on_delta_begin(self, sim_time: int, delta_index: int) -> None:
         self._delta_time = sim_time
-        self._delta_started = self._clock()
         self._total_deltas += 1
         hotspot = self._hotspots.get(sim_time)
         if hotspot is None:
@@ -309,7 +307,6 @@ class WallClockProfiler(ProbeSubscriber):
         hotspot.deltas += 1
 
     def _on_delta_end(self, sim_time: int, delta_index: int) -> None:
-        self._delta_started = None
         self._delta_time = None
 
     # -- reporting ------------------------------------------------------------

@@ -33,7 +33,6 @@ class PciCentralArbiter(Module):
         self._owner: int | None = None
         self._rotation = 0
         self._was_busy = False
-        self.grant_changes = 0
         self.thread(self._arbitrate, "arbitrate")
 
     def _requesting(self, index: int) -> bool:
@@ -57,9 +56,7 @@ class PciCentralArbiter(Module):
                     if self._requesting(candidate):
                         chosen = candidate
                         break
-                if chosen != self._owner:
-                    self.grant_changes += 1
-                    self._owner = chosen
+                self._owner = chosen
                 for index in range(n_masters):
                     self.bus.gnt_n[index].write(0 if index == chosen else 1)
             self._was_busy = busy

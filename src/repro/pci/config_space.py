@@ -74,8 +74,6 @@ class PciConfigSpace:
         self.command = 0
         self.status = 0x0200  # DEVSEL timing: medium
         self._bar0_probing = False
-        self.config_reads = 0
-        self.config_writes = 0
 
     # -- decode helpers ------------------------------------------------------
 
@@ -92,7 +90,6 @@ class PciConfigSpace:
     # -- register access -----------------------------------------------------
 
     def config_read(self, offset: int) -> int:
-        self.config_reads += 1
         register = offset & 0xFC
         if register == REG_ID:
             return (self.device_id << 16) | self.vendor_id
@@ -109,7 +106,6 @@ class PciConfigSpace:
         return 0
 
     def config_write(self, offset: int, data: int, byte_enables: int = 0xF) -> None:
-        self.config_writes += 1
         register = offset & 0xFC
         if register == REG_COMMAND_STATUS:
             merged = apply_byte_enables(self.command, data, byte_enables & 0x3)

@@ -63,11 +63,6 @@ class PciMaster(PinMaster):
         #: mismatch flags ``operation.parity_error``.
         self.check_parity = False
         self._parity_pending: tuple[int, PciOperation] | None = None
-        # Statistics.
-        self.words_transferred = 0
-        self.retries_seen = 0
-        self.aborts_seen = 0
-        self.parity_errors_seen = 0
 
     def _done_event_name(self, operation: PciOperation) -> str:
         return f"op_done_{operation.command_name}"
@@ -84,7 +79,6 @@ class PciMaster(PinMaster):
                 operation, words_done, posedge
             )
             if outcome == "abort":
-                self.aborts_seen += 1
                 return STATUS_MASTER_ABORT
             if words_done >= operation.count:
                 # Either a clean completion or a disconnect that landed
@@ -92,7 +86,6 @@ class PciMaster(PinMaster):
                 return STATUS_OK
             # Retried or disconnected with words remaining: go again.
             operation.retries += 1
-            self.retries_seen += 1
             if operation.retries > self.max_retries:
                 raise ProtocolError(
                     f"{self.path}: {operation!r} exceeded {self.max_retries} retries"
@@ -179,7 +172,6 @@ class PciMaster(PinMaster):
                             )
                 transferred += 1
                 words_done += 1
-                self.words_transferred += 1
 
             if stop:
                 yield from self._back_off(frame_low, posedge)
@@ -242,7 +234,6 @@ class PciMaster(PinMaster):
             par = self.bus.par._value
             if par.is_fully_defined and par.to_int() != expected:
                 operation.parity_error = True
-                self.parity_errors_seen += 1
         if self._drove_ad:
             ad = self.bus.ad._value
             cbe = self.bus.cbe_n._value

@@ -37,7 +37,6 @@ class PciMonitor(BusMonitor):
     ) -> None:
         super().__init__(parent, name, bus, clk, strict)
         self.transactions: list[PciTransaction] = []
-        self.parity_errors = 0
         self._current: PciTransaction | None = None
         self._devsel_seen = False
         self._devsel_wait = 0
@@ -59,7 +58,6 @@ class PciMonitor(BusMonitor):
         posedge = self.clk.posedge
         while True:
             yield posedge
-            self.cycles_observed += 1
             frame = is_asserted(bus.frame_n._value)
             irdy = is_asserted(bus.irdy_n._value)
             trdy = is_asserted(bus.trdy_n._value)
@@ -67,12 +65,6 @@ class PciMonitor(BusMonitor):
             stop = is_asserted(bus.stop_n._value)
             ad = bus.ad._value
             cbe = bus.cbe_n._value
-
-            if not (frame or irdy):
-                busy = False
-            else:
-                busy = True
-                self.busy_cycles += 1
 
             # Parity check: PAR this cycle covers AD/CBE of the previous one.
             self._check_parity()
@@ -184,7 +176,6 @@ class PciMonitor(BusMonitor):
         if not par.is_fully_defined:
             return
         if par.to_int() != expected:
-            self.parity_errors += 1
             if self._current is not None:
                 self._current.parity_errors += 1
             self._violation(

@@ -18,7 +18,7 @@ from ..hdl.module import Module
 from ..hdl.resolved import ResolvedSignal
 from ..hdl.signal import Signal
 from ..kernel.simulator import Simulator
-from .constants import AD_WIDTH, byte_enable_mask, cbe_width_for, data_mask
+from .constants import AD_WIDTH, byte_enable_mask, cbe_width_for
 
 #: Active-low control line sampled asserted (driven to 0).
 is_asserted = is_zero
@@ -59,7 +59,6 @@ class PciBus(Module):
         self.ad_width = ad_width
         self.cbe_width = cbe_width
         self.byte_enable_mask = byte_enable_mask(ad_width)
-        self.data_mask = data_mask(ad_width)
         self.frame_n = self.resolved_signal("frame_n", 1)
         self.irdy_n = self.resolved_signal("irdy_n", 1)
         self.trdy_n = self.resolved_signal("trdy_n", 1)

@@ -99,11 +99,6 @@ class PciTarget(Module):
         self.idsel_index = idsel_index
         self.pins = PciAgentPins(bus, self.path)
         self._drove_ad = False
-        # Statistics.
-        self.transactions_claimed = 0
-        self.words_served = 0
-        self.retries_issued = 0
-        self.disconnects_issued = 0
         self._retries_left = retry_count
         self.thread(self._run, "protocol")
 
@@ -180,7 +175,6 @@ class PciTarget(Module):
                              write_fn, posedge):
         pins = self.pins
         bus = self.bus
-        self.transactions_claimed += 1
         is_read = command in READ_COMMANDS
 
         # DEVSEL# appears decode_latency clocks after the address phase.
@@ -190,7 +184,6 @@ class PciTarget(Module):
 
         if self._retries_left > 0:
             self._retries_left -= 1
-            self.retries_issued += 1
             yield from self._terminate(posedge, retry=True)
             return
         self._retries_left = self.retry_count
@@ -238,12 +231,10 @@ class PciTarget(Module):
                     )
                 enables = (~cbe.to_int()) & bus.byte_enable_mask
                 write_fn(current_address, data.to_int(), enables)
-            self.words_served += 1
             words_done += 1
             current_address += 4
 
             if stopping:
-                self.disconnects_issued += 1
                 yield from self._terminate(posedge, retry=False)
                 return
             if not frame_still:

@@ -90,7 +90,6 @@ class RunWatchdog:
         self.fired = False
         #: ``"wall"`` or ``"stall"`` once fired.
         self.reason: str | None = None
-        self.fired_time: int | None = None
         self.aborted_calls = 0
         self._started_wall = _time.perf_counter()
         self._process = sim.spawn(self._watch, "resilience_watchdog")
@@ -131,7 +130,6 @@ class RunWatchdog:
     def _fire(self, reason: str) -> None:
         self.fired = True
         self.reason = reason
-        self.fired_time = self.sim.time
         if self.action == "abort":
             # Surface the failure in the callers and keep simulating;
             # the watchdog is one-shot — re-arm for renewed protection.

@@ -54,8 +54,6 @@ class TlmFifo:
         self._items: deque = deque()
         self._data_available = Event(sim.scheduler, f"{name}.data_available")
         self._space_available = Event(sim.scheduler, f"{name}.space_available")
-        self.total_put = 0
-        self.total_got = 0
 
     def __len__(self) -> int:
         return len(self._items)
@@ -74,7 +72,6 @@ class TlmFifo:
         if self.is_full:
             return False
         self._items.append(item)
-        self.total_put += 1
         self._data_available.notify()
         return True
 
@@ -82,7 +79,6 @@ class TlmFifo:
         if not self._items:
             return False, None
         item = self._items.popleft()
-        self.total_got += 1
         self._space_available.notify()
         return True, item
 

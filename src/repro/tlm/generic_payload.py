@@ -118,11 +118,8 @@ class GpTargetSocket:
         self.target = target
         self.accept_latency = accept_latency
         self.word_latency = word_latency
-        self.transports = 0
-        self.words_transferred = 0
 
     def b_transport(self, payload: GenericPayload) -> int:
-        self.transports += 1
         try:
             if payload.is_write:
                 for offset, word in enumerate(payload.data):
@@ -136,7 +133,6 @@ class GpTargetSocket:
                     for i in range(payload.count)
                 ]
             payload.response_status = GP_OK
-            self.words_transferred += payload.count
         except ProtocolError:
             payload.response_status = GP_ADDRESS_ERROR
         except Exception:
@@ -196,8 +192,6 @@ class TlmGpBusInterface(InterfaceElement):
             if probes is not None:
                 probes.emit(TRANSACTION_END, self.sim.time, self.path, payload)
             self.commands_serviced += 1
-            if not payload.is_response_ok:
-                self.operations_failed += 1
             if command.is_read:
                 response = DataType(
                     payload.data, "ok" if payload.is_response_ok

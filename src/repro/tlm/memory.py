@@ -31,8 +31,6 @@ class Memory(TlmTarget):
         self.size_bytes = size_bytes
         self.fill = fill
         self._words: dict[int, int] = {}
-        self.read_count = 0
-        self.write_count = 0
 
     def _check_range(self, address: int) -> int:
         check_word_address(address)
@@ -44,13 +42,11 @@ class Memory(TlmTarget):
 
     def read_word(self, address: int) -> int:
         self._check_range(address)
-        self.read_count += 1
         return self._words.get(address // 4, self.fill)
 
     def write_word(self, address: int, data: int, byte_enables: int = ALL_BYTES) -> None:
         self._check_range(address)
         check_word_data(data)
-        self.write_count += 1
         if byte_enables == ALL_BYTES:
             self._words[address // 4] = data
             return
@@ -60,14 +56,14 @@ class Memory(TlmTarget):
     # -- test/bench conveniences ----------------------------------------------
 
     def load(self, address: int, words: typing.Sequence[int]) -> None:
-        """Bulk-initialise memory contents (no access counting)."""
+        """Bulk-initialise memory contents."""
         self._check_range(address)
         for offset, word in enumerate(words):
             check_word_data(word)
             self._words[address // 4 + offset] = word
 
     def dump(self, address: int, count: int) -> list[int]:
-        """Read *count* words without access counting."""
+        """Read *count* consecutive words in one call."""
         self._check_range(address)
         return [self._words.get(address // 4 + i, self.fill) for i in range(count)]
 

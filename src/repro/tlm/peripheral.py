@@ -87,7 +87,6 @@ class DmaPeripheral(TlmTarget):
         self.dst = 0
         self.length = 0
         self.done = False
-        self.copies_performed = 0
 
     def read_word(self, address: int) -> int:
         offset = address & 0xF
@@ -120,4 +119,3 @@ class DmaPeripheral(TlmTarget):
         words = self.memory.dump(self.src, self.length)
         self.memory.load(self.dst, words)
         self.done = True
-        self.copies_performed += 1

@@ -10,12 +10,8 @@ from .consistency import (
 )
 from .coverage import CoverageCollector, CoverPoint, ProbeCoverage
 from .scoreboard import Scoreboard, check_memory_image
-from .stats import LatencySummary, PlatformStats, percentile
 
 __all__ = [
-    "LatencySummary",
-    "PlatformStats",
-    "percentile",
     "ConsistencyReport",
     "CoverPoint",
     "CoverageCollector",

@@ -29,8 +29,6 @@ class WishboneMaster(PinMaster):
             raise ProtocolError("timeout must be >= 1 cycle")
         super().__init__(parent, name, bus, clk)
         self.timeout_cycles = timeout_cycles
-        self.errors_seen = 0
-        self.timeouts_seen = 0
 
     def _execute(self, operation: BusOperation, posedge):
         bus = self.bus
@@ -53,7 +51,6 @@ class WishboneMaster(PinMaster):
                 yield posedge
                 if is_one(bus.err._value):
                     status = "bus_error"
-                    self.errors_seen += 1
                     break
                 if is_one(bus.ack._value):
                     if not operation.is_write:
@@ -67,7 +64,6 @@ class WishboneMaster(PinMaster):
                 waited += 1
                 if waited > self.timeout_cycles:
                     status = "timeout"
-                    self.timeouts_seen += 1
                     break
             if status != "ok":
                 break

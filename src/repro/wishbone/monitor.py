@@ -62,12 +62,9 @@ class WishboneMonitor(BusMonitor):
         posedge = self.clk.posedge
         while True:
             yield posedge
-            self.cycles_observed += 1
             request = is_one(bus.cyc._value) and is_one(bus.stb._value)
             ack = is_one(bus.ack._value)
             err = is_one(bus.err._value)
-            if request:
-                self.busy_cycles += 1
             if (ack or err) and not request:
                 self._violation("ACK/ERR asserted without CYC&STB")
                 continue

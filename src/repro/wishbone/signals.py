@@ -57,7 +57,6 @@ class WishboneBus(Module):
         self.addr_width = addr_width
         self.sel_width = data_width // 8
         self.sel_mask = (1 << self.sel_width) - 1
-        self.data_mask = (1 << data_width) - 1
         # Master outputs.
         self.cyc = self.signal("cyc", width=1, init=0)
         self.stb = self.signal("stb", width=1, init=0)

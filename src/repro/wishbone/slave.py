@@ -44,8 +44,6 @@ class WishboneSlave(Module):
         self._ack = bus.ack.get_driver(self.path)
         self._err = bus.err.get_driver(self.path)
         self._dat_r = bus.dat_r.get_driver(self.path)
-        self.requests_served = 0
-        self.errors_signalled = 0
         self.thread(self._serve, "serve")
 
     def decodes(self, address: int) -> bool:
@@ -96,13 +94,11 @@ class WishboneSlave(Module):
                     self._dat_r.write(LogicVector(bus.data_width, value))
                 self._ack.write(1)
                 self._err.write(0)
-                self.requests_served += 1
             except ProtocolError:
                 # Functional model rejected the access: ERR termination.
                 self._err.write(1)
                 self._ack.write(0)
                 self._dat_r.release()
-                self.errors_signalled += 1
             # Hold the termination for exactly one clock.
             yield posedge
             self._ack.write(0)

@@ -19,6 +19,7 @@ class TestChannelStateMachine:
         assert not channel.is_pending_command
         epoch = channel.put_command(command)
         assert channel.is_pending_command
+        assert channel.commands_put == 1
         got_epoch, got = channel.get_command()
         assert got is command and got_epoch == epoch
         assert not channel.is_pending_command
@@ -60,16 +61,6 @@ class TestChannelStateMachine:
         assert channel.has_response_space
         channel.put_response(epoch, DataType([1]))
         assert not channel.has_response_space
-
-    def test_counters(self):
-        channel = BusInterfaceChannel()
-        epoch = channel.put_command(CommandType.write(0x0, [1]))
-        channel.get_command()
-        channel.put_response(epoch, DataType([]))
-        channel.app_data_get()
-        assert channel.commands_put == 1
-        assert channel.commands_taken == 1
-        assert channel.responses_delivered == 1
 
 
 class TestBlockingThroughGlobalObject:

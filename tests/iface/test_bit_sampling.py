@@ -57,9 +57,10 @@ def _samples(make_bus, wire_name, sample):
 
 def _wishbone(sim):
     bus = WishboneBus(sim, "wb")
-    # A request needs both CYC and STB; hold the other one high.
+    # A terminated request needs CYC, STB and ACK; hold the others high.
     bus.cyc.force(BITS[1])
     bus.stb.force(BITS[1])
+    _force(bus.ack, BITS[1])
     return bus
 
 
@@ -77,10 +78,10 @@ def _resume(thread, edges):
 
 def _wishbone_agents(bus):
     """What the Wishbone agents sample on the committed wires: whether
-    the slave serves a request and the monitor counts a busy cycle on
-    one edge, what the monitor records there, and how the master ends a
-    write (ACK, ERR or timeout). Their own writes stay staged, so every
-    agent sees the forced values."""
+    the slave serves a request on one edge (it drives ACK), what the
+    monitor records and flags there, and how the master ends a write
+    (ACK, ERR or timeout). Their own writes stay staged, so every agent
+    sees the forced values."""
     sim = bus.sim
     clk = Clock(sim, "clock", period=10 * NS).clk
     slave = WishboneSlave(sim, "slave", bus, clk, Memory(0x100), 0, 0x100)
@@ -91,10 +92,9 @@ def _wishbone_agents(bus):
     write = BusOperation(True, 0, data=[1], byte_lanes=bus.sel_width)
     status = _resume(master._execute(write, clk.posedge), edges=64)
     return (
-        slave.requests_served,
-        monitor.busy_cycles,
+        is_one(bus.ack.get_driver(slave.path).contribution),
         [transfer.terminated_by for transfer in monitor.transfers],
-        len(monitor.violations),
+        monitor.violations,
         status,
     )
 

@@ -101,7 +101,9 @@ class TestBadParity:
         sim.spawn(stim, "stim")
         sim.run(5 * MS)
         assert done and done[0].status == "ok"  # data still transfers
-        assert monitor.parity_errors > 0        # ...but PAR is flagged
+        # ...but PAR is flagged on the transaction record.
+        assert sum(t.parity_errors for t in monitor.transactions) > 0
+        assert any("does not cover" in v for v in monitor.violations)
 
     def test_good_target_has_no_parity_errors(self):
         sim = Simulator()
@@ -113,7 +115,8 @@ class TestBadParity:
 
         sim.spawn(stim, "stim")
         sim.run(5 * MS)
-        assert monitor.parity_errors == 0
+        assert not any(t.parity_errors for t in monitor.transactions)
+        assert not any("does not cover" in v for v in monitor.violations)
 
 
 class TestBrokenFunctionalModel:
@@ -157,4 +160,5 @@ class TestApplicationLevelErrors:
         assert response is not None
         assert not response.ok
         assert response.status == "master_abort"
-        assert bundle.interface.operations_failed == 1
+        endings = [t.terminated_by for t in bundle.monitor.transactions]
+        assert endings == ["master_abort"]

@@ -71,7 +71,8 @@ class TestMasterAbort:
         run_ops(sim, tb, [op])
         assert op.status == STATUS_MASTER_ABORT
         assert op.data == []
-        assert tb.master.aborts_seen == 1
+        endings = [t.terminated_by for t in tb.monitor.transactions]
+        assert endings == ["master_abort"]
 
     def test_bus_usable_after_abort(self, tb_pair):
         sim, tb = tb_pair
@@ -122,7 +123,8 @@ class TestRetryAndDisconnect:
         run_ops(sim, tb, [op])
         assert op.status == STATUS_OK
         assert op.retries == 3
-        assert tb.target.retries_issued == 3
+        endings = [t.terminated_by for t in tb.monitor.completed_transactions]
+        assert endings.count("retry") == 3
         assert tb.memory.read_word(0) == 0x77
 
     def test_disconnect_splits_burst(self, make_tb):
@@ -135,7 +137,8 @@ class TestRetryAndDisconnect:
         assert read.data == payload
         # 7 words at <=2 words per transaction: at least 3 reconnects each.
         assert write.retries >= 3
-        assert tb.target.disconnects_issued >= 6
+        endings = [t.terminated_by for t in tb.monitor.completed_transactions]
+        assert endings.count("disconnect_with_data") >= 6
 
     def test_retry_and_disconnect_combined(self, make_tb):
         sim, tb = make_tb(retry_count=1, disconnect_after=3)
@@ -174,13 +177,14 @@ class TestMultiMaster:
     def test_grant_rotates_between_masters(self, make_tb):
         sim, tb = make_tb(n_masters=2, mem_base=0x0, mem_size=0x2000)
         finished = []
+        granted = []
 
         def stim(master, base, tag):
             def run():
                 for i in range(10):
-                    yield from master.transact(
-                        PciOperation.write(base + 4 * i, [i])
-                    )
+                    op = PciOperation.write(base + 4 * i, [i])
+                    yield from master.transact(op)
+                    granted.append((op.grant_time, tag))
                 finished.append(tag)
                 if len(finished) == 2:
                     sim.stop()
@@ -189,7 +193,9 @@ class TestMultiMaster:
         sim.spawn(stim(tb.masters[0], 0x000, "a"), "sa")
         sim.spawn(stim(tb.masters[1], 0x800, "b"), "sb")
         sim.run(5 * MS)
-        assert tb.pci_arbiter.grant_changes >= 4
+        owners = [tag for __, tag in sorted(granted)]
+        handovers = sum(a != b for a, b in zip(owners, owners[1:]))
+        assert handovers >= 4
 
 
 class TestMonitorObservation:
@@ -212,7 +218,7 @@ class TestMonitorObservation:
             PciOperation.write(0x1000, list(range(16))),
             PciOperation.read(0x1000, count=16),
         ])
-        assert tb.monitor.parity_errors == 0
+        assert not any(t.parity_errors for t in tb.monitor.transactions)
         assert not tb.monitor.violations
 
     def test_signatures_stable_across_runs(self, make_tb):

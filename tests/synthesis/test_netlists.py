@@ -2,7 +2,9 @@
 
 import pytest
 
+from repro.core import CommandType
 from repro.errors import SynthesisError
+from repro.flow import build_platform
 from repro.osss import PolymorphicVar, guarded_method
 from repro.synthesis import (
     build_channel_ir,
@@ -153,3 +155,33 @@ class TestDispatchSynthesis:
         var = PolymorphicVar(Empty, [Sub])
         with pytest.raises(SynthesisError):
             synthesize_dispatch(var)
+
+
+#: The interface channel's state registers: what BusInterfaceChannel's
+#: guards and bodies read (the pending command, the response FIFO and
+#: its capacity, the epoch) and what the platform's drain predicate
+#: reads (``commands_put``). A tally added to the shared state would be
+#: synthesized as one more register that nothing reads.
+INTERFACE_STATE_REGISTERS = {
+    "state_commands_put",
+    "state_epoch",
+    "state_pending_command",
+    "state_response_capacity",
+    "state_responses",
+}
+
+
+class TestInterfaceChannelState:
+    @pytest.mark.parametrize("bus", ["pci", "wishbone", "axi4lite", "tlmgp"])
+    def test_only_read_state_becomes_registers(self, bus):
+        bundle = build_platform(
+            [[CommandType.write(0x100, [1]), CommandType.read(0x100)]],
+            bus=bus, synthesize=True,
+        )
+        (group,) = bundle.synthesis.groups
+        registers = {
+            register.name for register in group.object_ir.registers
+            if register.name.startswith("state_")
+        }
+        assert registers == INTERFACE_STATE_REGISTERS
+        assert bundle.synthesis.report.total_flip_flop_bits == 184

@@ -79,7 +79,7 @@ class TestBlocking:
         sim.run(100 * NS)
         assert ("got", 1) in log
         assert ("put2", 40 * NS) in log
-        assert fifo.total_put == 2
+        assert len(fifo) == 1 and fifo.peek() == 2
 
     def test_fifo_ordering_under_concurrency(self, sim):
         fifo = TlmFifo(sim, "f")

@@ -56,16 +56,16 @@ class TestMemory:
     def test_access_counters(self):
         mem = Memory(64)
         mem.write_word(0, 1)
-        mem.read_word(0)
-        mem.read_word(0)
-        assert mem.write_count == 1
-        assert mem.read_count == 2
+        assert mem.read_word(0) == 1
+        assert mem.read_word(0) == 1
+        assert mem.words_written == 1
+        mem.write_word(0, 2)
+        assert mem.words_written == 1
 
     def test_load_dump_skip_counters(self):
         mem = Memory(64)
         mem.load(0, [9, 8])
-        assert mem.dump(0, 2) == [9, 8]
-        assert mem.read_count == 0 and mem.write_count == 0
+        assert mem.dump(0, 4) == [9, 8, 0, 0]
         assert mem.words_written == 2
 
 

@@ -58,7 +58,6 @@ class TestDmaPeripheral:
         dma.write_word(dma.START, 1)
         assert mem.dump(0x200, 4) == [1, 2, 3, 4]
         assert dma.read_word(dma.START) == 1  # done bit
-        assert dma.copies_performed == 1
 
     def test_register_readback(self):
         dma = DmaPeripheral(Memory(64))
@@ -70,7 +69,8 @@ class TestDmaPeripheral:
         assert dma.read_word(dma.LEN) == 2
 
     def test_start_zero_does_nothing(self):
-        dma = DmaPeripheral(Memory(64))
+        mem = Memory(64)
+        dma = DmaPeripheral(mem)
         dma.write_word(dma.START, 0)
         assert not dma.done
-        assert dma.copies_performed == 0
+        assert mem.words_written == 0

@@ -79,7 +79,7 @@ class TestPinLevel:
         op = BusOperation.read(0x8000_0000)
         tb = _run_ops([op])
         assert op.status == "timeout"
-        assert tb.master.timeouts_seen == 1
+        assert not tb.monitor.transfers
 
     def test_slave_error_propagates(self):
         # ROM region at offset beyond memory -> ProtocolError -> ERR.
@@ -101,9 +101,7 @@ class TestPinLevel:
         sim.spawn(stim, "stim")
         sim.run(10 * MS)
         assert bad.status == "bus_error"
-        assert tb.slave.errors_signalled == 1
-        transfers = tb.monitor.transfers
-        assert transfers and transfers[-1].terminated_by == "err"
+        assert [t.terminated_by for t in tb.monitor.transfers] == ["err"]
 
     def test_monitor_records_transfers(self):
         ops = [
