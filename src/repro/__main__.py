@@ -122,13 +122,28 @@ def _cmd_refine(args: argparse.Namespace) -> int:
     return 0 if report.consistent else 1
 
 
-def _cmd_matrix(args: argparse.Namespace) -> int:
+def _add_fault_leg_arguments(parser: argparse.ArgumentParser) -> None:
+    """``--fault-runs`` and ``--workers``, read by :func:`_swap_matrix`."""
+    parser.add_argument("--fault-runs", type=int, default=0,
+                        help="also run about this many demo fault-campaign "
+                             "runs per bus family and report their "
+                             "classifications (default 0 = skip)")
+    parser.add_argument("--workers", type=int, default=0,
+                        help="with --fault-runs: worker processes per "
+                             "fault-leg campaign (0 = serial, the default; "
+                             "REPRO_MAX_WORKERS caps any request; counts "
+                             "are identical either way)")
+
+
+def _swap_matrix(args: argparse.Namespace, telemetry: bool = False):
+    """The swap matrix that ``matrix`` and ``report --matrix`` print:
+    every family unless ``--bus`` names one, seed 55 unless ``--seed``
+    is given."""
+    from .fault.runner import resolve_workers
     from .iface.matrix import DEFAULT_BUSES, run_swap_matrix
 
-    from .fault.runner import resolve_workers
-
     buses = DEFAULT_BUSES if args.bus is None else (_effective_bus(args),)
-    report = run_swap_matrix(
+    return run_swap_matrix(
         seed=args.seed if args.seed is not None else 55,
         n_commands=args.commands,
         buses=buses,
@@ -136,7 +151,12 @@ def _cmd_matrix(args: argparse.Namespace) -> int:
         fault_runs=args.fault_runs,
         fault_workers=resolve_workers(args.workers)
         if args.fault_runs else 1,
+        telemetry=telemetry,
     )
+
+
+def _cmd_matrix(args: argparse.Namespace) -> int:
+    report = _swap_matrix(args)
     print(report.render())
     return 0 if report.all_consistent else 1
 
@@ -252,20 +272,7 @@ def _cmd_report_matrix(args: argparse.Namespace) -> int:
     latency quantiles per bus family x refinement level)."""
     import json
 
-    from .fault.runner import resolve_workers
-    from .iface.matrix import DEFAULT_BUSES, run_swap_matrix
-
-    buses = DEFAULT_BUSES if args.bus is None else (_effective_bus(args),)
-    matrix = run_swap_matrix(
-        seed=args.seed if args.seed is not None else 55,
-        n_commands=args.commands,
-        buses=buses,
-        config=_platform_config(args),
-        fault_runs=args.fault_runs,
-        fault_workers=resolve_workers(args.workers)
-        if args.fault_runs else 1,
-        telemetry=True,
-    )
+    matrix = _swap_matrix(args, telemetry=True)
     card = matrix.scorecard()
     if card is None:  # every cell errored before scoring
         print(matrix.render())
@@ -313,17 +320,9 @@ def main(argv: "list[str] | None" = None) -> int:
     sub = parser.add_subparsers(dest="command", required=True)
     sub.add_parser("flow", help="run the Figure 2 design flow")
     sub.add_parser("refine", help="Figure 3 interface-swap comparison")
-    matrix = sub.add_parser(
-        "matrix", help="run the bus x abstraction swap matrix"
+    _add_fault_leg_arguments(
+        sub.add_parser("matrix", help="run the bus x abstraction swap matrix")
     )
-    matrix.add_argument("--fault-runs", type=int, default=0,
-                        help="also run about this many demo fault-campaign "
-                             "runs per bus family (default 0 = skip)")
-    matrix.add_argument("--workers", type=int, default=0,
-                        help="worker processes per fault-leg campaign "
-                             "(0 = serial, the default; REPRO_MAX_WORKERS "
-                             "caps any request; counts are identical "
-                             "either way)")
     waveforms = sub.add_parser("waveforms", help="Figure 4 waveform dump")
     waveforms.add_argument("--vcd", default="repro_waveforms.vcd",
                            help="output VCD path")
@@ -345,15 +344,7 @@ def main(argv: "list[str] | None" = None) -> int:
                         default="table",
                         help="scorecard output format for --matrix "
                              "(default table)")
-    report.add_argument("--fault-runs", type=int, default=0,
-                        help="with --matrix: also run about this many demo "
-                             "fault-campaign runs per bus family and add "
-                             "the per-fault-family detection table to the "
-                             "scorecard (default 0 = skip)")
-    report.add_argument("--workers", type=int, default=0,
-                        help="with --matrix --fault-runs: worker processes "
-                             "per fault-leg campaign (0 = serial, the "
-                             "default; REPRO_MAX_WORKERS caps any request)")
+    _add_fault_leg_arguments(report)
     fault = sub.add_parser("fault", help="run a fault-injection campaign")
     from .fault import cli as fault_cli
 

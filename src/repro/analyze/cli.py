@@ -14,7 +14,6 @@ is non-zero when any error-severity finding survives.
 from __future__ import annotations
 
 import argparse
-import sys
 import typing
 
 from ..lint.cli import add_suppression_arguments, config_from_args, emit_report
@@ -111,17 +110,3 @@ def run(args: argparse.Namespace) -> int:
         text = _render_table(reports, args.schedule)
     emit_report(text, args.output, reports)
     return 1 if any(r.has_errors for r in reports) else 0
-
-
-def main(argv: "list[str] | None" = None) -> int:
-    parser = argparse.ArgumentParser(
-        prog="python -m repro.analyze",
-        description="netlist dataflow analysis over a script's synthesis "
-                    "runs",
-    )
-    add_arguments(parser)
-    return run(parser.parse_args(argv))
-
-
-if __name__ == "__main__":  # pragma: no cover
-    sys.exit(main())

@@ -107,10 +107,16 @@ def _live_transitions(fsm: ir.Fsm) -> list[ir.FsmTransition]:
     ]
 
 
-def reachable_states(fsm: ir.Fsm) -> set[str]:
-    """States reachable from reset over statically-live transitions."""
+def reachable_states(
+    fsm: ir.Fsm,
+    transitions: typing.Iterable[ir.FsmTransition] | None = None,
+) -> set[str]:
+    """States reachable from reset over *transitions* (default: the
+    statically-live ones; ``IR001`` walks every transition)."""
+    if transitions is None:
+        transitions = _live_transitions(fsm)
     successors: dict[str, set[str]] = {s: set() for s in fsm.states}
-    for transition in _live_transitions(fsm):
+    for transition in transitions:
         successors[transition.source].add(transition.target)
     reachable = {fsm.reset_state}
     frontier = [fsm.reset_state]

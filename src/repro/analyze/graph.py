@@ -64,9 +64,10 @@ def _unique_nets(nets: typing.Iterable[ir.Net]) -> list[ir.Net]:
 class NetGraph:
     """Driver/reader graph of one module.
 
-    Build once per module, query many times — every NET/FSM analysis
-    and the :class:`~repro.analyze.schedule.EvalSchedule` levelization
-    run off the same instance.
+    Built once per module by :class:`~repro.analyze.passes.ModuleAnalysis`
+    and queried many times: the levelization into an
+    :class:`~repro.analyze.schedule.EvalSchedule`, the X-propagation
+    pass and every IR lint rule run off that one instance.
     """
 
     def __init__(self, module: ir.RtlModule) -> None:
@@ -129,6 +130,15 @@ class NetGraph:
     def nets(self) -> list[ir.Net]:
         """Every net the graph knows about (module lists plus strays)."""
         return list(self._nets.values())
+
+    def read_nets(self) -> list[ir.Net]:
+        """Every net some expression reads, in first-read order."""
+        return [self._nets[net_id] for net_id in self._readers]
+
+    def driven_nets(self) -> list[ir.Net]:
+        """Every net with a driver, in first-driver order (continuous
+        assigns first, then clocked assigns, then FSMs)."""
+        return [self._nets[net_id] for net_id in self._drivers]
 
     def drivers_of(self, net: ir.Net) -> list[Driver]:
         return self._drivers.get(id(net), [])

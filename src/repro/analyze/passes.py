@@ -2,11 +2,12 @@
 
 :func:`analyze_module` runs the per-netlist structural passes (graph,
 levelization, FSM, X-propagation) over one
-:class:`~repro.synthesis.ir.RtlModule`. :func:`analyze_design` runs
-them over every netlist of a
-:class:`~repro.synthesis.tool.SynthesisResult`, layers the IR lint
-rules (including ``NET001``–``NET004`` / ``FSM001``–``FSM003``) and the
-design-level ``RACE001`` race check on top, and returns one
+:class:`~repro.synthesis.ir.RtlModule`; the resulting
+:class:`ModuleAnalysis` is what every IR lint rule reads.
+:func:`analyze_design` builds one per netlist of a
+:class:`~repro.synthesis.tool.SynthesisResult`, lints each with the IR
+rules (including ``NET001``–``NET004`` / ``FSM001``–``FSM003``), adds
+the design-level ``RACE001`` race check, and returns one
 :class:`AnalysisReport` — what the ``python -m repro analyze`` CLI
 prints and the :class:`~repro.flow.design_flow.DesignFlow`
 post-synthesis gate checks.
@@ -147,16 +148,20 @@ def analyze_design(
     """
     # Importing the runner registers every rule module (NET/FSM/RACE
     # included) into the default registry.
-    from ..lint import runner
+    from ..lint import runner  # noqa: F401
     from ..lint.context import DesignContext
-    from ..lint.engine import DESIGN, LintEngine, default_registry, RuleRegistry
+    from ..lint.engine import (
+        DESIGN, IR, LintEngine, RuleRegistry, default_registry,
+    )
 
     report = AnalysisReport(label)
+    engine = LintEngine(config)
     for group in result.groups:
         for module in (group.channel_ir, group.object_ir,
                        *group.dispatch_irs):
-            report.modules.append(analyze_module(module))
-            report.lint.extend(runner.lint_rtl_module(module, config))
+            analysis = analyze_module(module)
+            report.modules.append(analysis)
+            report.lint.extend(engine.run(analysis, IR, module.name))
     if sim is not None:
         race_registry = RuleRegistry()
         race_registry.register(type(default_registry.get("RACE001"))())

@@ -15,7 +15,6 @@ Verilog.
 from __future__ import annotations
 
 import argparse
-import sys
 import typing
 
 from ..core.workload import _Lcg
@@ -162,16 +161,3 @@ def run(args: argparse.Namespace) -> int:
         print(text)
     return 1 if failed else 0
 
-
-def main(argv: "list[str] | None" = None) -> int:
-    parser = argparse.ArgumentParser(
-        prog="python -m repro.compile",
-        description="compiled fast-sim code generation over a script's "
-                    "synthesis runs",
-    )
-    add_arguments(parser)
-    return run(parser.parse_args(argv))
-
-
-if __name__ == "__main__":  # pragma: no cover
-    sys.exit(main())

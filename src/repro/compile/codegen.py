@@ -180,7 +180,6 @@ class CompiledNetlist:
         resets: dict[str, int],
         input_names: list[str],
         step_inputs: list[str],
-        output_names: list[str],
         stats: dict,
     ) -> None:
         self.module = module
@@ -191,7 +190,6 @@ class CompiledNetlist:
         self._resets = resets
         self.input_names = input_names
         self.step_inputs = step_inputs
-        self.output_names = output_names
         self.stats = stats
 
     def reset_registers(self) -> dict[str, int]:
@@ -521,6 +519,5 @@ def compile_module(
         resets,
         list(inputs),
         [net.name for net in step_inputs],
-        [port.name for port in out_ports],
         stats,
     )

@@ -15,6 +15,7 @@ import typing
 
 from ..errors import RefinementError
 from ..kernel.simulator import Simulator
+from ..verify.consistency import check_traces
 from .application import Application
 
 
@@ -118,21 +119,7 @@ class RefinementReport:
     def __init__(self, reference: RunResult, refined: RunResult) -> None:
         self.reference = reference
         self.refined = refined
-        self.mismatches = self._compare()
-
-    def _compare(self) -> list[str]:
-        problems = []
-        ref, fin = self.reference.traces, self.refined.traces
-        for name in sorted(set(ref) | set(fin)):
-            if name not in ref or name not in fin:
-                problems.append(f"application {name!r} missing from one platform")
-                continue
-            if ref[name] != fin[name]:
-                problems.append(
-                    f"application {name!r}: traces differ "
-                    f"({len(ref[name])} vs {len(fin[name])} records)"
-                )
-        return problems
+        self.mismatches = check_traces(reference.traces, refined.traces).mismatches
 
     @property
     def consistent(self) -> bool:

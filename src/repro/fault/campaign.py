@@ -224,14 +224,14 @@ def build_campaign_platform(spec: CampaignSpec) -> PlatformBundle:
     # and faulty builds alike so the comparison stays like-for-like.
     config = PciPlatformConfig(
         monitor_strict=False, app_think_time=spec.think_time,
-        backend=getattr(spec, "backend", "interpreted"),
+        backend=spec.backend,
     )
     if spec.resilience:
         from ..resilience import ResilienceConfig
 
         config.resilience = ResilienceConfig.default(spec.seed)
     return _BUILDERS[spec.platform](
-        workloads, config, synthesize=getattr(spec, "synthesize", False)
+        workloads, config, synthesize=spec.synthesize
     )
 
 
@@ -362,7 +362,7 @@ class _RunObservers:
         # classifier does, so worker processes score runs exactly like
         # the serial path.
         self.score_probe = None
-        if getattr(spec, "telemetry", False):
+        if spec.telemetry:
             from ..telemetry.scorecard import ScorecardProbe
 
             cycle_fs = (
@@ -370,7 +370,7 @@ class _RunObservers:
             )
             self.score_probe = ScorecardProbe(cycle_fs).attach(sim.probes)
         self.recorder = None
-        if run is not None and getattr(spec, "flight_record_dir", None):
+        if run is not None and spec.flight_record_dir:
             from ..telemetry.recorder import FlightRecorder
 
             self.recorder = FlightRecorder(
@@ -520,7 +520,7 @@ def _screen(
     trajectory = golden.trajectory
     if (
         trajectory is None
-        or getattr(spec, "flight_record_dir", None)
+        or spec.flight_record_dir
         or (run.kind, run.target_path) not in trajectory.targets
     ):
         return None

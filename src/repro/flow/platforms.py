@@ -470,10 +470,9 @@ def standard_flow_builders(
     def functional_builder():
         return build_platform(workloads, config, bus="functional").handle
 
-    def implementation_builder(synthesize: bool, backend: str = "interpreted"):
+    def implementation_builder(synthesize: bool):
         bundle = build_platform(
-            workloads, (config or PciPlatformConfig()).with_backend(backend),
-            bus=bus, synthesize=synthesize,
+            workloads, config, bus=bus, synthesize=synthesize
         )
         return bundle.handle, bundle.synthesis
 

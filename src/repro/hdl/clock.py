@@ -49,7 +49,6 @@ class Clock(Module):
             raise SimulationError(
                 f"duty cycle {duty} leaves no low time at period {period}"
             )
-        self.start_high = start_high
         self.clk = self.signal("clk", width=1, init=L1 if start_high else L0)
         self.cycle_count = 0
         #: The level of the current phase.

@@ -39,12 +39,10 @@ class Module:
         self.name = name
         if isinstance(parent, Module):
             self.sim: Simulator = parent.sim
-            self.parent: "Module | None" = parent
             self.path = f"{parent.path}.{name}"
             parent._children.append(self)
         elif isinstance(parent, Simulator):
             self.sim = parent
-            self.parent = None
             self.path = name
             parent._add_top_module(self)
         else:

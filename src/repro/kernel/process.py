@@ -63,7 +63,7 @@ class Process:
     __slots__ = (
         "_scheduler", "name", "kind", "_func", "_generator", "_send",
         "_wait_event", "_wait_events", "_all_of_pending", "_timeout_event",
-        "done", "started", "terminated_event", "_static_sensitivity",
+        "done", "terminated_event", "_static_sensitivity",
         "_runnable", "exception", "_wake_trigger",
     )
 
@@ -95,7 +95,6 @@ class Process:
         #: its notifications is ever outstanding while anyone waits.
         self._timeout_event: Event | None = None
         self.done = False
-        self.started = False
         #: Notified when the process terminates (thread return / StopIteration).
         self.terminated_event = Event(scheduler, f"{name}.terminated")
         self._static_sensitivity: list[Event] = []
@@ -194,7 +193,6 @@ class Process:
         send = self._send
         if send is None:
             if self.kind == self.METHOD:
-                self.started = True
                 self._func()
                 return
             send = self._start()
@@ -215,7 +213,6 @@ class Process:
     def _start(self) -> typing.Callable[[object], object] | None:
         """First activation of a thread: call its function; returns the
         generator's ``send``, or None when the thread already finished."""
-        self.started = True
         result = self._func()
         if result is None:
             # A thread function with no yields runs to completion at start.

@@ -61,7 +61,6 @@ class Scheduler:
         self._stop_requested = False
         #: The end of the current :meth:`run` (None: until starvation).
         self._deadline: int | None = None
-        self.running = False
         #: The process being evaluated right now (None between activations).
         self.current_process: Process | None = None
         #: Probe bus attached by the owning Simulator; None keeps every
@@ -154,29 +153,25 @@ class Scheduler:
             None if duration is None else self._time + duration
         )
         self._stop_requested = False
-        self.running = True
         timed = self._timed
         deltas_run = 0
-        try:
-            while True:
-                self._run_delta_cycles(deltas_run)
-                if self._stop_requested:
-                    break
-                if not timed:
-                    break
-                next_time = timed[0][0]
-                if deadline is not None and next_time > deadline:
-                    self._time = deadline
-                    break
-                deltas_run = self._advance_to(next_time)
-                if deltas_run and self._stop_requested:
-                    # The inline delta ended like any delta: on a stop.
-                    break
-            if deadline is not None and self._time < deadline and not self._stop_requested:
+        while True:
+            self._run_delta_cycles(deltas_run)
+            if self._stop_requested:
+                break
+            if not timed:
+                break
+            next_time = timed[0][0]
+            if deadline is not None and next_time > deadline:
                 self._time = deadline
-            return self._time
-        finally:
-            self.running = False
+                break
+            deltas_run = self._advance_to(next_time)
+            if deltas_run and self._stop_requested:
+                # The inline delta ended like any delta: on a stop.
+                break
+        if deadline is not None and self._time < deadline and not self._stop_requested:
+            self._time = deadline
+        return self._time
 
     def _advance_to(self, next_time: int) -> int:
         """Trigger the timed notifications due at *next_time*.

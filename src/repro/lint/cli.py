@@ -161,20 +161,3 @@ def run(args: argparse.Namespace) -> int:
         text = "\n".join(report.render() for report in reports)
     emit_report(text, args.output, reports)
     return 1 if failed else 0
-
-
-def main(argv: "list[str] | None" = None) -> int:
-    parser = argparse.ArgumentParser(
-        prog="python -m repro.lint",
-        description="static design-rule checks over the example platforms",
-    )
-    parser.add_argument("--seed", type=int, default=11)
-    parser.add_argument("--commands", type=int, default=20)
-    add_arguments(parser)
-    return run(parser.parse_args(argv))
-
-
-if __name__ == "__main__":  # pragma: no cover
-    import sys
-
-    sys.exit(main())

@@ -23,7 +23,7 @@ from .diagnostics import Diagnostic, LintReport, Severity
 
 #: Target kinds a rule can apply to.
 DESIGN = "design"     # an elaboratable Simulator + module hierarchy
-IR = "ir"             # a synthesis RtlModule
+IR = "ir"             # the ModuleAnalysis of a synthesis RtlModule
 CAMPAIGN = "campaign"  # a fault CampaignSpec against a probe platform
 
 

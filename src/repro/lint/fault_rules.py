@@ -34,7 +34,6 @@ class CampaignContext:
 
     def __init__(self, spec: "CampaignSpec", bundle: "PlatformBundle") -> None:
         self.spec = spec
-        self.bundle = bundle
         self.sim = bundle.handle.sim
         from ..fault.campaign import injectable_targets
 

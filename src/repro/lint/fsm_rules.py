@@ -1,8 +1,9 @@
 """FSM liveness rules over the synthesis IR (FSM0xx).
 
-Wrappers around :mod:`repro.analyze.fsm`: reachable states with no way
-out (FSM001), transition guards that constant-fold to false (FSM002)
-and unconditional do-nothing cycles (FSM003). IR001 (plain
+They report the :mod:`repro.analyze.fsm` findings of the netlist's
+:class:`~repro.analyze.passes.ModuleAnalysis`: reachable states with no
+way out (FSM001), transition guards that constant-fold to false
+(FSM002) and unconditional do-nothing cycles (FSM003). IR001 (plain
 unreachability) stays separate — these rules are about the *liveness*
 of the states the machine does reach.
 """
@@ -11,18 +12,30 @@ from __future__ import annotations
 
 import typing
 
-from ..analyze.fsm import (
-    find_false_guards,
-    find_livelock_cycles,
-    find_terminal_states,
-)
-from ..synthesis import ir
+from ..analyze.passes import ModuleAnalysis
 from .diagnostics import Diagnostic, Severity
 from .engine import IR, LintRule, register
 
 
+class _FsmFindingRule(LintRule):
+    """Reports the analysis's FSM findings of one kind."""
+
+    kind = ""
+    hint = ""
+
+    def check(self, analysis: ModuleAnalysis) -> typing.Iterator[Diagnostic]:
+        for finding in analysis.fsm_findings:
+            if finding.kind == self.kind:
+                yield self.emit(
+                    f"{analysis.module.name}.{finding.fsm.name}."
+                    f"{finding.subject}",
+                    finding.message,
+                    self.hint,
+                )
+
+
 @register
-class TerminalStateRule(LintRule):
+class TerminalStateRule(_FsmFindingRule):
     """A reachable FSM state with no live outgoing transition."""
 
     rule_id = "FSM001"
@@ -33,20 +46,12 @@ class TerminalStateRule(LintRule):
         "once entered, a state with no live way out deadlocks the "
         "protocol: grants stop, every caller hangs"
     )
-
-    def check(self, module: ir.RtlModule) -> typing.Iterator[Diagnostic]:
-        for fsm in module.fsms:
-            for finding in find_terminal_states(fsm):
-                yield self.emit(
-                    f"{module.name}.{fsm.name}.{finding.subject}",
-                    finding.message,
-                    "add a transition out of the state (or back to "
-                    "reset)",
-                )
+    kind = "terminal"
+    hint = "add a transition out of the state (or back to reset)"
 
 
 @register
-class FalseGuardTransitionRule(LintRule):
+class FalseGuardTransitionRule(_FsmFindingRule):
     """A transition whose condition is statically false."""
 
     rule_id = "FSM002"
@@ -57,19 +62,12 @@ class FalseGuardTransitionRule(LintRule):
         "a constant-false guard means the arc is dead weight — and "
         "often means a condition was wired to the wrong constant"
     )
-
-    def check(self, module: ir.RtlModule) -> typing.Iterator[Diagnostic]:
-        for fsm in module.fsms:
-            for finding in find_false_guards(fsm):
-                yield self.emit(
-                    f"{module.name}.{fsm.name}.{finding.subject}",
-                    finding.message,
-                    "fix the condition expression or delete the arc",
-                )
+    kind = "false-guard"
+    hint = "fix the condition expression or delete the arc"
 
 
 @register
-class LivelockCycleRule(LintRule):
+class LivelockCycleRule(_FsmFindingRule):
     """An unconditional FSM cycle that does no protocol work."""
 
     rule_id = "FSM003"
@@ -80,13 +78,8 @@ class LivelockCycleRule(LintRule):
         "a reachable cycle with only unconditional arcs, no exit and "
         "no outputs spins forever without granting anything"
     )
-
-    def check(self, module: ir.RtlModule) -> typing.Iterator[Diagnostic]:
-        for fsm in module.fsms:
-            for finding in find_livelock_cycles(fsm):
-                yield self.emit(
-                    f"{module.name}.{fsm.name}.{finding.subject}",
-                    finding.message,
-                    "guard an arc of the cycle, add an exit arc, or "
-                    "make a state produce an output",
-                )
+    kind = "livelock"
+    hint = (
+        "guard an arc of the cycle, add an exit arc, or make a state "
+        "produce an output"
+    )

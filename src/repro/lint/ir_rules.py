@@ -5,31 +5,20 @@ widths at build time, so these rules mostly guard against *post-
 construction* surgery (netlist transformations, hand-patched IR) and
 against structural gaps no constructor can see: states the FSM can never
 reach, storage nothing clocks, wires nothing drives. They run on every
-module right before HDL emission.
+module right before HDL emission, over the netlist's
+:class:`~repro.analyze.passes.ModuleAnalysis`, whose
+:class:`~repro.analyze.graph.NetGraph` supplies drivers and readers.
 """
 
 from __future__ import annotations
 
 import typing
 
+from ..analyze.fsm import reachable_states
+from ..analyze.passes import ModuleAnalysis
 from ..synthesis import ir
 from .diagnostics import Diagnostic, Severity
 from .engine import IR, LintRule, register
-
-
-def _walk_exprs(module: ir.RtlModule) -> typing.Iterator[tuple[str, ir.Expr]]:
-    """Every expression site in *module*, as ``(site_label, expr)``."""
-    for site in module.iter_expr_sites():
-        yield site.label, site.expr
-
-
-def _referenced_nets(module: ir.RtlModule) -> dict[int, ir.Net]:
-    """Nets read by at least one expression, keyed by identity."""
-    nets: dict[int, ir.Net] = {}
-    for __, expr in _walk_exprs(module):
-        for net in expr.referenced_nets():
-            nets[id(net)] = net
-    return nets
 
 
 @register
@@ -44,19 +33,10 @@ class UnreachableFsmStateRule(LintRule):
         "dead states cost state-register bits and hide intent errors"
     )
 
-    def check(self, module: ir.RtlModule) -> typing.Iterator[Diagnostic]:
+    def check(self, analysis: ModuleAnalysis) -> typing.Iterator[Diagnostic]:
+        module = analysis.module
         for fsm in module.fsms:
-            successors: dict[str, set[str]] = {s: set() for s in fsm.states}
-            for transition in fsm.transitions:
-                successors[transition.source].add(transition.target)
-            reachable = {fsm.reset_state}
-            frontier = [fsm.reset_state]
-            while frontier:
-                state = frontier.pop()
-                for nxt in successors[state]:
-                    if nxt not in reachable:
-                        reachable.add(nxt)
-                        frontier.append(nxt)
+            reachable = reachable_states(fsm, fsm.transitions)
             for state in fsm.states:
                 if state not in reachable:
                     yield self.emit(
@@ -80,11 +60,12 @@ class WidthMismatchRule(LintRule):
         "after construction"
     )
 
-    def check(self, module: ir.RtlModule) -> typing.Iterator[Diagnostic]:
-        for site, expr in _walk_exprs(module):
-            for problem in self._validate(expr):
+    def check(self, analysis: ModuleAnalysis) -> typing.Iterator[Diagnostic]:
+        module = analysis.module
+        for site in module.iter_expr_sites():
+            for problem in self._validate(site.expr):
                 yield self.emit(
-                    f"{module.name}: {site}",
+                    f"{module.name}: {site.label}",
                     problem,
                     "rebuild the expression instead of mutating it in place",
                 )
@@ -198,11 +179,12 @@ class UndrivenRegisterRule(LintRule):
         "its reset value forever"
     )
 
-    def check(self, module: ir.RtlModule) -> typing.Iterator[Diagnostic]:
-        clocked = {id(c.target) for c in module.clocked_assigns}
-        fsm_owned = {id(f.state_register) for f in module.fsms}
+    def check(self, analysis: ModuleAnalysis) -> typing.Iterator[Diagnostic]:
+        module = analysis.module
+        graph = analysis.graph
         for register in module.registers:
-            if id(register) in clocked or id(register) in fsm_owned:
+            if any(driver.kind in ("clocked", "fsm-state")
+                   for driver in graph.drivers_of(register)):
                 continue
             held = (
                 "X" if register.reset_value is None else register.reset_value
@@ -227,14 +209,15 @@ class UndrivenNetRule(LintRule):
         "reading an undriven net emits an X/dangling wire in the HDL"
     )
 
-    def check(self, module: ir.RtlModule) -> typing.Iterator[Diagnostic]:
-        driven = _driver_counts(module)
-        for net in _referenced_nets(module).values():
+    def check(self, analysis: ModuleAnalysis) -> typing.Iterator[Diagnostic]:
+        module = analysis.module
+        graph = analysis.graph
+        for net in graph.read_nets():
             if isinstance(net, ir.Register):
                 continue  # clocked storage: IR003's concern
             if isinstance(net, ir.Port) and net.direction == "in":
                 continue  # driven from outside
-            if driven.get(id(net), 0) == 0:
+            if not graph.is_comb_driven(net):
                 kind = "output port" if isinstance(net, ir.Port) else "net"
                 yield self.emit(
                     f"{module.name}.{net.name}",
@@ -254,21 +237,24 @@ class MultiplyDrivenNetRule(LintRule):
     default_severity = Severity.ERROR
     description = "a net may have exactly one structural driver"
 
-    def check(self, module: ir.RtlModule) -> typing.Iterator[Diagnostic]:
-        nets = {id(n): n for n in module.nets}
-        nets.update((id(p), p) for p in module.ports)
-        for net_id, count in _driver_counts(module).items():
-            net = nets.get(net_id)
-            if net is None:
+    def check(self, analysis: ModuleAnalysis) -> typing.Iterator[Diagnostic]:
+        module = analysis.module
+        graph = analysis.graph
+        # Registers are NET001's concern; strays are not the module's.
+        named = {id(net) for net in (*module.nets, *module.ports)}
+        for net in graph.driven_nets():
+            # Each assign counts once; an FSM counts once per driven net
+            # however many states set it (its decoder is one mux tree).
+            count = len(graph.comb_drivers_of(net))
+            if not count or id(net) not in named:
                 continue
             if isinstance(net, ir.Port) and net.direction == "in":
-                if count > 0:
-                    yield self.emit(
-                        f"{module.name}.{net.name}",
-                        "input port is driven from inside the module",
-                        "drop the internal driver or flip the port "
-                        "direction",
-                    )
+                yield self.emit(
+                    f"{module.name}.{net.name}",
+                    "input port is driven from inside the module",
+                    "drop the internal driver or flip the port "
+                    "direction",
+                )
                 continue
             if count > 1:
                 yield self.emit(
@@ -276,23 +262,3 @@ class MultiplyDrivenNetRule(LintRule):
                     f"net has {count} structural drivers",
                     "merge the drivers into one assign (mux the sources)",
                 )
-
-
-def _driver_counts(module: ir.RtlModule) -> dict[int, int]:
-    """``id(net) -> number of structural drivers`` (combinational only).
-
-    Each continuous assign counts once; an FSM counts once per driven
-    net regardless of how many states set it (its output decoder is one
-    mux tree).
-    """
-    counts: dict[int, int] = {}
-    for assign in module.assigns:
-        counts[id(assign.target)] = counts.get(id(assign.target), 0) + 1
-    for fsm in module.fsms:
-        fsm_nets: set[int] = set()
-        for outputs in fsm.moore_outputs.values():
-            for net, __ in outputs:
-                fsm_nets.add(id(net))
-        for net_id in fsm_nets:
-            counts[net_id] = counts.get(net_id, 0) + 1
-    return counts

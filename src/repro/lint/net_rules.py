@@ -1,7 +1,8 @@
 """Netlist dataflow rules over the synthesis IR (NET0xx).
 
-These run off the :mod:`repro.analyze` driver/reader graph and cover
-the hazards the constructor-level IR0xx rules cannot see: conflicting
+These read the netlist's :class:`~repro.analyze.passes.ModuleAnalysis`
+(driver/reader graph, levelization, X-propagation) and cover the
+hazards the constructor-level IR0xx rules cannot see: conflicting
 driver *kinds* on one net (NET001), dead driven-but-unread wires
 (NET002), combinational loops (NET003) and X-propagation from unreset
 registers to primary outputs (NET004). Like every IR rule they run
@@ -13,9 +14,7 @@ from __future__ import annotations
 
 import typing
 
-from ..analyze.graph import NetGraph
-from ..analyze.schedule import levelize
-from ..analyze.xprop import find_x_propagation
+from ..analyze.passes import ModuleAnalysis
 from ..synthesis import ir
 from .diagnostics import Diagnostic, Severity
 from .engine import IR, LintRule, register
@@ -34,8 +33,9 @@ class DriverConflictRule(LintRule):
         "drivers, one clocked process, or one FSM — never a mix"
     )
 
-    def check(self, module: ir.RtlModule) -> typing.Iterator[Diagnostic]:
-        graph = NetGraph(module)
+    def check(self, analysis: ModuleAnalysis) -> typing.Iterator[Diagnostic]:
+        module = analysis.module
+        graph = analysis.graph
         for net in graph.nets():
             drivers = graph.drivers_of(net)
             if len(drivers) < 2 and not any(
@@ -96,8 +96,9 @@ class UnreadNetRule(LintRule):
         "storage (IR003/IR005 territory) and ports face outward"
     )
 
-    def check(self, module: ir.RtlModule) -> typing.Iterator[Diagnostic]:
-        graph = NetGraph(module)
+    def check(self, analysis: ModuleAnalysis) -> typing.Iterator[Diagnostic]:
+        module = analysis.module
+        graph = analysis.graph
         for net in module.nets:
             if isinstance(net, (ir.Register, ir.Port)):
                 continue
@@ -125,11 +126,10 @@ class CombLoopRule(LintRule):
         "cannot be levelized into an evaluation schedule"
     )
 
-    def check(self, module: ir.RtlModule) -> typing.Iterator[Diagnostic]:
-        result = levelize(module)
-        for loop in result.loops:
+    def check(self, analysis: ModuleAnalysis) -> typing.Iterator[Diagnostic]:
+        for loop in analysis.levelization.loops:
             yield self.emit(
-                f"{module.name}.{loop.nets[0].name}",
+                f"{analysis.module.name}.{loop.nets[0].name}",
                 f"combinational loop: {loop.describe()}",
                 "break the cycle with a register, or restructure the "
                 "priority logic",
@@ -150,10 +150,10 @@ class XPropagationRule(LintRule):
         "reset"
     )
 
-    def check(self, module: ir.RtlModule) -> typing.Iterator[Diagnostic]:
-        for finding in find_x_propagation(module):
+    def check(self, analysis: ModuleAnalysis) -> typing.Iterator[Diagnostic]:
+        for finding in analysis.xprop_findings:
             yield self.emit(
-                f"{module.name}.{finding.port.name}",
+                f"{analysis.module.name}.{finding.port.name}",
                 f"output is X after reset: register "
                 f"{finding.source.name!r} has no reset assign and "
                 f"reaches the port via {finding.describe_path()}",

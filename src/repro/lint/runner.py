@@ -5,7 +5,8 @@ These are what the flow, the synthesis tool and the CLI call:
 * :func:`lint_design` — run the module- and guard-level rules over a
   built :class:`~repro.kernel.simulator.Simulator`;
 * :func:`lint_rtl_module` — run the IR rules over one
-  :class:`~repro.synthesis.ir.RtlModule`;
+  :class:`~repro.synthesis.ir.RtlModule` (each rule reads the one
+  :class:`~repro.analyze.passes.ModuleAnalysis` built for it);
 * :func:`lint_synthesis` — run the IR rules over every netlist of a
   :class:`~repro.synthesis.tool.SynthesisResult`;
 * :func:`lint_campaign` — run the FLT rules over a fault
@@ -19,6 +20,7 @@ from __future__ import annotations
 
 import typing
 
+from ..analyze.passes import ModuleAnalysis
 from ..kernel.simulator import Simulator
 from .context import DesignContext
 from .diagnostics import LintReport
@@ -56,7 +58,7 @@ def lint_rtl_module(
 ) -> LintReport:
     """Run every IR-level rule over one synthesized netlist."""
     engine = LintEngine(config, registry)
-    return engine.run(module, IR, module.name)
+    return engine.run(ModuleAnalysis(module), IR, module.name)
 
 
 def lint_campaign(
@@ -89,5 +91,5 @@ def lint_synthesis(
     for group in result.groups:
         modules = [group.channel_ir, group.object_ir, *group.dispatch_irs]
         for module in modules:
-            report.extend(engine.run(module, IR, module.name))
+            report.extend(engine.run(ModuleAnalysis(module), IR, module.name))
     return report

@@ -377,7 +377,6 @@ class GlobalObject:
         *args: object,
         timeout: int | None = None,
         client: str | None = None,
-        priority: int = 0,
         **kwargs: object,
     ):
         """Blocking guarded-method call; use from a thread as
@@ -392,7 +391,7 @@ class GlobalObject:
         if lowered is not None:
             result = yield from lowered.client_call(
                 self, method, args, kwargs,
-                timeout=timeout, client=client, priority=priority,
+                timeout=timeout, client=client,
             )
             return result
         space = self.space
@@ -401,7 +400,7 @@ class GlobalObject:
                 or space.retry_policies.get("*")
             if policy is not None:
                 result = yield from self._call_with_policy(
-                    space, policy, method, args, kwargs, client, priority
+                    space, policy, method, args, kwargs, client
                 )
                 return result
         scheduler = self.sim.scheduler
@@ -413,7 +412,6 @@ class GlobalObject:
             kwargs=kwargs,
             arrival_time=scheduler.time,
             done_event=done,
-            priority=priority,
         )
         space.submit(request)
         if timeout is None:
@@ -439,7 +437,6 @@ class GlobalObject:
         args: tuple,
         kwargs: dict,
         client: str | None,
-        priority: int,
     ):
         """Bounded attempts with per-attempt deadlines and backoff.
 
@@ -464,7 +461,6 @@ class GlobalObject:
                 kwargs=kwargs,
                 arrival_time=scheduler.time,
                 done_event=done,
-                priority=priority,
             )
             space.submit(request)
             deadline = policy.attempt_timeout(attempt)

@@ -19,8 +19,7 @@ class MethodRequest:
     """One pending (or completed) guarded-method invocation."""
 
     __slots__ = (
-        "client", "method", "args", "kwargs", "arrival_time", "priority",
-        "seq", "done_event", "result", "error", "completed", "cancelled",
+        "client", "method", "args", "kwargs", "arrival_time", "seq", "done_event", "result", "error", "completed", "cancelled",
         "grant_time", "complete_time",
     )
 
@@ -32,14 +31,12 @@ class MethodRequest:
         kwargs: dict,
         arrival_time: int,
         done_event: Event,
-        priority: int = 0,
     ) -> None:
         self.client = client
         self.method = method
         self.args = args
         self.kwargs = kwargs
         self.arrival_time = arrival_time
-        self.priority = priority
         self.seq = next(_sequence)
         self.done_event = done_event
         self.result: object = None

@@ -52,7 +52,6 @@ class PciMaster(PinMaster):
                 f"(bus has {bus.n_masters} REQ#/GNT# pairs)"
             )
         super().__init__(parent, name, bus, clk)
-        self.master_index = master_index
         self.max_retries = max_retries
         self.pins = PciAgentPins(bus, self.path)
         self.req_n = bus.req_n[master_index]

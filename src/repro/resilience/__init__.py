@@ -59,21 +59,15 @@ class ResilienceConfig:
         methods (None = no call-level recovery).
     :param interface: protocol replay knobs for the bus interface
         element (None = no transaction replay).
-    :param watchdog_poll: fs between run-watchdog ticks.
-    :param watchdog_strikes: no-progress ticks before the stall trigger.
     """
 
     def __init__(
         self,
         guard_policy: RetryPolicy | None = None,
         interface: InterfaceRecovery | None = None,
-        watchdog_poll: int | None = None,
-        watchdog_strikes: int = 5,
     ) -> None:
         self.guard_policy = guard_policy
         self.interface = interface
-        self.watchdog_poll = watchdog_poll
-        self.watchdog_strikes = watchdog_strikes
 
     @classmethod
     def default(cls, seed: int = 11) -> "ResilienceConfig":

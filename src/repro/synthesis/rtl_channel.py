@@ -256,7 +256,6 @@ class RtlMethodChannel(Module):
         kwargs: dict,
         timeout: int | None = None,
         client: str | None = None,
-        priority: int = 0,
     ):
         """The lowered blocking call (generator; substituted for
         :meth:`GlobalObject.call` after synthesis)."""
@@ -278,7 +277,6 @@ class RtlMethodChannel(Module):
                 kwargs=kwargs,
                 arrival_time=self.sim.time,
                 done_event=Event(self.sim.scheduler, f"{self.path}.wake_{index}"),
-                priority=priority,
             )
             self.payload[index].write(request)
             self._issued[index] = request

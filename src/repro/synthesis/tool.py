@@ -51,8 +51,6 @@ class SynthesisConfig:
     :param data_width: width of the opaque data buses in the netlists.
     :param emit_hdl: generate Verilog/VHDL text (skip to save time in
         large parameter sweeps).
-    :param lint_ir: run the IR design rules over every generated netlist
-        before HDL emission; error-severity findings abort synthesis.
     :param backend: execution backend for the synthesized channels —
         ``"interpreted"`` (the generator-based RTL channel) or
         ``"compiled"`` (the channel IR lowered to generated Python by
@@ -65,7 +63,6 @@ class SynthesisConfig:
         body_cycles: int = 1,
         data_width: int = 32,
         emit_hdl: bool = True,
-        lint_ir: bool = True,
         backend: str = "interpreted",
     ) -> None:
         if body_cycles < 1:
@@ -79,7 +76,6 @@ class SynthesisConfig:
         self.body_cycles = body_cycles
         self.data_width = data_width
         self.emit_hdl = emit_hdl
-        self.lint_ir = lint_ir
         self.backend = backend
 
 
@@ -188,7 +184,6 @@ class GroupShape(typing.NamedTuple):
     #: ``(module name, variable name, base class, variants)`` per
     #: polymorphic member of the shared state.
     dispatches: tuple[tuple[str, str, type, tuple[type, ...]], ...]
-    lint_ir: bool
     emit_hdl: bool
     backend: str
 
@@ -244,7 +239,6 @@ def _group_shape(
             for name, value in sorted(state_vars.items())
             if isinstance(value, PolymorphicVar)
         ),
-        lint_ir=config.lint_ir,
         emit_hdl=config.emit_hdl,
         backend=config.backend,
     )
@@ -285,8 +279,7 @@ def synthesize_group_shape(shape: GroupShape) -> GroupNetlists:
         dispatch_irs.append(dispatch_module)
         dispatches.append(dispatch_info)
     modules = [channel_ir, object_ir, *dispatch_irs]
-    if shape.lint_ir:
-        _lint_group_netlists(shape.group_name, modules)
+    _lint_group_netlists(shape.group_name, modules)
     verilog = vhdl = ""
     if shape.emit_hdl:
         verilog = "\n\n".join(emit_verilog(module) for module in modules)

@@ -16,8 +16,7 @@ from ..errors import SimulationError
 class VcdSignal:
     """One declared variable."""
 
-    def __init__(self, identifier: str, name: str, width: int, scope: str) -> None:
-        self.identifier = identifier
+    def __init__(self, name: str, width: int, scope: str) -> None:
         self.name = name
         self.width = width
         self.scope = scope
@@ -109,7 +108,7 @@ def parse_vcd(text: str) -> VcdDump:
                 width = int(width_text)
             except ValueError:
                 raise SimulationError(f"bad $var width: {width_text!r}") from None
-            signal = VcdSignal(identifier, name, width, ".".join(scope_stack))
+            signal = VcdSignal(name, width, ".".join(scope_stack))
             dump._by_id[identifier] = signal
             dump.signals[signal.full_name] = signal
         elif token == "$enddefinitions":

@@ -62,16 +62,16 @@ class WishboneMonitor(BusMonitor):
         posedge = self.clk.posedge
         while True:
             yield posedge
-            request = is_one(bus.cyc._value) and is_one(bus.stb._value)
             ack = is_one(bus.ack._value)
             err = is_one(bus.err._value)
-            if (ack or err) and not request:
+            if not (ack or err):
+                continue
+            # CYC&STB matter only on an edge that terminates.
+            if not (is_one(bus.cyc._value) and is_one(bus.stb._value)):
                 self._violation("ACK/ERR asserted without CYC&STB")
                 continue
             if ack and err:
                 self._violation("ACK and ERR asserted together")
-                continue
-            if not (ack or err):
                 continue
             adr = bus.adr._value
             if not adr.is_fully_defined:

@@ -10,8 +10,10 @@ from repro.flow import (
     build_platform,
     standard_flow_builders,
 )
+from repro.compile.channel import CompiledChannel
 from repro.iface import IfaceParams
 from repro.kernel import MS
+from repro.synthesis.rtl_channel import RtlMethodChannel
 
 
 WORKLOADS = [generate_workload(seed=31, n_commands=8, address_span=0x100,
@@ -61,23 +63,46 @@ class TestFullFlow:
             flow.run(20 * MS)
 
 
+class TestFlowBackend:
+    @pytest.mark.parametrize("backend,channel_class", [
+        ("interpreted", RtlMethodChannel),
+        ("compiled", CompiledChannel),
+    ])
+    def test_synthesis_runs_on_the_configured_backend(
+        self, backend, channel_class
+    ):
+        """The flow re-simulates on the backend its config names."""
+        flow = DesignFlow(
+            {"name": backend},
+            *standard_flow_builders(
+                WORKLOADS, PciPlatformConfig(backend=backend)
+            ),
+        )
+        report = flow.run(20 * MS)
+        assert report.succeeded
+        groups = report.synthesis_result.groups
+        assert groups
+        assert all(type(g.channel) is channel_class for g in groups)
+
+
 class TestFlowDataWidth:
     @pytest.mark.parametrize("backend", ["interpreted", "compiled"])
     @pytest.mark.parametrize("bus", ["wishbone", "axi4lite"])
     @pytest.mark.parametrize("width", [16, 64])
     def test_synthesized_data_buses_follow_params(self, width, bus, backend):
         """The flow synthesizes the platform's data width, as
-        ``build_platform`` does, on either backend."""
+        ``build_platform`` does, on the backend its config names."""
         # Two-lane commands: legal on a 16-bit data path too.
         workloads = [[
             CommandType.write(0x10, [0x1234, 0xBEEF], byte_enables=0x3),
             CommandType.read(0x10, count=2, byte_enables=0x3),
         ]]
-        config = PciPlatformConfig(params=IfaceParams(data_width=width))
+        config = PciPlatformConfig(
+            params=IfaceParams(data_width=width), backend=backend
+        )
         flow = DesignFlow(
             {"name": f"{bus}-{width}"},
             *standard_flow_builders(workloads, config, bus=bus),
-            backend=backend,
         )
         report = flow.run(20 * MS)
         assert report.succeeded

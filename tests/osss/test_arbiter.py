@@ -15,7 +15,7 @@ from repro.osss import (
 )
 
 
-def _request(client, arrival=0, priority=0):
+def _request(client, arrival=0):
     sim = Simulator()
     from repro.kernel.event import Event
 
@@ -26,7 +26,6 @@ def _request(client, arrival=0, priority=0):
         kwargs={},
         arrival_time=arrival,
         done_event=Event(sim.scheduler, "done"),
-        priority=priority,
     )
 
 

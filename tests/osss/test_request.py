@@ -12,7 +12,7 @@ from repro.kernel.event import Event
 from repro.osss import MethodRequest, RequestStats
 
 
-def _request(client="c", method="m", arrival=0, priority=0):
+def _request(client="c", method="m", arrival=0):
     sim = Simulator()
     return MethodRequest(
         client=client,
@@ -21,7 +21,6 @@ def _request(client="c", method="m", arrival=0, priority=0):
         kwargs={"k": 3},
         arrival_time=arrival,
         done_event=Event(sim.scheduler, "done"),
-        priority=priority,
     )
 
 

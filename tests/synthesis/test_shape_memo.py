@@ -110,7 +110,6 @@ BASE = GroupShape(
     state_class="Latch",
     state_bits=(("value", 32),),
     dispatches=(("poly0_shape", "shape", Shape, (Square, Circle)),),
-    lint_ir=True,
     emit_hdl=True,
     backend="interpreted",
 )
@@ -128,7 +127,6 @@ CHANGES = {
     "state_class": "Register",
     "state_bits": (("value", 16),),
     "dispatches": (),
-    "lint_ir": False,
     "emit_hdl": False,
     "backend": "compiled",
 }
