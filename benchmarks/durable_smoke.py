@@ -1,4 +1,4 @@
-"""CI smoke: durable campaigns survive crashes and never recompute.
+"""CI smoke: durable campaigns survive crashes and reproduce their records.
 
 Exercises the full durability story on the seed-55 demo campaign:
 
@@ -7,9 +7,10 @@ Exercises the full durability story on the seed-55 demo campaign:
    journal holds a couple of fsync'd outcomes, then resumes from the
    journal and asserts the canonical report is byte-identical to an
    uninterrupted run of the same spec.
-2. **Cache leg** — the campaign runs twice against the same result
-   cache; the warm run must be 100% hits (zero misses) and render the
-   same canonical report as the cold run.
+2. **Flight-record leg** — the campaign dumps its flight records
+   serially, with two workers, and interrupted after half its runs then
+   resumed from its journal with two workers, all in this one process;
+   every record must be byte-identical across the three.
 
 Exit status is nonzero on any mismatch, so CI can gate on it directly.
 
@@ -36,6 +37,7 @@ from repro.fault import (  # noqa: E402
     report_as_json,
     run_campaign,
 )
+from repro.telemetry.progress import CampaignProgress  # noqa: E402
 
 SEED = 55
 CRASH_RUN_IDS = (1, 3)
@@ -110,21 +112,60 @@ def _kill_leg(scratch: str, runs: int) -> None:
           f"report byte-identical across {runs} runs")
 
 
-def _cache_leg(scratch: str, runs: int) -> None:
-    cache_dir = os.path.join(scratch, "cache")
-    spec = demo_campaign_spec(platform="pci", seed=SEED, runs=runs)
-    spec.wall_timeout = 30.0
-    cold = run_campaign(spec, workers=1, max_runs=runs, cache_dir=cache_dir)
-    warm = run_campaign(spec, workers=1, max_runs=runs, cache_dir=cache_dir)
-    assert warm.cache_hits == runs and warm.cache_misses == 0, (
-        f"warm run: {warm.cache_hits} hits / {warm.cache_misses} misses, "
-        f"expected {runs}/0"
+class _InterruptAfter(CampaignProgress):
+    """Stops a campaign the way Ctrl-C does once *count* runs landed."""
+
+    def __init__(self, count: int) -> None:
+        super().__init__()
+        self.count = count
+
+    def record_outcome(self, outcome) -> None:
+        super().record_outcome(outcome)
+        if self.completed == self.count:
+            raise KeyboardInterrupt
+
+
+def _records(directory: str) -> dict[str, bytes]:
+    records = {}
+    for name in sorted(os.listdir(directory)):
+        with open(os.path.join(directory, name), "rb") as stream:
+            records[name] = stream.read()
+    return records
+
+
+def _flight_record_leg(scratch: str, runs: int) -> None:
+    def spec(name: str):
+        spec = demo_campaign_spec(platform="pci", seed=SEED, runs=runs)
+        spec.wall_timeout = 30.0
+        spec.flight_record_dir = os.path.join(scratch, name)
+        return spec
+
+    serial = run_campaign(spec("serial"), workers=1, max_runs=runs)
+    run_campaign(spec("parallel"), workers=2, max_runs=runs)
+    journal_dir = os.path.join(scratch, "records_journal")
+    half = len(serial.outcomes) // 2
+    cut = run_campaign(spec("resumed"), workers=1, max_runs=runs,
+                       monitor=_InterruptAfter(half), journal_dir=journal_dir)
+    assert cut.interrupted and len(cut.outcomes) == half, (
+        f"interrupt kept {len(cut.outcomes)} of {half} outcomes"
     )
-    assert _canonical(warm) == _canonical(cold), (
-        "warm cache report differs from the cold run"
+    run_campaign(spec("resumed"), workers=2, max_runs=runs,
+                 resume_from=journal_dir)
+    reference = _records(os.path.join(scratch, "serial"))
+    assert len(reference) == len(serial.outcomes), (
+        f"{len(reference)} flight records for {len(serial.outcomes)} runs"
     )
-    print(f"cache leg OK: warm run {warm.cache_hits}/{runs} hits, "
-          "0 misses, report byte-identical")
+    for mode in ("parallel", "resumed"):
+        records = _records(os.path.join(scratch, mode))
+        differing = sorted(
+            name for name in set(reference) | set(records)
+            if reference.get(name) != records.get(name)
+        )
+        assert not differing, (
+            f"{mode} flight records differ from the serial ones: {differing}"
+        )
+    print(f"flight-record leg OK: {len(reference)} records byte-identical "
+          f"serial, with 2 workers and resumed after {half} runs")
 
 
 def main(argv: "list[str] | None" = None) -> int:
@@ -135,7 +176,7 @@ def main(argv: "list[str] | None" = None) -> int:
 
     with tempfile.TemporaryDirectory(prefix="durable_smoke_") as scratch:
         _kill_leg(scratch, args.runs)
-        _cache_leg(scratch, args.runs)
+        _flight_record_leg(scratch, args.runs)
     print("durable smoke OK")
     return 0
 

@@ -9,7 +9,7 @@ carry those promises:
   synthesized channel, with no probe bus;
 * ``pci``: the synthesized PCI platform over a seed-55, 60-command
   workload, with no probe bus and no resilience config;
-* ``campaign``: a serial 12-run demo campaign with no journal or cache.
+* ``campaign``: a serial 12-run demo campaign with no journal.
 
 A fourth row, ``matrix``, runs the seed-55, 25-command swap matrix (four
 bus families x three levels, span tracer attached) and checks that
@@ -226,11 +226,7 @@ def campaign_off(meter):
 
 def durable_on(meter):
     with tempfile.TemporaryDirectory(prefix="offpath_gate_") as scratch:
-        _campaign_run(
-            meter,
-            journal_dir=os.path.join(scratch, "journal"),
-            cache_dir=os.path.join(scratch, "cache"),
-        )
+        _campaign_run(meter, journal_dir=os.path.join(scratch, "journal"))
 
 
 def matrix_sweep(meter):

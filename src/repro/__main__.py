@@ -22,8 +22,8 @@ Commands:
   (``--strict``, ``--suppress RULE[@GLOB]``, ``--list-rules``).
 * ``fault``       — run a fault-injection campaign and print detection
   coverage (``--platform``, ``--runs``, ``--workers``, ``--json``;
-  ``--journal DIR`` / ``--resume`` / ``--cache DIR`` make campaigns
-  crash-safe, resumable and content-addressed).
+  ``--journal DIR`` / ``--resume`` make campaigns crash-safe and
+  resumable).
 * ``profile``     — execute a script under the probe-bus profiler and
   print hot processes, method histograms and a Chrome trace
   (``--top``, ``--json``, ``--chrome-trace``).

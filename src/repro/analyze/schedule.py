@@ -268,17 +268,27 @@ def _comb_steps(graph: NetGraph) -> dict[int, ScheduleStep]:
 
 
 def _extract_loop(
-    stuck: set[int], edges: dict[int, set[int]], graph: NetGraph
+    stuck: set[int],
+    edges: dict[int, set[int]],
+    graph: NetGraph,
+    rank: dict[int, int],
 ) -> CombLoop:
-    """Walk dependencies inside the stuck set until a net repeats."""
-    start = next(iter(stuck))
+    """Walk dependencies inside the stuck set until a net repeats.
+
+    The walk starts at the lowest-ranked stuck net and always steps to
+    the lowest-ranked stuck dependency, so the loop reported does not
+    depend on the object addresses the sets are hashed by.
+    """
+    node = min(stuck, key=rank.__getitem__)
     path: list[int] = []
     seen: dict[int, int] = {}
-    node = start
     while node not in seen:
         seen[node] = len(path)
         path.append(node)
-        node = next(dep for dep in edges.get(node, ()) if dep in stuck)
+        node = min(
+            (dep for dep in edges.get(node, ()) if dep in stuck),
+            key=rank.__getitem__,
+        )
     cycle = path[seen[node]:]
     return CombLoop([graph.net_by_id(net_id) for net_id in reversed(cycle)])
 
@@ -327,10 +337,17 @@ def levelize(
     if not pending:
         return LevelizationResult(module, EvalSchedule(module, levels), [])
 
+    # Nets rank by name, as the ready list sorts, then by graph order.
+    rank = {
+        id(net): index
+        for index, net in enumerate(
+            sorted(graph.nets(), key=lambda net: net.name)
+        )
+    }
     loops: list[CombLoop] = []
     stuck = set(pending)
     while stuck:
-        loop = _extract_loop(stuck, edges, graph)
+        loop = _extract_loop(stuck, edges, graph, rank)
         loops.append(loop)
         stuck.difference_update(id(net) for net in loop.nets)
         # Drop everything that can only be stuck through the reported

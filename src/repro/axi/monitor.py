@@ -8,7 +8,7 @@ from ..hdl.bitvector import is_one
 from ..hdl.module import Module
 from ..hdl.signal import Signal
 from ..iface.agent import BusMonitor
-from ..instrument.probes import TRANSACTION_END, new_txn_id
+from ..instrument.probes import TRANSACTION_END
 from .signals import RESP_EXOKAY, RESP_NAMES, AxiLiteBus
 
 
@@ -73,7 +73,7 @@ class AxiLiteMonitor(BusMonitor):
         self.transfers.append(transfer)
         probes = self.sim._probes
         if probes is not None:
-            transfer.txn_id = new_txn_id()
+            transfer.txn_id = next(self.sim.txn_ids)
             probes.emit(TRANSACTION_END, self.sim.time, self.path, transfer)
 
     def _watch(self):

@@ -14,7 +14,7 @@ from ..errors import SimulationError
 from ..hdl.module import Module
 from ..iface.element import InterfaceElement
 from ..iface.params import IfaceParams
-from ..instrument.probes import TRANSACTION_BEGIN, TRANSACTION_END, new_txn_id
+from ..instrument.probes import TRANSACTION_BEGIN, TRANSACTION_END
 from ..kernel.process import Timeout
 from ..kernel.simulator import Simulator
 from ..osss.arbiter import Arbiter
@@ -59,7 +59,7 @@ class FunctionalBusInterface(InterfaceElement):
             if probes is not None:
                 # Each service gets a fresh id (the same CommandType may
                 # be replayed by a repeating application).
-                command.txn_id = new_txn_id()
+                command.txn_id = next(self.sim.txn_ids)
                 probes.emit(TRANSACTION_BEGIN, self.sim.time, self.path, command)
             if self.word_latency:
                 yield Timeout(self.word_latency * command.count)

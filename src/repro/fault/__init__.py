@@ -42,10 +42,7 @@ from .models import (
     make_fault,
 )
 from .durable import (
-    CACHEABLE_CLASSIFICATIONS,
-    CacheEntry,
     CampaignJournal,
-    ResultCache,
     campaign_content_hash,
     campaign_fingerprint,
 )
@@ -75,7 +72,6 @@ from .spec import (
 
 __all__ = [
     "BENIGN",
-    "CACHEABLE_CLASSIFICATIONS",
     "CLASSIFICATIONS",
     "DETECTED",
     "ERROR",
@@ -86,7 +82,6 @@ __all__ = [
     "TIMEOUT",
     "WORKER_ERROR",
     "BitFlipFault",
-    "CacheEntry",
     "CampaignJournal",
     "CampaignResult",
     "CampaignSpec",
@@ -98,7 +93,6 @@ __all__ = [
     "FaultSpec",
     "GoldenReference",
     "JournalError",
-    "ResultCache",
     "RunOutcome",
     "RunSpec",
     "StuckAtFault",

@@ -88,7 +88,8 @@ class GoldenReference:
 
     The two are set together or not at all. Together they answer every
     run whose fault never activates without simulating it; a golden
-    reference without them (an old cache entry) screens nothing.
+    reference without them (a golden run that stall supervision
+    stopped) screens nothing.
     """
 
     def __init__(
@@ -187,8 +188,8 @@ class RunOutcome:
 
     @classmethod
     def from_dict(cls, document: dict) -> "RunOutcome":
-        """Rebuild an outcome from :meth:`to_dict` (journal replay and
-        result-cache hits travel through this)."""
+        """Rebuild an outcome from :meth:`to_dict` (journal replay
+        travels through this)."""
         window = document.get("window")
         return cls(
             int(document["run_id"]),

@@ -37,7 +37,7 @@ def add_arguments(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--canonical", action="store_true",
         help="with --json: emit only content fields (no wall clock, "
-             "workers, cache counters), sorted keys — byte-identical "
+             "workers, resume counters), sorted keys — byte-identical "
              "across serial/parallel/resumed execution",
     )
     parser.add_argument(
@@ -94,11 +94,6 @@ def add_arguments(parser: argparse.ArgumentParser) -> None:
              "quarantined runs, append to the same journal",
     )
     parser.add_argument(
-        "--cache", metavar="DIR", default=None,
-        help="content-addressed result cache root; an identical "
-             "re-invocation is served from it with zero simulator runs",
-    )
-    parser.add_argument(
         "--inject-crash", metavar="IDS", default=None,
         help="chaos knob: comma-separated run ids whose workers "
              "hard-exit (exercises the self-healing pool, the journal "
@@ -107,7 +102,7 @@ def add_arguments(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--live", action="store_true",
         help="render a live progress ticker (runs/s, ETA, "
-             "classification breakdown, worker heartbeats) on stderr",
+             "classification breakdown, recovery rate) on stderr",
     )
     parser.add_argument(
         "--progress-json", metavar="PATH", default=None,
@@ -190,7 +185,6 @@ def run(args: argparse.Namespace) -> int:
             monitor=monitor,
             journal_dir=None if args.resume else args.journal,
             resume_from=args.journal if args.resume else None,
-            cache_dir=args.cache,
         )
     except JournalError as error:
         print(f"fault: {error}", file=sys.stderr)

@@ -1,8 +1,8 @@
-"""Durable fault campaigns: crash-safe journal, resume, result cache.
+"""Durable fault campaigns: crash-safe journal and resume.
 
 Long campaigns are multi-process jobs; a mid-campaign crash, OOM kill
 or Ctrl-C must never throw away completed work. This module gives the
-runner three durability primitives:
+runner two durability primitives:
 
 * :class:`CampaignJournal` — a crash-safe append-only JSONL journal.
   The first line is an fsync'd header binding the file to the
@@ -22,16 +22,7 @@ runner three durability primitives:
   seed, backend, workload knobs, the ``max_runs`` truncation) is folded
   into one canonical document hashed with
   :func:`~repro.resilience.checkpoint.stable_content_hash`. A journal
-  or cache entry is only ever replayed against the exact campaign that
-  wrote it.
-
-* :class:`ResultCache` — a content-addressed result cache. One
-  directory per campaign hash holds the pickled golden reference, the
-  expanded run plan and one CRC-checked JSON document per content
-  outcome, so re-running an identical campaign is a pure cache hit:
-  zero simulator builds, zero runs. Infrastructure outcomes
-  (``timeout``/``error``/``worker_error``) are machine artifacts, not
-  content, and are deliberately never cached.
+  is only ever replayed against the exact campaign that wrote it.
 
 Journal line grammar (one JSON object per line, sorted keys)::
 
@@ -45,33 +36,20 @@ from __future__ import annotations
 
 import json
 import os
-import pickle
 import typing
 import zlib
 
 from .._version import __version__
 from ..errors import JournalError
 from ..resilience.checkpoint import stable_content_hash
-from .campaign import (
-    BENIGN,
-    DETECTED,
-    RECOVERED,
-    SILENT,
-    GoldenReference,
-    RunOutcome,
-)
-from .spec import CampaignSpec, RunSpec
+from .campaign import RunOutcome
+from .spec import CampaignSpec
 
-#: Journal/cache on-disk format revision; bumped on incompatible change.
+#: Journal on-disk format revision; bumped on incompatible change.
 JOURNAL_FORMAT = 1
 
 #: File name of the journal inside its ``--journal DIR``.
 JOURNAL_NAME = "journal.jsonl"
-
-#: Classifications worth caching: genuine campaign content. Timeouts,
-#: infrastructure errors and worker deaths depend on the machine the
-#: campaign happened to run on.
-CACHEABLE_CLASSIFICATIONS = (DETECTED, SILENT, BENIGN, RECOVERED)
 
 
 # -- spec-hash contract ----------------------------------------------------------
@@ -82,7 +60,8 @@ def spec_document(spec: CampaignSpec) -> dict:
 
     Observability knobs that cannot change an outcome's content
     (``flight_record_dir``, ``flight_record_capacity``) are deliberately
-    excluded so turning telemetry dumps on does not invalidate a cache.
+    excluded, so a journaled campaign resumes with telemetry dumps
+    turned on or off.
     """
     return {
         "name": spec.name,
@@ -144,7 +123,7 @@ def _crc_of(payload: dict) -> int:
 
 
 def encode_line(payload: dict) -> str:
-    """One journal/cache line: the payload inside its CRC32 envelope."""
+    """One journal line: the payload inside its CRC32 envelope."""
     return _canonical({"crc": _crc_of(payload), "payload": payload})
 
 
@@ -342,154 +321,3 @@ def _read_journal(path: str) -> tuple[dict, list[dict], int, bool]:
             f"{JOURNAL_FORMAT}"
         )
     return payloads[0], payloads[1:], valid_bytes, truncated
-
-
-# -- the content-addressed result cache ------------------------------------------
-
-
-class ResultCache:
-    """Root of a content-addressed campaign result cache.
-
-    Layout: ``root/<campaign hash>/`` holding ``meta.json`` (the full
-    fingerprint document), ``golden.pkl`` (pickled
-    :class:`GoldenReference`), ``plan.json`` (the expanded run list)
-    and ``run<NNNNN>.json`` — one CRC-enveloped document per cached
-    outcome. Cache reads are best-effort: any damaged entry is treated
-    as a miss and recomputed (the cache, unlike the journal, carries no
-    partial-campaign state worth refusing over).
-    """
-
-    def __init__(self, root: str) -> None:
-        self.root = root
-
-    def entry(self, content_hash: str) -> "CacheEntry":
-        return CacheEntry(os.path.join(self.root, content_hash))
-
-
-class CacheEntry:
-    """One campaign's slice of the result cache."""
-
-    def __init__(self, directory: str) -> None:
-        self.directory = directory
-
-    def _path(self, name: str) -> str:
-        return os.path.join(self.directory, name)
-
-    def outcome_path(self, run_id: int) -> str:
-        return self._path(f"run{run_id:05d}.json")
-
-    # -- plan + golden -------------------------------------------------------
-
-    def store_plan(
-        self,
-        fingerprint: dict,
-        golden: GoldenReference,
-        runs: typing.Sequence[RunSpec],
-    ) -> None:
-        os.makedirs(self.directory, exist_ok=True)
-        _atomic_write_text(
-            self._path("meta.json"),
-            json.dumps(fingerprint, indent=2, sort_keys=True) + "\n",
-        )
-        plan = {
-            "type": "plan",
-            "runs": [
-                {
-                    "run_id": run.run_id,
-                    "kind": run.kind,
-                    "target_path": run.target_path,
-                    "window": list(run.window) if run.window else None,
-                    "params": run.params,
-                }
-                for run in runs
-            ],
-        }
-        _atomic_write_text(self._path("plan.json"), encode_line(plan) + "\n")
-        _atomic_write_bytes(
-            self._path("golden.pkl"),
-            pickle.dumps(
-                {
-                    "traces": golden.traces,
-                    "image": golden.image,
-                    "horizon": golden.horizon,
-                    "trajectory": golden.trajectory,
-                    "outcome": golden.outcome,
-                },
-                protocol=pickle.HIGHEST_PROTOCOL,
-            ),
-        )
-
-    def load_plan(
-        self,
-    ) -> "tuple[GoldenReference, list[RunSpec]] | None":
-        """The cached golden reference and run plan, or ``None``."""
-        try:
-            with open(self._path("plan.json"), encoding="utf-8") as stream:
-                plan = decode_line(stream.read().strip())
-            with open(self._path("golden.pkl"), "rb") as stream:
-                state = pickle.load(stream)
-            # Entries written before the golden run recorded a
-            # trajectory load into a golden that screens nothing.
-            golden = GoldenReference(
-                state["traces"], state["image"], state["horizon"],
-                trajectory=state.get("trajectory"),
-                outcome=state.get("outcome"),
-            )
-            runs = [
-                RunSpec(
-                    int(doc["run_id"]),
-                    str(doc["kind"]),
-                    str(doc["target_path"]),
-                    tuple(doc["window"]) if doc["window"] else None,
-                    dict(doc["params"]),
-                )
-                for doc in plan["runs"]
-            ]
-        except (OSError, ValueError, KeyError, TypeError,
-                pickle.UnpicklingError, EOFError, AttributeError,
-                ImportError, IndexError):
-            return None
-        return golden, runs
-
-    # -- outcomes ------------------------------------------------------------
-
-    def store_outcome(self, outcome: RunOutcome) -> None:
-        """Cache one content outcome (infrastructure outcomes are
-        machine artifacts and are skipped)."""
-        if outcome.classification not in CACHEABLE_CLASSIFICATIONS:
-            return
-        os.makedirs(self.directory, exist_ok=True)
-        payload = {"type": "outcome", "outcome": outcome.to_dict()}
-        try:
-            _atomic_write_text(
-                self.outcome_path(outcome.run_id),
-                encode_line(payload) + "\n",
-            )
-        except OSError:
-            pass  # a full disk must never fail the campaign
-
-    def load_outcome(self, run_id: int) -> "RunOutcome | None":
-        try:
-            with open(self.outcome_path(run_id), encoding="utf-8") as stream:
-                payload = decode_line(stream.read().strip())
-            return RunOutcome.from_dict(payload["outcome"])
-        except (OSError, ValueError, KeyError, TypeError):
-            return None
-
-
-def _atomic_write_text(path: str, text: str) -> None:
-    tmp = path + ".tmp"
-    with open(tmp, "w", encoding="utf-8") as stream:
-        stream.write(text)
-        stream.flush()
-        os.fsync(stream.fileno())
-    os.replace(tmp, path)
-
-
-def _atomic_write_bytes(path: str, blob: bytes) -> None:
-    tmp = path + ".tmp"
-    with open(tmp, "wb") as stream:
-        stream.write(blob)
-        stream.flush()
-        os.fsync(stream.fileno())
-    os.replace(tmp, path)

@@ -75,7 +75,7 @@ def merged_telemetry(result: CampaignResult):
     shards = [
         CellScore.from_dict(outcome.score)
         for outcome in result.outcomes
-        if getattr(outcome, "score", None)
+        if outcome.score
     ]
     if not shards:
         return None
@@ -114,8 +114,7 @@ def render_report(result: CampaignResult, verbose: bool = False) -> str:
             [kind, sum(row.values()), row[DETECTED], row[SILENT],
              row[BENIGN], row[RECOVERED], kind_coverage]
         )
-    restarts = getattr(result, "pool_restarts", 0)
-    planned = getattr(result, "planned_runs", len(result.outcomes))
+    restarts = result.pool_restarts
     lines = [
         f"fault campaign {result.spec.name!r} "
         f"(platform={result.spec.platform}, seed={result.spec.seed})",
@@ -124,21 +123,16 @@ def render_report(result: CampaignResult, verbose: bool = False) -> str:
         f"({result.runs_per_second:.1f} runs/s)"
         + (f"  pool restarts: {restarts}" if restarts else ""),
     ]
-    if getattr(result, "interrupted", False):
+    if result.interrupted:
         lines.append(
-            f"  INTERRUPTED: {len(result.outcomes)}/{planned} runs "
-            "completed before the interrupt; resume with "
+            f"  INTERRUPTED: {len(result.outcomes)}/{result.planned_runs} "
+            "runs completed before the interrupt; resume with "
             "--journal DIR --resume"
         )
     durable_bits = []
-    if getattr(result, "resumed", 0):
+    if result.resumed:
         durable_bits.append(f"resumed {result.resumed} journaled outcomes")
-    if getattr(result, "cache_hits", 0) or getattr(result, "cache_misses", 0):
-        durable_bits.append(
-            f"cache {result.cache_hits} hits / "
-            f"{result.cache_misses} misses"
-        )
-    if getattr(result, "serial_fallback_runs", 0):
+    if result.serial_fallback_runs:
         durable_bits.append(
             f"serial fallback absorbed {result.serial_fallback_runs} runs"
         )
@@ -207,9 +201,9 @@ def report_as_dict(result: CampaignResult, canonical: bool = False) -> dict:
     """JSON-ready document of the whole campaign.
 
     :param canonical: drop every machine- and schedule-dependent field
-        (wall clock, throughput, worker count, pool restarts, cache and
-        resume counters, the interrupted flag; per-outcome wall times
-        are zeroed). Two canonical documents are byte-identical iff the
+        (wall clock, throughput, worker count, pool restarts, the resume
+        counter, the interrupted flag; per-outcome wall times are
+        zeroed). Two canonical documents are byte-identical iff the
         campaigns produced the same *content* — the contract the
         durability tests and CI smoke assert across serial, parallel
         and interrupted-then-resumed execution.
@@ -242,18 +236,12 @@ def report_as_dict(result: CampaignResult, canonical: bool = False) -> dict:
             "workers": result.workers,
             "wall_seconds": round(result.wall_seconds, 4),
             "runs_per_second": round(result.runs_per_second, 3),
-            "pool_restarts": getattr(result, "pool_restarts", 0),
-            "interrupted": getattr(result, "interrupted", False),
-            "planned_runs": getattr(
-                result, "planned_runs", len(result.outcomes)
-            ),
-            "resumed": getattr(result, "resumed", 0),
-            "cache_hits": getattr(result, "cache_hits", 0),
-            "cache_misses": getattr(result, "cache_misses", 0),
-            "serial_fallback_runs": getattr(
-                result, "serial_fallback_runs", 0
-            ),
-            "content_hash": getattr(result, "content_hash", None),
+            "pool_restarts": result.pool_restarts,
+            "interrupted": result.interrupted,
+            "planned_runs": result.planned_runs,
+            "resumed": result.resumed,
+            "serial_fallback_runs": result.serial_fallback_runs,
+            "content_hash": result.content_hash,
         })
     return document
 

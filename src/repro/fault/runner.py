@@ -30,11 +30,11 @@ The runner degrades gracefully along a ladder, worst failure last:
 
 Durability (:mod:`repro.fault.durable`) hooks in at the same seam:
 ``journal_dir`` appends every outcome to a crash-safe journal as it
-lands, ``resume_from`` replays a journal and re-enqueues only the
-missing and quarantined runs, ``cache_dir`` serves identical re-runs
-from a content-addressed result cache. ``KeyboardInterrupt`` drains
-in-flight work instead of abandoning it and marks the result
-``interrupted``.
+lands, and ``resume_from`` replays a journal and re-enqueues only the
+missing and quarantined runs. ``KeyboardInterrupt`` drains in-flight
+work instead of abandoning it and marks the result ``interrupted``.
+The optional ``monitor`` sees every outcome as the parent receives it;
+workers report nothing but their outcomes.
 
 Outcomes are returned sorted by run id, so serial, parallel and
 interrupted-then-resumed execution produce byte-identical canonical
@@ -92,24 +92,12 @@ def _exit_with_parent() -> None:
         os._exit(1)
 
 
-def _init_worker(
-    spec: CampaignSpec,
-    golden: GoldenReference,
-    heartbeat_channel=None,
-) -> None:
+def _init_worker(spec: CampaignSpec, golden: GoldenReference) -> None:
     threading.Thread(
         target=_exit_with_parent, name="exit-with-parent", daemon=True
     ).start()
     _WORKER_STATE["spec"] = spec
     _WORKER_STATE["golden"] = golden
-    # Live telemetry: a manager-queue proxy (picklable, unlike a raw
-    # mp.Queue) the worker streams heartbeats through. None = off.
-    if heartbeat_channel is not None:
-        from ..telemetry.progress import HeartbeatSender
-
-        _WORKER_STATE["heartbeats"] = HeartbeatSender(heartbeat_channel)
-    else:
-        _WORKER_STATE["heartbeats"] = None
 
 
 def _worker(run: RunSpec) -> RunOutcome:
@@ -119,13 +107,7 @@ def _worker(run: RunSpec) -> RunOutcome:
         # Chaos knob: die the way a segfaulting or OOM-killed worker
         # does — no exception, no cleanup, just a vanished process.
         os._exit(17)
-    heartbeats = _WORKER_STATE.get("heartbeats")
-    if heartbeats is not None:
-        heartbeats.start(run.run_id)
-    outcome = execute_run(spec, run, _WORKER_STATE["golden"])
-    if heartbeats is not None:
-        heartbeats.done(run.run_id, outcome.classification)
-    return outcome
+    return execute_run(spec, run, _WORKER_STATE["golden"])
 
 
 def _worker_error(run: RunSpec, detail: str) -> RunOutcome:
@@ -151,8 +133,6 @@ class CampaignResult:
         workers: int,
         pool_restarts: int = 0,
         interrupted: bool = False,
-        cache_hits: int = 0,
-        cache_misses: int = 0,
         resumed: int = 0,
         serial_fallback_runs: int = 0,
         content_hash: "str | None" = None,
@@ -169,9 +149,6 @@ class CampaignResult:
         #: outcomes are the completed prefix (a journal makes them
         #: resumable).
         self.interrupted = interrupted
-        #: Runs served from / recomputed past the result cache.
-        self.cache_hits = cache_hits
-        self.cache_misses = cache_misses
         #: Outcomes replayed from a resumed journal (not re-executed).
         self.resumed = resumed
         #: Runs the degradation ladder executed in-parent after
@@ -236,16 +213,12 @@ def _run_serial(
     spec: CampaignSpec,
     runs: list[RunSpec],
     golden: GoldenReference,
-    progress: typing.Callable[[RunOutcome], None] | None,
-    monitor=None,
+    on_outcome: typing.Callable[[RunOutcome], None],
 ) -> tuple[list[RunOutcome], bool]:
     outcomes: list[RunOutcome] = []
     interrupted = False
     try:
         for run in runs:
-            if monitor is not None:
-                monitor.heartbeat(os.getpid(), run.run_id)
-                monitor.tick()
             if run.run_id in spec.crash_run_ids:
                 # Mirror what the self-healing pool reports for this
                 # run so serial and parallel campaigns stay
@@ -256,10 +229,7 @@ def _run_serial(
             else:
                 outcome = execute_run(spec, run, golden)
             outcomes.append(outcome)
-            if monitor is not None:
-                monitor.heartbeat(os.getpid(), None)
-            if progress is not None:
-                progress(outcome)
+            on_outcome(outcome)
     except KeyboardInterrupt:
         # The interrupted run never classified; everything before it is
         # already journaled/reported. Partial results beat none.
@@ -286,10 +256,7 @@ def _serial_fallback_run(
 
 
 def _quarantine_run(
-    spec: CampaignSpec,
-    run: RunSpec,
-    golden: GoldenReference,
-    heartbeat_channel=None,
+    spec: CampaignSpec, run: RunSpec, golden: GoldenReference
 ) -> tuple[RunOutcome, bool]:
     """Retry one run alone in a fresh single-worker pool.
 
@@ -303,7 +270,7 @@ def _quarantine_run(
     with concurrent.futures.ProcessPoolExecutor(
         max_workers=1,
         initializer=_init_worker,
-        initargs=(spec, golden, heartbeat_channel),
+        initargs=(spec, golden),
     ) as pool:
         try:
             return pool.submit(_worker, run).result(), False
@@ -324,9 +291,8 @@ def _run_parallel(
     runs: list[RunSpec],
     golden: GoldenReference,
     workers: int,
-    progress: typing.Callable[[RunOutcome], None] | None,
-    monitor=None,
-    on_event: typing.Callable[..., None] | None = None,
+    on_outcome: typing.Callable[[RunOutcome], None],
+    on_event: typing.Callable[..., None],
 ) -> tuple[list[RunOutcome], int, bool, int]:
     """Pool execution; returns ``(outcomes, restarts, interrupted,
     serial_fallback_runs)``."""
@@ -339,10 +305,6 @@ def _run_parallel(
     restarts = 0
     interrupted = False
     fallback_runs = 0
-
-    def emit(event: str, **fields) -> None:
-        if on_event is not None:
-            on_event(event, **fields)
 
     def collect(future, run: RunSpec) -> None:
         try:
@@ -357,132 +319,101 @@ def _run_parallel(
             outcome = _worker_error(run, f"{type(error).__name__}: {error}")
         collected.add(run.run_id)
         outcomes.append(outcome)
-        if progress is not None:
-            progress(outcome)
+        on_outcome(outcome)
 
-    # Heartbeat transport only exists when someone is listening: a
-    # manager process (whose queue proxy pickles into initargs, unlike
-    # a raw mp.Queue) is real cost, so monitor-less campaigns take the
-    # historical zero-telemetry path bit for bit.
-    manager = None
-    channel = None
-    if monitor is not None:
-        import multiprocessing
-
-        manager = multiprocessing.Manager()
-        channel = manager.Queue()
+    pool = concurrent.futures.ProcessPoolExecutor(
+        max_workers=workers,
+        initializer=_init_worker,
+        initargs=(spec, golden),
+    )
+    futures: dict = {}
     try:
-        pool = concurrent.futures.ProcessPoolExecutor(
-            max_workers=workers,
-            initializer=_init_worker,
-            initargs=(spec, golden, channel),
-        )
-        futures: dict = {}
-        try:
-            for index, run in enumerate(runs):
-                try:
-                    futures[pool.submit(_worker, run)] = run
-                except BrokenProcessPool:
-                    # A worker died before the last submit. The runs
-                    # not yet submitted join the broken futures' runs
-                    # in the quarantine phase below.
-                    unfinished.extend(runs[index:])
-                    break
-            pending = set(futures)
+        for index, run in enumerate(runs):
             try:
-                while pending:
-                    done, pending = concurrent.futures.wait(
-                        pending,
-                        timeout=0.2 if monitor is not None else None,
-                        return_when=concurrent.futures.FIRST_COMPLETED,
-                    )
-                    if monitor is not None:
-                        monitor.drain(channel)
-                        monitor.tick()
-                    for future in done:
-                        collect(future, futures[future])
-            except KeyboardInterrupt:
-                # Graceful drain: cancel what never started, let the
-                # in-flight runs finish during pool shutdown, keep
-                # every completed outcome.
-                interrupted = True
-                for future in pending:
-                    future.cancel()
-        finally:
-            pool.shutdown(wait=True)
-        if interrupted:
-            for future, run in futures.items():
-                if run.run_id in collected:
-                    continue
-                if future.done() and not future.cancelled():
-                    collect(future, run)
-            if monitor is not None:
-                monitor.drain(channel)
-            return outcomes, restarts, True, 0
-        # Degradation ladder, rungs 2 and 3: per-run quarantine pools,
-        # then in-parent serial fallback once pools keep dying.
-        attempts = 0
-        breaks = 0
-        falling_back = False
+                futures[pool.submit(_worker, run)] = run
+            except BrokenProcessPool:
+                # A worker died before the last submit. The runs not yet
+                # submitted join the broken futures' runs in the
+                # quarantine phase below.
+                unfinished.extend(runs[index:])
+                break
+        pending = set(futures)
         try:
-            for run in sorted(unfinished, key=lambda r: r.run_id):
-                if falling_back:
-                    fallback_runs += 1
-                    outcome = _serial_fallback_run(spec, run, golden)
-                else:
-                    restarts += 1
-                    attempts += 1
-                    emit("quarantine", run_id=run.run_id)
-                    outcome, broke = _quarantine_run(
-                        spec, run, golden, channel
-                    )
-                    if broke:
-                        breaks += 1
-                        emit("pool_break", run_id=run.run_id)
-                    if (
-                        attempts >= SERIAL_FALLBACK_MIN_ATTEMPTS
-                        and breaks >= SERIAL_FALLBACK_MIN_BREAKS
-                        and breaks / attempts >= SERIAL_FALLBACK_THRESHOLD
-                    ):
-                        falling_back = True
-                        emit(
-                            "serial_fallback",
-                            attempts=attempts,
-                            pool_breaks=breaks,
-                        )
-                if monitor is not None:
-                    monitor.drain(channel)
-                outcomes.append(outcome)
-                if progress is not None:
-                    progress(outcome)
+            while pending:
+                done, pending = concurrent.futures.wait(
+                    pending, return_when=concurrent.futures.FIRST_COMPLETED
+                )
+                for future in done:
+                    collect(future, futures[future])
         except KeyboardInterrupt:
+            # Graceful drain: cancel what never started, let the
+            # in-flight runs finish during pool shutdown, keep every
+            # completed outcome.
             interrupted = True
+            for future in pending:
+                future.cancel()
     finally:
-        if manager is not None:
-            manager.shutdown()
+        pool.shutdown(wait=True)
+    if interrupted:
+        for future, run in futures.items():
+            if run.run_id in collected:
+                continue
+            if future.done() and not future.cancelled():
+                collect(future, run)
+        return outcomes, restarts, True, 0
+    # Degradation ladder, rungs 2 and 3: per-run quarantine pools, then
+    # in-parent serial fallback once pools keep dying.
+    attempts = 0
+    breaks = 0
+    falling_back = False
+    try:
+        for run in sorted(unfinished, key=lambda r: r.run_id):
+            if falling_back:
+                fallback_runs += 1
+                outcome = _serial_fallback_run(spec, run, golden)
+            else:
+                restarts += 1
+                attempts += 1
+                on_event("quarantine", run_id=run.run_id)
+                outcome, broke = _quarantine_run(spec, run, golden)
+                if broke:
+                    breaks += 1
+                    on_event("pool_break", run_id=run.run_id)
+                if (
+                    attempts >= SERIAL_FALLBACK_MIN_ATTEMPTS
+                    and breaks >= SERIAL_FALLBACK_MIN_BREAKS
+                    and breaks / attempts >= SERIAL_FALLBACK_THRESHOLD
+                ):
+                    falling_back = True
+                    on_event(
+                        "serial_fallback",
+                        attempts=attempts,
+                        pool_breaks=breaks,
+                    )
+            outcomes.append(outcome)
+            on_outcome(outcome)
+    except KeyboardInterrupt:
+        interrupted = True
     return outcomes, restarts, interrupted, fallback_runs
 
 
 def run_campaign(
     spec: CampaignSpec,
     workers: int = 1,
-    progress: typing.Callable[[RunOutcome], None] | None = None,
     max_runs: int | None = None,
     monitor=None,
     journal_dir: "str | None" = None,
     resume_from: "str | None" = None,
-    cache_dir: "str | None" = None,
 ) -> CampaignResult:
     """Plan and execute a whole campaign.
 
     :param workers: 1 = serial in-process; >1 = that many worker
         processes (see :func:`resolve_workers` for the CLI convention).
-    :param progress: optional callback invoked with each outcome as it
-        lands (completion order, not run order).
     :param max_runs: truncate the expanded run list (smoke testing).
     :param monitor: optional
         :class:`~repro.telemetry.progress.CampaignProgress` aggregator;
-        receives worker heartbeats and per-outcome counters live.
+        the parent feeds it each outcome as it lands (completion order,
+        not run order).
     :param journal_dir: start a fresh crash-safe journal here; every
         outcome is fsync'd into it the moment it classifies.
     :param resume_from: directory of an existing journal to resume.
@@ -491,44 +422,20 @@ def run_campaign(
         content outcomes are replayed without re-execution, missing
         and ``worker_error`` runs are re-enqueued, and further
         outcomes append to the same journal.
-    :param cache_dir: root of a content-addressed result cache; the
-        plan + golden and every content outcome are stored under the
-        campaign hash, so an identical re-invocation is served with
-        zero simulator builds or runs.
     """
     started = _time.perf_counter()
     content_hash = None
     journal = None
-    cache_entry = None
-    fingerprint = None
-    prior: dict[int, RunOutcome] = {}
 
-    if journal_dir is not None or resume_from is not None or cache_dir is not None:
+    if journal_dir is not None or resume_from is not None:
         # Imported lazily so the journal-off hot path stays untouched.
-        from .durable import (
-            CampaignJournal,
-            ResultCache,
-            campaign_content_hash,
-            campaign_fingerprint,
-        )
+        from .durable import CampaignJournal, campaign_content_hash
 
         content_hash = campaign_content_hash(spec, max_runs)
-        fingerprint = campaign_fingerprint(spec, max_runs)
-        if cache_dir is not None:
-            cache_entry = ResultCache(cache_dir).entry(content_hash)
 
-    golden = None
-    runs: list[RunSpec] = []
-    if cache_entry is not None:
-        plan = cache_entry.load_plan()
-        if plan is not None:
-            golden, runs = plan
-    if golden is None:
-        golden, runs = plan_campaign(spec)
-        if max_runs is not None:
-            runs = runs[:max_runs]
-        if cache_entry is not None:
-            cache_entry.store_plan(fingerprint, golden, runs)
+    golden, runs = plan_campaign(spec)
+    if max_runs is not None:
+        runs = runs[:max_runs]
     planned_runs = len(runs)
 
     resumed_outcomes: list[RunOutcome] = []
@@ -550,43 +457,17 @@ def run_campaign(
             journal_dir, spec, max_runs, total_runs=planned_runs
         )
 
-    cache_hits = 0
-    cache_misses = 0
-    cached_outcomes: list[RunOutcome] = []
-    if cache_entry is not None:
-        remaining: list[RunSpec] = []
-        for run in runs:
-            outcome = cache_entry.load_outcome(run.run_id)
-            if outcome is not None:
-                cached_outcomes.append(outcome)
-                cache_hits += 1
-            else:
-                remaining.append(run)
-                cache_misses += 1
-        runs = remaining
-
     if monitor is not None:
         monitor.begin(planned_runs)
         if resumed_outcomes:
             monitor.record_resumed(len(resumed_outcomes))
-        monitor.record_cache(cache_hits, cache_misses)
 
-    user_progress = progress
-
-    def dispatch(
-        outcome: RunOutcome,
-        journaled: bool = False,
-        from_cache: bool = False,
-    ) -> None:
+    def dispatch(outcome: RunOutcome, journaled: bool = False) -> None:
         if journal is not None and not journaled:
             journal.append_outcome(outcome)
-        if cache_entry is not None and not from_cache:
-            cache_entry.store_outcome(outcome)
         if monitor is not None:
             monitor.record_outcome(outcome)
             monitor.tick()
-        if user_progress is not None:
-            user_progress(outcome)
 
     def on_event(event: str, **fields) -> None:
         if journal is not None:
@@ -598,17 +479,13 @@ def run_campaign(
     try:
         for outcome in resumed_outcomes:
             dispatch(outcome, journaled=True)
-        for outcome in cached_outcomes:
-            dispatch(outcome, from_cache=True)
         if workers <= 1:
-            executed, interrupted = _run_serial(
-                spec, runs, golden, dispatch, monitor
-            )
+            executed, interrupted = _run_serial(spec, runs, golden, dispatch)
         else:
             executed, restarts, interrupted, fallback_runs = _run_parallel(
-                spec, runs, golden, workers, dispatch, monitor, on_event
+                spec, runs, golden, workers, dispatch, on_event
             )
-        outcomes = resumed_outcomes + cached_outcomes + executed
+        outcomes = resumed_outcomes + executed
         outcomes.sort(key=lambda o: o.run_id)
         if interrupted and journal is not None:
             journal.append_event(
@@ -631,8 +508,6 @@ def run_campaign(
         workers,
         pool_restarts=restarts,
         interrupted=interrupted,
-        cache_hits=cache_hits,
-        cache_misses=cache_misses,
         resumed=len(resumed_outcomes),
         serial_fallback_runs=fallback_runs,
         content_hash=content_hash,

@@ -21,7 +21,7 @@ from collections import deque
 from ..errors import ProtocolError
 from ..hdl.module import Module
 from ..hdl.signal import Signal
-from ..instrument.probes import TRANSACTION_BEGIN, TRANSACTION_END, new_txn_id
+from ..instrument.probes import TRANSACTION_BEGIN, TRANSACTION_END
 from ..kernel.event import Event
 from ..verify.checkers import report_violation
 
@@ -170,7 +170,7 @@ class PinMaster(Module):
             probes = self.sim._probes
             if probes is not None:
                 if operation.txn_id is None:
-                    operation.txn_id = new_txn_id()
+                    operation.txn_id = next(self.sim.txn_ids)
                 probes.emit(
                     TRANSACTION_BEGIN, self.sim.time, self.path, operation
                 )

@@ -32,10 +32,11 @@ kind                  callback arguments
 ``method.complete``   ``(time, space, request)`` — the method body returned
 ``transaction.begin`` ``(time, source, payload)`` — a bus/TLM transaction
                       opened (``source`` is a hierarchical path string;
-                      the payload carries a process-wide unique
-                      ``txn_id`` from :func:`new_txn_id` so begin/end
-                      pair reliably across layers; emitters draw it
-                      only while a probe bus is attached)
+                      the payload carries a ``txn_id`` drawn from its
+                      simulator's ``txn_ids`` counter, unique within the
+                      run; emitters draw it only while a probe bus is
+                      attached, and publish the same payload object at
+                      begin and end)
 ``transaction.end``   ``(time, source, payload)`` — the transaction closed
 ``flow.stage``        ``(name, status, wall_seconds)`` — a design-flow stage
                       finished (wall-clock, not simulation time)
@@ -64,7 +65,6 @@ attribute of the bus.
 
 from __future__ import annotations
 
-import itertools
 import typing
 
 from ..errors import ReproError
@@ -135,30 +135,16 @@ _KIND_ATTR: dict[str, str] = {
 
 Callback = typing.Callable[..., None]
 
-#: Process-wide transaction-id sequence shared by every emitter of
-#: ``transaction.begin``/``transaction.end`` payloads, so ids are unique
-#: across buses, TLM channels and abstraction layers within one run.
-_txn_ids = itertools.count(1)
-
-
-def new_txn_id() -> int:
-    """Allocate the next process-wide unique transaction id.
-
-    Only the probe pairing reads the ids, so every emitter draws one
-    only while its simulator has a probe bus: an unobserved run draws
-    none.
-    """
-    return next(_txn_ids)
-
-
-def txn_key(source: str, payload: object) -> tuple[str, object]:
+def txn_key(source: str, payload: object) -> tuple[str, object, int]:
     """The key pairing a ``transaction.begin`` with its ``transaction.end``.
 
-    Prefers the stable ``txn_id`` stamped on transaction payloads and
-    falls back to object identity for payloads that carry none.
+    Emitters publish one payload object at both probes and hold it until
+    the end, so its identity keeps apart the open transactions of
+    simulators that share a bus (each counts its ``txn_id``s from 1).
+    The ``txn_id`` keeps a run's keys distinct after a closed payload's
+    address is reused.
     """
-    txn_id = getattr(payload, "txn_id", None)
-    return (source, txn_id if txn_id is not None else id(payload))
+    return (source, getattr(payload, "txn_id", None), id(payload))
 
 
 class ProbeError(ReproError, ValueError):

@@ -11,6 +11,7 @@ passes around. The typical session::
 
 from __future__ import annotations
 
+import itertools
 import typing
 
 from ..errors import ElaborationError, SimulationError
@@ -113,6 +114,12 @@ class Simulator:
         self._tracers: list[typing.Any] = []
         self.elaborated = False
         self._detection_log = DetectionLog()
+        #: Run-local id sources: ``transaction.begin``/``end`` payload ids
+        #: (drawn only while a probe bus is attached) and guarded-call
+        #: sequence numbers. A run's ids therefore do not depend on what
+        #: its process simulated before.
+        self.txn_ids = itertools.count(1)
+        self.request_seqs = itertools.count()
         self._probes: ProbeBus | None = None
         bus = probe_bus if probe_bus is not None else default_bus()
         if bus is not None:

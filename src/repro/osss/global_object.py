@@ -147,6 +147,7 @@ class SharedStateSpace:
             request = MethodRequest(
                 client=client, method=method, args=args, kwargs=kwargs,
                 arrival_time=now, done_event=None,  # type: ignore[arg-type]
+                seq=next(self.sim.request_seqs),
             )
             request.grant_time = now
             request.complete_time = now
@@ -412,6 +413,7 @@ class GlobalObject:
             kwargs=kwargs,
             arrival_time=scheduler.time,
             done_event=done,
+            seq=next(self.sim.request_seqs),
         )
         space.submit(request)
         if timeout is None:
@@ -461,6 +463,7 @@ class GlobalObject:
                 kwargs=kwargs,
                 arrival_time=scheduler.time,
                 done_event=done,
+                seq=next(self.sim.request_seqs),
             )
             space.submit(request)
             deadline = policy.attempt_timeout(attempt)

@@ -8,11 +8,7 @@ the synthesis tool lowers to a request/grant signal pair.
 
 from __future__ import annotations
 
-import itertools
-
 from ..kernel.event import Event
-
-_sequence = itertools.count()
 
 
 class MethodRequest:
@@ -31,13 +27,17 @@ class MethodRequest:
         kwargs: dict,
         arrival_time: int,
         done_event: Event,
+        seq: int,
     ) -> None:
         self.client = client
         self.method = method
         self.args = args
         self.kwargs = kwargs
         self.arrival_time = arrival_time
-        self.seq = next(_sequence)
+        #: Draw order among the simulator's guarded calls
+        #: (:attr:`~repro.kernel.simulator.Simulator.request_seqs`); the
+        #: arbiters break ties on it.
+        self.seq = seq
         self.done_event = done_event
         self.result: object = None
         self.error: BaseException | None = None

@@ -12,7 +12,7 @@ from __future__ import annotations
 from ..hdl.module import Module
 from ..hdl.signal import Signal
 from ..iface.agent import BusMonitor
-from ..instrument.probes import TRANSACTION_BEGIN, TRANSACTION_END, new_txn_id
+from ..instrument.probes import TRANSACTION_BEGIN, TRANSACTION_END
 from .constants import DEVSEL_TIMEOUT, READ_COMMANDS
 from .parity import parity_of_vectors
 from .signals import PciBus, is_asserted
@@ -85,7 +85,7 @@ class PciMonitor(BusMonitor):
                     self.transactions.append(self._current)
                     probes = self.sim._probes
                     if probes is not None:
-                        self._current.txn_id = new_txn_id()
+                        self._current.txn_id = next(self.sim.txn_ids)
                         probes.emit(
                             TRANSACTION_BEGIN,
                             self.sim.time,

@@ -277,6 +277,7 @@ class RtlMethodChannel(Module):
                 kwargs=kwargs,
                 arrival_time=self.sim.time,
                 done_event=Event(self.sim.scheduler, f"{self.path}.wake_{index}"),
+                seq=next(self.sim.request_seqs),
             )
             self.payload[index].write(request)
             self._issued[index] = request

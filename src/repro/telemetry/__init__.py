@@ -11,8 +11,8 @@ zero-cost-off discipline:
 * **Flight recorder** (:mod:`~repro.telemetry.recorder`): a bounded
   ring of structured events dumped to JSONL on completion or crash,
   replayable through ``python -m repro telemetry``.
-* **Live progress** (:mod:`~repro.telemetry.progress`): worker
-  heartbeats + outcome counters streamed to a
+* **Live progress** (:mod:`~repro.telemetry.progress`): outcome
+  counters the campaign parent folds into a
   :class:`~repro.telemetry.progress.CampaignProgress` aggregator,
   rendered by ``python -m repro fault --live``.
 
@@ -23,7 +23,7 @@ thing.
 """
 
 from .digest import STANDARD_QUANTILES, LatencyDigest, quantile_from_pow2_buckets
-from .progress import CampaignProgress, HeartbeatSender
+from .progress import CampaignProgress
 from .recorder import (
     DEFAULT_RECORD_KINDS,
     FlightRecorder,
@@ -38,7 +38,6 @@ __all__ = [
     "LatencyDigest",
     "quantile_from_pow2_buckets",
     "CampaignProgress",
-    "HeartbeatSender",
     "DEFAULT_RECORD_KINDS",
     "FlightRecorder",
     "flight_record_chrome_trace",

@@ -1,50 +1,23 @@
-"""Live campaign telemetry: worker heartbeats and progress aggregation.
+"""Live campaign progress, aggregated in the parent.
 
-Pool workers stream tiny messages — "worker *pid* started run *n*",
-"worker *pid* classified run *n*" — through a ``multiprocessing``
-manager queue to the parent, where a :class:`CampaignProgress`
-aggregator folds them together with the outcomes the pool returns into
-one live picture: runs/s, ETA, per-classification breakdown, recovery
-rate, and which worker is chewing on which run right now. The fault CLI
-renders this as a ``--live`` ticker and (with ``--progress-json``)
-mirrors every snapshot to a machine-readable file — the contract the
-ROADMAP's distributed-campaign service will stream over the wire.
-
-Telemetry must never harm the campaign: heartbeat sends are
-best-effort (a full or dead queue drops the beat), the aggregator only
-ever runs in the parent, and with no aggregator installed the runner
-takes its historical code path untouched.
+The campaign runner feeds a :class:`CampaignProgress` every outcome as
+the parent receives it, from the serial loop or from the worker pool,
+and the aggregator folds them into one live picture: runs/s, ETA,
+per-classification breakdown and recovery rate. Workers send nothing
+but their outcomes. The fault CLI renders this as a ``--live`` ticker
+and (with ``--progress-json``) mirrors every snapshot to a
+machine-readable file. With no aggregator installed, the runner pays
+one ``is None`` check per outcome.
 """
 
 from __future__ import annotations
 
 import json
-import os
-import queue as _queue
 import time as _time
 import typing
 
 #: Seconds between ticker refreshes (and progress-JSON rewrites).
 DEFAULT_TICK_SECONDS = 0.5
-
-
-class HeartbeatSender:
-    """Worker-side handle: fire-and-forget beats into the parent queue."""
-
-    def __init__(self, channel) -> None:
-        self._channel = channel
-
-    def _put(self, message: tuple) -> None:
-        try:
-            self._channel.put_nowait(message)
-        except Exception:  # noqa: BLE001 - telemetry never kills a run
-            pass
-
-    def start(self, run_id: int) -> None:
-        self._put(("start", os.getpid(), run_id, _time.time()))
-
-    def done(self, run_id: int, classification: str) -> None:
-        self._put(("done", os.getpid(), run_id, _time.time(), classification))
 
 
 class CampaignProgress:
@@ -71,14 +44,8 @@ class CampaignProgress:
         self._started: float | None = None
         self._finished: float | None = None
         self._last_tick: float | None = None
-        #: worker pid -> (run_id or None, wall time of last beat)
-        self.workers: dict[int, tuple[int | None, float]] = {}
-        self.heartbeats = 0
-        #: Durable-layer counters: outcomes replayed from a resumed
-        #: journal and result-cache traffic (hits skip the simulator).
+        #: Outcomes replayed from a resumed journal.
         self.resumed = 0
-        self.cache_hits = 0
-        self.cache_misses = 0
 
     # -- lifecycle -----------------------------------------------------------
 
@@ -99,15 +66,6 @@ class CampaignProgress:
 
     # -- ingestion -----------------------------------------------------------
 
-    def heartbeat(
-        self,
-        worker: int,
-        run_id: "int | None",
-        wall: "float | None" = None,
-    ) -> None:
-        self.heartbeats += 1
-        self.workers[worker] = (run_id, wall if wall is not None else _time.time())
-
     def record_outcome(self, outcome) -> None:
         """Fold one classified run in (a RunOutcome or a bare string)."""
         classification = getattr(outcome, "classification", outcome)
@@ -120,30 +78,6 @@ class CampaignProgress:
         """Note *count* outcomes replayed from a journal (they still
         flow through :meth:`record_outcome` like any other)."""
         self.resumed += count
-
-    def record_cache(self, hits: int, misses: int) -> None:
-        """Fold in the result-cache tally of a campaign start."""
-        self.cache_hits += hits
-        self.cache_misses += misses
-
-    def drain(self, channel) -> int:
-        """Non-blocking drain of the worker heartbeat queue."""
-        drained = 0
-        if channel is None:
-            return drained
-        while True:
-            try:
-                message = channel.get_nowait()
-            except (_queue.Empty, OSError, EOFError):
-                return drained
-            drained += 1
-            kind = message[0]
-            if kind == "start":
-                __, worker, run_id, wall = message
-                self.heartbeat(worker, run_id, wall)
-            elif kind == "done":
-                __, worker, run_id, wall = message[:4]
-                self.heartbeat(worker, None, wall)
 
     # -- derived gauges ------------------------------------------------------
 
@@ -208,14 +142,7 @@ class CampaignProgress:
             "eta_seconds": None if eta is None else round(eta, 3),
             "classifications": dict(sorted(self.classifications.items())),
             "recovery_rate": None if recovery is None else round(recovery, 4),
-            "heartbeats": self.heartbeats,
             "resumed": self.resumed,
-            "cache_hits": self.cache_hits,
-            "cache_misses": self.cache_misses,
-            "workers": {
-                str(pid): {"run_id": run_id}
-                for pid, (run_id, __) in sorted(self.workers.items())
-            },
         }
 
     def render_ticker(self) -> str:
@@ -236,13 +163,6 @@ class CampaignProgress:
             parts.append(f"recovery {recovery:.0%}")
         if self.resumed:
             parts.append(f"resumed {self.resumed}")
-        if self.cache_hits or self.cache_misses:
-            parts.append(f"cache {self.cache_hits}h/{self.cache_misses}m")
-        busy = sum(
-            1 for run_id, __ in self.workers.values() if run_id is not None
-        )
-        if self.workers:
-            parts.append(f"workers {busy}/{len(self.workers)}")
         return " | ".join(parts)
 
     def write_json(self, path) -> None:

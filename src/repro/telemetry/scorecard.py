@@ -489,8 +489,7 @@ class MatrixScorecard:
     def from_matrix(cls, report) -> "MatrixScorecard | None":
         """Build from a telemetry-enabled ``SwapMatrixReport``."""
         cells = [
-            cell.score for cell in report.cells
-            if getattr(cell, "score", None) is not None
+            cell.score for cell in report.cells if cell.score is not None
         ]
         if not cells:
             return None
@@ -500,8 +499,8 @@ class MatrixScorecard:
             report.buses,
             report.levels,
             cells,
-            reference=getattr(report, "reference_score", None),
-            fault_families=getattr(report, "fault_families", None),
+            reference=report.reference_score,
+            fault_families=report.fault_families,
         )
 
     def cell(self, bus: str, level: str) -> CellScore | None:

@@ -11,7 +11,7 @@ import typing
 from collections import deque
 
 from ..errors import SimulationError
-from ..instrument.probes import TRANSACTION_BEGIN, TRANSACTION_END, new_txn_id
+from ..instrument.probes import TRANSACTION_BEGIN, TRANSACTION_END
 from ..kernel.event import Event
 from ..kernel.simulator import Simulator
 
@@ -28,8 +28,8 @@ class TlmTransaction:
 
     __slots__ = ("txn_id", "request", "corr_id")
 
-    def __init__(self, request: object) -> None:
-        self.txn_id = new_txn_id()
+    def __init__(self, request: object, txn_id: int) -> None:
+        self.txn_id = txn_id
         self.request = request
         self.corr_id = getattr(request, "corr_id", None)
 
@@ -119,7 +119,7 @@ class ReqRspChannel:
             # The same wrapper is emitted at begin and end, carrying a
             # stable txn_id, so subscribers pair the probes reliably
             # even across layers.
-            transaction = TlmTransaction(request)
+            transaction = TlmTransaction(request, next(self.sim.txn_ids))
             probes.emit(TRANSACTION_BEGIN, self.sim.time, self.name, transaction)
         yield from self.requests.put(request)
         response = yield from self.responses.get()

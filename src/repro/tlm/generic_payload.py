@@ -17,7 +17,7 @@ from ..errors import ProtocolError
 from ..hdl.module import Module
 from ..iface.element import InterfaceElement
 from ..iface.params import IfaceParams
-from ..instrument.probes import TRANSACTION_BEGIN, TRANSACTION_END, new_txn_id
+from ..instrument.probes import TRANSACTION_BEGIN, TRANSACTION_END
 from ..kernel.process import Timeout
 from ..kernel.simulator import Simulator
 from ..osss.arbiter import Arbiter
@@ -184,7 +184,7 @@ class TlmGpBusInterface(InterfaceElement):
             payload = _to_generic_payload(command)
             probes = self.sim._probes
             if probes is not None:
-                payload.txn_id = new_txn_id()
+                payload.txn_id = next(self.sim.txn_ids)
                 probes.emit(TRANSACTION_BEGIN, self.sim.time, self.path, payload)
             delay = self.socket.b_transport(payload)
             if delay:

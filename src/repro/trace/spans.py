@@ -189,6 +189,9 @@ class SpanTracer(ProbeSubscriber):
         self.orphans: list[Span] = []
         self.activations: list[ActivationRecord] = []
         self.dropped_causal_edges = 0
+        #: Open guarded calls by request identity: the request is live
+        #: until it completes, and simulators sharing a bus draw the same
+        #: sequence numbers.
         self._open_methods: dict[int, Span] = {}
         self._open_transactions: dict[tuple, Span] = {}
         self._wire_spans: list[Span] = []
@@ -228,20 +231,20 @@ class SpanTracer(ProbeSubscriber):
             corr_id=correlation_id_of(request),
         )
         span.meta["client"] = request.client
-        self._open_methods[request.seq] = span
+        self._open_methods[id(request)] = span
 
     def _on_method_queue(self, time: int, space: object, request) -> None:
-        span = self._open_methods.get(request.seq)
+        span = self._open_methods.get(id(request))
         if span is not None:
             span.meta["queued"] = True
 
     def _on_method_grant(self, time: int, space: object, request) -> None:
-        span = self._open_methods.get(request.seq)
+        span = self._open_methods.get(id(request))
         if span is not None:
             span.meta["grant_time"] = time
 
     def _on_method_complete(self, time: int, space: object, request) -> None:
-        span = self._open_methods.pop(request.seq, None)
+        span = self._open_methods.pop(id(request), None)
         if span is None:
             return
         span.end_time = time

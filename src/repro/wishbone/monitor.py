@@ -6,7 +6,7 @@ from ..hdl.bitvector import is_one
 from ..hdl.module import Module
 from ..hdl.signal import Signal
 from ..iface.agent import BusMonitor
-from ..instrument.probes import TRANSACTION_END, new_txn_id
+from ..instrument.probes import TRANSACTION_END
 from .signals import WishboneBus
 
 
@@ -96,5 +96,5 @@ class WishboneMonitor(BusMonitor):
             # observed; only the end probe is meaningful.
             probes = self.sim._probes
             if probes is not None:
-                transfer.txn_id = new_txn_id()
+                transfer.txn_id = next(self.sim.txn_ids)
                 probes.emit(TRANSACTION_END, self.sim.time, self.path, transfer)

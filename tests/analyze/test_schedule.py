@@ -1,5 +1,11 @@
 """Expression evaluation, levelization and the EvalSchedule artifact."""
 
+import json
+import os
+import pathlib
+import subprocess
+import sys
+
 import pytest
 
 from repro.analyze import EvaluationError, evaluate_expr, levelize
@@ -13,6 +19,35 @@ from repro.synthesis.ir import (
     RtlModule,
     UnOp,
 )
+
+
+#: Builds a netlist with twelve two-net loops and a branching cycle (c
+#: feeds back through d and through e), declaring the nets in reverse
+#: name order with ``argv[1]`` bytes of padding allocated between them,
+#: and prints the loops its analysis reports.
+_LOOPS_SCRIPT = """
+import json
+import sys
+
+from repro.analyze.passes import ModuleAnalysis
+from repro.synthesis.ir import BinOp, RtlModule
+
+sources = {"c": ("d", "e"), "d": ("c",), "e": ("c",)}
+for index in range(12):
+    sources[f"p{index:02d}"] = (f"q{index:02d}",)
+    sources[f"q{index:02d}"] = (f"p{index:02d}",)
+module = RtlModule("loops")
+padding, nets = [], {}
+for name in sorted(sources, reverse=True):
+    padding.append(bytearray(int(sys.argv[1]) * (len(nets) % 7)))
+    nets[name] = module.add_net(name, 1)
+for target, names in sources.items():
+    expr = nets[names[0]].ref()
+    for name in names[1:]:
+        expr = BinOp("|", expr, nets[name].ref())
+    module.add_assign(nets[target], expr)
+print(json.dumps(ModuleAnalysis(module).to_dict()["loops"]))
+"""
 
 
 def _net(width=4, name="n"):
@@ -116,6 +151,29 @@ class TestLevelize:
         module.add_assign(tail, a.ref())  # stuck only through the loop
         result = levelize(module)
         assert len(result.loops) == 1
+
+    def test_loops_report_the_same_in_every_process(self):
+        """Which cycle NET003 reports, and in what order, must not follow
+        the object addresses: two fresh interpreters that allocate
+        differently before building the netlist print the same loops."""
+        src = pathlib.Path(__file__).resolve().parents[2] / "src"
+        path = os.pathsep.join(
+            filter(None, [str(src), os.environ.get("PYTHONPATH")])
+        )
+        printed = set()
+        for padding in ("0", "48"):
+            result = subprocess.run(
+                [sys.executable, "-c", _LOOPS_SCRIPT, padding],
+                env={**os.environ, "PYTHONPATH": path},
+                capture_output=True, text=True, timeout=120,
+            )
+            assert result.returncode == 0, result.stderr
+            printed.add(result.stdout)
+        (output,) = printed
+        assert json.loads(output) == ["d -> c -> d"] + [
+            f"q{index:02d} -> p{index:02d} -> q{index:02d}"
+            for index in range(12)
+        ]
 
     def test_fsm_output_step(self):
         module = RtlModule("m")

@@ -1,10 +1,8 @@
-"""Tests for the durable campaign layer: journal, resume, cache.
+"""Tests for the durable campaign layer: journal and resume.
 
 The contract under test is byte-identity: serial, parallel and
 interrupted-then-resumed executions of the same spec must produce the
-same canonical report and the same merged telemetry digests, and an
-identical re-invocation against a warm cache must touch no simulator
-at all.
+same canonical report and the same merged telemetry digests.
 """
 
 import json
@@ -22,7 +20,6 @@ from repro.fault import (
     CampaignJournal,
     CampaignSpec,
     FaultSpec,
-    ResultCache,
     RunOutcome,
     campaign_content_hash,
     campaign_fingerprint,
@@ -32,6 +29,7 @@ from repro.fault import (
     run_campaign,
 )
 from repro.fault.durable import decode_line, encode_line, journal_path
+from repro.telemetry.progress import CampaignProgress
 
 
 def _spec(seed=19, **overrides):
@@ -187,6 +185,17 @@ class TestJournal:
         assert result.resumed == 0
         assert len(result.outcomes) == 6
 
+    def test_outcome_round_trips_through_cache_dict_form(self):
+        # Journal lines and resumed outcomes use this dict form.
+        outcome = RunOutcome(
+            3, "stuck_at", "top.bus.devsel_n", (10, 20), "detected",
+            detail="checker fired", activations=2, detections=1,
+            wall_seconds=0.25, sim_time=1000,
+        )
+        clone = RunOutcome.from_dict(outcome.to_dict())
+        assert clone.to_dict() == outcome.to_dict()
+        assert clone.to_dict(canonical=True)["wall_seconds"] == 0.0
+
 
 class TestResume:
     def test_resume_is_byte_identical_serial_and_parallel(self, tmp_path):
@@ -244,119 +253,6 @@ class TestResume:
         assert got.to_dict() == {**want.to_dict(), "label": got.label}
 
 
-class TestResultCache:
-    def test_identical_rerun_is_all_hits_and_builds_nothing(
-        self, tmp_path, monkeypatch
-    ):
-        spec = _spec()
-        cold = run_campaign(spec, workers=1, cache_dir=str(tmp_path))
-        assert cold.cache_hits == 0
-        assert cold.cache_misses == len(cold.outcomes)
-
-        # A warm re-invocation may touch no simulator: planning and
-        # execution both come from the cache.
-        import repro.fault.campaign as campaign_mod
-        import repro.fault.runner as runner_mod
-
-        def explode(*args, **kwargs):  # pragma: no cover - must not run
-            raise AssertionError("cache hit was supposed to skip this")
-
-        monkeypatch.setattr(campaign_mod, "execute_run", explode)
-        monkeypatch.setattr(runner_mod, "execute_run", explode)
-        monkeypatch.setattr(runner_mod, "plan_campaign", explode)
-        warm = run_campaign(spec, workers=1, cache_dir=str(tmp_path))
-        assert warm.cache_hits == len(cold.outcomes)
-        assert warm.cache_misses == 0
-        assert _canonical(warm) == _canonical(cold)
-
-    def test_cached_golden_keeps_trajectory_and_outcome(self, tmp_path):
-        spec = _spec()
-        cold = run_campaign(spec, workers=1, cache_dir=str(tmp_path))
-        entry = ResultCache(str(tmp_path)).entry(cold.content_hash)
-        golden, runs = entry.load_plan()
-        assert golden.trajectory.targets == cold.golden.trajectory.targets
-        assert golden.trajectory.submits.keys() == {"top.interface.channel"}
-        assert golden.outcome.to_dict() == cold.golden.outcome.to_dict()
-
-    def test_golden_from_before_trajectories_screens_nothing(
-        self, tmp_path, monkeypatch
-    ):
-        import pickle
-
-        import repro.fault.campaign as campaign_mod
-
-        spec = _spec()
-        cold = run_campaign(spec, workers=1, cache_dir=str(tmp_path))
-        entry = ResultCache(str(tmp_path)).entry(cold.content_hash)
-        # Rewrite the entry the way the cache stored goldens before they
-        # carried a trajectory, and drop every cached outcome.
-        with open(entry._path("golden.pkl"), "wb") as stream:
-            pickle.dump({
-                "traces": cold.golden.traces,
-                "image": cold.golden.image,
-                "horizon": cold.golden.horizon,
-            }, stream)
-        for outcome in cold.outcomes:
-            os.remove(entry.outcome_path(outcome.run_id))
-        golden, __ = entry.load_plan()
-        assert golden.trajectory is None and golden.outcome is None
-
-        builds = []
-        original = campaign_mod.build_campaign_platform
-
-        def counting(spec):
-            builds.append(spec.name)
-            return original(spec)
-
-        monkeypatch.setattr(campaign_mod, "build_campaign_platform", counting)
-        rerun = run_campaign(spec, workers=1, cache_dir=str(tmp_path))
-        # No planning (the plan was cached) and no screening: every run
-        # builds and simulates, and the report is unchanged.
-        assert rerun.cache_misses == len(cold.outcomes)
-        assert len(builds) == len(cold.outcomes)
-        assert _canonical(rerun) == _canonical(cold)
-        warm = run_campaign(spec, workers=1, cache_dir=str(tmp_path))
-        assert warm.cache_hits == len(cold.outcomes)
-        assert _canonical(warm) == _canonical(cold)
-
-    def test_different_seed_misses(self, tmp_path):
-        run_campaign(_spec(), workers=1, cache_dir=str(tmp_path))
-        other = run_campaign(_spec(seed=20), workers=1, cache_dir=str(tmp_path))
-        assert other.cache_hits == 0
-
-    def test_corrupt_cache_entry_is_a_miss_not_an_error(self, tmp_path):
-        spec = _spec()
-        cold = run_campaign(spec, workers=1, cache_dir=str(tmp_path))
-        entry = ResultCache(str(tmp_path)).entry(cold.content_hash)
-        victim = entry.outcome_path(cold.outcomes[0].run_id)
-        with open(victim, "w", encoding="utf-8") as stream:
-            stream.write("garbage\n")
-        warm = run_campaign(spec, workers=1, cache_dir=str(tmp_path))
-        assert warm.cache_misses == 1
-        assert warm.cache_hits == len(cold.outcomes) - 1
-        assert _canonical(warm) == _canonical(cold)
-
-    def test_worker_errors_are_never_cached(self, tmp_path):
-        spec = _spec(crash_run_ids=(0,))
-        cold = run_campaign(spec, workers=1, cache_dir=str(tmp_path))
-        assert cold.outcomes[0].classification == "worker_error"
-        warm = run_campaign(spec, workers=1, cache_dir=str(tmp_path))
-        # The crashed run re-executes; the content runs hit.
-        assert warm.cache_misses == 1
-        assert warm.cache_hits == len(cold.outcomes) - 1
-        assert _canonical(warm) == _canonical(cold)
-
-    def test_outcome_round_trips_through_cache_dict_form(self):
-        outcome = RunOutcome(
-            3, "stuck_at", "top.bus.devsel_n", (10, 20), "detected",
-            detail="checker fired", activations=2, detections=1,
-            wall_seconds=0.25, sim_time=1000,
-        )
-        clone = RunOutcome.from_dict(outcome.to_dict())
-        assert clone.to_dict() == outcome.to_dict()
-        assert clone.to_dict(canonical=True)["wall_seconds"] == 0.0
-
-
 class TestWorkersConvention:
     def test_zero_means_serial(self):
         assert resolve_workers(0) == 1
@@ -385,15 +281,15 @@ class TestWorkersConvention:
 class TestInterrupt:
     def test_serial_interrupt_keeps_completed_prefix(self, tmp_path):
         spec = _spec()
-        seen = []
 
-        def boom(outcome):
-            seen.append(outcome)
-            if len(seen) == 3:
-                raise KeyboardInterrupt
+        class Boom(CampaignProgress):
+            def record_outcome(self, outcome):
+                super().record_outcome(outcome)
+                if self.completed == 3:
+                    raise KeyboardInterrupt
 
         result = run_campaign(
-            spec, workers=1, progress=boom, journal_dir=str(tmp_path)
+            spec, workers=1, monitor=Boom(), journal_dir=str(tmp_path)
         )
         assert result.interrupted
         assert len(result.outcomes) == 3
@@ -509,13 +405,44 @@ class TestDurableCli:
         assert code == 0
         assert resumed == first
 
-    def test_cache_rerun_is_identical(self, tmp_path, capsys):
-        cdir = str(tmp_path / "cache")
-        code, cold = self._fault(capsys, "--cache", cdir)
-        assert code == 0
-        code, warm = self._fault(capsys, "--cache", cdir)
-        assert code == 0
-        assert warm == cold
+    def test_flight_records_identical_serial_parallel_resumed(
+        self, tmp_path, capsys
+    ):
+        from repro.__main__ import main
+
+        def fault(records, *extra):
+            code = main([
+                "--seed", "55", "fault", "--runs", "8",
+                "--flight-record", str(tmp_path / records), *extra,
+            ])
+            capsys.readouterr()
+            assert code == 0
+
+        def records(name):
+            directory = tmp_path / name
+            return {path.name: path.read_bytes()
+                    for path in sorted(directory.iterdir())}
+
+        fault("serial", "--workers", "0")
+        fault("parallel", "--workers", "2")
+        jdir = str(tmp_path / "journal")
+        fault("resumed", "--workers", "0", "--journal", jdir)
+        # Cut the journal back to its header and three outcomes, as a
+        # campaign killed after its third run leaves it, and drop the
+        # records of the runs the resume must execute again.
+        with open(journal_path(jdir), encoding="utf-8") as stream:
+            lines = stream.readlines()
+        with open(journal_path(jdir), "w", encoding="utf-8") as stream:
+            stream.writelines(lines[:4])
+        kept = {decode_line(line)["outcome"]["run_id"] for line in lines[1:4]}
+        for path in (tmp_path / "resumed").iterdir():
+            if int(path.stem[len("run"):]) not in kept:
+                path.unlink()
+        fault("resumed", "--workers", "2", "--journal", jdir, "--resume")
+        serial = records("serial")
+        assert len(serial) == 6  # the 8-run demo plan expands to 6 runs
+        assert records("parallel") == serial
+        assert records("resumed") == serial
 
     def test_resume_without_journal_is_usage_error(self, capsys):
         from repro.__main__ import main

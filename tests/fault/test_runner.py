@@ -16,6 +16,7 @@ from repro.fault import (
     run_campaign,
 )
 from repro.fault.campaign import execute_run
+from repro.telemetry.progress import CampaignProgress
 
 
 def _small_spec(seed=19):
@@ -66,8 +67,12 @@ class TestRunner:
 
     def test_progress_callback_sees_every_run(self):
         seen = []
-        run_campaign(_small_spec(), workers=1,
-                     progress=lambda o: seen.append(o.run_id))
+
+        class Recorder(CampaignProgress):
+            def record_outcome(self, outcome):
+                seen.append(outcome.run_id)
+
+        run_campaign(_small_spec(), workers=1, monitor=Recorder())
         assert sorted(seen) == list(range(6))
 
     def test_throughput_accounting(self):

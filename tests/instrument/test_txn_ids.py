@@ -7,18 +7,24 @@ still pairs with its ``transaction.end``.
 """
 
 import collections
-import sys
 
 import pytest
 
-import repro.instrument.probes as probes
 import repro.tlm.generic_payload as generic_payload
 from repro.core import generate_workload
 from repro.flow import build_platform
 from repro.iface.agent import BusMonitor, PinMaster
-from repro.instrument.probes import TRANSACTION_BEGIN, TRANSACTION_END, txn_key
-from repro.kernel import MS
+from repro.instrument.probes import (
+    METHOD_COMPLETE,
+    TRANSACTION_BEGIN,
+    TRANSACTION_END,
+    ProbeBus,
+    set_default_bus,
+    txn_key,
+)
+from repro.kernel import MS, US
 from repro.trace import SpanTracer
+from repro.trace.spans import METHOD
 
 CELLS = [
     (bus, level)
@@ -34,19 +40,16 @@ def _cell(bus, level):
                           synthesize=level == "interpreted")
 
 
-def _count_draws(monkeypatch):
-    """Count ``new_txn_id`` calls in every module that imported it."""
+def _count_draws(sim):
+    """Count draws from *sim*'s transaction-id counter."""
     draws = [0]
-    original = probes.new_txn_id
+    ids = sim.txn_ids
 
     def counted():
         draws[0] += 1
-        return original()
+        return next(ids)
 
-    for name, module in list(sys.modules.items()):
-        if (name.startswith("repro.")
-                and getattr(module, "new_txn_id", None) is original):
-            monkeypatch.setattr(module, "new_txn_id", counted)
+    sim.txn_ids = iter(counted, None)
     return draws
 
 
@@ -84,7 +87,7 @@ def _monitor_records(bundle):
 @pytest.mark.parametrize("cell", CELLS, ids=lambda cell: "/".join(cell))
 def test_an_unobserved_run_draws_no_id(cell, monkeypatch):
     bundle = _cell(*cell)
-    draws = _count_draws(monkeypatch)
+    draws = _count_draws(bundle.handle.sim)
     carriers = _record_payloads(monkeypatch)
     bundle.run(100 * MS)
     assert bundle.handle.sim._probes is None
@@ -99,7 +102,7 @@ def test_an_unobserved_run_draws_no_id(cell, monkeypatch):
 @pytest.mark.parametrize("cell", CELLS, ids=lambda cell: "/".join(cell))
 def test_an_observed_run_pairs_every_begin_with_its_end(cell, monkeypatch):
     bundle = _cell(*cell)
-    draws = _count_draws(monkeypatch)
+    draws = _count_draws(bundle.handle.sim)
     carriers = _record_payloads(monkeypatch)
     bus = bundle.handle.sim.probes
     SpanTracer(causal=False).attach(bus)
@@ -115,3 +118,39 @@ def test_an_observed_run_pairs_every_begin_with_its_end(cell, monkeypatch):
     assert draws[0] > 0
     assert all(item.txn_id is not None
                for item in carriers + _monitor_records(bundle))
+
+
+def test_a_bus_shared_by_interleaved_runs_pairs_every_begin_with_its_end():
+    """The default bus of ``repro profile`` or ``repro spans`` serves
+    every simulator a script builds, and each simulator counts its ids
+    from 1. Two runs of one design interleaved on one bus draw the same
+    ids, yet every transaction and every guarded call still pairs."""
+    bus = ProbeBus()
+    tracer = SpanTracer(causal=False).attach(bus)
+    begins, ends, completed = [], collections.Counter(), [0]
+    bus.subscribe(TRANSACTION_BEGIN, lambda time, source, payload:
+                  begins.append(txn_key(source, payload)))
+    bus.subscribe(TRANSACTION_END, lambda time, source, payload:
+                  ends.update([txn_key(source, payload)]))
+    bus.subscribe(METHOD_COMPLETE, lambda time, space, request:
+                  completed.__setitem__(0, completed[0] + 1))
+    previous = set_default_bus(bus)
+    try:
+        handles = [_cell("pci", "behavioural").handle for __ in range(2)]
+    finally:
+        set_default_bus(previous)
+    for __ in range(1000):
+        if all(app.done for handle in handles
+               for app in handle.applications):
+            break
+        for handle in handles:
+            handle.sim.run(US)
+    assert all(app.done for handle in handles for app in handle.applications)
+    assert begins
+    assert set(collections.Counter(key[:2] for key in begins).values()) == {2}
+    assert len(set(begins)) == len(begins)
+    assert all(ends[key] == 1 for key in begins)
+    tracer.finalize()
+    spans = [span for root in tracer.roots.values() for span in root.walk()]
+    spans += tracer.orphans
+    assert sum(span.category == METHOD for span in spans) == completed[0] > 0

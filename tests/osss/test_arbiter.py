@@ -15,8 +15,12 @@ from repro.osss import (
 )
 
 
+#: One simulator draws every request's sequence number, so submission
+#: order breaks ties as it does within a run.
+_SIM = Simulator()
+
+
 def _request(client, arrival=0):
-    sim = Simulator()
     from repro.kernel.event import Event
 
     return MethodRequest(
@@ -25,7 +29,8 @@ def _request(client, arrival=0):
         args=(),
         kwargs={},
         arrival_time=arrival,
-        done_event=Event(sim.scheduler, "done"),
+        done_event=Event(_SIM.scheduler, "done"),
+        seq=next(_SIM.request_seqs),
     )
 
 

@@ -12,8 +12,8 @@ from repro.kernel.event import Event
 from repro.osss import MethodRequest, RequestStats
 
 
-def _request(client="c", method="m", arrival=0):
-    sim = Simulator()
+def _request(client="c", method="m", arrival=0, sim=None):
+    sim = sim or Simulator()
     return MethodRequest(
         client=client,
         method=method,
@@ -21,6 +21,7 @@ def _request(client="c", method="m", arrival=0):
         kwargs={"k": 3},
         arrival_time=arrival,
         done_event=Event(sim.scheduler, "done"),
+        seq=next(sim.request_seqs),
     )
 
 
@@ -34,9 +35,12 @@ class TestMethodRequest:
         assert request.kwargs == {"k": 3}
 
     def test_sequence_numbers_monotonic(self):
-        first = _request()
-        second = _request()
+        sim = Simulator()
+        first = _request(sim=sim)
+        second = _request(sim=sim)
         assert second.seq > first.seq
+        # Each simulator counts its own calls from 0.
+        assert _request().seq == first.seq == 0
 
     def test_wait_time(self):
         request = _request(arrival=100)

@@ -1,9 +1,8 @@
-"""Tests for live campaign progress aggregation and heartbeats."""
+"""Tests for live campaign progress aggregation."""
 
 import json
-import queue
 
-from repro.telemetry.progress import CampaignProgress, HeartbeatSender
+from repro.telemetry.progress import CampaignProgress
 
 
 class _FakeClock:
@@ -69,32 +68,6 @@ class TestGauges:
         assert progress.recovery_rate is None
 
 
-class TestHeartbeats:
-    def test_drain_folds_start_and_done(self):
-        progress, __ = _progress()
-        channel = queue.Queue()
-        sender = HeartbeatSender(channel)
-        sender.start(7)
-        assert progress.drain(channel) == 1
-        (worker, (run_id, __)), = progress.workers.items()
-        assert run_id == 7
-        sender.done(7, "benign")
-        progress.drain(channel)
-        assert progress.workers[worker][0] is None
-        assert progress.heartbeats == 2
-
-    def test_drain_none_channel(self):
-        progress, __ = _progress()
-        assert progress.drain(None) == 0
-
-    def test_sender_swallows_channel_failures(self):
-        class DeadChannel:
-            def put_nowait(self, message):
-                raise OSError("pipe closed")
-
-        HeartbeatSender(DeadChannel()).start(1)  # must not raise
-
-
 class TestTicker:
     def test_tick_is_rate_limited(self):
         ticks = []
@@ -115,25 +88,21 @@ class TestTicker:
         clock.now += 2.0
         progress.record_outcome("recovered")
         progress.record_outcome("detected")
-        progress.heartbeat(4242, 5)
         line = progress.render_ticker()
         assert "runs 2/8" in line
         assert "runs/s" in line
         assert "eta" in line
         assert "recovered:1" in line
         assert "recovery 50%" in line
-        assert "workers 1/1" in line
 
     def test_snapshot_and_json(self, tmp_path):
         progress, clock = _progress()
         progress.begin(4)
         clock.now += 1.0
         progress.record_outcome("benign")
-        progress.heartbeat(99, 2)
         path = tmp_path / "progress.json"
         progress.write_json(path)
         document = json.loads(path.read_text())
         assert document["total"] == 4
         assert document["completed"] == 1
-        assert document["workers"] == {"99": {"run_id": 2}}
         assert document["classifications"] == {"benign": 1}

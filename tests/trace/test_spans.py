@@ -33,11 +33,7 @@ class _Payload:
 class _Request:
     """Minimal MethodRequest stand-in."""
 
-    _seq = 0
-
     def __init__(self, method, args=(), result=None):
-        _Request._seq += 1
-        self.seq = _Request._seq
         self.method = method
         self.client = "client"
         self.args = args
