@@ -39,7 +39,6 @@ _ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 if os.path.join(_ROOT, "src") not in sys.path:
     sys.path.insert(0, os.path.join(_ROOT, "src"))
 
-from repro.analyze import levelize  # noqa: E402
 from repro.compile import compile_module  # noqa: E402
 from repro.core import CommandType  # noqa: E402
 from repro.core.workload import _Lcg  # noqa: E402
@@ -64,8 +63,9 @@ COMMANDS = [
 ]
 
 
-def _channel_ir():
-    """The synthesized PCI channel netlist of the Figure-4 platform."""
+def _channel_analysis():
+    """The analysis of the synthesized PCI channel netlist of the
+    Figure-4 platform."""
     captured = []
     previous = set_synthesis_sink(
         lambda sim, result: captured.append(result)
@@ -78,7 +78,7 @@ def _channel_ir():
     finally:
         set_synthesis_sink(previous)
     (result,) = captured
-    return result.groups[0].channel_ir
+    return result.groups[0].analyses[0]
 
 
 def _vectors(schedule, count):
@@ -93,9 +93,9 @@ def _vectors(schedule, count):
 
 def measure_netlist() -> dict:
     """Per-evaluation cost: interpreted schedule vs generated code."""
-    module = _channel_ir()
-    schedule = levelize(module).schedule
-    netlist = compile_module(module)
+    analysis = _channel_analysis()
+    schedule = analysis.schedule
+    netlist = compile_module(analysis)
     vectors = _vectors(schedule, VECTORS)
     for env in vectors[:32]:  # sanity before timing
         assert netlist.comb(env) == schedule.evaluate(env)

@@ -14,7 +14,6 @@ from _tables import print_table
 from repro.core import generate_workload
 from repro.flow import build_platform
 from repro.kernel import MS, NS
-from repro.synthesis import SynthesisConfig
 from repro.verify import check_bus_transactions, check_traces
 
 WORKLOAD = generate_workload(seed=55, n_commands=25, address_span=0x400,
@@ -40,8 +39,7 @@ def test_exp_syn_step2_synthesize(benchmark):
     """Synthesis tool runtime (netlist generation + HDL emission)."""
 
     def run():
-        return build_platform([WORKLOAD], bus="pci", synthesize=True,
-                              synthesis_config=SynthesisConfig())
+        return build_platform([WORKLOAD], bus="pci", synthesize=True)
 
     bundle = benchmark(run)
     assert bundle.synthesis is not None

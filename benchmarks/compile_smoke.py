@@ -76,9 +76,9 @@ def check_warm_builds(runs: int = 20) -> str:
     original = compile_channel.compile_module
     original_build = fault_campaign.build_campaign_platform
 
-    def counting(module, *args, **kwargs):
-        codegen_calls.append(module.name)
-        return original(module, *args, **kwargs)
+    def counting(analysis, *args, **kwargs):
+        codegen_calls.append(analysis.module.name)
+        return original(analysis, *args, **kwargs)
 
     def counting_build(spec):
         built.append(spec.name)

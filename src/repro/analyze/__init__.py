@@ -17,10 +17,13 @@ lint rules ``NET001``–``NET004``, ``FSM001``–``FSM003`` and ``RACE001``
 into one :class:`~repro.analyze.passes.AnalysisReport` for the
 ``python -m repro analyze`` CLI and the
 :class:`~repro.flow.design_flow.DesignFlow` post-synthesis gate.
+:func:`~repro.analyze.graph.find_cycles` is the one strongly connected
+component search behind every cycle check (``MOD004``, ``GRD003``,
+``FSM003``).
 """
 
-from .graph import Driver, NetGraph
-from .passes import AnalysisReport, ModuleAnalysis, analyze_design, analyze_module
+from .graph import Driver, NetGraph, find_cycles
+from .passes import AnalysisReport, ModuleAnalysis, analyze_design
 from .schedule import (
     CombLoop,
     EvalSchedule,
@@ -42,7 +45,7 @@ __all__ = [
     "NetGraph",
     "ScheduleStep",
     "analyze_design",
-    "analyze_module",
     "evaluate_expr",
+    "find_cycles",
     "levelize",
 ]

@@ -13,6 +13,7 @@ from __future__ import annotations
 import typing
 
 from ..synthesis import ir
+from .graph import find_cycles
 
 
 class FsmFinding:
@@ -166,59 +167,6 @@ def find_false_guards(fsm: ir.Fsm) -> typing.Iterator[FsmFinding]:
             )
 
 
-def _strongly_connected(
-    states: typing.Sequence[str], successors: dict[str, set[str]]
-) -> list[list[str]]:
-    """Tarjan's SCCs, iterative, in *states* order."""
-    index: dict[str, int] = {}
-    lowlink: dict[str, int] = {}
-    on_stack: set[str] = set()
-    stack: list[str] = []
-    components: list[list[str]] = []
-    counter = [0]
-
-    def strongconnect(root: str) -> None:
-        work = [(root, iter(sorted(successors.get(root, ()))))]
-        index[root] = lowlink[root] = counter[0]
-        counter[0] += 1
-        stack.append(root)
-        on_stack.add(root)
-        while work:
-            node, successors_iter = work[-1]
-            advanced = False
-            for nxt in successors_iter:
-                if nxt not in index:
-                    index[nxt] = lowlink[nxt] = counter[0]
-                    counter[0] += 1
-                    stack.append(nxt)
-                    on_stack.add(nxt)
-                    work.append((nxt, iter(sorted(successors.get(nxt, ())))))
-                    advanced = True
-                    break
-                if nxt in on_stack:
-                    lowlink[node] = min(lowlink[node], index[nxt])
-            if advanced:
-                continue
-            work.pop()
-            if work:
-                parent = work[-1][0]
-                lowlink[parent] = min(lowlink[parent], lowlink[node])
-            if lowlink[node] == index[node]:
-                component: list[str] = []
-                while True:
-                    member = stack.pop()
-                    on_stack.discard(member)
-                    component.append(member)
-                    if member == node:
-                        break
-                components.append(component)
-
-    for state in states:
-        if state not in index:
-            strongconnect(state)
-    return components
-
-
 def find_livelock_cycles(fsm: ir.Fsm) -> typing.Iterator[FsmFinding]:
     """Reachable cycles the FSM can never leave or do work in.
 
@@ -232,14 +180,13 @@ def find_livelock_cycles(fsm: ir.Fsm) -> typing.Iterator[FsmFinding]:
     successors: dict[str, set[str]] = {s: set() for s in fsm.states}
     for transition in live:
         successors[transition.source].add(transition.target)
-    for component in _strongly_connected(fsm.states, successors):
+    ordered = {state: sorted(targets) for state, targets in successors.items()}
+    for component in find_cycles(ordered):
         members = set(component)
         internal = [
             t for t in live
             if t.source in members and t.target in members
         ]
-        if not internal:
-            continue  # trivial SCC with no self-loop: not a cycle
         if len(members) == 1 and len(fsm.states) == 1:
             continue  # a one-state FSM necessarily self-loops
         if not members & reachable:

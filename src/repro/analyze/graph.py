@@ -15,6 +15,9 @@ Reader entries are the :class:`~repro.synthesis.ir.ExprSite` occurrences
 whose expression references the net. All keying is by net *identity*
 (``id``), matching the IR's aliasing semantics: two modules may reuse a
 name, but a net object is one wire.
+
+:func:`find_cycles` is the strongly connected component search that
+every cycle check of the lint and analysis rules runs on its own graph.
 """
 
 from __future__ import annotations
@@ -173,3 +176,62 @@ class NetGraph:
 
     def net_by_id(self, net_id: int) -> ir.Net:
         return self._nets[net_id]
+
+
+_Node = typing.TypeVar("_Node", bound=typing.Hashable)
+
+
+def find_cycles(
+    successors: typing.Mapping[_Node, typing.Iterable[_Node]],
+) -> list[list[_Node]]:
+    """Strongly connected components that contain a cycle.
+
+    Tarjan's algorithm without recursion, so a cycle of any length
+    stays clear of the interpreter's recursion limit. Depth-first roots
+    are taken in *successors* key order and each node's successors in
+    their iteration order; a component is returned in the order Tarjan
+    completes it (members in stack-pop order) when it has more than one
+    member or a self-loop. A node with no entry in *successors* has no
+    successors.
+    """
+    index: dict[_Node, int] = {}
+    lowlink: dict[_Node, int] = {}
+    on_stack: set[_Node] = set()
+    stack: list[_Node] = []
+    cycles: list[list[_Node]] = []
+
+    def visit(node: _Node) -> tuple[_Node, typing.Iterator[_Node]]:
+        index[node] = lowlink[node] = len(index)
+        stack.append(node)
+        on_stack.add(node)
+        return node, iter(successors.get(node, ()))
+
+    for root in successors:
+        if root in index:
+            continue
+        work = [visit(root)]
+        while work:
+            node, pending = work[-1]
+            for successor in pending:
+                if successor not in index:
+                    work.append(visit(successor))
+                    break
+                if successor in on_stack:
+                    lowlink[node] = min(lowlink[node], index[successor])
+            else:
+                work.pop()
+                if work:
+                    parent = work[-1][0]
+                    lowlink[parent] = min(lowlink[parent], lowlink[node])
+                if lowlink[node] != index[node]:
+                    continue
+                component: list[_Node] = []
+                while True:
+                    member = stack.pop()
+                    on_stack.discard(member)
+                    component.append(member)
+                    if member == node:
+                        break
+                if len(component) > 1 or node in successors.get(node, ()):
+                    cycles.append(component)
+    return cycles

@@ -1,13 +1,14 @@
 """Analysis pass driver and the :class:`AnalysisReport` artifact.
 
-:func:`analyze_module` runs the per-netlist structural passes (graph,
+:class:`ModuleAnalysis` runs the per-netlist structural passes (graph,
 levelization, FSM, X-propagation) over one
-:class:`~repro.synthesis.ir.RtlModule`; the resulting
-:class:`ModuleAnalysis` is what every IR lint rule reads.
-:func:`analyze_design` builds one per netlist of a
-:class:`~repro.synthesis.tool.SynthesisResult`, lints each with the IR
-rules (including ``NET001``–``NET004`` / ``FSM001``–``FSM003``), adds
-the design-level ``RACE001`` race check, and returns one
+:class:`~repro.synthesis.ir.RtlModule`; it is what every IR lint rule
+reads. The synthesizer builds one per netlist when it first derives a
+group shape and keeps it with the netlists
+(:attr:`~repro.synthesis.tool.SynthesizedGroup.analyses`).
+:func:`analyze_design` lints each of those analyses with the IR rules
+(including ``NET001``–``NET004`` / ``FSM001``–``FSM003``), adds the
+design-level ``RACE001`` race check, and returns one
 :class:`AnalysisReport` — what the ``python -m repro analyze`` CLI
 prints and the :class:`~repro.flow.design_flow.DesignFlow`
 post-synthesis gate checks.
@@ -36,10 +37,10 @@ class ModuleAnalysis:
     def __init__(self, module: ir.RtlModule) -> None:
         self.module = module
         self.graph = NetGraph(module)
-        self.levelization: LevelizationResult = levelize(module, self.graph)
+        self.levelization: LevelizationResult = levelize(self.graph)
         self.fsm_findings: list[FsmFinding] = analyze_fsms(module)
         self.xprop_findings: list[XPropFinding] = find_x_propagation(
-            module, self.graph
+            self.graph
         )
 
     @property
@@ -74,11 +75,6 @@ class ModuleAnalysis:
             for f in self.xprop_findings
         ]
         return payload
-
-
-def analyze_module(module: ir.RtlModule) -> ModuleAnalysis:
-    """Run the structural passes over one netlist."""
-    return ModuleAnalysis(module)
 
 
 class AnalysisReport:
@@ -139,7 +135,10 @@ def analyze_design(
     config: "LintConfig | None" = None,
     label: str = "design",
 ) -> AnalysisReport:
-    """Analyze every netlist of a synthesis run.
+    """Lint the analysis of every netlist of a synthesis run.
+
+    The analyses are the ones synthesis built (one per netlist, shared
+    by every group of the same shape); none is rebuilt here.
 
     :param sim: the built simulator; when given, the design-level
         ``RACE001`` shared-state race check runs too.
@@ -157,11 +156,9 @@ def analyze_design(
     report = AnalysisReport(label)
     engine = LintEngine(config)
     for group in result.groups:
-        for module in (group.channel_ir, group.object_ir,
-                       *group.dispatch_irs):
-            analysis = analyze_module(module)
+        for analysis in group.analyses:
             report.modules.append(analysis)
-            report.lint.extend(engine.run(analysis, IR, module.name))
+            report.lint.extend(engine.run(analysis, IR, analysis.module.name))
     if sim is not None:
         race_registry = RuleRegistry()
         race_registry.register(type(default_registry.get("RACE001"))())

@@ -25,17 +25,10 @@ import ast
 import typing
 
 from ..hdl.signal import Signal
-from ..lint.astutils import (
-    MUTATING_METHODS,
-    attr_chain,
-    class_method_asts,
-    first_arg_name,
-    self_attr_writes,
-)
+from ..lint.astutils import MUTATING_METHODS, attr_chain, first_arg_name
 
 if typing.TYPE_CHECKING:  # pragma: no cover - import cycle guard
-    from ..lint.context import DesignContext, ProcessInfo
-    from ..osss.global_object import GlobalObject
+    from ..lint.context import DesignContext, GroupView, ProcessInfo
 
 
 class OutOfBandWrite:
@@ -105,25 +98,9 @@ def _resolve_positions(
     return positions
 
 
-class _GroupFacts:
-    """Identity map of one connection group's shared state."""
-
-    def __init__(self, root: "GlobalObject") -> None:
-        self.root = root
-        self.path = root.path
-        self.space = root.space
-        self.state = self.space.state
-        cls = type(self.state)
-        self.method_writes: dict[str, set[str]] = {
-            name: self_attr_writes(node)
-            for name, node in class_method_asts(cls).items()
-            if name != "__init__"
-        }
-
-
 def _scan_out_of_band(
-    info: "ProcessInfo", states: dict[int, _GroupFacts]
-) -> typing.Iterator[tuple[_GroupFacts, OutOfBandWrite]]:
+    info: "ProcessInfo", states: dict[int, GroupView]
+) -> typing.Iterator[tuple[GroupView, OutOfBandWrite]]:
     """Direct state mutations in one process body."""
     if not info.analyzable:
         return
@@ -136,7 +113,7 @@ def _scan_out_of_band(
 
     def state_hit(
         chain: typing.Sequence[str],
-    ) -> tuple[_GroupFacts, int] | None:
+    ) -> tuple[GroupView, int] | None:
         if not chain or chain[0] != self_name:
             return None
         positions = _resolve_positions(instance, chain)
@@ -200,10 +177,7 @@ def _scan_out_of_band(
 
 def analyze_races(design: "DesignContext") -> list[RaceFinding]:
     """All shared-state race findings of *design*, sorted by path."""
-    groups = [
-        _GroupFacts(handles[0]._root())
-        for handles in design.connection_groups()
-    ]
+    groups = design.group_views()
     states = {id(facts.state): facts for facts in groups}
 
     # Which method bodies the arbiter actually runs for each group.

@@ -293,17 +293,15 @@ def _extract_loop(
     return CombLoop([graph.net_by_id(net_id) for net_id in reversed(cycle)])
 
 
-def levelize(
-    module: ir.RtlModule, graph: NetGraph | None = None
-) -> LevelizationResult:
-    """Levelize *module*'s combinational netlist.
+def levelize(graph: NetGraph) -> LevelizationResult:
+    """Levelize the combinational netlist of *graph*'s module.
 
     Kahn's algorithm over the comb dependency graph. If every comb net
     sorts, the result carries an :class:`EvalSchedule`; any leftover
     strongly-connected remainder is reported as :class:`CombLoop`\\ s
     (one representative cycle per connected remainder component).
     """
-    graph = graph or NetGraph(module)
+    module = graph.module
     edges = graph.comb_dependencies()
     steps = _comb_steps(graph)
     pending = {net_id: set(deps) for net_id, deps in edges.items()}

@@ -47,10 +47,8 @@ def x_sources(module: ir.RtlModule) -> list[ir.Register]:
     return [r for r in module.registers if not r.has_reset]
 
 
-def find_x_propagation(
-    module: ir.RtlModule, graph: NetGraph | None = None
-) -> list[XPropFinding]:
-    """Tainted output ports of *module*, one finding per port.
+def find_x_propagation(graph: NetGraph) -> list[XPropFinding]:
+    """Tainted output ports of *graph*'s module, one finding per port.
 
     Breadth-first over combinational drivers only: the taint of net *n*
     comes from any comb driver of *n* reading a tainted source. Clocked
@@ -58,7 +56,7 @@ def find_x_propagation(
     clocked assigns to other unreset registers add nothing new — those
     registers are roots already.
     """
-    graph = graph or NetGraph(module)
+    module = graph.module
     roots = x_sources(module)
     if not roots:
         return []

@@ -30,8 +30,8 @@ backends:
 
 from __future__ import annotations
 
+from ..analyze.passes import ModuleAnalysis
 from ..errors import SynthesisError
-from ..synthesis.ir import RtlModule
 from ..synthesis.rtl_channel import (
     ST_DONE,
     ST_EXEC,
@@ -42,8 +42,11 @@ from ..synthesis.rtl_channel import (
 from .codegen import CompiledNetlist, compile_module
 
 
-def compile_channel_ir(module: RtlModule, n_clients: int) -> CompiledNetlist:
-    """Lower a channel IR to the step a :class:`CompiledChannel` drives.
+def compile_channel_ir(
+    analysis: ModuleAnalysis, n_clients: int
+) -> CompiledNetlist:
+    """Lower an analyzed channel IR to the step a :class:`CompiledChannel`
+    drives.
 
     Grant selection and per-client eligibility stay external inputs (the
     shared arbiter policy and the behavioural guards supply them), and
@@ -51,7 +54,7 @@ def compile_channel_ir(module: RtlModule, n_clients: int) -> CompiledNetlist:
     """
     external = ["arb_grant_index"] + [f"eligible_{i}" for i in range(n_clients)]
     return compile_module(
-        module, external=external, skip_register_prefixes=("arb_",)
+        analysis, external=external, skip_register_prefixes=("arb_",)
     )
 
 

@@ -24,6 +24,7 @@ from .codegen import CodegenError, CompiledNetlist, compile_module
 from .yosys import emit_yosys_script
 
 if typing.TYPE_CHECKING:  # pragma: no cover - import cycle guard
+    from ..analyze.schedule import EvalSchedule
     from ..kernel.simulator import Simulator
     from ..synthesis.tool import SynthesisResult
 
@@ -56,16 +57,11 @@ def add_arguments(parser: argparse.ArgumentParser) -> None:
 
 
 def _cross_check(
-    module, netlist: CompiledNetlist, vectors: int, seed: int
+    schedule: "EvalSchedule", netlist: CompiledNetlist, vectors: int,
+    seed: int,
 ) -> "tuple[int, str | None]":
     """Compare ``netlist.comb`` with the levelized interpreter on
     seeded random boundary vectors; ``(checked, first_mismatch)``."""
-    from ..analyze.schedule import levelize
-
-    result = levelize(module)
-    if result.schedule is None:
-        return 0, "module has combinational loops"
-    schedule = result.schedule
     boundary = sorted(schedule.boundary_nets(), key=lambda net: net.name)
     rng = _Lcg(seed ^ 0x5EED)
     for _ in range(vectors):
@@ -110,10 +106,11 @@ def run(args: argparse.Namespace) -> int:
     failed = False
     for run_index, (__, result) in enumerate(captured):
         for group in result.groups:
-            module = group.channel_ir
+            analysis = group.analyses[0]  # the channel netlist
+            module = analysis.module
             label = f"run{run_index}/{module.name}"
             try:
-                netlist = compile_module(module)
+                netlist = compile_module(analysis)
             except CodegenError as error:
                 lines.append(f"{label}: CODEGEN FAILED: {error}")
                 failed = True
@@ -126,8 +123,9 @@ def run(args: argparse.Namespace) -> int:
                 f"{stats['source_lines']} generated lines"
             )
             if args.check:
+                # compile_module succeeded, so the netlist levelized.
                 checked, mismatch = _cross_check(
-                    module, netlist, args.check, seed
+                    analysis.schedule, netlist, args.check, seed
                 )
                 if mismatch is None:
                     lines.append(

@@ -52,7 +52,8 @@ from __future__ import annotations
 import keyword
 import typing
 
-from ..analyze.schedule import EvalSchedule, EvaluationError, levelize
+from ..analyze.passes import ModuleAnalysis
+from ..analyze.schedule import EvalSchedule, EvaluationError
 from ..errors import ReproError
 from ..synthesis import ir
 
@@ -281,12 +282,15 @@ def _comb_closure(
 
 
 def compile_module(
-    module: ir.RtlModule,
+    analysis: ModuleAnalysis,
     external: typing.Sequence[str] = (),
     skip_register_prefixes: typing.Sequence[str] = (),
 ) -> CompiledNetlist:
-    """Lower *module* to a :class:`CompiledNetlist`.
+    """Lower the analyzed netlist to a :class:`CompiledNetlist`.
 
+    :param analysis: the netlist's
+        :class:`~repro.analyze.passes.ModuleAnalysis`; its levelization
+        orders the generated code.
     :param external: net names whose values the runtime supplies as
         inputs instead of their netlist drivers (cutting their cones
         out of the generated code).
@@ -294,7 +298,8 @@ def compile_module(
         an externally-substituted cone; their clocked assigns are
         dropped and they carry no state in the compiled register file.
     """
-    result = levelize(module)
+    module = analysis.module
+    result = analysis.levelization
     if not result.ok:
         loops = "; ".join(loop.describe() for loop in result.loops)
         raise CodegenError(

@@ -104,8 +104,7 @@ class PciPlatformConfig:
         #: Execution backend for synthesized channels: "interpreted"
         #: (the generator-based RTL channel) or "compiled" (the
         #: generated-code core from repro.compile). Takes effect when a
-        #: builder runs with synthesize=True; an explicit
-        #: synthesis_config passed to the builder wins over this knob.
+        #: builder runs with synthesize=True.
         self.backend = backend
 
     def with_backend(self, backend: str) -> "PciPlatformConfig":
@@ -387,7 +386,6 @@ def build_platform(
     bus: str = "pci",
     synthesize: bool = False,
     label: str | None = None,
-    synthesis_config: object | None = None,
     element: type | None = None,
 ) -> PlatformBundle:
     """Build the example system behind any library interface element.
@@ -429,13 +427,11 @@ def build_platform(
     if synthesize:
         from ..synthesis.tool import SynthesisConfig, synthesize_communication
 
-        if synthesis_config is None:
-            synthesis_config = SynthesisConfig(
-                backend=config.backend,
-                data_width=config.params.data_width,
-            )
         synthesis = synthesize_communication(
-            sim, top.clock.clk, synthesis_config  # type: ignore[arg-type]
+            sim, top.clock.clk,
+            SynthesisConfig(
+                backend=config.backend, data_width=config.params.data_width
+            ),
         )
     if label is None:
         label = _default_label(family, synthesize)

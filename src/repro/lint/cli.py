@@ -1,10 +1,11 @@
 """``python -m repro lint`` — lint the canonical example platforms.
 
-Builds each checked-in platform (functional, PCI pin-accurate, PCI
-post-synthesis, Wishbone), runs the design-level rules over the built
-models and the IR-level rules over every synthesized netlist, and exits
-non-zero when any error-severity finding survives the suppression list.
-This is the command CI runs to keep the examples lint-clean.
+Builds each platform of :data:`TARGETS` (functional, PCI pin-accurate,
+PCI post-synthesis, Wishbone, AXI4-Lite, TLM generic payload), runs
+the design-level rules over the built models and the IR-level rules
+over every synthesized netlist, and exits non-zero when any
+error-severity finding survives the suppression list. This is the
+command CI runs to keep the examples lint-clean.
 """
 
 from __future__ import annotations
@@ -12,6 +13,7 @@ from __future__ import annotations
 import argparse
 import typing
 
+from ..analyze.passes import analyze_design
 from .diagnostics import LintReport
 from .engine import (
     LintConfig,
@@ -19,7 +21,7 @@ from .engine import (
     default_registry,
     validate_suppressions,
 )
-from .runner import lint_design, lint_synthesis
+from .runner import lint_design
 from .sarif import render_json, render_sarif
 
 #: Canonical platform labels, in lint order.
@@ -43,7 +45,9 @@ def _lint_target(
         bundle = build_platform(workloads, bus="pci", synthesize=True)
         return [
             lint_design(bundle.handle.sim, config, label=target),
-            lint_synthesis(bundle.synthesis, config, label=f"{target} netlists"),
+            analyze_design(
+                bundle.synthesis, config=config, label=f"{target} netlists"
+            ).lint,
         ]
     if target in ("functional", "pci", "wishbone", "axi4lite", "tlmgp"):
         bundle = build_platform(workloads, bus=target)

@@ -13,6 +13,11 @@ guard-level rules consume:
   (following ``yield from self.helper(...)`` and plain method calls a
   few levels deep, across object boundaries).
 
+Per connection group it keeps one :class:`GroupView` of the shared
+state (which attributes each method writes, what each guard reads and
+what it returns on the initial state), built on first use and shared by
+the guard, resilience and race rules.
+
 Resolution is identity-based: an attribute chain in the source is
 resolved with ``getattr`` on the process's bound instance, so aliasing
 through ports and nested objects is handled for free, and anything that
@@ -23,6 +28,7 @@ code).
 from __future__ import annotations
 
 import ast
+import copy
 import typing
 
 from ..hdl.port import Port
@@ -199,6 +205,85 @@ class ProcessInfo:
         self._scan(_ScanContext(helper_node, helper_instance), depth + 1, seen)
 
 
+class GroupView:
+    """Pre-chewed facts about one connection group's shared state.
+
+    Built once per :class:`DesignContext` (see
+    :meth:`DesignContext.group_views`) and read by the guard (GRD),
+    resilience (RES) and race (RACE) rules.
+    """
+
+    def __init__(self, root: GlobalObject) -> None:
+        self.root = root
+        self.space = root.space
+        self.state = self.space.state
+        self.cls = type(self.state)
+        self.path = root.path
+        #: method name -> attributes it writes (mutation heuristic).
+        self.method_writes: dict[str, set[str]] = {
+            name: astutils.self_attr_writes(node)
+            for name, node in astutils.class_method_asts(self.cls).items()
+            if name != "__init__"
+        }
+        self._reads_cache: dict[int, set[str] | None] = {}
+        self._eval_cache: dict[int, object] = {}
+
+    def guarded(self) -> list[tuple[str, typing.Any]]:
+        """``(name, descriptor)`` for methods that carry a guard."""
+        return sorted(
+            (name, descriptor)
+            for name, descriptor in self.space.methods.items()
+            if descriptor.guard is not None
+        )
+
+    def guard_reads(self, descriptor: typing.Any) -> set[str] | None:
+        """State attributes the guard depends on (property-expanded).
+
+        ``None`` when the guard source is unavailable.
+        """
+        key = id(descriptor)
+        if key not in self._reads_cache:
+            node = astutils.callable_ast(descriptor.guard)
+            self._reads_cache[key] = None if node is None else (
+                astutils.expand_guard_reads(
+                    self.cls, astutils.self_attr_reads(node)
+                )
+            )
+        return self._reads_cache[key]
+
+    def enabling_writers(self, reads: set[str]) -> set[str]:
+        """Methods whose writes intersect the guard's read set."""
+        return {
+            name
+            for name, writes in self.method_writes.items()
+            if writes & reads
+        }
+
+    def eval_guard(self, descriptor: typing.Any) -> object:
+        """Evaluate the guard on a copy of the *initial* state.
+
+        Returns :data:`UNRESOLVED` when the state cannot be copied or the
+        guard raises (both mean "cannot tell statically"). The verdict
+        is deterministic over the initial state, so it is memoized per
+        descriptor (one deepcopy per guard per run, however many rules
+        ask).
+        """
+        key = id(descriptor)
+        if key not in self._eval_cache:
+            self._eval_cache[key] = self._eval_guard_uncached(descriptor)
+        return self._eval_cache[key]
+
+    def _eval_guard_uncached(self, descriptor: typing.Any) -> object:
+        try:
+            probe = copy.deepcopy(self.state)
+        except Exception:
+            return UNRESOLVED
+        try:
+            return descriptor.guard(probe)
+        except Exception:
+            return UNRESOLVED
+
+
 class DesignContext:
     """Cached static view of one design for the module/guard rules."""
 
@@ -229,13 +314,17 @@ class DesignContext:
 
     # -- derived maps ---------------------------------------------------------
 
-    def connection_groups(self) -> list[list[GlobalObject]]:
-        """Handles grouped by shared state space, sorted by path."""
-        by_root: dict[int, list[GlobalObject]] = {}
-        for handle in self.global_objects:
-            by_root.setdefault(id(handle._root()), []).append(handle)
-        groups = [sorted(h, key=lambda x: x.path) for h in by_root.values()]
-        return sorted(groups, key=lambda g: g[0].path)
+    def group_views(self) -> list[GroupView]:
+        """One :class:`GroupView` per connection group, sorted by the
+        path of the group's first handle; built on first use."""
+        return self.cached("group_views", self._build_group_views)
+
+    def _build_group_views(self) -> list[GroupView]:
+        roots: dict[int, GlobalObject] = {}
+        for handle in sorted(self.global_objects, key=lambda h: h.path):
+            root = handle._root()
+            roots.setdefault(id(root), root)
+        return [GroupView(root) for root in roots.values()]
 
     def signal_writers(self) -> dict[int, list[ProcessInfo]]:
         """``id(signal) -> processes that statically write it``."""

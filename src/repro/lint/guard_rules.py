@@ -19,104 +19,18 @@ check exactly that, statically, per connection group:
 from __future__ import annotations
 
 import ast
-import copy
 import typing
 
+from ..analyze.graph import find_cycles
 from ..hdl.port import Port
 from ..hdl.signal import Signal
 from ..kernel.event import Event
 from ..kernel.process import Process
-from ..osss.global_object import GlobalObject
 from . import astutils
 from .astutils import UNRESOLVED
-from .context import DesignContext
+from .context import DesignContext, GroupView
 from .diagnostics import Diagnostic, Severity
 from .engine import DESIGN, LintRule, register
-
-
-class _GroupView:
-    """Pre-chewed facts about one connection group."""
-
-    def __init__(self, handles: list[GlobalObject]) -> None:
-        self.handles = handles
-        self.root = handles[0]._root()
-        self.space = self.root.space
-        self.cls = type(self.space.state)
-        self.state = self.space.state
-        self.path = self.root.path
-        self.method_asts = astutils.class_method_asts(self.cls)
-        #: method name -> attributes it writes (mutation heuristic).
-        self.method_writes: dict[str, set[str]] = {
-            name: astutils.self_attr_writes(node)
-            for name, node in self.method_asts.items()
-            if name != "__init__"
-        }
-        self._reads_cache: dict[int, set[str] | None] = {}
-        self._eval_cache: dict[int, object] = {}
-
-    def guarded(self) -> list[tuple[str, typing.Any]]:
-        """``(name, descriptor)`` for methods that carry a guard."""
-        return sorted(
-            (name, descriptor)
-            for name, descriptor in self.space.methods.items()
-            if descriptor.guard is not None
-        )
-
-    def guard_reads(self, descriptor: typing.Any) -> set[str] | None:
-        """State attributes the guard depends on (property-expanded).
-
-        ``None`` when the guard source is unavailable.
-        """
-        key = id(descriptor)
-        if key not in self._reads_cache:
-            node = astutils.callable_ast(descriptor.guard)
-            self._reads_cache[key] = None if node is None else (
-                astutils.expand_guard_reads(
-                    self.cls, astutils.self_attr_reads(node)
-                )
-            )
-        return self._reads_cache[key]
-
-    def enabling_writers(self, reads: set[str]) -> set[str]:
-        """Methods whose writes intersect the guard's read set."""
-        return {
-            name
-            for name, writes in self.method_writes.items()
-            if writes & reads
-        }
-
-    def eval_guard(self, descriptor: typing.Any) -> object:
-        """Evaluate the guard on a copy of the *initial* state.
-
-        Returns :data:`UNRESOLVED` when the state cannot be copied or the
-        guard raises (both mean "cannot tell statically"). The verdict
-        is deterministic over the initial state, so it is memoized per
-        descriptor (one deepcopy per guard per run, however many rules
-        ask).
-        """
-        key = id(descriptor)
-        if key not in self._eval_cache:
-            self._eval_cache[key] = self._eval_guard_uncached(descriptor)
-        return self._eval_cache[key]
-
-    def _eval_guard_uncached(self, descriptor: typing.Any) -> object:
-        try:
-            probe = copy.deepcopy(self.state)
-        except Exception:
-            return UNRESOLVED
-        try:
-            return descriptor.guard(probe)
-        except Exception:
-            return UNRESOLVED
-
-
-def _group_views(design: DesignContext) -> list[_GroupView]:
-    """Group views, built once per :class:`DesignContext` and shared by
-    every GRD/RES rule through :meth:`DesignContext.cached`."""
-    return design.cached(
-        "guard.group_views",
-        lambda: [_GroupView(handles) for handles in design.connection_groups()],
-    )
 
 
 @register
@@ -130,7 +44,7 @@ class ImpureGuardRule(LintRule):
     description = "guards must be pure predicates over the shared state"
 
     def check(self, design: DesignContext) -> typing.Iterator[Diagnostic]:
-        for group in _group_views(design):
+        for group in design.group_views():
             for method_name, descriptor in group.guarded():
                 node = astutils.callable_ast(descriptor.guard)
                 if node is None:
@@ -153,7 +67,7 @@ class ImpureGuardRule(LintRule):
                     )
 
     @staticmethod
-    def _simulation_reads(group: _GroupView, node: astutils.FunctionNode
+    def _simulation_reads(group: GroupView, node: astutils.FunctionNode
                           ) -> list[str]:
         self_name = astutils.first_arg_name(node)
         found: list[str] = []
@@ -183,7 +97,7 @@ class DeadGuardRule(LintRule):
     )
 
     def check(self, design: DesignContext) -> typing.Iterator[Diagnostic]:
-        for group in _group_views(design):
+        for group in design.group_views():
             for method_name, descriptor in group.guarded():
                 reads = group.guard_reads(descriptor)
                 if reads is None:
@@ -238,9 +152,7 @@ class GuardWaitCycleRule(LintRule):
             if dependencies is None:
                 continue
             edges[key] = {id(dep) for dep in dependencies}
-        from .module_rules import _find_cycles
-
-        for cycle in _find_cycles(edges):
+        for cycle in find_cycles(edges):
             chain = sorted(labels[node] for node in cycle)
             yield self.emit(
                 chain[0].split(" -> ")[1],
@@ -262,7 +174,7 @@ class GuardWaitCycleRule(LintRule):
 
     @staticmethod
     def _build_call_sites(design: DesignContext) -> list[dict]:
-        groups = {id(g.root): g for g in _group_views(design)}
+        groups = {id(g.root): g for g in design.group_views()}
         sites: list[dict] = []
         for info in design.processes:
             if not info.analyzable or info.process.kind != Process.THREAD:
@@ -289,7 +201,7 @@ class GuardWaitCycleRule(LintRule):
     @staticmethod
     def _dependencies(site: dict, sites: list[dict]) -> "list[dict] | None":
         """Blocking sites *site* waits on; ``None`` when it can proceed."""
-        group: _GroupView = site["group"]
+        group: GroupView = site["group"]
         descriptor = site["descriptor"]
         reads = group.guard_reads(descriptor) if descriptor else None
         if not reads:
@@ -341,7 +253,7 @@ class NonBoolGuardRule(LintRule):
     )
 
     def check(self, design: DesignContext) -> typing.Iterator[Diagnostic]:
-        for group in _group_views(design):
+        for group in design.group_views():
             for method_name, descriptor in group.guarded():
                 value = group.eval_guard(descriptor)
                 if value is UNRESOLVED or isinstance(value, bool):

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import typing
 
+from ..analyze.graph import find_cycles
 from ..kernel.process import Process
 from .context import DesignContext, ProcessInfo
 from .diagnostics import Diagnostic, Severity
@@ -152,7 +153,7 @@ class CombinationalLoopRule(LintRule):
                 if writes[id(producer)] & reads[id(consumer)]:
                     edges[id(producer)].add(id(consumer))
 
-        for cycle in _find_cycles(edges):
+        for cycle in find_cycles(edges):
             names = [by_id[node].process.name for node in cycle]
             anchor = min(names)
             yield self.emit(
@@ -226,40 +227,3 @@ class InterfaceElementShapeRule(LintRule):
                     "spawn the protocol dispatcher (self.thread(...)) in "
                     "the element's __init__",
                 )
-
-
-def _find_cycles(edges: dict[int, set[int]]) -> list[tuple[int, ...]]:
-    """Strongly connected components with >1 node, plus self-loops."""
-    index_counter = [0]
-    stack: list[int] = []
-    lowlink: dict[int, int] = {}
-    index: dict[int, int] = {}
-    on_stack: set[int] = set()
-    cycles: list[tuple[int, ...]] = []
-
-    def strongconnect(node: int) -> None:
-        index[node] = lowlink[node] = index_counter[0]
-        index_counter[0] += 1
-        stack.append(node)
-        on_stack.add(node)
-        for successor in edges.get(node, ()):
-            if successor not in index:
-                strongconnect(successor)
-                lowlink[node] = min(lowlink[node], lowlink[successor])
-            elif successor in on_stack:
-                lowlink[node] = min(lowlink[node], index[successor])
-        if lowlink[node] == index[node]:
-            component: list[int] = []
-            while True:
-                member = stack.pop()
-                on_stack.discard(member)
-                component.append(member)
-                if member == node:
-                    break
-            if len(component) > 1 or node in edges.get(node, ()):
-                cycles.append(tuple(component))
-
-    for node in list(edges):
-        if node not in index:
-            strongconnect(node)
-    return cycles

@@ -4,11 +4,11 @@ These are what the flow, the synthesis tool and the CLI call:
 
 * :func:`lint_design` — run the module- and guard-level rules over a
   built :class:`~repro.kernel.simulator.Simulator`;
-* :func:`lint_rtl_module` — run the IR rules over one
+* :func:`lint_rtl_module` — run the IR rules over one bare
   :class:`~repro.synthesis.ir.RtlModule` (each rule reads the one
-  :class:`~repro.analyze.passes.ModuleAnalysis` built for it);
-* :func:`lint_synthesis` — run the IR rules over every netlist of a
-  :class:`~repro.synthesis.tool.SynthesisResult`;
+  :class:`~repro.analyze.passes.ModuleAnalysis` built for it; the
+  netlists of a synthesis run already carry theirs, which
+  :func:`~repro.analyze.passes.analyze_design` lints);
 * :func:`lint_campaign` — run the FLT rules over a fault
   :class:`~repro.fault.spec.CampaignSpec` before spending runs on it.
 
@@ -37,7 +37,6 @@ from . import resilience_rules as _resilience_rules  # noqa: F401
 if typing.TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from ..fault.spec import CampaignSpec
     from ..synthesis.ir import RtlModule
-    from ..synthesis.tool import SynthesisResult
 
 
 def lint_design(
@@ -77,19 +76,3 @@ def lint_campaign(
     bundle = build_campaign_platform(spec)
     engine = LintEngine(config, registry)
     return engine.run(CampaignContext(spec, bundle), CAMPAIGN, spec.name)
-
-
-def lint_synthesis(
-    result: "SynthesisResult",
-    config: LintConfig | None = None,
-    registry: RuleRegistry | None = None,
-    label: str = "synthesis",
-) -> LintReport:
-    """Run the IR rules over every netlist a synthesis run produced."""
-    engine = LintEngine(config, registry)
-    report = LintReport(label)
-    for group in result.groups:
-        modules = [group.channel_ir, group.object_ir, *group.dispatch_irs]
-        for module in modules:
-            report.extend(engine.run(ModuleAnalysis(module), IR, module.name))
-    return report

@@ -54,7 +54,7 @@ def _expr(expr: Expr) -> str:
         operand = expr.operand
         if isinstance(operand, Ref):
             return f"{operand.net.name}[{expr.index}]"
-        return f"({_expr(operand)} >> {expr.index}) & 1'b1"
+        return f"(({_expr(operand)} >> {expr.index}) & 1'b1)"
     if isinstance(expr, Concat):
         return "{" + ", ".join(_expr(part) for part in expr.parts) + "}"
     raise SynthesisError(f"cannot emit expression {expr!r}")

@@ -8,10 +8,10 @@ matching structural netlists, HDL text and the synthesis report along
 the way. Application code is untouched: its guarded-method calls are
 served by the synthesized channel from then on.
 
-Only the channel instance is built per group. The netlists, HDL,
-report rows and compiled code depend on nothing but the group's
-:class:`GroupShape`, so :func:`synthesize_group_shape` derives each
-distinct shape once per process and every later group shares it.
+Only the channel instance is built per group. The netlists, their
+analyses, HDL, report rows and compiled code depend on nothing but the
+group's :class:`GroupShape`, so :func:`synthesize_group_shape` derives
+each distinct shape once per process and every later group shares it.
 """
 
 from __future__ import annotations
@@ -36,6 +36,7 @@ from .report import ModuleReport, SynthesisReport
 from .rtl_channel import RtlMethodChannel
 
 if typing.TYPE_CHECKING:
+    from ..analyze.passes import ModuleAnalysis
     from ..compile.channel import CompiledChannel
     from ..compile.codegen import CompiledNetlist
 
@@ -87,21 +88,23 @@ class SynthesizedGroup:
         name: str,
         handles: list[GlobalObject],
         channel: RtlMethodChannel,
-        channel_ir,
-        object_ir,
-        verilog: str,
-        vhdl: str,
-        dispatch_irs: list | None = None,
+        netlists: "GroupNetlists",
     ) -> None:
         self.name = name
         self.handles = handles
         self.channel = channel
-        self.channel_ir = channel_ir
-        self.object_ir = object_ir
-        self.verilog = verilog
-        self.vhdl = vhdl
+        #: One :class:`~repro.analyze.passes.ModuleAnalysis` per netlist:
+        #: the channel, the object server, then each polymorphic dispatch.
+        #: Shared by every group of the same shape; read-only.
+        self.analyses = netlists.analyses
+        self.channel_ir = netlists.analyses[0].module
+        self.object_ir = netlists.analyses[1].module
         #: Netlists of polymorphic dispatches found in the object state.
-        self.dispatch_irs = dispatch_irs or []
+        self.dispatch_irs = [
+            analysis.module for analysis in netlists.analyses[2:]
+        ]
+        self.verilog = netlists.verilog
+        self.vhdl = netlists.vhdl
 
 
 class SynthesisResult:
@@ -147,18 +150,27 @@ def set_synthesis_sink(
     return previous
 
 
-def _lint_group_netlists(group_name: str, modules: list) -> None:
-    """IR sanity pass over one group's netlists; errors abort synthesis."""
-    # Imported lazily: the lint package imports synthesis.ir.
-    from ..lint.runner import lint_rtl_module
+def _analyze_group_netlists(
+    group_name: str, modules: list[RtlModule]
+) -> "tuple[ModuleAnalysis, ...]":
+    """Analyze and IR-lint one group's netlists; errors abort synthesis."""
+    # Imported lazily: the analyze and lint packages import
+    # synthesis.ir. Importing the lint runner registers every IR rule.
+    from ..analyze.passes import ModuleAnalysis
+    from ..lint.runner import IR, LintEngine
 
+    engine = LintEngine()
+    analyses = []
     for module in modules:
-        report = lint_rtl_module(module)
+        analysis = ModuleAnalysis(module)
+        report = engine.run(analysis, IR, module.name)
         if report.has_errors:
             raise SynthesisError(
                 f"group {group_name!r}: netlist {module.name!r} failed the "
                 "IR design rules:\n" + report.render()
             )
+        analyses.append(analysis)
+    return tuple(analyses)
 
 
 class GroupShape(typing.NamedTuple):
@@ -192,12 +204,12 @@ class GroupNetlists(typing.NamedTuple):
     """What one :class:`GroupShape` synthesizes to.
 
     Shared by every group of that shape in the process, so it is
-    read-only: nothing mutates an IR module after synthesis.
+    read-only: nothing mutates an IR module or its analysis after
+    synthesis.
     """
 
-    channel_ir: RtlModule
-    object_ir: RtlModule
-    dispatch_irs: tuple[RtlModule, ...]
+    #: One analysis per netlist: channel, object server, dispatches.
+    analyses: "tuple[ModuleAnalysis, ...]"
     modules: tuple[ModuleReport, ...]
     dispatches: tuple[DispatchInfo, ...]
     verilog: str
@@ -246,11 +258,13 @@ def _group_shape(
 
 @functools.lru_cache(maxsize=32)
 def synthesize_group_shape(shape: GroupShape) -> GroupNetlists:
-    """Build, lint, emit and (compiled backend) lower one group shape.
+    """Build, analyze, lint, emit and (compiled backend) lower one
+    group shape.
 
     Memoized: each distinct shape is synthesized once per process, and
-    every later group of that shape gets the same :class:`GroupNetlists`.
-    A lint failure raises and is not cached, so it raises on every call.
+    every later group of that shape gets the same :class:`GroupNetlists`,
+    analyses included. A lint failure raises and is not cached, so it
+    raises on every call.
     """
     channel_ir = build_channel_ir(
         shape.group_name,
@@ -279,7 +293,7 @@ def synthesize_group_shape(shape: GroupShape) -> GroupNetlists:
         dispatch_irs.append(dispatch_module)
         dispatches.append(dispatch_info)
     modules = [channel_ir, object_ir, *dispatch_irs]
-    _lint_group_netlists(shape.group_name, modules)
+    analyses = _analyze_group_netlists(shape.group_name, modules)
     verilog = vhdl = ""
     if shape.emit_hdl:
         verilog = "\n\n".join(emit_verilog(module) for module in modules)
@@ -289,11 +303,9 @@ def synthesize_group_shape(shape: GroupShape) -> GroupNetlists:
         # Imported lazily: repro.compile imports synthesis and analyze.
         from ..compile.channel import compile_channel_ir
 
-        compiled = compile_channel_ir(channel_ir, shape.n_clients)
+        compiled = compile_channel_ir(analyses[0], shape.n_clients)
     return GroupNetlists(
-        channel_ir,
-        object_ir,
-        tuple(dispatch_irs),
+        analyses,
         tuple(ModuleReport(module) for module in modules),
         tuple(dispatches),
         verilog,
@@ -385,11 +397,7 @@ def synthesize_communication(
             },
         )
         result.groups.append(
-            SynthesizedGroup(
-                group_name, list(handles), channel, netlists.channel_ir,
-                netlists.object_ir, netlists.verilog, netlists.vhdl,
-                list(netlists.dispatch_irs),
-            )
+            SynthesizedGroup(group_name, list(handles), channel, netlists)
         )
     if _SYNTHESIS_SINK is not None:
         _SYNTHESIS_SINK(sim, result)

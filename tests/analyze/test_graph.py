@@ -1,6 +1,6 @@
 """Driver/reader graph construction over hand-built netlists."""
 
-from repro.analyze import NetGraph
+from repro.analyze import NetGraph, find_cycles
 from repro.synthesis.ir import Const, Fsm, RtlModule
 
 
@@ -79,3 +79,34 @@ class TestCombDependencies:
         assert edges[id(wire)] == set()          # reads only a port
         assert edges[id(out)] == {id(wire)}      # reads a comb net
         assert id(reg) not in edges              # clocked: not comb
+
+
+class TestFindCycles:
+    """The one SCC routine behind MOD004, GRD003 and FSM003."""
+
+    def test_long_ring_is_one_cycle(self):
+        # Deeper than the interpreter's recursion limit: only an
+        # iterative search returns this cycle.
+        n = 3000
+        ring = {node: [(node + 1) % n] for node in range(n)}
+        (cycle,) = find_cycles(ring)
+        assert sorted(cycle) == list(range(n))
+
+    def test_self_loop_is_a_cycle_and_a_lone_node_is_not(self):
+        assert find_cycles({"a": ["a"], "b": []}) == [["a"]]
+
+    def test_acyclic_graph_has_none(self):
+        assert find_cycles({1: [2, 3], 2: [3], 3: []}) == []
+
+    def test_components_in_completion_order(self):
+        # a <-> b feeds c <-> d: Tarjan completes the downstream
+        # cycle first, members in stack-pop order.
+        graph = {"a": ["b"], "b": ["a", "c"], "c": ["d"], "d": ["c"]}
+        assert find_cycles(graph) == [["d", "c"], ["b", "a"]]
+
+    def test_nodes_without_entries_are_still_visited(self):
+        # "c" has no successor entry; the cycle through it is found
+        # from the root "a".
+        graph = {"a": ["b"], "b": ["c"], "c": ["b"]}
+        assert find_cycles(graph) == [["c", "b"]]
+        assert find_cycles({"a": ["b"], "b": ["x"]}) == []

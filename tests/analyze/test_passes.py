@@ -6,7 +6,7 @@ levelized schedule, must reproduce the committed handshake values of
 the interpreted RTL channel at every delta boundary of a live run.
 """
 
-from repro.analyze import analyze_design, analyze_module
+from repro.analyze import ModuleAnalysis, analyze_design
 from repro.hdl import Clock, Module
 from repro.instrument.probes import DELTA_END
 from repro.kernel import NS, Simulator
@@ -62,7 +62,7 @@ class TestAnalyzeModule:
         out = module.add_port("out", "out", 1)
         module.add_register("r", 4, 0)
         module.add_assign(out, a.ref())
-        analysis = analyze_module(module)
+        analysis = ModuleAnalysis(module)
         stats = analysis.stats()
         assert stats["ports"] == 2
         assert stats["registers"] == 1

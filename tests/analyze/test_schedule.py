@@ -8,7 +8,7 @@ import sys
 
 import pytest
 
-from repro.analyze import EvaluationError, evaluate_expr, levelize
+from repro.analyze import EvaluationError, NetGraph, evaluate_expr, levelize
 from repro.synthesis.ir import (
     BinOp,
     BitSelect,
@@ -115,7 +115,7 @@ class TestLevelize:
         w2 = module.add_net("w2", 1)
         module.add_assign(w1, a.ref())
         module.add_assign(w2, w1.ref())
-        result = levelize(module)
+        result = levelize(NetGraph(module))
         assert result.ok and not result.loops
         schedule = result.schedule
         assert schedule.depth == 2
@@ -131,7 +131,7 @@ class TestLevelize:
         b = module.add_net("b", 1)
         module.add_assign(a, b.ref())
         module.add_assign(b, a.ref())
-        result = levelize(module)
+        result = levelize(NetGraph(module))
         assert not result.ok and result.schedule is None
         (loop,) = result.loops
         assert {n.name for n in loop.nets} == {"a", "b"}
@@ -149,7 +149,7 @@ class TestLevelize:
         module.add_assign(a, b.ref())
         module.add_assign(b, a.ref())
         module.add_assign(tail, a.ref())  # stuck only through the loop
-        result = levelize(module)
+        result = levelize(NetGraph(module))
         assert len(result.loops) == 1
 
     def test_loops_report_the_same_in_every_process(self):
@@ -184,7 +184,7 @@ class TestLevelize:
         fsm.add_transition("RUN", None, "IDLE")
         fsm.set_output("RUN", busy, 1)
         module.add_fsm(fsm)
-        result = levelize(module)
+        result = levelize(NetGraph(module))
         assert result.ok
         env = result.schedule.evaluate(
             {fsm.state_register.name: fsm.encode("RUN")}
@@ -204,7 +204,7 @@ class TestLevelize:
         inv = module.add_net("inv", 1)
         module.add_assign(w, a.ref())
         module.add_assign(inv, UnOp("~", a.ref()))
-        schedule = levelize(module).schedule
+        schedule = levelize(NetGraph(module)).schedule
         env = schedule.evaluate({"a": 2})  # truthy, but bit 0 is clear
         assert env["a"] == 0
         assert env["w"] == 0
@@ -221,7 +221,7 @@ class TestLevelize:
         fsm.add_transition("RUN", None, "IDLE")
         fsm.set_output("RUN", busy, 1)
         module.add_fsm(fsm)
-        schedule = levelize(module).schedule
+        schedule = levelize(NetGraph(module)).schedule
         width = fsm.state_register.width
         value = fsm.encode("RUN") | (1 << width)  # one stale bit up top
         env = schedule.evaluate({fsm.state_register.name: value})
@@ -235,7 +235,7 @@ class TestLevelize:
         a = module.add_port("a", "in", 4)
         eq = module.add_net("eq", 1)
         module.add_assign(eq, BinOp("==", a.ref(), Const(5, 4)))
-        schedule = levelize(module).schedule
+        schedule = levelize(NetGraph(module)).schedule
         # 0x15 & 0xF == 5: the over-wide constant must still compare equal.
         assert schedule.evaluate({"a": 0x15})["eq"] == 1
         assert schedule.evaluate({"a": 0x25})["eq"] == 1
@@ -246,5 +246,5 @@ class TestLevelize:
         a = module.add_port("a", "in", 1)
         w = module.add_net("w", 1)
         module.add_assign(w, a.ref())
-        text = levelize(module).schedule.describe()
+        text = levelize(NetGraph(module)).schedule.describe()
         assert "schedule m" in text and "level 0: w" in text

@@ -1,5 +1,6 @@
 """X-propagation from unreset registers to primary outputs."""
 
+from repro.analyze import NetGraph
 from repro.analyze.xprop import find_x_propagation, x_sources
 from repro.synthesis.ir import Const, RtlModule
 
@@ -20,7 +21,7 @@ class TestXPropagation:
         mid = module.add_net("mid", 4)
         module.add_assign(mid, floating.ref())
         module.add_assign(out, mid.ref())
-        (finding,) = find_x_propagation(module)
+        (finding,) = find_x_propagation(NetGraph(module))
         assert finding.port is out
         assert finding.source is floating
         assert finding.describe_path() == "floating -> mid -> out"
@@ -30,7 +31,7 @@ class TestXPropagation:
         out = module.add_port("out", "out", 4)
         reg = module.add_register("reg", 4, 0)
         module.add_assign(out, reg.ref())
-        assert find_x_propagation(module) == []
+        assert find_x_propagation(NetGraph(module)) == []
 
     def test_reset_register_absorbs_taint(self):
         """A clocked assign into a reset register stops the X."""
@@ -41,7 +42,7 @@ class TestXPropagation:
         module.add_clocked_assign(holder, floating.ref(),
                                   enable=Const(1, 1))
         module.add_assign(out, holder.ref())
-        assert find_x_propagation(module) == []
+        assert find_x_propagation(NetGraph(module)) == []
 
     def test_untainted_output_not_reported(self):
         module = RtlModule("m")
@@ -49,4 +50,4 @@ class TestXPropagation:
         out = module.add_port("out", "out", 4)
         module.add_register("floating", 4, None)  # reaches nothing
         module.add_assign(out, a.ref())
-        assert find_x_propagation(module) == []
+        assert find_x_propagation(NetGraph(module)) == []

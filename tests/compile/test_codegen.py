@@ -9,7 +9,7 @@ synthesized channel netlist.
 
 import pytest
 
-from repro.analyze import levelize
+from repro.analyze import ModuleAnalysis
 from repro.analyze.schedule import EvaluationError
 from repro.compile import CodegenError, compile_module, emit_yosys_script
 from repro.core.workload import _Lcg
@@ -32,9 +32,9 @@ def _comb_module():
 
 class TestCombLowering:
     def test_matches_schedule_on_vectors(self):
-        module = _comb_module()
-        netlist = compile_module(module)
-        schedule = levelize(module).schedule
+        analysis = ModuleAnalysis(_comb_module())
+        netlist = compile_module(analysis)
+        schedule = analysis.schedule
         for a in range(16):
             for b in range(16):
                 env = {"a": a, "b": b}
@@ -42,20 +42,20 @@ class TestCombLowering:
 
     def test_arithmetic_wraps_to_width(self):
         module = _comb_module()
-        netlist = compile_module(module)
+        netlist = compile_module(ModuleAnalysis(module))
         out = netlist.comb({"a": 15, "b": 1})
         assert out["w"] == 0 and out["out"] == 15
 
     def test_boundary_values_masked_on_entry(self):
         module = _comb_module()
-        netlist = compile_module(module)
+        netlist = compile_module(ModuleAnalysis(module))
         # Over-wide boundary values behave like the wires they name —
         # exactly the EvalSchedule.evaluate semantics.
         assert netlist.comb({"a": 0x13, "b": 0}) == \
             netlist.comb({"a": 0x3, "b": 0})
 
     def test_missing_input_raises_evaluation_error(self):
-        netlist = compile_module(_comb_module())
+        netlist = compile_module(ModuleAnalysis(_comb_module()))
         with pytest.raises(EvaluationError, match="no value for net 'b'"):
             netlist.comb({"a": 1})
 
@@ -67,7 +67,7 @@ class TestCombLowering:
         module.add_assign(
             out, Mux(s.ref(), Concat(Const(1, 1), a.ref()), Const(0, 3))
         )
-        netlist = compile_module(module)
+        netlist = compile_module(ModuleAnalysis(module))
         assert netlist.comb({"s": 1, "a": 0b10})["out"] == 0b110
         assert netlist.comb({"s": 0, "a": 0b10})["out"] == 0
 
@@ -86,7 +86,7 @@ class TestCycleSemantics:
 
     def test_two_phase_commit(self):
         """q1 must load q0's OLD value — registers update together."""
-        netlist = compile_module(self._register_chain())
+        netlist = compile_module(ModuleAnalysis(self._register_chain()))
         regs = netlist.reset_registers()
         outs = {}
         netlist.cycle(regs, {"d": 5}, outs)
@@ -96,7 +96,7 @@ class TestCycleSemantics:
         assert outs["out"] == 5  # output cone sees the NEW registers
 
     def test_reset_registers_fresh_dict(self):
-        netlist = compile_module(self._register_chain())
+        netlist = compile_module(ModuleAnalysis(self._register_chain()))
         regs = netlist.reset_registers()
         regs["q0"] = 7
         assert netlist.reset_registers()["q0"] == 0
@@ -110,7 +110,7 @@ class TestCycleSemantics:
         fsm.add_transition("RUN", None, "IDLE")
         fsm.set_output("RUN", busy, 1)
         module.add_fsm(fsm)
-        netlist = compile_module(module)
+        netlist = compile_module(ModuleAnalysis(module))
         regs = netlist.reset_registers()
         state = fsm.state_register.name
         outs = {}
@@ -130,7 +130,7 @@ class TestClosureErrors:
         module.add_assign(a, b.ref())
         module.add_assign(b, a.ref())
         with pytest.raises(CodegenError, match="loop"):
-            compile_module(module)
+            compile_module(ModuleAnalysis(module))
 
     def test_skipped_register_read_rejected(self):
         module = RtlModule("m")
@@ -139,14 +139,14 @@ class TestClosureErrors:
         module.add_clocked_assign(r, Const(1, 4))
         module.add_assign(out, r.ref())
         with pytest.raises(CodegenError, match="arb_age"):
-            compile_module(module, skip_register_prefixes=("arb_",))
+            compile_module(ModuleAnalysis(module), skip_register_prefixes=("arb_",))
 
     def test_external_inputs_stay_external(self):
         module = RtlModule("m")
         out = module.add_port("out", "out", 4)
         sel = module.add_net("ext_sel", 4)
         module.add_assign(out, sel.ref())
-        netlist = compile_module(module, external=("ext_sel",))
+        netlist = compile_module(ModuleAnalysis(module), external=("ext_sel",))
         assert "ext_sel" in netlist.input_names
         regs = netlist.reset_registers()
         outs = {}
@@ -159,9 +159,9 @@ class TestChannelNetlistCrossCheck:
         """The generated comb code of a real synthesized channel netlist
         agrees with the interpreted EvalSchedule on seeded vectors."""
         __, result = build_synthesized_design()
-        module = result.groups[0].channel_ir
-        netlist = compile_module(module)
-        schedule = levelize(module).schedule
+        analysis = result.groups[0].analyses[0]
+        netlist = compile_module(analysis)
+        schedule = analysis.schedule
         boundary = sorted(
             schedule.boundary_nets(), key=lambda net: net.name
         )
@@ -182,7 +182,7 @@ class TestChannelNetlistCrossCheck:
         module = build_channel_ir("ch", n, ["get", "put"], arbiter)
         external = ["arb_grant_index"] + [f"eligible_{i}" for i in range(n)]
         netlist = compile_module(
-            module, external=external, skip_register_prefixes=("arb_",),
+            ModuleAnalysis(module), external=external, skip_register_prefixes=("arb_",),
         )
         nets = {net.name: net for net in module.all_nets()}
         assert netlist.step_inputs == (
@@ -205,7 +205,7 @@ class TestChannelNetlistCrossCheck:
 
     def test_stats_and_describe(self):
         __, result = build_synthesized_design()
-        netlist = compile_module(result.groups[0].channel_ir)
+        netlist = compile_module(result.groups[0].analyses[0])
         assert netlist.stats["comb_steps"] > 0
         assert netlist.stats["levels"] >= 2
         assert netlist.register_names

@@ -8,9 +8,10 @@ from repro.errors import SynthesisError
 from repro.flow import DesignFlow, build_platform, standard_flow_builders
 from repro.hdl.module import Module
 from repro.kernel import MS
-from repro.lint import LintConfig, lint_design, lint_synthesis
+from repro.analyze import analyze_design
+from repro.lint import LintConfig, lint_design
 from repro.synthesis.ir import Const, RtlModule
-from repro.synthesis.tool import _lint_group_netlists
+from repro.synthesis.tool import _analyze_group_netlists
 
 WORKLOADS = [generate_workload(seed=7, n_commands=4, address_span=0x100,
                                max_burst=2)]
@@ -34,10 +35,10 @@ class TestExamplesLintClean:
     def test_synthesized_pci_platform_and_netlists(self):
         bundle = build_platform(WORKLOADS, bus="pci", synthesize=True)
         assert lint_design(bundle.handle.sim).clean
-        report = lint_synthesis(bundle.synthesis)
+        report = analyze_design(bundle.synthesis, label="netlists").lint
         assert report.clean
         # Every group's netlists were visited.
-        assert report.subject == "synthesis"
+        assert report.subject == "netlists"
         assert {"IR001", "IR002", "IR003", "IR004", "IR005"} <= set(
             report.rules_run
         )
@@ -99,10 +100,11 @@ class TestSynthesisGate:
         module.add_assign(wire, Const(1, 1))
         module.add_assign(out, wire.ref())
         with pytest.raises(SynthesisError, match="IR005"):
-            _lint_group_netlists("g0", [module])
+            _analyze_group_netlists("g0", [module])
 
     def test_clean_netlist_passes(self):
         module = RtlModule("fine")
         out = module.add_port("out", "out", 1)
         module.add_assign(out, Const(1, 1))
-        _lint_group_netlists("g0", [module])
+        (analysis,) = _analyze_group_netlists("g0", [module])
+        assert analysis.module is module

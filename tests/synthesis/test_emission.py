@@ -4,6 +4,7 @@ import pytest
 
 from repro.synthesis import (
     BinOp,
+    BitSelect,
     Const,
     Fsm,
     Mux,
@@ -65,6 +66,22 @@ class TestVerilog:
         assert "localparam CTRL_IDLE = 1'd0;" in text
         assert "case (ctrl_state)" in text
         assert "CTRL_GO" in text
+
+    def test_bit_selects_keep_their_grouping(self):
+        # A select of a net indexes it; a select of a computed value is
+        # a shift-and-mask, parenthesized whole because Verilog's ==
+        # binds tighter than &.
+        module = RtlModule("sel")
+        a = module.add_port("a", "in", 4)
+        b = module.add_port("b", "in", 4)
+        y = module.add_port("y", "out", 1)
+        z = module.add_port("z", "out", 1)
+        total = BinOp("+", a.ref(), b.ref())
+        module.add_assign(y, BinOp("==", BitSelect(total, 2), Const(1, 1)))
+        module.add_assign(z, BinOp("==", BitSelect(a.ref(), 2), Const(1, 1)))
+        text = emit_verilog(module)
+        assert "assign y = ((((a + b) >> 2) & 1'b1) == 1'd1);" in text
+        assert "assign z = (a[2] == 1'd1);" in text
 
     def test_channel_netlist_emits(self):
         module = build_channel_ir("chan", 2, ["a", "b", "c"], "round_robin")

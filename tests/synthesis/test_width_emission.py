@@ -8,13 +8,13 @@ the compiled fast-sim backend bakes into its generated Python.
 
 import pytest
 
+from repro.analyze import ModuleAnalysis
 from repro.compile import compile_module
 from repro.core import expected_memory_image, generate_workload
 from repro.flow import PciPlatformConfig, build_platform
 from repro.iface import IfaceParams
 from repro.kernel import MS
 from repro.synthesis import build_channel_ir, emit_verilog, emit_vhdl
-from repro.synthesis.tool import SynthesisConfig
 from repro.verify import check_memory_image
 
 
@@ -68,13 +68,13 @@ class TestCompiledMasking:
     @pytest.mark.parametrize("width,mask", [(16, 0xFFFF),
                                             (64, 0xFFFFFFFFFFFFFFFF)])
     def test_generated_source_masks_to_width(self, width, mask):
-        netlist = compile_module(_channel(width))
+        netlist = compile_module(ModuleAnalysis(_channel(width)))
         assert f"& {mask:#x}" in netlist.source
 
     def test_wide_value_wraps(self):
         # Drive a 16-bit input with an over-wide value: the compiled
         # entry masking must truncate it to the declared port width.
-        netlist = compile_module(_channel(16))
+        netlist = compile_module(ModuleAnalysis(_channel(16)))
         env = dict(netlist.reset_registers())
         env.update({name: 0 for name in netlist.input_names})
         env["arg_data"] = 0x12345
@@ -88,12 +88,10 @@ class TestEndToEndWidths:
         """A 64-bit data path through synthesis and the compiled core."""
         workload = generate_workload(seed=21, n_commands=8,
                                      address_span=0x200, max_burst=3)
-        config = PciPlatformConfig(params=IfaceParams(data_width=64))
-        bundle = build_platform(
-            [workload], config, bus=bus, synthesize=True,
-            synthesis_config=SynthesisConfig(backend="compiled",
-                                             data_width=64),
+        config = PciPlatformConfig(
+            backend="compiled", params=IfaceParams(data_width=64)
         )
+        bundle = build_platform([workload], config, bus=bus, synthesize=True)
         bundle.run(200 * MS)
         golden = expected_memory_image(workload, 0x200 // 4)
         check_memory_image(bundle.memory, golden)
