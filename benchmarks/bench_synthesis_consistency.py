@@ -14,6 +14,7 @@ from _tables import print_table
 from repro.core import generate_workload
 from repro.flow import build_platform
 from repro.kernel import MS, NS
+from repro.synthesis.tool import synthesize_group_shape
 from repro.verify import check_bus_transactions, check_traces
 
 WORKLOAD = generate_workload(seed=55, n_commands=25, address_span=0x400,
@@ -36,9 +37,14 @@ def test_exp_syn_step1_simulate_specification(benchmark):
 
 
 def test_exp_syn_step2_synthesize(benchmark):
-    """Synthesis tool runtime (netlist generation + HDL emission)."""
+    """Synthesis tool runtime (netlist generation + HDL emission).
+
+    Each round clears the per-process shape memo, so every round
+    synthesizes instead of reusing the first round's netlists.
+    """
 
     def run():
+        synthesize_group_shape.cache_clear()
         return build_platform([WORKLOAD], bus="pci", synthesize=True)
 
     bundle = benchmark(run)

@@ -14,8 +14,7 @@ The package provides:
 * :mod:`repro.synthesis` — the communication-synthesis tool (global-object
   channels lowered to RT-level protocols and arbiter FSMs, with Verilog/
   VHDL emission);
-* :mod:`repro.verify` — pre/post-synthesis consistency checking,
-  scoreboards and protocol monitors;
+* :mod:`repro.verify` — pre/post-synthesis consistency checking;
 * :mod:`repro.flow` — the end-to-end design flow of the paper's Figure 2;
 * :mod:`repro.trace` — VCD dumping and ASCII waveform rendering;
 * :mod:`repro.instrument` — the probe bus shared by every observer, with

@@ -99,12 +99,6 @@ class AnalysisReport:
             if analysis.schedule is not None
         }
 
-    def module_named(self, name: str) -> ModuleAnalysis:
-        for analysis in self.modules:
-            if analysis.module.name == name:
-                return analysis
-        raise KeyError(name)
-
     def summary_line(self) -> str:
         counts = self.lint.counts()
         parts = [f"{n} {label}{'s' if n != 1 else ''}"

@@ -19,7 +19,7 @@ from .refinement import (
     RunResult,
     compare_refinement,
 )
-from .workload import expected_memory_image, generate_workload, sequential_fill
+from .workload import expected_memory_image, generate_workload
 
 #: Concrete element classes resolved lazily: they subclass
 #: repro.iface.InterfaceElement, which itself builds on this package —
@@ -62,6 +62,5 @@ __all__ = [
     "default_library",
     "expected_memory_image",
     "generate_workload",
-    "sequential_fill",
     "wait_for_all",
 ]

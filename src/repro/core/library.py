@@ -51,10 +51,6 @@ class InterfaceLibrary:
                 f"{abstraction!r}; available: {self.available()}"
             ) from None
 
-    def abstractions_for(self, bus: str) -> list[str]:
-        """Every abstraction level the library covers for *bus*."""
-        return sorted(a for (b, a) in self._elements if b == bus)
-
     def available(self) -> list[tuple[str, str]]:
         return sorted(self._elements)
 

@@ -90,19 +90,6 @@ def generate_workload(
     return commands
 
 
-def sequential_fill(
-    address_base: int, n_words: int, seed: int = 1
-) -> list[CommandType]:
-    """Writes covering [base, base + 4*n_words) followed by a verify read."""
-    rng = _Lcg(seed)
-    commands = [
-        CommandType.write(address_base + 4 * i, rng.next_int(1 << 31))
-        for i in range(n_words)
-    ]
-    commands.append(CommandType.read(address_base, count=n_words))
-    return commands
-
-
 def expected_memory_image(
     commands: typing.Sequence[CommandType], span_words: int, base: int = 0
 ) -> list[int]:

@@ -24,8 +24,8 @@ class SimulationError(ReproError):
 class ElaborationError(ReproError):
     """The design hierarchy could not be elaborated.
 
-    Raised for unbound ports, duplicate instance names, processes added
-    after elaboration, and similar structural mistakes.
+    Raised for duplicate instance names, modules added after
+    elaboration, and similar structural mistakes.
     """
 
 
@@ -86,7 +86,3 @@ class ConsistencyError(ReproError):
 
 class RefinementError(ReproError):
     """A communication refinement step could not be applied."""
-
-
-class CoverageError(ReproError):
-    """A functional-coverage goal definition is invalid."""

@@ -27,7 +27,6 @@ from .campaign import (
     execute_run,
     injectable_targets,
     plan_campaign,
-    run_golden,
 )
 from .models import (
     FAULT_KINDS,
@@ -118,5 +117,4 @@ __all__ = [
     "report_as_json",
     "resolve_workers",
     "run_campaign",
-    "run_golden",
 ]

@@ -8,7 +8,7 @@ observers a faulty run does and records the fault models' trajectory,
 so a run whose fault provably never activates takes the golden run's
 own outcome without being simulated. The classifications:
 
-* ``detected`` — a verify checker, scoreboard or bus monitor fired
+* ``detected`` — a bus monitor fired
   (recorded through :meth:`~repro.kernel.simulator.Simulator
   .report_detection`), a :class:`~repro.errors.ReproError` was raised,
   or the run deadlocked and the watchdog reported blocked processes;
@@ -247,14 +247,6 @@ def injectable_targets(bundle: PlatformBundle) -> tuple[list, list]:
         elif isinstance(obj, GlobalObject):
             channels.append(path)
     return signals, channels
-
-
-def run_golden(spec: CampaignSpec) -> GoldenReference:
-    """Build and run the platform fault-free; record the reference."""
-    bundle = build_campaign_platform(spec)
-    return _run_golden(
-        spec, bundle, fault_targets(spec, *injectable_targets(bundle))
-    )
 
 
 def _run_golden(

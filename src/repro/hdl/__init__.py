@@ -1,18 +1,15 @@
-"""Hardware modeling layer: logic values, signals, ports, modules, clocks."""
+"""Hardware modeling layer: logic values, signals, modules, clocks."""
 
 from .bitvector import LogicVector, resolve_vectors
-from .clock import Clock, ResetGenerator
+from .clock import Clock
 from .logic import L0, L1, LX, LZ, Logic, resolve
 from .module import Module
-from .port import IN, INOUT, OUT, Port
 from .resolved import BusDriver, ResolvedSignal
 from .signal import Signal
 
 __all__ = [
     "BusDriver",
     "Clock",
-    "IN",
-    "INOUT",
     "L0",
     "L1",
     "LX",
@@ -20,9 +17,6 @@ __all__ = [
     "Logic",
     "LogicVector",
     "Module",
-    "OUT",
-    "Port",
-    "ResetGenerator",
     "ResolvedSignal",
     "Signal",
     "resolve",

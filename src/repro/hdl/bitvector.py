@@ -6,8 +6,8 @@ bit masks — ``ones``, ``x`` and ``z`` — so vector operations are integer
 operations rather than per-bit loops.
 
 Bit 0 is the least-significant bit. String literals are written
-MSB-first, as in waveforms: ``LogicVector.from_string("10ZX")`` has bit 3
-= '1' and bit 0 = 'X'.
+MSB-first, as in waveforms: ``LogicVector(4, "10ZX")`` has bit 3 = '1'
+and bit 0 = 'X'.
 """
 
 from __future__ import annotations
@@ -82,19 +82,8 @@ class LogicVector:
         return vector
 
     @classmethod
-    def from_string(cls, literal: str) -> "LogicVector":
-        """Build from an MSB-first literal such as ``"10XZ"`` or ``"0b1010"``."""
-        text = literal[2:] if literal.lower().startswith("0b") else literal
-        text = text.replace("_", "")
-        return cls(len(text), text)
-
-    @classmethod
     def ones(cls, width: int) -> "LogicVector":
         return cls(width, (1 << width) - 1)
-
-    @classmethod
-    def zeros(cls, width: int) -> "LogicVector":
-        return cls(width, 0)
 
     @classmethod
     def unknown(cls, width: int) -> "LogicVector":
@@ -117,14 +106,6 @@ class LogicVector:
     def __len__(self) -> int:
         return self._width
 
-    @property
-    def has_x(self) -> bool:
-        return self._x != 0
-
-    @property
-    def is_all_z(self) -> bool:
-        return self._z == (1 << self._width) - 1
-
     # -- conversion ------------------------------------------------------------------
 
     def to_int(self) -> int:
@@ -132,12 +113,6 @@ class LogicVector:
         if self._x or self._z:
             raise LogicValueError(f"vector {self} contains X/Z bits")
         return self._ones
-
-    def to_signed(self) -> int:
-        """Two's-complement signed value; raises on any X/Z bit."""
-        raw = self.to_int()
-        sign_bit = 1 << (self._width - 1)
-        return raw - (1 << self._width) if raw & sign_bit else raw
 
     def to_int_default(self, default: int = 0) -> int:
         """Unsigned integer value, or *default* if any bit is X/Z."""
@@ -217,43 +192,6 @@ class LogicVector:
             width, self._ones >> low, self._x >> low, self._z >> low
         )
 
-    def with_bit(self, index: int, value: "Logic | str | int") -> "LogicVector":
-        """A copy with bit *index* replaced."""
-        if not 0 <= index < self._width:
-            raise WidthError(f"bit index {index} out of range for width {self._width}")
-        char = Logic(value).char
-        mask = 1 << index
-        ones = self._ones & ~mask
-        x = self._x & ~mask
-        z = self._z & ~mask
-        if char == "1":
-            ones |= mask
-        elif char == "X":
-            x |= mask
-        elif char == "Z":
-            z |= mask
-        return LogicVector._raw(self._width, ones, x, z)
-
-    def with_slice(self, high: int, low: int, value: "LogicVector | int | str") -> "LogicVector":
-        """A copy with bits *high*..*low* replaced by *value*."""
-        if not (0 <= low <= high < self._width):
-            raise WidthError(
-                f"slice [{high}:{low}] out of range for width {self._width}"
-            )
-        width = high - low + 1
-        piece = value if isinstance(value, LogicVector) else LogicVector(width, value)
-        if piece._width != width:
-            raise WidthError(
-                f"slice [{high}:{low}] is {width} bits, value is {piece._width}"
-            )
-        clear = ((1 << width) - 1) << low
-        return LogicVector._raw(
-            self._width,
-            (self._ones & ~clear) | (piece._ones << low),
-            (self._x & ~clear) | (piece._x << low),
-            (self._z & ~clear) | (piece._z << low),
-        )
-
     # -- structure ----------------------------------------------------------------------
 
     def resized(self, width: int) -> "LogicVector":
@@ -292,17 +230,6 @@ class LogicVector:
 
     def __hash__(self) -> int:
         return hash((self._width, self._ones, self._x, self._z))
-
-    def same_defined_value(self, other: "LogicVector | int") -> bool:
-        """True when both are fully defined and numerically equal."""
-        other_vec = _coerce(other, self._width)
-        if other_vec is None:
-            raise LogicValueError(f"cannot compare with {other!r}")
-        return (
-            self.is_fully_defined
-            and other_vec.is_fully_defined
-            and self._ones == other_vec._ones
-        )
 
     # -- bitwise operators (X/Z propagate) --------------------------------------------------
 
@@ -375,27 +302,6 @@ class LogicVector:
         if other_vec is None:
             return NotImplemented  # type: ignore[return-value]
         return LogicVector(self._width, self.to_int() - other_vec.to_int())
-
-    def reduce_or(self) -> Logic:
-        """OR of all bits."""
-        if self._ones:
-            return L1
-        if self._x or self._z:
-            return LX
-        return L0
-
-    def reduce_and(self) -> Logic:
-        """AND of all bits."""
-        mask = (1 << self._width) - 1
-        if self._ones == mask:
-            return L1
-        if (self._ones | self._x | self._z) == mask and (self._x or self._z):
-            return LX
-        return L0
-
-    def popcount(self) -> int:
-        """Number of '1' bits (X/Z not counted)."""
-        return bin(self._ones).count("1")
 
 
 #: The width-1 vectors for int writes of 0 and 1, shared by every

@@ -1,4 +1,4 @@
-"""Clock and reset generators."""
+"""The clock generator."""
 
 from __future__ import annotations
 
@@ -138,28 +138,3 @@ class Clock(Module):
             edge._trigger()
         return True
 
-
-class ResetGenerator(Module):
-    """Asserts an (active-low by default) reset for a fixed duration."""
-
-    def __init__(
-        self,
-        parent: "Module | Simulator",
-        name: str,
-        duration: int,
-        active_low: bool = True,
-    ) -> None:
-        super().__init__(parent, name)
-        if duration <= 0:
-            raise SimulationError(f"reset duration must be positive, got {duration}")
-        self.duration = duration
-        self.active_low = active_low
-        asserted = 0 if active_low else 1
-        self.rst = self.signal("rst", width=1, init=asserted)
-        self.done = self.event("reset_done")
-        self.thread(self._run, "run")
-
-    def _run(self):
-        yield Timeout(self.duration)
-        self.rst.write(1 if self.active_low else 0)
-        self.done.notify_delta()

@@ -1,15 +1,16 @@
 """Hierarchical modules.
 
 :class:`Module` is the structural unit of a design, mirroring
-``sc_module``: it owns signals, ports, processes and child modules, and
-gives everything a hierarchical name. Subclasses build their contents in
+``sc_module``: it owns signals, processes and child modules, and gives
+everything a hierarchical name. Subclasses build their contents in
 ``__init__`` using the declaration helpers (:meth:`signal`,
-:meth:`in_port`, :meth:`thread`, ...)::
+:meth:`thread`, ...). There are no ports: a module takes the signals it
+reads and drives as constructor arguments::
 
     class Counter(Module):
-        def __init__(self, parent, name):
+        def __init__(self, parent, name, clk):
             super().__init__(parent, name)
-            self.clk = self.in_port("clk", width=1)
+            self.clk = clk
             self.count = self.signal("count", width=8, init=0)
             self.thread(self._run)
 
@@ -27,7 +28,6 @@ from ..errors import ElaborationError
 from ..kernel.event import Event
 from ..kernel.process import Process
 from ..kernel.simulator import Simulator
-from .port import IN, INOUT, OUT, Port
 from .resolved import ResolvedSignal
 from .signal import Signal
 
@@ -50,7 +50,6 @@ class Module:
                 f"module parent must be a Module or Simulator, got {parent!r}"
             )
         self._children: list[Module] = []
-        self._ports: list[Port] = []
         self._processes: list[Process] = []
         self.sim.register_named(self.path, self)
 
@@ -82,20 +81,6 @@ class Module:
     def event(self, name: str) -> Event:
         return Event(self.sim.scheduler, f"{self.path}.{name}")
 
-    def in_port(self, name: str, width: int | None = None) -> Port:
-        return self._make_port(name, IN, width)
-
-    def out_port(self, name: str, width: int | None = None) -> Port:
-        return self._make_port(name, OUT, width)
-
-    def inout_port(self, name: str, width: int | None = None) -> Port:
-        return self._make_port(name, INOUT, width)
-
-    def _make_port(self, name: str, direction: str, width: int | None) -> Port:
-        port = Port(self.path, name, direction, width)
-        self._ports.append(port)
-        return port
-
     def thread(
         self,
         func: typing.Callable[[], object],
@@ -114,7 +99,7 @@ class Module:
     def method(
         self,
         func: typing.Callable[[], object],
-        sensitivity: typing.Sequence["Event | Signal | Port"] = (),
+        sensitivity: typing.Sequence["Event | Signal | ResolvedSignal"] = (),
         name: str | None = None,
         initialize: bool = True,
     ) -> Process:
@@ -135,10 +120,6 @@ class Module:
     def children(self) -> tuple["Module", ...]:
         return tuple(self._children)
 
-    @property
-    def ports(self) -> tuple[Port, ...]:
-        return tuple(self._ports)
-
     def iter_modules(self) -> typing.Iterator["Module"]:
         """Depth-first iteration over this module and all descendants."""
         yield self
@@ -146,13 +127,6 @@ class Module:
             yield from child.iter_modules()
 
     # -- elaboration ---------------------------------------------------------------
-
-    def _elaborate(self) -> None:
-        for port in self._ports:
-            if not port.bound:
-                raise ElaborationError(f"port {port.path} was never bound")
-        for child in self._children:
-            child._elaborate()
 
     def _end_of_elaboration(self) -> None:
         self.end_of_elaboration()
@@ -163,11 +137,9 @@ class Module:
         """Hook for subclasses; runs once after the hierarchy is final."""
 
 
-def _as_event(item: "Event | Signal | Port") -> Event:
+def _as_event(item: "Event | Signal | ResolvedSignal") -> Event:
     if isinstance(item, Event):
         return item
-    if isinstance(item, (Signal, Port)):
-        return item.changed
-    if isinstance(item, ResolvedSignal):
+    if isinstance(item, (Signal, ResolvedSignal)):
         return item.changed
     raise ElaborationError(f"cannot use {item!r} in a sensitivity list")

@@ -23,7 +23,6 @@ from ..hdl.module import Module
 from ..hdl.signal import Signal
 from ..instrument.probes import TRANSACTION_BEGIN, TRANSACTION_END
 from ..kernel.event import Event
-from ..verify.checkers import report_violation
 
 
 class BusOperation:
@@ -212,7 +211,11 @@ class BusMonitor(Module):
         raise NotImplementedError
 
     def _violation(self, message: str) -> None:
-        report_violation(
-            self.violations, self.sim, self.path,
-            f"{self.sim.time_str()}: {message}", self.strict,
-        )
+        """Record one broken rule: log it, report it as a detection (so
+        fault campaigns classify the run as *detected* whether or not
+        the monitor is strict) and, when strict, raise."""
+        text = f"{self.sim.time_str()}: {message}"
+        self.violations.append(text)
+        self.sim.report_detection(self.path, text)
+        if self.strict:
+            raise ProtocolError(f"{self.path}: {text}")

@@ -140,11 +140,6 @@ class MetricsCollector(ProbeSubscriber):
     # -- the traffic rows ------------------------------------------------------
 
     @property
-    def method_metrics(self) -> dict[str, MethodMetrics]:
-        """``channel.method`` -> traffic row."""
-        return {row.key: row for row in self.traffic.methods.values()}
-
-    @property
     def guard_blocks(self) -> Counter:
         """Guard-block events per channel."""
         counter = Counter()

@@ -19,7 +19,7 @@ from .process import Process, Timeout
 from .scheduler import Scheduler
 from .signal_base import UpdateTarget
 from .simtime import FS, MS, NS, PS, SEC, US, format_time
-from .simulator import BlockedProcess, DetectionRecord, IdleRun, Simulator
+from .simulator import BlockedProcess, DetectionRecord, Simulator
 
 __all__ = [
     "AllOf",
@@ -28,7 +28,6 @@ __all__ = [
     "DetectionRecord",
     "Event",
     "FS",
-    "IdleRun",
     "MS",
     "NS",
     "PS",

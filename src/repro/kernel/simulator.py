@@ -14,7 +14,7 @@ from __future__ import annotations
 import itertools
 import typing
 
-from ..errors import ElaborationError, SimulationError
+from ..errors import ElaborationError
 from ..instrument.metrics import DetectionLog
 from ..instrument.probes import DETECTION, SIGNAL_COMMIT, ProbeBus, default_bus
 from .event import Event
@@ -27,7 +27,7 @@ if typing.TYPE_CHECKING:  # pragma: no cover - import cycle guard
 
 
 class DetectionRecord:
-    """One checker/scoreboard/monitor firing, as seen by the simulator.
+    """One checker (bus monitor) firing, as seen by the simulator.
 
     The fault-injection classifier consumes these: a run during which any
     detection was recorded counts as *detected* even when the reporting
@@ -69,28 +69,6 @@ class BlockedProcess:
             f"BlockedProcess({self.process_name} waiting on "
             f"{self.object_path}.{self.method} since {self.arrival_time})"
         )
-
-
-class IdleRun(int):
-    """Result of :meth:`Simulator.run_until_idle`.
-
-    Behaves as the plain end-time integer older callers expect, but also
-    carries the processes still blocked on guarded-method calls at the
-    end of the run — the signal the fault classifier and the GRD
-    deadlock rules consume instead of silently losing it.
-    """
-
-    blocked_processes: tuple[BlockedProcess, ...] = ()
-
-    def __new__(cls, time: int, blocked: typing.Sequence[BlockedProcess] = ()):
-        value = super().__new__(cls, time)
-        value.blocked_processes = tuple(blocked)
-        return value
-
-    @property
-    def quiescent(self) -> bool:
-        """True when no process was left blocked on a guard."""
-        return not self.blocked_processes
 
 
 class Simulator:
@@ -192,11 +170,9 @@ class Simulator:
         return iter(sorted(self._named.items()))
 
     def elaborate(self) -> None:
-        """Finalise the hierarchy: bind ports, run end-of-elaboration hooks."""
+        """Finalise the hierarchy: run the end-of-elaboration hooks."""
         if self.elaborated:
             return
-        for module in self._top_modules:
-            module._elaborate()
         self.elaborated = True
         for module in self._top_modules:
             module._end_of_elaboration()
@@ -236,14 +212,6 @@ class Simulator:
         self._tracers.append(tracer)
         self.probes.subscribe(SIGNAL_COMMIT, tracer.record_change)
 
-    def remove_tracer(self, tracer: typing.Any) -> None:
-        """Detach *tracer*; idempotent (unknown tracers are ignored)."""
-        if tracer not in self._tracers:
-            return
-        self._tracers.remove(tracer)
-        if self._probes is not None:
-            self._probes.unsubscribe(SIGNAL_COMMIT, tracer.record_change)
-
     def _notify_trace(self, signal: typing.Any, value: typing.Any) -> None:
         """Publish an out-of-band value change (``force``, fault override).
 
@@ -258,7 +226,7 @@ class Simulator:
 
     @property
     def detections(self) -> list[DetectionRecord]:
-        """Checker/scoreboard/monitor firings, in reporting order.
+        """Checker (bus monitor) firings, in reporting order.
 
         A thin view over this simulator's detection log; external
         consumers (e.g. the fault classifier) subscribe to the
@@ -269,10 +237,10 @@ class Simulator:
     def report_detection(self, source: str, message: str) -> None:
         """Record that a runtime checker fired.
 
-        Called by the verify checkers, scoreboards and bus monitors on
-        every violation (strict or not), so the fault-injection
-        classifier can tell *detected* misbehaviour apart from silent
-        corruption without depending on exception propagation. The
+        Called by the bus monitors on every violation (strict or not),
+        so the fault-injection classifier can tell *detected*
+        misbehaviour apart from silent corruption without depending on
+        exception propagation. The
         record lands in this simulator's own log and, when a probe bus
         is attached, is published as a ``detection`` probe.
         """
@@ -340,16 +308,3 @@ class Simulator:
                     )
                 )
         return blocked
-
-    def run_until_idle(self, max_time: int | None = None) -> IdleRun:
-        """Run until event starvation; optionally bounded by *max_time*.
-
-        :returns: an :class:`IdleRun` — the end time (usable as a plain
-            ``int``) carrying :attr:`IdleRun.blocked_processes`, the
-            guarded-method calls still stuck when the run ended.
-        """
-        if max_time is not None and max_time < self.time:
-            raise SimulationError("max_time is in the past")
-        duration = None if max_time is None else max_time - self.time
-        end_time = self.run(duration)
-        return IdleRun(end_time, self.blocked_processes())

@@ -2,8 +2,8 @@
 
 A rule-based analyzer over the artefacts of the flow:
 
-* the elaborated **module hierarchy** (MOD0xx rules — unbound ports,
-  write conflicts, dead event waits, combinational loops);
+* the elaborated **module hierarchy** (MOD0xx rules — write conflicts,
+  dead event waits, combinational loops);
 * the **OSSS global objects** (GRD0xx rules — impure guards, statically
   dead guards, cross-object wait cycles, non-bool guards; RES001
   unprotected guarded calls; RACE001 shared-state races), all reading
@@ -15,14 +15,13 @@ A rule-based analyzer over the artefacts of the flow:
 * **fault campaign specs** (FLT0xx rules).
 
 Entry points: :func:`lint_design` (a built design),
-:func:`lint_rtl_module` (one bare netlist), :func:`lint_campaign` (a
-fault campaign spec) and ``python -m repro lint`` on the CLI. The
-netlists of a synthesis run are linted through
+:func:`lint_campaign` (a fault campaign spec) and ``python -m repro
+lint`` on the CLI. The netlists of a synthesis run are linted through
 :func:`repro.analyze.analyze_design`, over the analyses synthesis built
 for them.
 """
 
-from .diagnostics import Diagnostic, LintReport, Severity, worst_severity
+from .diagnostics import Diagnostic, LintReport, Severity
 from .engine import (
     CAMPAIGN,
     DESIGN,
@@ -37,7 +36,7 @@ from .engine import (
     register,
 )
 from .context import DesignContext
-from .runner import lint_campaign, lint_design, lint_rtl_module
+from .runner import lint_campaign, lint_design
 
 __all__ = [
     "CAMPAIGN",
@@ -56,7 +55,5 @@ __all__ = [
     "default_registry",
     "lint_campaign",
     "lint_design",
-    "lint_rtl_module",
     "register",
-    "worst_severity",
 ]

@@ -20,7 +20,7 @@ the guard, resilience and race rules.
 
 Resolution is identity-based: an attribute chain in the source is
 resolved with ``getattr`` on the process's bound instance, so aliasing
-through ports and nested objects is handled for free, and anything that
+through nested objects is handled for free, and anything that
 cannot be resolved is simply skipped (no false positives from dynamic
 code).
 """
@@ -31,7 +31,6 @@ import ast
 import copy
 import typing
 
-from ..hdl.port import Port
 from ..hdl.signal import Signal
 from ..kernel.event import Event
 from ..kernel.process import Process
@@ -102,8 +101,6 @@ class ProcessInfo:
             )
 
     def _note_signal(self, target: object) -> None:
-        if isinstance(target, Port):
-            target = target._signal  # may be None pre-binding
         if isinstance(target, Signal):
             self.signal_writes.add(id(target))
             self.signal_write_names[id(target)] = target.name

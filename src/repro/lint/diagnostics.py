@@ -6,8 +6,8 @@ human-readable message and (where the rule can tell) a fix hint. A
 :class:`LintReport` collects the diagnostics of one analysis run and
 renders them compiler-style::
 
-    error[MOD001] top.consumer.data_in: port was never bound
-        hint: bind the port to a signal before elaboration
+    error[MOD002] top.valid: single-writer signal is written by 2 processes: top.drain, top.fill
+        hint: drive the signal from one process, or mux the sources explicitly
 """
 
 from __future__ import annotations
@@ -34,12 +34,12 @@ class Severity(enum.IntEnum):
 class Diagnostic:
     """One design-rule finding.
 
-    :param rule_id: stable identifier (e.g. ``"MOD001"``).
+    :param rule_id: stable identifier (e.g. ``"MOD002"``).
     :param severity: effective severity after engine adjustments.
     :param path: hierarchical path of the offending design object.
     :param message: what is wrong.
     :param hint: how to fix it (optional).
-    :param rule_name: the rule's symbolic name (e.g. ``"unbound-port"``).
+    :param rule_name: the rule's symbolic name (e.g. ``"multiple-writers"``).
     :param extra: machine-readable facts about the finding (e.g. the
         raced signal name) for downstream tooling; JSON-serializable.
     """
@@ -119,10 +119,6 @@ class LintReport:
         return [d for d in self.diagnostics if d.severity is Severity.ERROR]
 
     @property
-    def warnings(self) -> list[Diagnostic]:
-        return [d for d in self.diagnostics if d.severity is Severity.WARNING]
-
-    @property
     def has_errors(self) -> bool:
         return any(d.severity is Severity.ERROR for d in self.diagnostics)
 
@@ -171,9 +167,3 @@ class LintReport:
             f"{counts['warning']}W {counts['info']}I)"
         )
 
-
-def worst_severity(diagnostics: typing.Iterable[Diagnostic]) -> Severity | None:
-    items = list(diagnostics)
-    if not items:
-        return None
-    return max(d.severity for d in items)

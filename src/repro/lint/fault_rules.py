@@ -40,28 +40,14 @@ class CampaignContext:
         self.signal_paths, self.channel_paths = injectable_targets(bundle)
 
     def observed_signal_paths(self) -> set:
-        """Signals some runtime checker actually watches.
-
-        Two observer families exist today:
-
-        * bus monitors — any design object carrying both a
-          ``violations`` list and a ``bus``; every wire of that bus is
-          under its eye;
-        * invariant/one-hot checkers — objects with a ``watched``
-          signal (or list of signals).
-        """
+        """Signals some runtime checker actually watches: the bus
+        monitors, any design object carrying both a ``violations`` list
+        and a ``bus``, keep every wire of that bus under their eye."""
         observed: set = set()
         for __, obj in self.sim.iter_named():
             if hasattr(obj, "violations") and hasattr(obj, "bus"):
                 for signal in _signals_of(obj.bus):
                     observed.add(signal.name)
-            watched = getattr(obj, "watched", None)
-            if isinstance(watched, (Signal, ResolvedSignal)):
-                observed.add(watched.name)
-            elif isinstance(watched, (list, tuple)):
-                for signal in watched:
-                    if isinstance(signal, (Signal, ResolvedSignal)):
-                        observed.add(signal.name)
         return observed
 
 
@@ -69,8 +55,8 @@ class CampaignContext:
 class UnobservedFaultTargetRule(LintRule):
     """FLT001: a signal-fault line no runtime checker can ever see.
 
-    A fault injected on a wire that neither a bus monitor nor an
-    invariant checker observes can only ever classify as *silent* or
+    A fault injected on a wire that no bus monitor observes can only
+    ever classify as *silent* or
     *benign* — the campaign spends runs proving a detection gap that is
     already knowable statically. Either the fault line or the
     platform's checker set should change.
@@ -108,7 +94,7 @@ class UnobservedFaultTargetRule(LintRule):
                 f"{fault.kind} fault targets only unobserved signals: "
                 f"{shown}",
                 hint=(
-                    "attach a monitor or invariant checker to the wire, "
+                    "attach a monitor to the wire, "
                     "or aim the fault at an observed one — every run on "
                     "this line is guaranteed to classify silent/benign"
                 ),

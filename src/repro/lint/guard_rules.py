@@ -22,7 +22,6 @@ import ast
 import typing
 
 from ..analyze.graph import find_cycles
-from ..hdl.port import Port
 from ..hdl.signal import Signal
 from ..kernel.event import Event
 from ..kernel.process import Process
@@ -78,7 +77,7 @@ class ImpureGuardRule(LintRule):
             if not chain or chain[0] != self_name:
                 continue
             resolved = astutils.resolve_chain(group.state, chain)
-            if isinstance(resolved, (Signal, Port, Event)):
+            if isinstance(resolved, (Signal, Event)):
                 found.append(".".join(chain[1:]))
         return sorted(set(found))
 

@@ -18,28 +18,6 @@ from .engine import DESIGN, LintRule, register
 
 
 @register
-class UnboundPortRule(LintRule):
-    """A declared port was never bound to a signal."""
-
-    rule_id = "MOD001"
-    name = "unbound-port"
-    target = DESIGN
-    default_severity = Severity.ERROR
-    description = "every port must be bound to a signal before elaboration"
-
-    def check(self, design: DesignContext) -> typing.Iterator[Diagnostic]:
-        for module in design.modules:
-            for port in module.ports:
-                if not port.bound:
-                    yield self.emit(
-                        port.path,
-                        f"{port.direction} port was never bound",
-                        "bind the port to a signal (port.bind(signal)) "
-                        "during hierarchy construction",
-                    )
-
-
-@register
 class MultipleWriterRule(LintRule):
     """Two different processes statically write a single-writer signal."""
 

@@ -3,26 +3,22 @@ hardware polymorphism — the language extension the ODETTE project adds on
 top of the synthesisable SystemC subset."""
 
 from .arbiter import (
-    ARBITER_FACTORIES,
     Arbiter,
     FcfsArbiter,
     RandomArbiter,
     RoundRobinArbiter,
     StaticPriorityArbiter,
-    make_arbiter,
 )
 from .global_object import GlobalObject, SharedStateSpace, connect
 from .guarded_method import (
     GuardedMethodDescriptor,
     guarded_method,
     guarded_methods_of,
-    is_guarded,
 )
 from .polymorphism import PolymorphicVar
 from .request import MethodRequest, RequestStats
 
 __all__ = [
-    "ARBITER_FACTORIES",
     "Arbiter",
     "FcfsArbiter",
     "GlobalObject",
@@ -37,6 +33,4 @@ __all__ = [
     "connect",
     "guarded_method",
     "guarded_methods_of",
-    "is_guarded",
-    "make_arbiter",
 ]

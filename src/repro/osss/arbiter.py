@@ -116,22 +116,3 @@ class RandomArbiter(Arbiter):
         ordered = sorted(eligible, key=lambda r: r.seq)
         return ordered[self._next() % len(ordered)]
 
-
-#: Registry used by configuration files / benchmarks.
-ARBITER_FACTORIES: dict[str, typing.Callable[[], Arbiter]] = {
-    "fcfs": FcfsArbiter,
-    "round_robin": RoundRobinArbiter,
-    "static_priority": StaticPriorityArbiter,
-    "random": RandomArbiter,
-}
-
-
-def make_arbiter(kind: str, **kwargs: typing.Any) -> Arbiter:
-    """Build an arbiter by its ``kind`` tag."""
-    try:
-        factory = ARBITER_FACTORIES[kind]
-    except KeyError:
-        raise ArbitrationError(
-            f"unknown arbiter kind {kind!r}; known: {sorted(ARBITER_FACTORIES)}"
-        ) from None
-    return factory(**kwargs)  # type: ignore[call-arg]

@@ -129,36 +129,6 @@ class SharedStateSpace:
         """Force guard re-evaluation after out-of-band state mutation."""
         self._activity.notify()
 
-    def try_execute(self, client: str, method: str, *args: object, **kwargs: object):
-        """Non-blocking call: execute now if possible.
-
-        :returns: ``(True, result)`` when the object was idle, nothing was
-            queued ahead, and the guard held; ``(False, None)`` otherwise.
-        """
-        if self.busy or self.pending:
-            return False, None
-        descriptor = self.descriptor(method)
-        if not descriptor.guard_true(self.state):
-            return False, None
-        result = descriptor.invoke(self.state, *args, **kwargs)
-        probes = self.sim._probes
-        if probes is not None:
-            now = self.sim.scheduler.time
-            request = MethodRequest(
-                client=client, method=method, args=args, kwargs=kwargs,
-                arrival_time=now, done_event=None,  # type: ignore[arg-type]
-                seq=next(self.sim.request_seqs),
-            )
-            request.grant_time = now
-            request.complete_time = now
-            request.completed = True
-            request.result = result
-            probes.emit(METHOD_CALL, now, self, request)
-            probes.emit(METHOD_GRANT, now, self, request)
-            probes.emit(METHOD_COMPLETE, now, self, request)
-        self._activity.notify()
-        return True, result
-
     # -- server process -----------------------------------------------------------
 
     def _serve(self):
@@ -212,7 +182,7 @@ class SharedStateSpace:
                 request.error = error
             request.completed = True
             request.complete_time = scheduler.time
-            self.stats.record_completion(request)
+            self.stats.total_completed += 1
             probes = self.sim._probes
             if probes is not None:
                 probes.emit(METHOD_COMPLETE, scheduler.time, self, request)
@@ -501,15 +471,6 @@ class GlobalObject:
             f"call {self.path}.{method} gave up after {max_attempts} "
             f"attempts (policy {policy!r})"
         )
-
-    def try_call(self, method: str, *args: object, **kwargs: object):
-        """Non-blocking variant: ``(granted, result)``, never suspends."""
-        if self._root()._lowered is not None:
-            raise SimulationError(
-                f"{self.path}: non-blocking try_call is not available on a "
-                "synthesized channel"
-            )
-        return self.space.try_execute(self.path, method, *args, **kwargs)
 
     def __getattr__(self, name: str):
         # Attribute sugar: handle.put_command(cmd) builds the call generator.

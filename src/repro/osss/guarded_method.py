@@ -98,7 +98,3 @@ def guarded_methods_of(cls: type) -> dict[str, GuardedMethodDescriptor]:
             if isinstance(attr, GuardedMethodDescriptor):
                 found[name] = attr
     return found
-
-
-def is_guarded(cls: type, name: str) -> bool:
-    return name in guarded_methods_of(cls)

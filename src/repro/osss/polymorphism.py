@@ -59,10 +59,6 @@ class PolymorphicVar:
     # -- storage ------------------------------------------------------------
 
     @property
-    def is_valid(self) -> bool:
-        return self._value is not None
-
-    @property
     def value(self) -> object:
         if self._value is None:
             raise SimulationError(f"{self.name}: read of an unassigned variable")

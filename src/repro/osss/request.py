@@ -57,13 +57,6 @@ class MethodRequest:
         )
         return f"MethodRequest({self.client}->{self.method}, {state})"
 
-    @property
-    def wait_time(self) -> int:
-        """Femtoseconds between arrival and grant (0 if never granted)."""
-        if self.grant_time is None:
-            return 0
-        return self.grant_time - self.arrival_time
-
 
 def correlation_id_of(request: MethodRequest) -> str | None:
     """Correlation id carried by a method request, if any.
@@ -91,46 +84,17 @@ def correlation_id_of(request: MethodRequest) -> str | None:
 class RequestStats:
     """Aggregated servicing statistics of one shared state space.
 
-    Constant-size: waits are kept as a running sum and maximum over the
-    :attr:`total_completed` calls, and grants as one count per client,
-    so a finished run holds no per-call entry here (a synthesized
-    channel's ``call_log`` keeps the per-call record).
+    Constant-size: request and completion counts, and grants as one
+    count per client, so a finished run holds no per-call entry here (a
+    synthesized channel's ``call_log`` keeps the per-call record).
     """
 
     def __init__(self) -> None:
         self.total_requests = 0
         self.total_completed = 0
         self.grants_by_client: dict[str, int] = {}
-        self._wait_sum = 0
-        self._wait_max = 0
 
     def record_grant(self, request: MethodRequest) -> None:
         self.grants_by_client[request.client] = (
             self.grants_by_client.get(request.client, 0) + 1
         )
-
-    def record_completion(self, request: MethodRequest) -> None:
-        self.total_completed += 1
-        wait = request.wait_time
-        self._wait_sum += wait
-        if wait > self._wait_max:
-            self._wait_max = wait
-
-    @property
-    def mean_wait_time(self) -> float:
-        if not self.total_completed:
-            return 0.0
-        return self._wait_sum / self.total_completed
-
-    @property
-    def max_wait_time(self) -> int:
-        return self._wait_max
-
-    def fairness_index(self) -> float:
-        """Jain's fairness index over per-client grant counts (1.0 = fair)."""
-        counts = list(self.grants_by_client.values())
-        if not counts:
-            return 1.0
-        numerator = sum(counts) ** 2
-        denominator = len(counts) * sum(c * c for c in counts)
-        return numerator / denominator if denominator else 1.0

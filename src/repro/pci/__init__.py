@@ -34,7 +34,7 @@ from .constants import (
 from .master import PciMaster
 from .monitor import PciMonitor
 from .parity import parity_of, parity_of_vectors
-from .signals import PciAgentPins, PciBus, is_asserted, is_deasserted
+from .signals import PciAgentPins, PciBus, is_asserted
 from .target import PciTarget
 from .transaction import PciOperation, PciTransaction
 
@@ -79,5 +79,4 @@ __all__ = [
     "parity_of",
     "parity_of_vectors",
     "is_asserted",
-    "is_deasserted",
 ]

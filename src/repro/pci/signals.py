@@ -13,7 +13,7 @@ the behaviour the bus pull-ups give on real hardware.
 from __future__ import annotations
 
 from ..errors import ProtocolError
-from ..hdl.bitvector import LogicVector, is_zero
+from ..hdl.bitvector import is_zero
 from ..hdl.module import Module
 from ..hdl.resolved import ResolvedSignal
 from ..hdl.signal import Signal
@@ -22,11 +22,6 @@ from .constants import AD_WIDTH, byte_enable_mask, cbe_width_for
 
 #: Active-low control line sampled asserted (driven to 0).
 is_asserted = is_zero
-
-
-def is_deasserted(value: LogicVector) -> bool:
-    """Active-low line deasserted: driven 1 or floating (pull-up)."""
-    return not is_asserted(value)
 
 
 class PciBus(Module):
@@ -82,16 +77,6 @@ class PciBus(Module):
         return not (
             is_asserted(self.frame_n._value) or is_asserted(self.irdy_n._value)
         )
-
-    def control_view(self) -> dict[str, bool]:
-        """Snapshot of the asserted/deasserted state of the control lines."""
-        return {
-            "frame": is_asserted(self.frame_n.read()),
-            "irdy": is_asserted(self.irdy_n.read()),
-            "trdy": is_asserted(self.trdy_n.read()),
-            "devsel": is_asserted(self.devsel_n.read()),
-            "stop": is_asserted(self.stop_n.read()),
-        }
 
     def shared_signals(self) -> list[ResolvedSignal]:
         """The tri-state wires, in waveform display order."""

@@ -13,9 +13,9 @@ Four levels:
 * **protocol recovery** (:class:`InterfaceRecovery`) — transaction
   replay inside the PCI/Wishbone interface IPs for master aborts, bus
   errors and PERR#-style read-parity mismatches.
-* **kernel watchdog + checkpoint/rollback** (:mod:`.watchdog`,
+* **kernel watchdog + checkpoint/restore** (:mod:`.watchdog`,
   :mod:`.checkpoint`) — portable in-sim run supervision and
-  deterministic replay-based rollback.
+  state-level snapshots at transaction boundaries.
 * **self-healing campaigns** — consumed by :mod:`repro.fault`: worker
   supervision, the ``recovered`` outcome class, recovery-latency stats.
 
@@ -30,7 +30,6 @@ import typing
 
 from .checkpoint import (
     KernelCheckpoint,
-    ReplayCheckpointer,
     capture,
     restore,
     stable_content_hash,
@@ -111,7 +110,6 @@ __all__ = [
     "KernelCheckpoint",
     "RecoveryEpisode",
     "RecoveryLog",
-    "ReplayCheckpointer",
     "ResilienceConfig",
     "RetryPolicy",
     "RunWatchdog",

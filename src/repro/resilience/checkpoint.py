@@ -1,26 +1,17 @@
-"""Kernel checkpointing and replay-based rollback.
+"""Kernel checkpointing.
 
-Python generators cannot be snapshotted, so the kernel checkpoint comes
-in two fidelities:
-
-* :class:`KernelCheckpoint` — a **passive state snapshot**: committed
-  signal values (including per-driver contributions of resolved buses),
-  deep copies of every shared-object state, and the done flags of all
-  processes. A synthesized channel's payload wire carries its last
-  call's :class:`~repro.osss.request.MethodRequest`, whose done event
-  belongs to the kernel; the snapshot deep copies the request but
-  shares that event (:func:`_snapshot`). :func:`capture` takes one at a
-  *quiescent* point (no pending guarded calls); :func:`restore` pushes
-  the state back into a live simulator of the same hierarchy. Process
-  program counters are untouched — restore is for state-level recovery
-  at transaction boundaries, not time travel.
-
-* :class:`ReplayCheckpointer` — **full-fidelity rollback** by
-  determinism: rebuild the platform from its builder and re-run it to
-  the checkpoint time. The rebuilt state is verified against the
-  baseline checkpoint signature, turning the kernel's determinism
-  guarantee into a checked property; the fresh platform can then re-run
-  the damaged interval with recovery enabled.
+Python generators cannot be snapshotted, so a :class:`KernelCheckpoint`
+is a **passive state snapshot**: committed signal values (including
+per-driver contributions of resolved buses), deep copies of every
+shared-object state, and the done flags of all processes. A synthesized
+channel's payload wire carries its last call's
+:class:`~repro.osss.request.MethodRequest`, whose done event belongs to
+the kernel; the snapshot deep copies the request but shares that event
+(:func:`_snapshot`). :func:`capture` takes one at a *quiescent* point
+(no pending guarded calls); :func:`restore` pushes the state back into
+a live simulator of the same hierarchy. Process program counters are
+untouched — restore is for state-level recovery at transaction
+boundaries, not time travel.
 
 ``Simulator.checkpoint()`` / ``Simulator.restore()`` are thin wrappers
 over :func:`capture` / :func:`restore`.
@@ -245,58 +236,3 @@ def restore(sim: typing.Any, checkpoint: KernelCheckpoint) -> None:
         for name, contribution in contributions.items():
             bus.get_driver(name).write(contribution)
 
-
-class ReplayCheckpointer:
-    """Full-fidelity rollback by deterministic rebuild + re-run.
-
-    :param builder: zero-argument callable producing a fresh platform;
-        anything exposing ``sim`` directly or through ``.handle`` works
-        (a :class:`~repro.flow.platforms.PlatformBundle`, a
-        :class:`~repro.core.refinement.PlatformHandle`, a simulator).
-    """
-
-    def __init__(self, builder: typing.Callable[[], typing.Any]) -> None:
-        self.builder = builder
-        self.checkpoint: KernelCheckpoint | None = None
-        self.checkpoint_time: int | None = None
-
-    @staticmethod
-    def _sim_of(platform: typing.Any):
-        for candidate in (platform, getattr(platform, "handle", None)):
-            sim = getattr(candidate, "sim", None)
-            if sim is not None:
-                return sim
-        if hasattr(platform, "scheduler"):
-            return platform
-        raise CheckpointError(
-            f"builder product {platform!r} exposes no simulator"
-        )
-
-    def baseline(self, checkpoint_time: int) -> tuple[typing.Any, KernelCheckpoint]:
-        """Build, run to *checkpoint_time*, snapshot; returns (platform, cp)."""
-        platform = self.builder()
-        sim = self._sim_of(platform)
-        sim.run(checkpoint_time - sim.time)
-        self.checkpoint = capture(sim, strict=False)
-        self.checkpoint_time = checkpoint_time
-        return platform, self.checkpoint
-
-    def rollback(self) -> typing.Any:
-        """Rebuild and re-run to the checkpoint; verify, return the platform.
-
-        :raises CheckpointError: when the rebuilt run does not reproduce
-            the baseline checkpoint — the design is nondeterministic and
-            replay-based recovery would silently diverge.
-        """
-        if self.checkpoint is None or self.checkpoint_time is None:
-            raise CheckpointError("rollback before baseline()")
-        platform = self.builder()
-        sim = self._sim_of(platform)
-        sim.run(self.checkpoint_time - sim.time)
-        replayed = capture(sim, strict=False)
-        if replayed.signature() != self.checkpoint.signature():
-            raise CheckpointError(
-                f"replay diverged from checkpoint at t={self.checkpoint_time}: "
-                "the platform builder is not deterministic"
-            )
-        return platform

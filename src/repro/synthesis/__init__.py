@@ -15,7 +15,6 @@ from .arbiter_synth import (
     lower_arbiter,
 )
 from .channel_synth import build_channel_ir
-from .emit_dot import emit_fsm_dot, emit_module_dot
 from .emit_verilog import emit_verilog
 from .emit_vhdl import emit_vhdl
 from .ir import (
@@ -37,7 +36,7 @@ from .ir import (
     clog2,
     mux_chain,
 )
-from .object_synth import build_object_ir, estimate_state_bits
+from .object_synth import estimate_state_bits
 from .poly_synth import DispatchInfo, synthesize_dispatch
 from .report import ModuleReport, SynthesisReport
 from .rtl_channel import ChannelCallRecord, RtlMethodChannel
@@ -79,11 +78,8 @@ __all__ = [
     "SynthesizedGroup",
     "UnOp",
     "build_channel_ir",
-    "build_object_ir",
     "clog2",
     "discover_groups",
-    "emit_fsm_dot",
-    "emit_module_dot",
     "emit_verilog",
     "emit_vhdl",
     "estimate_state_bits",

@@ -350,10 +350,6 @@ class Fsm:
         self.encode(target)
         self.transitions.append(FsmTransition(source, condition, target))
 
-    def set_output(self, state: str, net: Net, value: int) -> None:
-        self.encode(state)
-        self.moore_outputs.setdefault(state, []).append((net, value))
-
     @property
     def state_bits(self) -> int:
         return self.state_register.width

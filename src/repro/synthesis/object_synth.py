@@ -14,7 +14,6 @@ from __future__ import annotations
 import typing
 
 from ..errors import SynthesisError
-from ..osss.guarded_method import GuardedMethodDescriptor
 from .ir import BinOp, Const, RtlModule, clog2
 
 
@@ -53,25 +52,6 @@ def estimate_state_bits(state: object) -> dict[str, int]:
         else:
             estimate[clean] = 32
     return estimate
-
-
-def build_object_ir(
-    name: str,
-    state: object,
-    methods: typing.Mapping[str, GuardedMethodDescriptor],
-    method_order: typing.Sequence[str],
-) -> RtlModule:
-    """Generate the object-server wrapper netlist.
-
-    :param state: a live instance (used only for state-size estimation).
-    :param method_order: fixed method indexing shared with the channel.
-    """
-    return object_server_ir(
-        name,
-        type(state).__name__,
-        estimate_state_bits(state),
-        [(method, methods[method].guard is not None) for method in method_order],
-    )
 
 
 def object_server_ir(

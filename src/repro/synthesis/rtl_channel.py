@@ -477,7 +477,7 @@ class RtlMethodChannel(Module):
         current.result = outcome[0]
         current.completed = True
         current.complete_time = self.sim.time
-        space.stats.record_completion(current)
+        space.stats.total_completed += 1
         probes = self.sim._probes
         if probes is not None:
             probes.emit(METHOD_COMPLETE, self.sim.time, space, current)

@@ -86,12 +86,10 @@ class SynthesizedGroup:
     def __init__(
         self,
         name: str,
-        handles: list[GlobalObject],
         channel: RtlMethodChannel,
         netlists: "GroupNetlists",
     ) -> None:
         self.name = name
-        self.handles = handles
         self.channel = channel
         #: One :class:`~repro.analyze.passes.ModuleAnalysis` per netlist:
         #: the channel, the object server, then each polymorphic dispatch.
@@ -114,13 +112,6 @@ class SynthesisResult:
         self.top = top
         self.report = report
         self.groups: list[SynthesizedGroup] = []
-
-    def group_for(self, handle: GlobalObject) -> SynthesizedGroup:
-        root = handle._root()
-        for group in self.groups:
-            if any(h._root() is root for h in group.handles):
-                return group
-        raise SynthesisError(f"{handle.path} was not synthesized")
 
     def all_verilog(self) -> str:
         return "\n\n".join(g.verilog for g in self.groups if g.verilog)
@@ -155,9 +146,9 @@ def _analyze_group_netlists(
 ) -> "tuple[ModuleAnalysis, ...]":
     """Analyze and IR-lint one group's netlists; errors abort synthesis."""
     # Imported lazily: the analyze and lint packages import
-    # synthesis.ir. Importing the lint runner registers every IR rule.
+    # synthesis.ir. Importing the lint package registers every IR rule.
     from ..analyze.passes import ModuleAnalysis
-    from ..lint.runner import IR, LintEngine
+    from ..lint import IR, LintEngine
 
     engine = LintEngine()
     analyses = []
@@ -397,7 +388,7 @@ def synthesize_communication(
             },
         )
         result.groups.append(
-            SynthesizedGroup(group_name, list(handles), channel, netlists)
+            SynthesizedGroup(group_name, channel, netlists)
         )
     if _SYNTHESIS_SINK is not None:
         _SYNTHESIS_SINK(sim, result)

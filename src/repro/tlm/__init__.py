@@ -1,6 +1,6 @@
-"""Transaction-level modeling substrate: channels, functional IP models."""
+"""Transaction-level modeling substrate: the target interface, functional IP
+models (memory, peripheral), the address router and the generic payload."""
 
-from .channels import ReqRspChannel, TlmFifo
 from .interfaces import (
     ALL_BYTES,
     TlmTarget,
@@ -8,8 +8,8 @@ from .interfaces import (
     check_word_address,
     check_word_data,
 )
-from .memory import Memory, RomMemory
-from .peripheral import DmaPeripheral, StatusRegisterBlock
+from .memory import Memory
+from .peripheral import StatusRegisterBlock
 from .router import AddressRange, AddressRouter
 
 #: Generic-payload names resolved lazily: generic_payload pulls in the
@@ -43,7 +43,6 @@ __all__ = [
     "ALL_BYTES",
     "AddressRange",
     "AddressRouter",
-    "DmaPeripheral",
     "GP_ADDRESS_ERROR",
     "GP_GENERIC_ERROR",
     "GP_INCOMPLETE",
@@ -54,10 +53,7 @@ __all__ = [
     "GenericPayload",
     "GpTargetSocket",
     "Memory",
-    "ReqRspChannel",
-    "RomMemory",
     "StatusRegisterBlock",
-    "TlmFifo",
     "TlmGpBusInterface",
     "TlmGpFunctionalInterface",
     "TlmTarget",

@@ -8,8 +8,6 @@ substrate implements the same operations over wires.
 
 from __future__ import annotations
 
-import typing
-
 from ..errors import ProtocolError
 
 #: Byte-enable mask selecting all four bytes of a 32-bit word.
@@ -29,15 +27,6 @@ class TlmTarget:
 
     def write_word(self, address: int, data: int, byte_enables: int = ALL_BYTES) -> None:
         raise NotImplementedError
-
-    # Burst helpers with sensible defaults in terms of the word ops.
-
-    def read_burst(self, address: int, count: int) -> list[int]:
-        return [self.read_word(address + 4 * i) for i in range(count)]
-
-    def write_burst(self, address: int, data: typing.Sequence[int]) -> None:
-        for offset, word in enumerate(data):
-            self.write_word(address + 4 * offset, word)
 
 
 def check_word_address(address: int) -> int:

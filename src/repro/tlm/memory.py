@@ -71,19 +71,3 @@ class Memory(TlmTarget):
     def words_written(self) -> int:
         return len(self._words)
 
-
-class RomMemory(Memory):
-    """Read-only memory: writes raise :class:`ProtocolError`."""
-
-    def __init__(
-        self,
-        contents: typing.Sequence[int],
-        size_bytes: int | None = None,
-        fill: int = 0,
-    ) -> None:
-        size = size_bytes if size_bytes is not None else max(4, 4 * len(contents))
-        super().__init__(size, fill)
-        self.load(0, contents)
-
-    def write_word(self, address: int, data: int, byte_enables: int = ALL_BYTES) -> None:
-        raise ProtocolError(f"write to ROM at {address:#x}")

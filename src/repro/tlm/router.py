@@ -8,8 +8,6 @@ own local address spaces.
 
 from __future__ import annotations
 
-import typing
-
 from ..errors import ProtocolError
 from .interfaces import ALL_BYTES, TlmTarget
 
@@ -56,10 +54,6 @@ class AddressRouter(TlmTarget):
         self._ranges.append(entry)
         return entry
 
-    @property
-    def ranges(self) -> tuple[AddressRange, ...]:
-        return tuple(self._ranges)
-
     def decode(self, address: int) -> AddressRange:
         for entry in self._ranges:
             if entry.contains(address):
@@ -73,19 +67,3 @@ class AddressRouter(TlmTarget):
     def write_word(self, address: int, data: int, byte_enables: int = ALL_BYTES) -> None:
         entry = self.decode(address)
         entry.target.write_word(address - entry.base, data, byte_enables)
-
-    def read_burst(self, address: int, count: int) -> list[int]:
-        entry = self.decode(address)
-        if not entry.contains(address + 4 * (count - 1)):
-            raise ProtocolError(
-                f"burst of {count} words at {address:#x} crosses out of {entry!r}"
-            )
-        return entry.target.read_burst(address - entry.base, count)
-
-    def write_burst(self, address: int, data: typing.Sequence[int]) -> None:
-        entry = self.decode(address)
-        if data and not entry.contains(address + 4 * (len(data) - 1)):
-            raise ProtocolError(
-                f"burst of {len(data)} words at {address:#x} crosses out of {entry!r}"
-            )
-        entry.target.write_burst(address - entry.base, data)

@@ -6,7 +6,7 @@ from .capture import WaveformCapture
 from .correlate import SpanDiff, SpanDiffEntry, correlate
 from .spans import CriticalPath, Span, SpanTracer, critical_path
 from .vcd import VcdTracer
-from .vcd_reader import VcdDump, VcdSignal, diff_dumps, parse_vcd
+from .vcd_reader import VcdDump, VcdSignal, parse_vcd
 
 __all__ = [
     "AttributionReport",
@@ -23,7 +23,6 @@ __all__ = [
     "attribute",
     "correlate",
     "critical_path",
-    "diff_dumps",
     "parse_vcd",
     "render",
 ]

@@ -39,12 +39,6 @@ class WaveformCapture:
         for signal in signals:
             self.add_signal(signal)
 
-    def add_module(self, module: typing.Any) -> None:
-        prefix = module.path + "."
-        for name, obj in module.sim.iter_named():
-            if name.startswith(prefix) and isinstance(obj, (Signal, ResolvedSignal)):
-                self.add_signal(obj)
-
     # -- tracer protocol ---------------------------------------------------
 
     def record_change(self, time: int, signal: Traceable, value: object) -> None:
@@ -72,25 +66,11 @@ class WaveformCapture:
             index = 0
         return changes[index][1]
 
-    def sample(
-        self, name: str, start: int, stop: int, step: int
-    ) -> list[tuple[int, object]]:
-        """Sample signal *name* every *step* fs over [start, stop)."""
-        if step <= 0:
-            raise SimulationError(f"sample step must be positive, got {step}")
-        return [
-            (time, self.value_at(name, time)) for time in range(start, stop, step)
-        ]
-
     def changes(self, name: str) -> list[tuple[int, object]]:
         try:
             return list(self.history[name])
         except KeyError:
             raise SimulationError(f"signal {name!r} was not captured") from None
-
-    def change_count(self, name: str) -> int:
-        """Number of committed changes (excluding the initial snapshot)."""
-        return max(0, len(self.changes(name)) - 1)
 
     # -- comparison ---------------------------------------------------------------
 

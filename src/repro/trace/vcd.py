@@ -76,13 +76,6 @@ class VcdTracer:
         for signal in signals:
             self.add_signal(signal)
 
-    def add_module(self, module: typing.Any) -> None:
-        """Watch every signal registered beneath *module*'s hierarchy."""
-        prefix = module.path + "."
-        for name, obj in module.sim.iter_named():
-            if name.startswith(prefix) and isinstance(obj, (Signal, ResolvedSignal)):
-                self.add_signal(obj)
-
     # -- header ----------------------------------------------------------------
 
     def _write_header(self) -> None:

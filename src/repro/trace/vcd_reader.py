@@ -1,14 +1,11 @@
 """A small VCD parser.
 
 Reads the dialect :class:`~repro.trace.vcd.VcdTracer` writes (a strict
-subset of IEEE-1364 VCD), producing per-signal change histories. Used by
-the round-trip tests and handy for diffing dumps from two runs without a
-waveform viewer.
+subset of IEEE-1364 VCD), producing per-signal change histories: the
+round-trip oracle the tracer's tests read its dumps back with.
 """
 
 from __future__ import annotations
-
-import typing
 
 from ..errors import SimulationError
 
@@ -158,21 +155,3 @@ def _record(dump: VcdDump, identifier: str, value: str, time: int) -> None:
         value = value.upper()
     signal.changes.append((time, value))
 
-
-def diff_dumps(
-    dump_a: VcdDump,
-    dump_b: VcdDump,
-    names: typing.Sequence[str] | None = None,
-) -> list[str]:
-    """Compare value sequences of two parsed dumps (time-abstracted)."""
-    if names is None:
-        names = sorted(set(dump_a.signals) & set(dump_b.signals))
-    problems = []
-    for name in names:
-        seq_a = [v for __, v in dump_a.signal(name).changes]
-        seq_b = [v for __, v in dump_b.signal(name).changes]
-        if seq_a != seq_b:
-            problems.append(
-                f"{name}: {len(seq_a)} vs {len(seq_b)} changes or differing values"
-            )
-    return problems

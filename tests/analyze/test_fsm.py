@@ -128,7 +128,7 @@ class TestLivelock:
         fsm = Fsm("ctrl", ["A", "B"], "A")
         fsm.add_transition("A", None, "B")
         fsm.add_transition("B", None, "A")
-        fsm.set_output("B", strobe, 1)
+        fsm.moore_outputs["B"] = [(strobe, 1)]
         module.add_fsm(fsm)
         assert list(find_livelock_cycles(fsm)) == []
 

@@ -47,7 +47,7 @@ class TestDrivers:
         fsm = Fsm("ctrl", ["IDLE", "RUN"], "IDLE")
         fsm.add_transition("IDLE", go.ref(), "RUN")
         fsm.add_transition("RUN", None, "IDLE")
-        fsm.set_output("RUN", busy, 1)
+        fsm.moore_outputs["RUN"] = [(busy, 1)]
         module.add_fsm(fsm)
         graph = NetGraph(module)
         (state_driver,) = graph.drivers_of(fsm.state_register)

@@ -89,16 +89,6 @@ class TestAnalyzeDesign:
                                   group.object_ir.name}
         assert schedules[group.channel_ir.name].depth >= 2
 
-    def test_module_named(self):
-        import pytest
-
-        sim, result = build_synthesized_design()
-        report = analyze_design(result)
-        name = result.groups[0].channel_ir.name
-        assert report.module_named(name).module is result.groups[0].channel_ir
-        with pytest.raises(KeyError):
-            report.module_named("nope")
-
 
 class TestScheduleEquivalence:
     def test_one_delta_matches_interpreted_channel(self):

@@ -182,7 +182,7 @@ class TestLevelize:
         fsm = Fsm("ctrl", ["IDLE", "RUN"], "IDLE")
         fsm.add_transition("IDLE", go.ref(), "RUN")
         fsm.add_transition("RUN", None, "IDLE")
-        fsm.set_output("RUN", busy, 1)
+        fsm.moore_outputs["RUN"] = [(busy, 1)]
         module.add_fsm(fsm)
         result = levelize(NetGraph(module))
         assert result.ok
@@ -219,7 +219,7 @@ class TestLevelize:
         fsm = Fsm("ctrl", ["IDLE", "RUN"], "IDLE")
         fsm.add_transition("IDLE", go.ref(), "RUN")
         fsm.add_transition("RUN", None, "IDLE")
-        fsm.set_output("RUN", busy, 1)
+        fsm.moore_outputs["RUN"] = [(busy, 1)]
         module.add_fsm(fsm)
         schedule = levelize(NetGraph(module)).schedule
         width = fsm.state_register.width

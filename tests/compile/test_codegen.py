@@ -108,7 +108,7 @@ class TestCycleSemantics:
         fsm = Fsm("ctrl", ["IDLE", "RUN"], "IDLE")
         fsm.add_transition("IDLE", go.ref(), "RUN")
         fsm.add_transition("RUN", None, "IDLE")
-        fsm.set_output("RUN", busy, 1)
+        fsm.moore_outputs["RUN"] = [(busy, 1)]
         module.add_fsm(fsm)
         netlist = compile_module(ModuleAnalysis(module))
         regs = netlist.reset_registers()

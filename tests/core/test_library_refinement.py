@@ -25,11 +25,6 @@ class TestLibrary:
         assert library.lookup("pci", "functional") is FunctionalBusInterface
         assert library.lookup("pci", "pin_accurate") is PciBusInterface
 
-    def test_abstractions_for(self):
-        library = default_library()
-        assert library.abstractions_for("pci") == ["functional", "pin_accurate"]
-        assert library.abstractions_for("axi") == []
-
     def test_unknown_lookup(self):
         with pytest.raises(RefinementError):
             default_library().lookup("pci", "gate_level")

@@ -7,7 +7,6 @@ from repro.core import (
     CommandType,
     expected_memory_image,
     generate_workload,
-    sequential_fill,
 )
 from repro.errors import SimulationError
 
@@ -52,14 +51,6 @@ class TestGenerateWorkload:
             generate_workload(1, 5, max_burst=0)
         with pytest.raises(SimulationError):
             generate_workload(1, 5, write_fraction=1.5)
-
-
-class TestSequentialFill:
-    def test_structure(self):
-        commands = sequential_fill(0x40, 4)
-        assert len(commands) == 5
-        assert all(c.is_write for c in commands[:4])
-        assert commands[4].is_read and commands[4].count == 4
 
 
 class TestGoldenModel:

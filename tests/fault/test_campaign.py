@@ -24,7 +24,6 @@ from repro.fault import (
     build_campaign_platform,
     demo_campaign_spec,
     plan_campaign,
-    run_golden,
 )
 from repro.fault.durable import campaign_content_hash
 
@@ -39,7 +38,7 @@ def _spec(faults, **kwargs):
 @pytest.fixture(scope="module")
 def golden_and_horizon():
     spec = _spec([FaultSpec("stuck_at", "top.bus.devsel_n")])
-    golden = run_golden(spec)
+    golden = plan_campaign(spec)[0]
     return spec, golden
 
 
@@ -140,7 +139,7 @@ class TestPlanPins:
 
 class TestClassification:
     def _run(self, spec, kind, target, window, params):
-        golden = run_golden(spec)
+        golden = plan_campaign(spec)[0]
         run = RunSpec(0, kind, target, window, params)
         return execute_run(spec, run, golden)
 
@@ -190,7 +189,7 @@ class TestClassification:
             [FaultSpec("command_corruption", "top.interface.channel")],
             write_fraction=1.0,
         )
-        golden = run_golden(spec)
+        golden = plan_campaign(spec)[0]
         run = RunSpec(
             0, "command_corruption", "top.interface.channel",
             (0, golden.horizon), {"field": "data", "mask": 0xFF00},

@@ -23,7 +23,6 @@ from repro.fault import (
     execute_run,
     make_fault,
     plan_campaign,
-    run_golden,
 )
 from repro.fault.spec import fault_targets
 from repro.kernel import NS, US
@@ -133,7 +132,7 @@ class TestBoundaries:
     @pytest.fixture(scope="class")
     def planned(self):
         spec = _spec(self.SPEC_FAULTS)
-        return spec, run_golden(spec)
+        return spec, plan_campaign(spec)[0]
 
     @pytest.mark.parametrize("offset", [-1, 0, 1])
     @pytest.mark.parametrize("kind, target, params", [
@@ -187,7 +186,7 @@ class TestBoundaries:
         # The server waits with a call pending across the quiet window,
         # so the touch makes it re-check guards: one more guard block.
         spec = _spec(self.SPEC_FAULTS, telemetry=True)
-        golden = run_golden(spec)
+        golden = plan_campaign(spec)[0]
         window = self._quiet_window(golden)
         run = RunSpec(0, "delayed_grant", CHANNEL, window, {})
         simulated = execute_run(spec, run, _unscreened(golden))
@@ -203,7 +202,7 @@ class TestScreenPaths:
     @pytest.fixture(scope="class")
     def planned(self):
         spec = _spec([FaultSpec("stuck_at", "top.bus.devsel_n")])
-        return spec, run_golden(spec)
+        return spec, plan_campaign(spec)[0]
 
     def _late(self, golden, run_id=0, kind="stuck_at",
               target="top.bus.devsel_n"):
@@ -235,7 +234,7 @@ class TestScreenPaths:
     def test_relabel_copies_only_the_score(self):
         spec = _spec([FaultSpec("stuck_at", "top.bus.devsel_n")],
                      telemetry=True, trace_spans=True, resilience=True)
-        golden = run_golden(spec)
+        golden = plan_campaign(spec)[0]
         run = self._late(golden, run_id=5)
         outcome = campaign._screen(spec, run, golden)
         # The relabel the screen made before: a deep copy of the golden
@@ -296,7 +295,7 @@ class TestScreenPaths:
     def test_score_label_is_the_runs_own(self):
         spec = _spec([FaultSpec("stuck_at", "top.bus.devsel_n")],
                      telemetry=True)
-        golden = run_golden(spec)
+        golden = plan_campaign(spec)[0]
         run = self._late(golden, run_id=3)
         outcome = execute_run(spec, run, golden)
         assert outcome.score["label"] == run.label
@@ -346,7 +345,7 @@ class TestSynthesizedChannelCoverage:
         if level != "behavioural":
             spec.synthesize = True
             spec.backend = level
-        golden = run_golden(spec)
+        golden = plan_campaign(spec)[0]
         run = RunSpec(0, "dropped_request", CHANNEL, (0, golden.horizon),
                       {"method": "put_command"})
         return execute_run(spec, run, _unscreened(golden)).activations

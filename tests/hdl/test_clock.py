@@ -3,7 +3,7 @@
 import pytest
 
 from repro.errors import SimulationError
-from repro.hdl import Clock, ResetGenerator
+from repro.hdl import Clock
 from repro.kernel import NS, Simulator
 
 
@@ -53,32 +53,3 @@ class TestClock:
         with pytest.raises(SimulationError):
             Clock(sim, "c3", period=10 * NS, duty=1.5)
 
-
-class TestReset:
-    def test_active_low_deasserts_after_duration(self, sim):
-        reset = ResetGenerator(sim, "rst", duration=25 * NS)
-        assert reset.rst.read().to_int() == 0
-        sim.run(30 * NS)
-        assert reset.rst.read().to_int() == 1
-
-    def test_active_high(self, sim):
-        reset = ResetGenerator(sim, "rst", duration=10 * NS, active_low=False)
-        assert reset.rst.read().to_int() == 1
-        sim.run(20 * NS)
-        assert reset.rst.read().to_int() == 0
-
-    def test_done_event(self, sim):
-        reset = ResetGenerator(sim, "rst", duration=10 * NS)
-        stamps = []
-
-        def watcher():
-            yield reset.done
-            stamps.append(sim.time)
-
-        sim.spawn(watcher, "w")
-        sim.run(50 * NS)
-        assert stamps == [10 * NS]
-
-    def test_zero_duration_rejected(self, sim):
-        with pytest.raises(SimulationError):
-            ResetGenerator(sim, "rst", duration=0)

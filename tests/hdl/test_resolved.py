@@ -27,7 +27,7 @@ class TestDrivers:
 
     def test_initial_value_floats(self, sim):
         bus = ResolvedSignal(sim, "bus", 8)
-        assert bus.read().is_all_z
+        assert set(str(bus.read())) == {"Z"}
 
     def test_driver_width_checked(self, sim):
         bus = ResolvedSignal(sim, "bus", 8)
@@ -78,7 +78,7 @@ class TestResolutionOverTime:
 
         sim.spawn(proc, "p")
         sim.run(20 * NS)
-        assert bus.read().is_all_z
+        assert set(str(bus.read())) == {"Z"}
 
     def test_bus_handover(self, sim):
         """Classic turnaround: driver A releases, driver B takes over."""
@@ -327,4 +327,4 @@ def test_contention_enters_and_leaves(width):
     assert committed[1] == unknown and committed[2] == unknown
     assert committed[3] is committed[4]
     assert committed[3].to_int() == ones
-    assert committed[5].is_all_z
+    assert set(str(committed[5])) == {"Z"}

@@ -104,3 +104,26 @@ def test_agents_keep_their_process_and_event_names(bus_name):
     assert [p.name for p in monitor._processes] == ["monitor.watch"]
     assert master._op_available.name == "master.op_available"
     assert master.submit(operation).name == f"master.{done_name}"
+
+
+class TestViolationPath:
+    """A bus monitor reports a broken rule through one path: log the
+    text, report it as a detection, raise when strict."""
+
+    @pytest.mark.parametrize("strict", [False, True])
+    def test_logged_detected_and_raised(self, strict):
+        sim = Simulator()
+        clk = Clock(sim, "clock", period=10 * NS).clk
+        monitor = WishboneMonitor(sim, "mon", WishboneBus(sim, "wb"), clk,
+                                  strict=strict)
+        if strict:
+            with pytest.raises(ProtocolError) as raised:
+                monitor._violation("ACK without CYC")
+            assert type(raised.value) is ProtocolError
+            assert str(raised.value) == "mon: 0 fs: ACK without CYC"
+        else:
+            monitor._violation("ACK without CYC")
+        assert monitor.violations == ["0 fs: ACK without CYC"]
+        assert [(d.source, d.message) for d in sim.detections] == [
+            ("mon", "0 fs: ACK without CYC")
+        ]

@@ -173,7 +173,7 @@ class TestMetricsCollector:
         _ConsumerModule(sim, "cons", producer, 2)
         sim.run(1 * US)
         assert metrics.deltas == 0
-        assert not metrics.method_metrics
+        assert not metrics.method_rows()
 
     def test_transaction_pairing(self):
         bus = ProbeBus()

@@ -14,17 +14,11 @@ import pytest
 import repro
 from repro.instrument import MetricsCollector, WallClockProfiler
 from repro.instrument.metrics import DetectionLog
-from repro.instrument.probes import (
-    PROBE_KINDS,
-    TRANSACTION_END,
-    ProbeBus,
-    ProbeError,
-)
+from repro.instrument.probes import PROBE_KINDS, ProbeBus, ProbeError
 from repro.instrument.sanitizer import RaceSanitizer
 from repro.resilience import RecoveryLog
 from repro.telemetry import FlightRecorder, ScorecardProbe
 from repro.trace import SpanTracer
-from repro.verify import CoverageCollector, ProbeCoverage
 
 SRC = Path(repro.__file__).resolve().parent
 
@@ -33,7 +27,6 @@ SRC = Path(repro.__file__).resolve().parent
 ALLOWED = {
     ("instrument/probes.py", None),
     ("kernel/simulator.py", "Simulator.add_tracer"),
-    ("kernel/simulator.py", "Simulator.remove_tracer"),
 }
 
 
@@ -74,17 +67,6 @@ def test_one_attach_detach_implementation():
     )
 
 
-def _coverage():
-    collector = CoverageCollector("bus")
-    collector.add_point("burst", [1, 2, 4])
-    collector.add_point("direction", ["read", "write"])
-    return (
-        ProbeCoverage(collector)
-        .cover(TRANSACTION_END, "burst", lambda *args: None)
-        .cover(TRANSACTION_END, "direction", lambda *args: None)
-    )
-
-
 SUBSCRIBERS = {
     "SpanTracer": SpanTracer,
     "ScorecardProbe": ScorecardProbe,
@@ -93,7 +75,6 @@ SUBSCRIBERS = {
     "DetectionLog": DetectionLog,
     "RaceSanitizer": RaceSanitizer,
     "WallClockProfiler": WallClockProfiler,
-    "ProbeCoverage": _coverage,
     "RecoveryLog": RecoveryLog,
 }
 
@@ -150,9 +131,6 @@ ORDER = {
         "process.suspend": ["_on_suspend"],
         "delta.begin": ["_on_delta_begin"],
         "delta.end": ["_on_delta_end"],
-    },
-    "ProbeCoverage": {
-        "transaction.end": ["sampler[burst]", "sampler[direction]"],
     },
     "RecoveryLog": {kind: ["_record"] for kind in _RESILIENCE_KINDS},
 }

@@ -211,7 +211,7 @@ class TestMidRunAttachDetach:
 
             def record_change(self, time, signal, value):
                 self.changes += 1
-                sim.remove_tracer(self)
+                sim.probes.unsubscribe(SIGNAL_COMMIT, self.record_change)
 
         flighty = SelfDetaching()
         sim.add_tracer(flighty)
@@ -220,15 +220,6 @@ class TestMidRunAttachDetach:
         assert flighty.changes == 1
         assert len(steady.changes) == 15
         assert top.count.read().to_int() == 5
-
-    def test_remove_tracer_is_idempotent(self):
-        sim = Simulator()
-        recorder = self._recorder()
-        sim.remove_tracer(recorder)  # never attached: no raise
-        sim.add_tracer(recorder)
-        sim.remove_tracer(recorder)
-        sim.remove_tracer(recorder)  # again: no raise
-        assert recorder not in sim._tracers
 
     def test_add_tracer_twice_is_single_subscription(self):
         sim = Simulator()

@@ -118,9 +118,3 @@ class TestSpawnHelpers:
         process = sim.spawn(_noop, "x")
         assert process.name == "x"
         assert process in sim.scheduler.processes
-
-    def test_run_until_idle_rejects_past_deadline(self, sim):
-        sim.spawn(_noop, "x")
-        sim.run(100 * NS)
-        with pytest.raises(SimulationError):
-            sim.run_until_idle(50 * NS)

@@ -7,24 +7,18 @@ the rule fires and that *no other* unexpected rule does.
 
 from __future__ import annotations
 
+from repro.analyze.passes import ModuleAnalysis
 from repro.hdl.module import Module
 from repro.kernel.process import Timeout
 from repro.kernel.simulator import Simulator
 from repro.osss.global_object import GlobalObject
+from repro.lint import IR, LintEngine
 from repro.osss.guarded_method import guarded_method
 
 
-def make_unbound_port() -> Simulator:
-    """MOD001: a declared port that is never bound."""
-    sim = Simulator()
-
-    class Sink(Module):
-        def __init__(self, parent, name):
-            super().__init__(parent, name)
-            self.din = self.in_port("din", width=8)
-
-    Sink(sim, "top")
-    return sim
+def lint_netlist(module, config=None):
+    """Run every IR rule over one bare netlist, as synthesis does."""
+    return LintEngine(config).run(ModuleAnalysis(module), IR, module.name)
 
 
 def make_double_writer() -> Simulator:

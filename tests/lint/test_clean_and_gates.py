@@ -7,7 +7,7 @@ from repro.core import generate_workload
 from repro.errors import SynthesisError
 from repro.flow import DesignFlow, build_platform, standard_flow_builders
 from repro.hdl.module import Module
-from repro.kernel import MS
+from repro.kernel import MS, Timeout
 from repro.analyze import analyze_design
 from repro.lint import LintConfig, lint_design
 from repro.synthesis.ir import Const, RtlModule
@@ -15,6 +15,25 @@ from repro.synthesis.tool import _analyze_group_netlists
 
 WORKLOADS = [generate_workload(seed=7, n_commands=4, address_span=0x100,
                                max_burst=2)]
+
+
+class WriteConflict(Module):
+    """Two threads write one single-writer signal: a MOD002 error."""
+
+    def __init__(self, parent, name):
+        super().__init__(parent, name)
+        self.strobe = self.signal("strobe", width=1, init=0,
+                                  single_writer=True)
+        self.thread(self._driver_a, "driver_a")
+        self.thread(self._driver_b, "driver_b")
+
+    def _driver_a(self):
+        self.strobe.write(1)
+        yield Timeout(10)
+
+    def _driver_b(self):
+        self.strobe.write(0)
+        yield Timeout(10)
 
 
 class TestExamplesLintClean:
@@ -46,24 +65,18 @@ class TestExamplesLintClean:
 
 class TestFlowGate:
     def test_flow_refuses_design_with_errors(self):
-        """An unbound port in the implementation model aborts the flow
+        """A write conflict in the implementation model aborts the flow
         at the lint stage, before synthesis is attempted."""
         functional, implementation = standard_flow_builders(WORKLOADS)
 
         def broken_implementation(synthesize):
             handle, synthesis = implementation(synthesize)
-
-            class Dangling(Module):
-                def __init__(self, parent, name):
-                    super().__init__(parent, name)
-                    self.loose = self.in_port("loose", width=1)
-
-            Dangling(handle.sim, "dangling")
+            WriteConflict(handle.sim, "conflict")
             return handle, synthesis
 
         flow = DesignFlow({"name": "broken"}, functional,
                           broken_implementation)
-        with pytest.raises(SynthesisError, match="MOD001"):
+        with pytest.raises(SynthesisError, match="MOD002"):
             flow.run(20 * MS)
 
     def test_suppression_lets_flow_pass(self):
@@ -71,24 +84,18 @@ class TestFlowGate:
 
         def broken_implementation(synthesize):
             handle, synthesis = implementation(synthesize)
-
-            class Dangling(Module):
-                def __init__(self, parent, name):
-                    super().__init__(parent, name)
-                    self.loose = self.in_port("loose", width=1)
-
-            Dangling(handle.sim, "dangling")
+            WriteConflict(handle.sim, "conflict")
             return handle, synthesis
 
         flow = DesignFlow(
             {"name": "waived"}, functional, broken_implementation,
-            lint_config=LintConfig(suppress=["MOD001@dangling.*"]),
+            lint_config=LintConfig(suppress=["MOD002@conflict*"]),
         )
-        # The simulation stages still fail elaboration on the unbound
-        # port, but lint itself must not be the stage that stops it.
+        # The simulation stages still fail on the write conflict, but
+        # lint itself must not be the stage that stops it.
         with pytest.raises(Exception) as excinfo:
             flow.run(20 * MS)
-        assert "MOD001" not in str(excinfo.value)
+        assert "MOD002" not in str(excinfo.value)
 
 
 class TestSynthesisGate:

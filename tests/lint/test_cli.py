@@ -9,7 +9,7 @@ class TestLintCli:
     def test_list_rules_catalogue(self, capsys):
         assert main(["lint", "--list-rules"]) == 0
         out = capsys.readouterr().out
-        for rule_id in ("MOD001", "NET001", "FSM001", "RACE001"):
+        for rule_id in ("MOD002", "NET001", "FSM001", "RACE001"):
             assert rule_id in out
 
     def test_unknown_suppression_rejected(self, capsys):

@@ -14,7 +14,6 @@ from repro.lint import (
     Severity,
     Suppression,
     default_registry,
-    worst_severity,
 )
 
 
@@ -97,7 +96,7 @@ class TestRegistry:
     def test_default_registry_has_all_rule_layers(self):
         ids = {rule.rule_id for rule in default_registry.rules()}
         assert len(ids) >= 10
-        assert {"MOD001", "MOD002", "MOD003", "MOD004"} <= ids
+        assert {"MOD002", "MOD003", "MOD004", "MOD005"} <= ids
         assert {"GRD001", "GRD002", "GRD003", "GRD004"} <= ids
         assert {"IR001", "IR002", "IR003", "IR004", "IR005"} <= ids
 
@@ -150,10 +149,3 @@ class TestReport:
         assert len(first.diagnostics) == 1
         assert first.suppressed == 3
         assert first.rules_run == ["R1", "R2"]
-
-    def test_worst_severity(self):
-        assert worst_severity([]) is None
-        assert worst_severity(
-            [make_diag(severity=Severity.WARNING),
-             make_diag(severity=Severity.ERROR)]
-        ) is Severity.ERROR

@@ -1,8 +1,9 @@
 """FSM0xx rules: liveness defects in synthesized state machines."""
 
 from repro.lint import Severity
-from repro.lint.runner import lint_rtl_module
 from repro.synthesis.ir import Const, Fsm, RtlModule
+
+from .fixtures import lint_netlist
 
 
 def _host(fsm):
@@ -18,7 +19,7 @@ class TestTerminalState:
         fsm = Fsm("ctrl", ["IDLE", "STUCK"], "IDLE")
         fsm.add_transition("IDLE", go.ref(), "STUCK")
         module.add_fsm(fsm)
-        (diag,) = lint_rtl_module(module).by_rule("FSM001")
+        (diag,) = lint_netlist(module).by_rule("FSM001")
         assert diag.severity is Severity.ERROR
         assert diag.path == "m.ctrl.STUCK"
         assert diag.hint
@@ -30,7 +31,7 @@ class TestTerminalState:
         fsm.add_transition("IDLE", go.ref(), "RUN")
         fsm.add_transition("RUN", None, "IDLE")
         module.add_fsm(fsm)
-        assert lint_rtl_module(module).by_rule("FSM001") == []
+        assert lint_netlist(module).by_rule("FSM001") == []
 
 
 class TestFalseTransition:
@@ -42,7 +43,7 @@ class TestFalseTransition:
         fsm.add_transition("IDLE", Const(0, 1), "RUN")
         fsm.add_transition("RUN", None, "IDLE")
         module.add_fsm(fsm)
-        (diag,) = lint_rtl_module(module).by_rule("FSM002")
+        (diag,) = lint_netlist(module).by_rule("FSM002")
         assert diag.severity is Severity.WARNING
         assert diag.path == "m.ctrl.IDLE->RUN"
 
@@ -52,7 +53,7 @@ class TestLivelockCycle:
         fsm = Fsm("ctrl", ["A", "B"], "A")
         fsm.add_transition("A", None, "B")
         fsm.add_transition("B", None, "A")
-        (diag,) = lint_rtl_module(_host(fsm)).by_rule("FSM003")
+        (diag,) = lint_netlist(_host(fsm)).by_rule("FSM003")
         assert diag.severity is Severity.WARNING
         assert diag.path.startswith("m.ctrl.")
         assert "A -> B" in diag.message
@@ -67,7 +68,7 @@ class TestLivelockCycle:
         fsm.add_transition("EXEC", done.ref(), "DONE")
         fsm.add_transition("DONE", None, "IDLE")
         module.add_fsm(fsm)
-        report = lint_rtl_module(module)
+        report = lint_netlist(module)
         assert report.by_rule("FSM001") == []
         assert report.by_rule("FSM002") == []
         assert report.by_rule("FSM003") == []

@@ -1,7 +1,9 @@
 """IR0xx rules over hand-built (and hand-broken) netlists."""
 
-from repro.lint import Severity, lint_rtl_module
+from repro.lint import Severity
 from repro.synthesis.ir import Const, Fsm, RtlModule
+
+from .fixtures import lint_netlist
 
 
 def rule_ids(report):
@@ -28,7 +30,7 @@ def clean_module() -> RtlModule:
 
 class TestCleanModule:
     def test_no_findings(self):
-        assert lint_rtl_module(clean_module()).clean
+        assert lint_netlist(clean_module()).clean
 
 
 class TestUnreachableFsmState:
@@ -39,7 +41,7 @@ class TestUnreachableFsmState:
         fsm.add_transition("IDLE", go.ref(), "RUN")
         fsm.add_transition("RUN", None, "IDLE")
         module.add_fsm(fsm)
-        report = lint_rtl_module(module)
+        report = lint_netlist(module)
         assert rule_ids(report) == {"IR001"}
         (diag,) = report.by_rule("IR001")
         assert diag.severity is Severity.WARNING
@@ -55,7 +57,7 @@ class TestWidthMismatch:
         # Post-construction surgery: widen the source net. The cached
         # Ref width (4) and the assign no longer agree.
         src.width = 8
-        report = lint_rtl_module(module)
+        report = lint_netlist(module)
         assert "IR002" in rule_ids(report)
         assert any(d.severity is Severity.ERROR
                    for d in report.by_rule("IR002"))
@@ -65,10 +67,10 @@ class TestWidthMismatch:
         out = module.add_port("out", "out", 1)
         fsm = Fsm("ctrl", ["IDLE"], "IDLE")
         fsm.add_transition("IDLE", None, "IDLE")
-        fsm.set_output("IDLE", out, 1)
+        fsm.moore_outputs["IDLE"] = [(out, 1)]
         module.add_fsm(fsm)
         fsm.moore_outputs["IDLE"] = [(out, 7)]  # does not fit 1 bit
-        report = lint_rtl_module(module)
+        report = lint_netlist(module)
         assert "IR002" in rule_ids(report)
 
 
@@ -77,7 +79,7 @@ class TestUndrivenRegister:
         module = RtlModule("m")
         module.add_port("clk", "in", 1)
         module.add_register("stale", 8, 0)
-        report = lint_rtl_module(module)
+        report = lint_netlist(module)
         assert rule_ids(report) == {"IR003"}
         (diag,) = report.by_rule("IR003")
         assert diag.severity is Severity.WARNING
@@ -88,7 +90,7 @@ class TestUndrivenRegister:
         fsm = Fsm("ctrl", ["IDLE"], "IDLE")
         fsm.add_transition("IDLE", None, "IDLE")
         module.add_fsm(fsm)
-        assert lint_rtl_module(module).clean
+        assert lint_netlist(module).clean
 
 
 class TestUndrivenNet:
@@ -97,7 +99,7 @@ class TestUndrivenNet:
         out = module.add_port("out", "out", 1)
         floating = module.add_net("floating", 1)
         module.add_assign(out, floating.ref())
-        report = lint_rtl_module(module)
+        report = lint_netlist(module)
         assert rule_ids(report) == {"IR004"}
         (diag,) = report.by_rule("IR004")
         assert diag.severity is Severity.ERROR
@@ -107,7 +109,7 @@ class TestUndrivenNet:
         """A dangling but unread net is dead code, not an X source."""
         module = RtlModule("m")
         module.add_net("unused", 1)
-        assert lint_rtl_module(module).clean
+        assert lint_netlist(module).clean
 
 
 class TestMultiplyDrivenNet:
@@ -118,7 +120,7 @@ class TestMultiplyDrivenNet:
         module.add_assign(wire, Const(0, 1))
         module.add_assign(wire, Const(1, 1))
         module.add_assign(out, wire.ref())
-        report = lint_rtl_module(module)
+        report = lint_netlist(module)
         assert rule_ids(report) == {"IR005"}
         (diag,) = report.by_rule("IR005")
         assert diag.severity is Severity.ERROR
@@ -128,7 +130,7 @@ class TestMultiplyDrivenNet:
         module = RtlModule("m")
         inp = module.add_port("inp", "in", 1)
         module.add_assign(inp, Const(0, 1))
-        report = lint_rtl_module(module)
+        report = lint_netlist(module)
         assert "IR005" in rule_ids(report)
         assert "input port" in report.by_rule("IR005")[0].message
 
@@ -140,7 +142,7 @@ class TestMultiplyDrivenNet:
         module.add_assign(out, wire.ref())
         fsm = Fsm("ctrl", ["IDLE"], "IDLE")
         fsm.add_transition("IDLE", None, "IDLE")
-        fsm.set_output("IDLE", wire, 1)
+        fsm.moore_outputs["IDLE"] = [(wire, 1)]
         module.add_fsm(fsm)
-        report = lint_rtl_module(module)
+        report = lint_netlist(module)
         assert "IR005" in rule_ids(report)

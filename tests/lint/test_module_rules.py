@@ -9,33 +9,6 @@ def rule_ids(report):
     return {d.rule_id for d in report.diagnostics}
 
 
-class TestUnboundPort:
-    def test_fires_mod001(self):
-        report = lint_design(fixtures.make_unbound_port())
-        assert rule_ids(report) == {"MOD001"}
-        (diag,) = report.by_rule("MOD001")
-        assert diag.severity is Severity.ERROR
-        assert diag.path == "top.din"
-        assert "never bound" in diag.message
-        assert diag.hint
-
-    def test_bound_port_is_clean(self):
-        import repro.hdl.module as module_mod
-        from repro.kernel.simulator import Simulator
-
-        sim = Simulator()
-
-        class Sink(module_mod.Module):
-            def __init__(self, parent, name):
-                super().__init__(parent, name)
-                self.din = self.in_port("din", width=8)
-                self.wire = self.signal("wire", width=8, init=0)
-                self.din.bind(self.wire)
-
-        Sink(sim, "top")
-        assert lint_design(sim).clean
-
-
 class TestMultipleWriters:
     def test_fires_mod002(self):
         report = lint_design(fixtures.make_double_writer())

@@ -1,8 +1,9 @@
 """NET0xx rules: netlist dataflow hazards, one injected defect each."""
 
 from repro.lint import Severity
-from repro.lint.runner import lint_rtl_module
 from repro.synthesis.ir import Const, RtlModule
+
+from .fixtures import lint_netlist
 
 
 def _base():
@@ -19,7 +20,7 @@ class TestDriverConflict:
         module.add_assign(reg, a.ref())
         module.add_clocked_assign(reg, a.ref())
         module.add_assign(out, reg.ref())
-        (diag,) = lint_rtl_module(module).by_rule("NET001")
+        (diag,) = lint_netlist(module).by_rule("NET001")
         assert diag.severity is Severity.ERROR
         assert diag.path == "m.reg"
         assert "both combinationally" in diag.message
@@ -29,7 +30,7 @@ class TestDriverConflict:
         reg = module.add_register("reg", 4, 0)
         module.add_assign(reg, a.ref())
         module.add_assign(out, reg.ref())
-        (diag,) = lint_rtl_module(module).by_rule("NET001")
+        (diag,) = lint_netlist(module).by_rule("NET001")
         assert "register is driven by combinational logic" in diag.message
 
     def test_double_clocked_driver(self):
@@ -38,7 +39,7 @@ class TestDriverConflict:
         module.add_clocked_assign(reg, a.ref(), enable=Const(1, 1))
         module.add_clocked_assign(reg, Const(0, 4), enable=Const(1, 1))
         module.add_assign(out, reg.ref())
-        (diag,) = lint_rtl_module(module).by_rule("NET001")
+        (diag,) = lint_netlist(module).by_rule("NET001")
         assert "2 clocked drivers" in diag.message
         assert "last writer wins" in diag.message
 
@@ -51,7 +52,7 @@ class TestDriverConflict:
         narrow = module.add_assign(wire, Const(1, 4))
         narrow.expr.width = 2
         module.add_assign(out, wire.ref())
-        diags = lint_rtl_module(module).by_rule("NET001")
+        diags = lint_netlist(module).by_rule("NET001")
         assert any("disagree on width" in d.message for d in diags)
 
     def test_clean_register_quiet(self):
@@ -59,7 +60,7 @@ class TestDriverConflict:
         reg = module.add_register("reg", 4, 0)
         module.add_clocked_assign(reg, a.ref())
         module.add_assign(out, reg.ref())
-        assert lint_rtl_module(module).by_rule("NET001") == []
+        assert lint_netlist(module).by_rule("NET001") == []
 
 
 class TestUnreadNet:
@@ -68,7 +69,7 @@ class TestUnreadNet:
         dead = module.add_net("dead", 4)
         module.add_assign(dead, a.ref())
         module.add_assign(out, a.ref())
-        (diag,) = lint_rtl_module(module).by_rule("NET002")
+        (diag,) = lint_netlist(module).by_rule("NET002")
         assert diag.severity is Severity.WARNING
         assert diag.path == "m.dead"
 
@@ -77,7 +78,7 @@ class TestUnreadNet:
         wire = module.add_net("wire", 4)
         module.add_assign(wire, a.ref())
         module.add_assign(out, wire.ref())
-        assert lint_rtl_module(module).by_rule("NET002") == []
+        assert lint_netlist(module).by_rule("NET002") == []
 
     def test_registers_and_ports_exempt(self):
         """Storage and boundary nets are other rules' concern."""
@@ -85,7 +86,7 @@ class TestUnreadNet:
         reg = module.add_register("unread_reg", 4, 0)
         module.add_clocked_assign(reg, a.ref())
         module.add_assign(out, a.ref())
-        assert lint_rtl_module(module).by_rule("NET002") == []
+        assert lint_netlist(module).by_rule("NET002") == []
 
 
 class TestCombLoop:
@@ -96,7 +97,7 @@ class TestCombLoop:
         module.add_assign(x, y.ref())
         module.add_assign(y, x.ref())
         module.add_assign(out, x.ref())
-        (diag,) = lint_rtl_module(module).by_rule("NET003")
+        (diag,) = lint_netlist(module).by_rule("NET003")
         assert diag.severity is Severity.ERROR
         assert "combinational loop:" in diag.message
         assert "->" in diag.message
@@ -108,7 +109,7 @@ class TestCombLoop:
         module.add_assign(x, reg.ref())
         module.add_clocked_assign(reg, x.ref())
         module.add_assign(out, x.ref())
-        assert lint_rtl_module(module).by_rule("NET003") == []
+        assert lint_netlist(module).by_rule("NET003") == []
 
 
 class TestXPropagation:
@@ -117,7 +118,7 @@ class TestXPropagation:
         floating = module.add_register("floating", 4, None)
         module.add_clocked_assign(floating, a.ref())
         module.add_assign(out, floating.ref())
-        (diag,) = lint_rtl_module(module).by_rule("NET004")
+        (diag,) = lint_netlist(module).by_rule("NET004")
         assert diag.severity is Severity.WARNING
         assert diag.path == "m.out"
         assert diag.extra["source"] == "floating"
@@ -128,4 +129,4 @@ class TestXPropagation:
         reg = module.add_register("reg", 4, 0)
         module.add_clocked_assign(reg, a.ref())
         module.add_assign(out, reg.ref())
-        assert lint_rtl_module(module).by_rule("NET004") == []
+        assert lint_netlist(module).by_rule("NET004") == []

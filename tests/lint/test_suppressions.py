@@ -10,8 +10,9 @@ from repro.lint.engine import (
     Suppression,
     validate_suppressions,
 )
-from repro.lint.runner import lint_rtl_module
 from repro.synthesis.ir import RtlModule
+
+from .fixtures import lint_netlist
 
 
 def _diag(rule_id="NET002", path="m.dead", rule_name="unread-net"):
@@ -99,22 +100,22 @@ class TestEngineSuppression:
 
     def test_suppressed_finding_counted(self):
         module = self._dead_net_module()
-        report = lint_rtl_module(module, LintConfig(suppress=["NET002"]))
+        report = lint_netlist(module, LintConfig(suppress=["NET002"]))
         assert report.by_rule("NET002") == []
         assert report.suppressed == 1
 
     def test_glob_scoped_suppression(self):
         module = self._dead_net_module()
-        hit = lint_rtl_module(module,
+        hit = lint_netlist(module,
                               LintConfig(suppress=["NET002@m.dead"]))
         assert hit.by_rule("NET002") == []
-        miss = lint_rtl_module(module,
+        miss = lint_netlist(module,
                                LintConfig(suppress=["NET002@other.*"]))
         assert len(miss.by_rule("NET002")) == 1
 
     def test_strict_promotes_warnings(self):
         module = self._dead_net_module()
-        report = lint_rtl_module(module, LintConfig(strict=True))
+        report = lint_netlist(module, LintConfig(strict=True))
         (diag,) = report.by_rule("NET002")
         assert diag.severity is Severity.ERROR
         assert report.has_errors

@@ -11,7 +11,6 @@ from repro.osss import (
     RandomArbiter,
     RoundRobinArbiter,
     StaticPriorityArbiter,
-    make_arbiter,
 )
 
 
@@ -107,16 +106,6 @@ class TestRandom:
         requests = [_request(c) for c in "abcd"]
         picks = {arbiter.select(requests).client for __ in range(50)}
         assert len(picks) >= 3
-
-
-class TestFactory:
-    def test_known_kinds(self):
-        for kind in ("fcfs", "round_robin", "static_priority", "random"):
-            assert make_arbiter(kind).kind == kind
-
-    def test_unknown_kind(self):
-        with pytest.raises(ArbitrationError):
-            make_arbiter("coin_flip")
 
 
 # -- properties ---------------------------------------------------------------

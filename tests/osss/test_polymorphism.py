@@ -106,13 +106,15 @@ class TestDispatch:
         var = PolymorphicVar(Shape, [Square])
         with pytest.raises(SimulationError):
             var.call("area")
-        assert not var.is_valid
+        with pytest.raises(SimulationError):
+            var.value
 
     def test_clear(self):
         var = PolymorphicVar(Shape, [Square])
         var.assign(Square())
         var.clear()
-        assert not var.is_valid
+        with pytest.raises(SimulationError):
+            var.value
 
     def test_dispatch_table(self):
         var = PolymorphicVar(Shape, [Square, Triangle])

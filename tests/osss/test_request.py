@@ -10,6 +10,7 @@ from repro.instrument.probes import METHOD_COMPLETE
 from repro.kernel import MS, Simulator
 from repro.kernel.event import Event
 from repro.osss import MethodRequest, RequestStats
+from repro.telemetry.scorecard import fairness_index
 
 
 def _request(client="c", method="m", arrival=0, sim=None):
@@ -42,12 +43,6 @@ class TestMethodRequest:
         # Each simulator counts its own calls from 0.
         assert _request().seq == first.seq == 0
 
-    def test_wait_time(self):
-        request = _request(arrival=100)
-        assert request.wait_time == 0  # never granted
-        request.grant_time = 250
-        assert request.wait_time == 150
-
     def test_repr_reflects_state(self):
         request = _request(client="app", method="go")
         assert "pending" in repr(request)
@@ -58,44 +53,23 @@ class TestMethodRequest:
 class TestRequestStats:
     def test_grant_and_completion_bookkeeping(self):
         stats = RequestStats()
-        request = _request(client="a", arrival=10)
-        request.grant_time = 30
-        stats.record_grant(request)
-        stats.record_completion(request)
+        stats.record_grant(_request(client="a", arrival=10))
         assert stats.grants_by_client == {"a": 1}
-        assert stats.total_completed == 1
-        assert stats.mean_wait_time == 20.0
-        assert stats.max_wait_time == 20
-        second = _request(client="b", arrival=40)
-        second.grant_time = 45
-        stats.record_grant(second)
-        stats.record_completion(second)
-        assert stats.grants_by_client == {"a": 1, "b": 1}
-        assert stats.total_completed == 2
-        assert stats.mean_wait_time == 12.5
-        assert stats.max_wait_time == 20
-
-    def test_mean_and_max_wait(self):
-        stats = RequestStats()
-        for arrival, grant in ((0, 10), (0, 30)):
-            request = _request(arrival=arrival)
-            request.grant_time = grant
-            stats.record_completion(request)
-        assert stats.mean_wait_time == 20.0
-        assert stats.max_wait_time == 30
+        stats.record_grant(_request(client="b", arrival=40))
+        stats.record_grant(_request(client="a", arrival=50))
+        assert stats.grants_by_client == {"a": 2, "b": 1}
 
     def test_empty_stats(self):
         stats = RequestStats()
-        assert stats.mean_wait_time == 0.0
-        assert stats.max_wait_time == 0
-        assert stats.fairness_index() == 1.0
+        assert stats.total_requests == stats.total_completed == 0
+        assert fairness_index(stats.grants_by_client.values()) is None
 
     def test_fairness_values(self):
         stats = RequestStats()
         stats.grants_by_client = {"a": 1, "b": 1, "c": 1}
-        assert stats.fairness_index() == 1.0
-        stats.grants_by_client = {"a": 3, "b": 0, "c": 0}
-        assert 0.3 < stats.fairness_index() < 0.4
+        assert fairness_index(stats.grants_by_client.values()) == 1.0
+        stats.grants_by_client = {"a": 4, "b": 1, "c": 1}
+        assert 0.6 < fairness_index(stats.grants_by_client.values()) < 0.7
 
 
 def _contending_workloads():
@@ -107,12 +81,10 @@ def _contending_workloads():
     ]
 
 
-def _assert_stats_match(stats, waits, clients):
-    """*stats* holds the aggregates of the per-call *waits* and
-    *clients*, and no per-call list."""
-    assert stats.total_completed == len(waits)
-    assert stats.mean_wait_time == sum(waits) / len(waits)
-    assert stats.max_wait_time == max(waits)
+def _assert_stats_match(stats, clients):
+    """*stats* holds the counts of the per-call *clients*, and no
+    per-call list."""
+    assert stats.total_completed == len(clients)
     assert stats.grants_by_client == dict(collections.Counter(clients))
     assert not any(isinstance(value, list) for value in vars(stats).values())
 
@@ -132,11 +104,8 @@ class TestStatsOfAFinishedRun:
             log = channel.call_log
             assert log
             _assert_stats_match(
-                channel.space.stats,
-                [record.wait_time for record in log],
-                [record.client for record in log],
+                channel.space.stats, [record.client for record in log]
             )
-        assert any(channel.space.stats.max_wait_time for channel in channels)
 
     def test_behavioural_stats_match_the_completed_calls(self):
         bundle = build_platform(_contending_workloads(), bus="pci")
@@ -149,8 +118,5 @@ class TestStatsOfAFinishedRun:
         assert completed
         for space, requests in completed.items():
             _assert_stats_match(
-                space.stats,
-                [request.wait_time for request in requests],
-                [request.client for request in requests],
+                space.stats, [request.client for request in requests]
             )
-        assert any(space.stats.max_wait_time for space in completed)

@@ -10,7 +10,6 @@ from repro.pci import (
     PciBus,
     PciMaster,
     is_asserted,
-    is_deasserted,
 )
 
 
@@ -22,16 +21,15 @@ def sim():
 class TestSamplingHelpers:
     def test_driven_zero_is_asserted(self):
         assert is_asserted(LogicVector(1, 0))
-        assert not is_deasserted(LogicVector(1, 0))
 
     def test_driven_one_is_deasserted(self):
-        assert is_deasserted(LogicVector(1, 1))
+        assert not is_asserted(LogicVector(1, 1))
 
     def test_floating_is_deasserted(self):
-        assert is_deasserted(LogicVector.high_z(1))
+        assert not is_asserted(LogicVector.high_z(1))
 
     def test_unknown_is_deasserted(self):
-        assert is_deasserted(LogicVector.unknown(1))
+        assert not is_asserted(LogicVector.unknown(1))
 
 
 class TestPciBus:
@@ -46,14 +44,6 @@ class TestPciBus:
     def test_idle_when_floating(self, sim):
         bus = PciBus(sim, "bus")
         assert bus.idle
-
-    def test_control_view(self, sim):
-        bus = PciBus(sim, "bus")
-        view = bus.control_view()
-        assert view == {
-            "frame": False, "irdy": False, "trdy": False,
-            "devsel": False, "stop": False,
-        }
 
     def test_busy_when_frame_driven(self, sim):
         bus = PciBus(sim, "bus")
@@ -83,7 +73,7 @@ class TestAgentPins:
         sim.spawn(proc, "p")
         sim.run(10)
         assert bus.idle
-        assert bus.ad.read().is_all_z
+        assert set(str(bus.ad.read())) == {"Z"}
 
     def test_master_index_out_of_range(self, sim):
         top = Module(sim, "top")

@@ -14,11 +14,11 @@ from repro.fault import (
     RunSpec,
     demo_campaign_spec,
     execute_run,
+    plan_campaign,
     recovery_rate,
     recovery_stats,
     report_as_dict,
     run_campaign,
-    run_golden,
 )
 from repro.kernel.simtime import NS, US
 
@@ -42,7 +42,7 @@ class TestRecoveredClassification:
         the guard policy times out, retries, and completes once the
         window closes — damage fully absorbed at the call level."""
         spec = _spec()
-        golden = run_golden(spec)
+        golden = plan_campaign(spec)[0]
         run = RunSpec(
             0, "delayed_grant", "top.interface.channel",
             (300 * NS, 25 * US), {},
@@ -59,7 +59,7 @@ class TestRecoveredClassification:
         replays once the wire heals — silent becomes recovered."""
         spec = demo_campaign_spec("pci", seed=55, runs=20)
         spec.resilience = True
-        golden = run_golden(spec)
+        golden = plan_campaign(spec)[0]
         run = RunSpec(
             7, "stuck_at", "top.bus.devsel_n",
             (881617522, 1545367522), {"value": 1},
@@ -70,7 +70,7 @@ class TestRecoveredClassification:
 
     def test_without_resilience_the_same_run_stays_damaged(self):
         spec = _spec(resilience=False)
-        golden = run_golden(spec)
+        golden = plan_campaign(spec)[0]
         run = RunSpec(
             0, "delayed_grant", "top.interface.channel",
             (300 * NS, 25 * US), {},

@@ -14,7 +14,7 @@ from repro.kernel.simtime import MS, NS, US
 from repro.kernel.simulator import Simulator
 from repro.osss.global_object import GlobalObject
 from repro.osss.guarded_method import guarded_method
-from repro.resilience import ReplayCheckpointer, capture, restore
+from repro.resilience import capture, restore
 from repro.synthesis import SynthesisConfig, synthesize_communication
 from repro.trace.vcd import VcdTracer
 
@@ -134,19 +134,18 @@ class TestCaptureRestore:
         sim.run(int(5.5 * US))
         checkpoint = sim.checkpoint()
 
-        first = _Recorder(sim.time)
-        sim.add_tracer(first)
+        recorder = _Recorder(sim.time)
+        sim.add_tracer(recorder)
         sim.run(3 * US)
-        sim.remove_tracer(first)
+        first = list(recorder.changes)
 
+        # The restore's own commits are not part of either run.
         sim.restore(checkpoint)
-        second = _Recorder(sim.time)
-        sim.add_tracer(second)
+        recorder.origin, recorder.changes = sim.time, []
         sim.run(3 * US)
-        sim.remove_tracer(second)
 
-        assert first.changes
-        assert first.changes == second.changes
+        assert first
+        assert first == recorder.changes
 
     def test_restore_rejects_foreign_hierarchy(self):
         sim, __ = _build()
@@ -240,65 +239,6 @@ _COMMANDS = [
     CommandType.write(0x40, [11, 22, 33]),
     CommandType.read(0x40, count=3),
 ]
-
-
-def _platform_builder():
-    return build_platform([list(_COMMANDS)], PciPlatformConfig(), bus="pci")
-
-
-class TestReplayCheckpointer:
-    def test_rollback_reproduces_the_baseline(self):
-        checkpointer = ReplayCheckpointer(_platform_builder)
-        __, baseline = checkpointer.baseline(2 * US)
-        replayed = checkpointer.rollback()
-        assert capture(replayed.handle.sim, strict=False) == baseline
-
-    def test_rollback_reproduces_the_vcd(self):
-        """Replay-based restore + re-run dumps the identical waveform:
-        every build gets its own tracer and the baseline and replayed
-        VCD streams must match byte for byte."""
-        captures = []
-
-        def builder():
-            bundle = _platform_builder()
-            stream = io.StringIO()
-            tracer = VcdTracer(stream)
-            tracer.add_signals(
-                [bundle.clock.clk] + bundle.bus.shared_signals()
-            )
-            bundle.handle.sim.add_tracer(tracer)
-            captures.append((stream, tracer))
-            return bundle
-
-        checkpointer = ReplayCheckpointer(builder)
-        baseline_platform, __ = checkpointer.baseline(2 * US)
-        replayed = checkpointer.rollback()
-        (a_stream, a_tracer), (b_stream, b_tracer) = captures
-        a_tracer.close(baseline_platform.handle.sim.time)
-        b_tracer.close(replayed.handle.sim.time)
-        assert a_stream.getvalue() == b_stream.getvalue()
-
-    def test_rollback_before_baseline_raises(self):
-        with pytest.raises(CheckpointError, match="baseline"):
-            ReplayCheckpointer(_platform_builder).rollback()
-
-    def test_nondeterministic_builder_is_rejected(self):
-        builds = []
-
-        def flaky_builder():
-            # Second build carries different traffic: replay diverges.
-            builds.append(None)
-            commands = (
-                list(_COMMANDS)
-                if len(builds) == 1
-                else [CommandType.write(0x40, [99])]
-            )
-            return build_platform([commands], PciPlatformConfig(), bus="pci")
-
-        checkpointer = ReplayCheckpointer(flaky_builder)
-        checkpointer.baseline(2 * US)
-        with pytest.raises(CheckpointError, match="not deterministic"):
-            checkpointer.rollback()
 
 
 def _vcd_dump(config):

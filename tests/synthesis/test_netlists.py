@@ -8,10 +8,10 @@ from repro.flow import build_platform
 from repro.osss import PolymorphicVar, guarded_method
 from repro.synthesis import (
     build_channel_ir,
-    build_object_ir,
     estimate_state_bits,
     synthesize_dispatch,
 )
+from repro.synthesis.object_synth import object_server_ir
 from repro.osss.guarded_method import guarded_methods_of
 
 
@@ -85,26 +85,30 @@ class TestObjectIr:
         assert estimate["text"] == 16
         assert estimate["mapping"] == 32
 
+    @staticmethod
+    def _object_ir(thing):
+        methods = guarded_methods_of(type(thing))
+        return object_server_ir(
+            "obj", type(thing).__name__, estimate_state_bits(thing),
+            [(name, methods[name].guard is not None)
+             for name in sorted(methods)],
+        )
+
     def test_guard_ports_and_strobes(self):
-        thing = SharedThing()
-        methods = guarded_methods_of(SharedThing)
-        order = sorted(methods)
-        module = build_object_ir("obj", thing, methods, order)
+        module = self._object_ir(SharedThing())
         names = {p.name for p in module.ports}
-        for i in range(len(order)):
+        for i in range(len(guarded_methods_of(SharedThing))):
             assert f"guard_{i}" in names
             assert f"run_{i}" in names
 
     def test_state_registers_created(self):
-        thing = SharedThing()
-        methods = guarded_methods_of(SharedThing)
-        module = build_object_ir("obj", thing, methods, sorted(methods))
+        module = self._object_ir(SharedThing())
         reg_names = {r.name for r in module.registers}
         assert {"state_flag", "state_count", "state_items"} <= reg_names
 
     def test_empty_methods_rejected(self):
         with pytest.raises(SynthesisError):
-            build_object_ir("obj", SharedThing(), {}, [])
+            object_server_ir("obj", "SharedThing", {}, [])
 
 
 class Base:

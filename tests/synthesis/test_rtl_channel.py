@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.errors import SimulationError, SynthesisError
+from repro.errors import SynthesisError
 from repro.hdl import Clock, Module
 from repro.kernel import MS, NS, Simulator, Timeout
 from repro.osss import (
@@ -13,6 +13,7 @@ from repro.osss import (
     guarded_method,
 )
 from repro.synthesis import SynthesisConfig, synthesize_communication
+from repro.telemetry.scorecard import fairness_index
 
 CLOCK_PERIOD = 10 * NS
 
@@ -164,11 +165,6 @@ class TestLoweredCalls:
         with pytest.raises(SynthesisError):
             sim.run(1 * MS)
 
-    def test_try_call_not_supported(self):
-        sim, hosts, __ = _build()
-        with pytest.raises(SimulationError):
-            hosts[0].obj.try_call("deposit", 1)
-
     def test_stats_still_recorded(self):
         sim, hosts, channel = _build()
 
@@ -216,5 +212,5 @@ class TestArbitrationPolicies:
             sim.spawn(make(i), f"c{i}")
         sim.run(20 * MS)
         assert counts == {0: 10, 1: 10}
-        fairness = hosts[0].obj.stats.fairness_index()
+        fairness = fairness_index(hosts[0].obj.stats.grants_by_client.values())
         assert fairness > 0.95

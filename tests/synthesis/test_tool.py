@@ -68,18 +68,6 @@ class TestSynthesisDriver:
         # The untouched group still has its behavioural server.
         assert groups[1][0]._root()._lowered is None
 
-    def test_group_for_lookup(self):
-        sim, clock, groups = _design(n_groups=2)
-        result = synthesize_communication(sim, clock.clk)
-        group = result.group_for(groups[1][1])
-        assert groups[1][1] in group.handles
-
-    def test_group_for_unsynthesized_raises(self):
-        sim, clock, groups = _design(n_groups=2)
-        result = synthesize_communication(sim, clock.clk, only=[groups[0][0]])
-        with pytest.raises(SynthesisError):
-            result.group_for(groups[1][0])
-
     def test_empty_design_rejected(self):
         sim = Simulator()
         clock = Clock(sim, "clock", period=10 * NS)

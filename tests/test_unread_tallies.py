@@ -1,5 +1,5 @@
-"""No model keeps a tally, and no constructor a parameter, that nothing
-reads.
+"""No model keeps a tally, no constructor a parameter, and no module a
+public definition, that nothing reads.
 
 A class in the model packages that updates an attribute in place
 (``self.<name> += ...``) pays for it on a per-cycle, per-access or
@@ -12,6 +12,10 @@ response status, the monitors' records, the probe bus.
 Likewise a constructor that keeps one of its parameters on ``self``
 under the parameter's name keeps it for a reader: a stored option that
 nothing in ``src/repro`` loads is a setting with no effect.
+
+And a public function, class or method under ``src/repro`` is there for
+a run, a CLI, an example or a benchmark: one that only the tests reach
+is code to maintain that the system never executes.
 """
 
 import ast
@@ -21,8 +25,11 @@ import repro
 
 SRC = Path(repro.__file__).resolve().parent
 #: The packages of the simulated models: agents, targets, interface
-#: elements, the bus-interface channel and the TLM models.
-MODEL_PACKAGES = {"axi", "wishbone", "pci", "iface", "core", "tlm"}
+#: elements, the bus-interface channel and the TLM models, plus the
+#: per-call layers under them: guarded-method objects and the kernel.
+MODEL_PACKAGES = {
+    "axi", "wishbone", "pci", "iface", "core", "tlm", "osss", "kernel",
+}
 
 
 def _modules():
@@ -135,3 +142,151 @@ def test_every_stored_constructor_parameter_is_read():
         f"reads: {unread}; delete the store (and the parameter if nothing "
         f"else uses it)"
     )
+
+
+# -- public definitions -------------------------------------------------------
+
+REPO = SRC.parent.parent
+#: The code whose names count as readers of a definition.
+READERS = ("src", "examples", "benchmarks", "perfbench")
+#: Lazy name tables: a package's ``__getattr__`` resolves these strings,
+#: so they re-export like an import and read nothing.
+LAZY_TABLES = {
+    ("core/__init__.py", "_ELEMENT_NAMES"),
+    ("tlm/__init__.py", "_GENERIC_PAYLOAD_NAMES"),
+}
+#: Definitions kept with no reader in the code, with the reason. A class
+#: entry also covers the class's methods.
+KEPT = {
+    "repro.trace.vcd_reader.parse_vcd":
+        "the round-trip oracle the VcdTracer tests read dumps back with",
+    "repro.instrument.sanitizer.RaceSanitizer":
+        "the dynamic oracle the RACE001 tests check the static rule against",
+    "repro.core.nonblocking.PollingApplication":
+        "the paper's non-blocking interface variant (DESIGN.md)",
+    "repro.lint.diagnostics.LintReport.by_rule":
+        "a read-only query of a lint report that tests assert through",
+    "repro.instrument.probes.ProbeBus.subscribers":
+        "a read-only query of the bus that tests assert through",
+    "repro.tlm.memory.Memory.words_written":
+        "a read-only query of the memory that tests assert through",
+}
+
+
+def _definitions():
+    """``(qualified name, name, path, first line, last line)`` of every
+    public function, class and method under ``src/repro``; lint rules,
+    which ``@register`` puts in the registry, are left out."""
+    found = []
+
+    def visit(body, path, prefix):
+        for node in body:
+            if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                                     ast.ClassDef)):
+                continue
+            if node.name.startswith("_") or any(
+                isinstance(d, ast.Name) and d.id == "register"
+                for d in node.decorator_list
+            ):
+                continue
+            first = min([node.lineno]
+                        + [d.lineno for d in node.decorator_list])
+            qualified = f"{prefix}{node.name}"
+            found.append((qualified, node.name, path, first, node.end_lineno))
+            if isinstance(node, ast.ClassDef):
+                visit(node.body, path, f"{qualified}.")
+
+    for path in sorted(SRC.rglob("*.py")):
+        module = ".".join(path.relative_to(SRC.parent).with_suffix("").parts)
+        module = module.removesuffix(".__init__")
+        visit(ast.parse(path.read_text(encoding="utf-8")).body, path,
+              f"{module}.")
+    return found
+
+
+def _reexports(tree, module, package_init):
+    """Ids of the nodes that re-export names rather than read them: the
+    imports of a package ``__init__``, ``__all__`` and the lazy name
+    tables."""
+    skipped = set()
+    for node in ast.walk(tree):
+        if package_init and isinstance(node, ast.ImportFrom):
+            skipped.update(map(id, ast.walk(node)))
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = (node.targets if isinstance(node, ast.Assign)
+                       else [node.target])
+            if any(isinstance(t, ast.Name) and (
+                    t.id == "__all__" or (module, t.id) in LAZY_TABLES)
+                   for t in targets):
+                skipped.update(map(id, ast.walk(node)))
+    return skipped
+
+
+def _name_read(node):
+    """The name *node* reads: a load, an import, or a string equal to an
+    identifier; None for anything else."""
+    if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+        return node.id
+    if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+        return node.attr
+    if isinstance(node, ast.alias):
+        return node.name.rpartition(".")[2]
+    if (isinstance(node, ast.Constant) and isinstance(node.value, str)
+            and node.value.isidentifier()):
+        return node.value
+    return None
+
+
+def _reads():
+    """Name -> ``(path, line)`` of every place the reader code names it."""
+    reads = {}
+    for directory in READERS:
+        for path in sorted((REPO / directory).rglob("*.py")):
+            tree = ast.parse(path.read_text(encoding="utf-8"))
+            in_src = path.is_relative_to(SRC)
+            skipped = _reexports(
+                tree,
+                path.relative_to(SRC).as_posix() if in_src else None,
+                in_src and path.name == "__init__.py",
+            )
+            for node in ast.walk(tree):
+                name = _name_read(node)
+                if name is not None and id(node) not in skipped:
+                    reads.setdefault(name, []).append(
+                        (path, getattr(node, "lineno", None)))
+    return reads
+
+
+def _unread(definitions, reads):
+    """Qualified names of the definitions nothing names outside their
+    own body."""
+    return [
+        qualified
+        for qualified, name, path, first, last in definitions
+        if not any(
+            where != path or line is None or not first <= line <= last
+            for where, line in reads.get(name, ())
+        )
+    ]
+
+
+def _kept(qualified):
+    return any(qualified == entry or qualified.startswith(entry + ".")
+               for entry in KEPT)
+
+
+def test_every_public_definition_has_a_reader():
+    definitions = _definitions()
+    assert any(d[0] == "repro.kernel.simulator.Simulator.run"
+               for d in definitions)
+    unread = _unread(definitions, _reads())
+    assert "repro.trace.vcd_reader.parse_vcd" in unread
+    stray = [qualified for qualified in unread if not _kept(qualified)]
+    assert not stray, (
+        f"public definitions only the tests reach: {stray}; delete them "
+        f"(and their tests), or give a run, CLI, example or benchmark a "
+        f"use for them"
+    )
+    stale = [entry for entry in KEPT if entry not in unread]
+    assert not stale, f"KEPT entries that have a reader or are gone: {stale}"
+

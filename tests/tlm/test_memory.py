@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from repro.errors import ProtocolError
-from repro.tlm import Memory, RomMemory, apply_byte_enables
+from repro.tlm import Memory, apply_byte_enables
 
 
 class TestMemory:
@@ -48,11 +48,6 @@ class TestMemory:
         mem.write_word(0, 0x11223344, byte_enables=0b0101)
         assert mem.read_word(0) == 0xAA22CC44
 
-    def test_burst_helpers(self):
-        mem = Memory(1024)
-        mem.write_burst(0x40, [1, 2, 3])
-        assert mem.read_burst(0x40, 3) == [1, 2, 3]
-
     def test_access_counters(self):
         mem = Memory(64)
         mem.write_word(0, 1)
@@ -67,18 +62,6 @@ class TestMemory:
         mem.load(0, [9, 8])
         assert mem.dump(0, 4) == [9, 8, 0, 0]
         assert mem.words_written == 2
-
-
-class TestRom:
-    def test_contents_readable(self):
-        rom = RomMemory([0x11, 0x22])
-        assert rom.read_word(0) == 0x11
-        assert rom.read_word(4) == 0x22
-
-    def test_writes_rejected(self):
-        rom = RomMemory([1])
-        with pytest.raises(ProtocolError):
-            rom.write_word(0, 2)
 
 
 class TestByteEnables:

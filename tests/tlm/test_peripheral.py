@@ -3,7 +3,7 @@
 import pytest
 
 from repro.errors import ProtocolError
-from repro.tlm import DmaPeripheral, Memory, StatusRegisterBlock
+from repro.tlm import StatusRegisterBlock
 
 
 class TestStatusRegisterBlock:
@@ -46,31 +46,3 @@ class TestStatusRegisterBlock:
         block.write_word(0x100C, 0x77)  # high bits ignored -> SCRATCH
         assert block.read_word(block.SCRATCH) == 0x77
 
-
-class TestDmaPeripheral:
-    def test_programmed_copy(self):
-        mem = Memory(1024)
-        mem.load(0x100, [1, 2, 3, 4])
-        dma = DmaPeripheral(mem)
-        dma.write_word(dma.SRC, 0x100)
-        dma.write_word(dma.DST, 0x200)
-        dma.write_word(dma.LEN, 4)
-        dma.write_word(dma.START, 1)
-        assert mem.dump(0x200, 4) == [1, 2, 3, 4]
-        assert dma.read_word(dma.START) == 1  # done bit
-
-    def test_register_readback(self):
-        dma = DmaPeripheral(Memory(64))
-        dma.write_word(dma.SRC, 0x10)
-        dma.write_word(dma.DST, 0x20)
-        dma.write_word(dma.LEN, 2)
-        assert dma.read_word(dma.SRC) == 0x10
-        assert dma.read_word(dma.DST) == 0x20
-        assert dma.read_word(dma.LEN) == 2
-
-    def test_start_zero_does_nothing(self):
-        mem = Memory(64)
-        dma = DmaPeripheral(mem)
-        dma.write_word(dma.START, 0)
-        assert not dma.done
-        assert mem.words_written == 0

@@ -33,7 +33,6 @@ class TestCapture:
         sim.run(100 * NS)
         changes = capture.changes("top.data")
         assert [v.to_int() for __, v in changes] == [0, 1, 2]
-        assert capture.change_count("top.data") == 2
 
     def test_value_at_interpolates(self):
         sim = Simulator()
@@ -46,26 +45,6 @@ class TestCapture:
         assert capture.value_at("top.data", 9 * NS).to_int() == 7
         assert capture.value_at("top.data", 10 * NS).to_int() == 8
         assert capture.value_at("top.data", 99 * NS).to_int() == 8
-
-    def test_sample_grid(self):
-        sim = Simulator()
-        signal = _build(sim, [0, 1])
-        capture = WaveformCapture()
-        capture.add_signal(signal)
-        sim.add_tracer(capture)
-        sim.run(100 * NS)
-        samples = capture.sample("top.data", 0, 30 * NS, 10 * NS)
-        assert [v.to_int() for __, v in samples] == [0, 1, 1]
-
-    def test_sample_bad_step(self):
-        capture = WaveformCapture()
-        sim = Simulator()
-        signal = _build(sim, [0])
-        capture.add_signal(signal)
-        sim.add_tracer(capture)
-        sim.run(20 * NS)
-        with pytest.raises(SimulationError):
-            capture.sample("top.data", 0, 10, 0)
 
     def test_unknown_signal_raises(self):
         capture = WaveformCapture()

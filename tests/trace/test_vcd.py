@@ -111,24 +111,6 @@ class TestChanges:
         text = _run_with_vcd(sim, build)
         assert f"#{5 * NS}" not in text
 
-    def test_add_module_watches_subtree(self, sim):
-        top = Module(sim, "top")
-        child = Module(top, "c")
-        s1 = child.signal("s1", width=1)
-        s2 = child.signal("s2", width=2)
-        other = Module(sim, "other")
-        s3 = other.signal("s3", width=1)
-
-        stream = io.StringIO()
-        tracer = VcdTracer(stream)
-        tracer.add_module(top)
-        sim.add_tracer(tracer)
-        sim.run(1)
-        tracer.close()
-        text = stream.getvalue()
-        assert "s1" in text and "s2" in text
-        assert "s3" not in text
-
     def test_clock_toggles_in_dump(self, sim):
         clock = Clock(sim, "clk", period=10 * NS)
         stream = io.StringIO()
