@@ -18,8 +18,7 @@ into one :class:`~repro.analyze.passes.AnalysisReport` for the
 ``python -m repro analyze`` CLI and the
 :class:`~repro.flow.design_flow.DesignFlow` post-synthesis gate.
 :func:`~repro.analyze.graph.find_cycles` is the one strongly connected
-component search behind every cycle check (``MOD004``, ``GRD003``,
-``FSM003``).
+component search behind both cycle checks (``GRD003``, ``FSM003``).
 """
 
 from .graph import Driver, NetGraph, find_cycles

@@ -171,9 +171,8 @@ def find_livelock_cycles(fsm: ir.Fsm) -> typing.Iterator[FsmFinding]:
     """Reachable cycles the FSM can never leave or do work in.
 
     A component is flagged when every internal arc is unconditional
-    (the machine *must* keep cycling), no live arc exits the component,
-    and no state in it produces a Moore output — the FSM spins forever
-    without granting anything.
+    (the machine *must* keep cycling) and no live arc exits the
+    component — the FSM spins forever without granting anything.
     """
     reachable = reachable_states(fsm)
     live = _live_transitions(fsm)
@@ -196,8 +195,6 @@ def find_livelock_cycles(fsm: ir.Fsm) -> typing.Iterator[FsmFinding]:
             continue  # there is a way out
         if any(t.condition is not None for t in internal):
             continue  # a conditional arc means the FSM can hold/choose
-        if any(fsm.moore_outputs.get(state) for state in members):
-            continue  # the cycle does protocol work
         cycle = " -> ".join(sorted(members))
         yield FsmFinding(
             "livelock", fsm, sorted(members)[0],

@@ -7,9 +7,7 @@ can tell a legal single comb assign from a comb/clocked conflict:
 
 * ``"assign"`` — a continuous combinational assignment;
 * ``"clocked"`` — a registered assignment at the clock edge;
-* ``"fsm-state"`` — an FSM's next-state logic owning its state register;
-* ``"fsm-output"`` — an FSM's Moore output decoder (one driver per FSM
-  per net, however many states set it).
+* ``"fsm-state"`` — an FSM's next-state logic owning its state register.
 
 Reader entries are the :class:`~repro.synthesis.ir.ExprSite` occurrences
 whose expression references the net. All keying is by net *identity*
@@ -51,7 +49,7 @@ class Driver:
 
     @property
     def is_combinational(self) -> bool:
-        return self.kind in ("assign", "fsm-output")
+        return self.kind == "assign"
 
     def __repr__(self) -> str:
         return f"Driver({self.kind} -> {self.target.name})"
@@ -113,16 +111,6 @@ class NetGraph:
                 "fsm-state", f"{fsm.name} next-state logic",
                 fsm.state_register, _unique_nets(condition_reads),
             ))
-            moore_nets: dict[int, ir.Net] = {}
-            for outputs in fsm.moore_outputs.values():
-                for net, __ in outputs:
-                    moore_nets.setdefault(id(net), net)
-            for net in moore_nets.values():
-                self._nets.setdefault(id(net), net)
-                self._add(Driver(
-                    "fsm-output", f"{fsm.name} output decoder", net,
-                    [fsm.state_register],
-                ))
 
     def _add(self, driver: Driver) -> None:
         self._nets.setdefault(id(driver.target), driver.target)

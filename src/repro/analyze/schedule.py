@@ -87,47 +87,19 @@ def evaluate_expr(
 
 
 class ScheduleStep:
-    """One comb evaluation: an assign, or an FSM Moore output decode."""
+    """One comb evaluation: a continuous assign of *expr* to *target*."""
 
-    __slots__ = ("kind", "target", "expr", "fsm")
+    __slots__ = ("target", "expr")
 
-    def __init__(
-        self,
-        kind: str,
-        target: ir.Net,
-        expr: ir.Expr | None = None,
-        fsm: ir.Fsm | None = None,
-    ) -> None:
-        self.kind = kind  # "assign" | "fsm-output"
+    def __init__(self, target: ir.Net, expr: ir.Expr) -> None:
         self.target = target
         self.expr = expr
-        self.fsm = fsm
 
     def evaluate(self, env: typing.Mapping[str, int]) -> int:
-        if self.kind == "assign":
-            assert self.expr is not None
-            return evaluate_expr(self.expr, env)
-        assert self.fsm is not None
-        state_value = env.get(self.fsm.state_register.name)
-        if state_value is None:
-            raise EvaluationError(
-                f"no value for state register "
-                f"{self.fsm.state_register.name!r}"
-            )
-        # An over-wide environment value must decode like the hardware
-        # would see it: truncated to the state register's width.
-        state_value &= (1 << self.fsm.state_register.width) - 1
-        target_mask = (1 << self.target.width) - 1
-        for state, outputs in self.fsm.moore_outputs.items():
-            if self.fsm.encode(state) != state_value:
-                continue
-            for net, value in outputs:
-                if net is self.target:
-                    return value & target_mask
-        return 0  # Moore default: states with no entry drive 0
+        return evaluate_expr(self.expr, env)
 
     def __repr__(self) -> str:
-        return f"ScheduleStep({self.kind} -> {self.target.name})"
+        return f"ScheduleStep({self.target.name})"
 
 
 class CombLoop:
@@ -178,13 +150,7 @@ class EvalSchedule:
         boundary: dict[int, ir.Net] = {}
         for level in self.levels:
             for step in level:
-                sources: typing.Iterable[ir.Net]
-                if step.expr is not None:
-                    sources = step.expr.referenced_nets()
-                else:
-                    assert step.fsm is not None
-                    sources = (step.fsm.state_register,)
-                for net in sources:
+                for net in step.expr.referenced_nets():
                     if id(net) not in computed:
                         boundary.setdefault(id(net), net)
         return list(boundary.values())
@@ -249,21 +215,10 @@ def _comb_steps(graph: NetGraph) -> dict[int, ScheduleStep]:
     """One step per comb-driven net (first driver wins; NET001 reports
     the conflict when there are several)."""
     steps: dict[int, ScheduleStep] = {}
-    module = graph.module
-    for assign in module.assigns:
+    for assign in graph.module.assigns:
         steps.setdefault(
-            id(assign.target),
-            ScheduleStep("assign", assign.target, expr=assign.expr),
+            id(assign.target), ScheduleStep(assign.target, assign.expr)
         )
-    for fsm in module.fsms:
-        moore_nets: dict[int, ir.Net] = {}
-        for outputs in fsm.moore_outputs.values():
-            for net, __ in outputs:
-                moore_nets.setdefault(id(net), net)
-        for net in moore_nets.values():
-            steps.setdefault(
-                id(net), ScheduleStep("fsm-output", net, fsm=fsm)
-            )
     return steps
 
 

@@ -11,8 +11,8 @@ The generated artifact has three entry points:
 ``_comb(env)``
     One settled delta cycle over the full combinational netlist, with
     exactly the semantics of :meth:`EvalSchedule.evaluate` (boundary
-    values masked to net widths, wrap-to-width arithmetic, Moore
-    defaults). The equivalence tests diff the two paths over random
+    values masked to net widths, wrap-to-width arithmetic). The
+    equivalence tests diff the two paths over random
     vectors; they must be interchangeable.
 
 ``_cycle(regs, ins, outs)``
@@ -143,25 +143,6 @@ class _Emitter:
             return "(" + " | ".join(reversed(pieces)) + ")"
         raise CodegenError(f"cannot lower expression {expr!r}")
 
-    def emit_step(self, step) -> str:
-        """One EvalSchedule step (assign or Moore output decode)."""
-        if step.kind == "assign":
-            return self.emit(step.expr)
-        fsm = step.fsm
-        state_local = self.local(fsm.state_register)
-        cases: list[tuple[int, int]] = []
-        for state, outputs in fsm.moore_outputs.items():
-            for net, value in outputs:
-                if net is step.target:
-                    cases.append(
-                        (fsm.encode(state), value & _mask(net.width))
-                    )
-                    break
-        code = "0"  # Moore default: states with no entry drive 0
-        for encoded, value in reversed(cases):
-            code = f"({value} if {state_local} == {encoded} else {code})"
-        return code
-
 
 class CompiledNetlist:
     """One netlist lowered to executable Python.
@@ -274,10 +255,7 @@ def _comb_closure(
                 "and is not an input"
             )
         needed.add(net_id)
-        if step.expr is not None:
-            stack.extend(step.expr.referenced_nets())
-        else:
-            stack.append(step.fsm.state_register)
+        stack.extend(step.expr.referenced_nets())
     return needed, inputs, regs_read
 
 
@@ -373,7 +351,7 @@ def compile_module(
     # Phase A (the pre-edge slice) and the phase B next-value lines are
     # shared by both edge entry points.
     phase_a: list[str] = [
-        f"    {emitter.local(step.target)} = {emitter.emit_step(step)}"
+        f"    {emitter.local(step.target)} = {emitter.emit(step.expr)}"
         for step in ordered
         if id(step.target) in needed_a
     ]
@@ -442,7 +420,7 @@ def compile_module(
         if id(step.target) in needed_c:
             emit(
                 f"    {emitter.local(step.target)} = "
-                f"{emitter.emit_step(step)}"
+                f"{emitter.emit(step.expr)}"
             )
     for port in out_ports:
         emit(f"    __outs[{port.name!r}] = {emitter.local(port)}")
@@ -493,7 +471,7 @@ def compile_module(
     for step in ordered:
         emit(
             f"    {emitter.local(step.target)} = "
-            f"__out[{step.target.name!r}] = {emitter.emit_step(step)}"
+            f"__out[{step.target.name!r}] = {emitter.emit(step.expr)}"
         )
     emit("    return __out")
     emit("")

@@ -383,7 +383,6 @@ class _RunObservers:
             sim,
             wall_budget=(spec.wall_timeout or None) if run is not None else None,
             stall_strikes=5 if spec.resilience else 0,
-            action="stop",
         )
 
     def classify(

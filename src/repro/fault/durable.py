@@ -20,9 +20,9 @@ runner two durability primitives:
   spec-hash contract. Everything that determines campaign behaviour
   (every :class:`~repro.fault.spec.FaultSpec` line, platform/builder,
   seed, backend, workload knobs, the ``max_runs`` truncation) is folded
-  into one canonical document hashed with
-  :func:`~repro.resilience.checkpoint.stable_content_hash`. A journal
-  is only ever replayed against the exact campaign that wrote it.
+  into one canonical document hashed with :func:`stable_content_hash`.
+  A journal is only ever replayed against the exact campaign that wrote
+  it.
 
 Journal line grammar (one JSON object per line, sorted keys)::
 
@@ -34,6 +34,7 @@ with payload ``type`` one of ``header``, ``outcome`` or ``event``
 
 from __future__ import annotations
 
+import hashlib
 import json
 import os
 import typing
@@ -41,7 +42,6 @@ import zlib
 
 from .._version import __version__
 from ..errors import JournalError
-from ..resilience.checkpoint import stable_content_hash
 from .campaign import RunOutcome
 from .spec import CampaignSpec
 
@@ -102,6 +102,19 @@ def campaign_fingerprint(
         "max_runs": max_runs,
         "spec": spec_document(spec),
     }
+
+
+def stable_content_hash(document: object) -> str:
+    """SHA-256 hex digest of a canonical JSON encoding of *document*.
+
+    The encoding is sorted-key, compact-separator JSON with non-JSON
+    leaves rendered through ``str``, so the digest is stable across
+    processes and sessions for any picklable plain-data tree.
+    """
+    payload = json.dumps(
+        document, sort_keys=True, separators=(",", ":"), default=str
+    )
+    return hashlib.sha256(payload.encode("utf-8")).hexdigest()
 
 
 def campaign_content_hash(

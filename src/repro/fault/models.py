@@ -202,7 +202,8 @@ class FaultModel:
 
 
 def _override_value(signal: "Signal | ResolvedSignal", value: object) -> None:
-    """Set a committed value out of band, firing edges and tracers."""
+    """Set a committed value out of band, firing edges and tracers (a
+    resolved rail has no edge events)."""
     if isinstance(signal, Signal):
         signal.force(value)
         return
@@ -212,8 +213,6 @@ def _override_value(signal: "Signal | ResolvedSignal", value: object) -> None:
     if value == signal._value:
         return
     signal._value = value
-    if signal._changed is not None:
-        signal._changed.notify_delta()
     signal._sim._notify_trace(signal, value)
 
 

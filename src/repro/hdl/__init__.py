@@ -2,7 +2,7 @@
 
 from .bitvector import LogicVector, resolve_vectors
 from .clock import Clock
-from .logic import L0, L1, LX, LZ, Logic, resolve
+from .logic import L0, L1, LX, LZ, Logic
 from .module import Module
 from .resolved import BusDriver, ResolvedSignal
 from .signal import Signal
@@ -19,6 +19,5 @@ __all__ = [
     "Module",
     "ResolvedSignal",
     "Signal",
-    "resolve",
     "resolve_vectors",
 ]

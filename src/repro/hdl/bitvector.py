@@ -2,8 +2,8 @@
 
 :class:`LogicVector` is the workhorse datatype for buses (PCI AD lines,
 command codes, addresses). It is immutable and stores the value as three
-bit masks — ``ones``, ``x`` and ``z`` — so vector operations are integer
-operations rather than per-bit loops.
+bit masks — ``ones``, ``x`` and ``z`` — so comparison and bus resolution
+are integer operations rather than per-bit loops.
 
 Bit 0 is the least-significant bit. String literals are written
 MSB-first, as in waveforms: ``LogicVector(4, "10ZX")`` has bit 3 = '1'
@@ -46,9 +46,10 @@ class LogicVector:
             # All-X: the canonical power-on value of an uninitialised register.
             self._ones, self._x, self._z = 0, mask, 0
         elif isinstance(value, LogicVector):
-            if value._width != width:
-                value = value.resized(width)
-            self._ones, self._x, self._z = value._ones, value._x, value._z
+            # Zero-extended or truncated to this width.
+            self._ones = value._ones & mask
+            self._x = value._x & mask
+            self._z = value._z & mask
         elif isinstance(value, Logic):
             # A scalar fills every bit, as in VHDL's (others => value).
             ones, x, z = _masks_from_char(value.char)
@@ -82,15 +83,6 @@ class LogicVector:
         return vector
 
     @classmethod
-    def ones(cls, width: int) -> "LogicVector":
-        return cls(width, (1 << width) - 1)
-
-    @classmethod
-    def unknown(cls, width: int) -> "LogicVector":
-        """All bits X."""
-        return cls(width, None)
-
-    @classmethod
     def high_z(cls, width: int) -> "LogicVector":
         """All bits Z — a released tri-state bus."""
         if width <= 0:
@@ -101,9 +93,6 @@ class LogicVector:
 
     @property
     def width(self) -> int:
-        return self._width
-
-    def __len__(self) -> int:
         return self._width
 
     # -- conversion ------------------------------------------------------------------
@@ -119,9 +108,6 @@ class LogicVector:
         if self._x or self._z:
             return default
         return self._ones
-
-    def __int__(self) -> int:
-        return self.to_int()
 
     def __index__(self) -> int:
         return self.to_int()
@@ -171,16 +157,6 @@ class LogicVector:
             return LZ
         return L1 if self._ones & mask else L0
 
-    def __getitem__(self, index: "int | slice") -> "Logic | LogicVector":
-        if isinstance(index, slice):
-            start, stop, step = index.indices(self._width)
-            if step != 1:
-                raise WidthError("vector slices must have step 1")
-            if stop <= start:
-                raise WidthError(f"empty slice [{index.start}:{index.stop}]")
-            return self.slice(stop - 1, start)
-        return self.bit(index)
-
     def slice(self, high: int, low: int) -> "LogicVector":
         """Bits *high* down to *low* inclusive, as a new vector."""
         if not (0 <= low <= high < self._width):
@@ -190,24 +166,6 @@ class LogicVector:
         width = high - low + 1
         return LogicVector._raw(
             width, self._ones >> low, self._x >> low, self._z >> low
-        )
-
-    # -- structure ----------------------------------------------------------------------
-
-    def resized(self, width: int) -> "LogicVector":
-        """Zero-extended or truncated copy of the given *width*."""
-        if width == self._width:
-            return self
-        return LogicVector._raw(width, self._ones, self._x, self._z)
-
-    def concat(self, low_part: "LogicVector") -> "LogicVector":
-        """``self`` in the high bits, *low_part* in the low bits."""
-        shift = low_part._width
-        return LogicVector._raw(
-            self._width + shift,
-            (self._ones << shift) | low_part._ones,
-            (self._x << shift) | low_part._x,
-            (self._z << shift) | low_part._z,
         )
 
     # -- comparison ---------------------------------------------------------------------
@@ -230,78 +188,6 @@ class LogicVector:
 
     def __hash__(self) -> int:
         return hash((self._width, self._ones, self._x, self._z))
-
-    # -- bitwise operators (X/Z propagate) --------------------------------------------------
-
-    def __invert__(self) -> "LogicVector":
-        mask = (1 << self._width) - 1
-        unknown = self._x | self._z
-        return LogicVector._raw(
-            self._width, ~self._ones & mask & ~unknown, unknown, 0
-        )
-
-    def _binary(self, other: object, op: str) -> "LogicVector":
-        other_vec = _coerce(other, self._width)
-        if other_vec is None:
-            return NotImplemented  # type: ignore[return-value]
-        if other_vec._width != self._width:
-            raise WidthError(
-                f"width mismatch: {self._width} vs {other_vec._width}"
-            )
-        unknown = self._x | self._z | other_vec._x | other_vec._z
-        a, b = self._ones, other_vec._ones
-        if op == "and":
-            value = a & b
-            # 0 AND anything is 0, even unknown.
-            unknown &= ~((~a & ~(self._x | self._z)) | (~b & ~(other_vec._x | other_vec._z)))
-        elif op == "or":
-            value = a | b
-            # 1 OR anything is 1, even unknown.
-            unknown &= ~(a | b)
-        else:  # xor
-            value = a ^ b
-        return LogicVector._raw(self._width, value & ~unknown, unknown, 0)
-
-    def __and__(self, other: object) -> "LogicVector":
-        return self._binary(other, "and")
-
-    __rand__ = __and__
-
-    def __or__(self, other: object) -> "LogicVector":
-        return self._binary(other, "or")
-
-    __ror__ = __or__
-
-    def __xor__(self, other: object) -> "LogicVector":
-        return self._binary(other, "xor")
-
-    __rxor__ = __xor__
-
-    def __lshift__(self, amount: int) -> "LogicVector":
-        return LogicVector._raw(
-            self._width, self._ones << amount, self._x << amount, self._z << amount
-        )
-
-    def __rshift__(self, amount: int) -> "LogicVector":
-        return LogicVector._raw(
-            self._width, self._ones >> amount, self._x >> amount, self._z >> amount
-        )
-
-    # -- arithmetic (defined values only) ----------------------------------------------------
-
-    def __add__(self, other: object) -> "LogicVector":
-        other_vec = _coerce(other, self._width)
-        if other_vec is None:
-            return NotImplemented  # type: ignore[return-value]
-        return LogicVector(self._width, self.to_int() + other_vec.to_int())
-
-    __radd__ = __add__
-
-    def __sub__(self, other: object) -> "LogicVector":
-        other_vec = _coerce(other, self._width)
-        if other_vec is None:
-            return NotImplemented  # type: ignore[return-value]
-        return LogicVector(self._width, self.to_int() - other_vec.to_int())
 
 
 #: The width-1 vectors for int writes of 0 and 1, shared by every
@@ -376,7 +262,9 @@ def _coerce(value: object, width: int) -> "LogicVector | None":
 
 
 def resolve_vectors(width: int, drivers: typing.Sequence[LogicVector]) -> LogicVector:
-    """Per-bit bus resolution over several drivers (see :func:`repro.hdl.logic.resolve`)."""
+    """Per-bit bus resolution over several drivers (std_logic resolution,
+    no weak values): no driver → Z; exactly one non-Z driver → its value;
+    conflicting or X drivers → X."""
     mask = (1 << width) - 1
     if not drivers:
         return LogicVector.high_z(width)

@@ -2,8 +2,8 @@
 
 The value set is the simplified IEEE-1164 quartet used by most RTL
 simulators: ``0``, ``1``, ``X`` (unknown/conflict) and ``Z``
-(high-impedance). ``Z`` participates in bus resolution; in boolean
-operators it behaves like ``X``, as in VHDL's ``std_logic``.
+(high-impedance). ``Z`` is what a released tri-state driver
+contributes to bus resolution.
 
 The four values are module-level singletons (:data:`L0`, :data:`L1`,
 :data:`LX`, :data:`LZ`); ``Logic("1") is L1`` holds.
@@ -65,54 +65,6 @@ class Logic:
             return False
         raise LogicValueError(f"cannot convert Logic('{self._char}') to bool")
 
-    def to_int(self) -> int:
-        """Return 0 or 1; raise :class:`LogicValueError` on X/Z."""
-        return 1 if bool(self) else 0
-
-    # -- predicates -----------------------------------------------------------
-
-    @property
-    def is_defined(self) -> bool:
-        """True for '0' and '1'."""
-        return self._char in ("0", "1")
-
-    # -- operators (X/Z propagate as unknown) -----------------------------------
-
-    def __invert__(self) -> "Logic":
-        if self._char == "0":
-            return L1
-        if self._char == "1":
-            return L0
-        return LX
-
-    def __and__(self, other: "Logic | str | int | bool") -> "Logic":
-        other = Logic(other)
-        if self._char == "0" or other._char == "0":
-            return L0
-        if self._char == "1" and other._char == "1":
-            return L1
-        return LX
-
-    __rand__ = __and__
-
-    def __or__(self, other: "Logic | str | int | bool") -> "Logic":
-        other = Logic(other)
-        if self._char == "1" or other._char == "1":
-            return L1
-        if self._char == "0" and other._char == "0":
-            return L0
-        return LX
-
-    __ror__ = __or__
-
-    def __xor__(self, other: "Logic | str | int | bool") -> "Logic":
-        other = Logic(other)
-        if self.is_defined and other.is_defined:
-            return L1 if self._char != other._char else L0
-        return LX
-
-    __rxor__ = __xor__
-
 
 def _to_char(value: "Logic | str | int | bool") -> str:
     if isinstance(value, Logic):
@@ -140,19 +92,3 @@ LX = Logic("X")
 #: High impedance.
 LZ = Logic("Z")
 
-
-def resolve(*values: "Logic | str | int | bool") -> Logic:
-    """Resolve several drivers of one wire (std_logic resolution, no weaks).
-
-    All Z → Z; exactly one non-Z → that value; conflicting or X drivers → X.
-    """
-    result = LZ
-    for raw in values:
-        value = Logic(raw)
-        if value._char == "Z":
-            continue
-        if result._char == "Z":
-            result = value
-        elif result._char != value._char or value._char == "X":
-            return LX
-    return result

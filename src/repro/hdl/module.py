@@ -89,27 +89,7 @@ class Module:
     ) -> Process:
         """Register a thread process (a generator method of this module)."""
         label = name or func.__name__.lstrip("_")
-        process = Process(
-            self.sim.scheduler, f"{self.path}.{label}", func, Process.THREAD
-        )
-        self.sim.scheduler.register_process(process, initialize=initialize)
-        self._processes.append(process)
-        return process
-
-    def method(
-        self,
-        func: typing.Callable[[], object],
-        sensitivity: typing.Sequence["Event | Signal | ResolvedSignal"] = (),
-        name: str | None = None,
-        initialize: bool = True,
-    ) -> Process:
-        """Register a method process with static *sensitivity*."""
-        label = name or func.__name__.lstrip("_")
-        process = Process(
-            self.sim.scheduler, f"{self.path}.{label}", func, Process.METHOD
-        )
-        for item in sensitivity:
-            process.add_sensitivity(_as_event(item))
+        process = Process(self.sim.scheduler, f"{self.path}.{label}", func)
         self.sim.scheduler.register_process(process, initialize=initialize)
         self._processes.append(process)
         return process
@@ -136,10 +116,3 @@ class Module:
     def end_of_elaboration(self) -> None:
         """Hook for subclasses; runs once after the hierarchy is final."""
 
-
-def _as_event(item: "Event | Signal | ResolvedSignal") -> Event:
-    if isinstance(item, Event):
-        return item
-    if isinstance(item, (Signal, ResolvedSignal)):
-        return item.changed
-    raise ElaborationError(f"cannot use {item!r} in a sensitivity list")

@@ -17,7 +17,7 @@ cached *driven* value. Two invariants keep this exact:
 * The cache holds the driven resolution apart from ``_value``. Faults
   override ``_value`` out of band, and the next update commits the
   driven value again. Contributions change only through
-  :meth:`BusDriver.write`, which checkpoint restore uses too.
+  :meth:`BusDriver.write`.
 """
 
 from __future__ import annotations
@@ -25,7 +25,6 @@ from __future__ import annotations
 import typing
 
 from ..errors import WidthError
-from ..kernel.event import Event
 from ..kernel.signal_base import UpdateTarget
 from .bitvector import BITS, LogicVector, resolve_vectors
 
@@ -45,10 +44,6 @@ class BusDriver:
 
     def __repr__(self) -> str:
         return f"BusDriver({self._bus.name}:{self.name}={self._contribution})"
-
-    @property
-    def contribution(self) -> LogicVector:
-        return self._contribution
 
     def write(self, value: "LogicVector | int | str") -> None:
         """Drive *value* onto the bus (committed at the update phase)."""
@@ -92,7 +87,6 @@ class ResolvedSignal(UpdateTarget):
         #: contribution changed since it was computed.
         self._driven = self._all_z
         self._dirty = False
-        self._changed: Event | None = None
 
     def __repr__(self) -> str:
         return f"ResolvedSignal({self.name}={self._value})"
@@ -108,10 +102,6 @@ class ResolvedSignal(UpdateTarget):
             self._drivers[name] = driver
             return driver
 
-    @property
-    def driver_names(self) -> tuple[str, ...]:
-        return tuple(self._drivers)
-
     # -- access ---------------------------------------------------------------
 
     def read(self) -> LogicVector:
@@ -120,12 +110,6 @@ class ResolvedSignal(UpdateTarget):
     @property
     def value(self) -> LogicVector:
         return self._value
-
-    @property
-    def changed(self) -> Event:
-        if self._changed is None:
-            self._changed = Event(self._scheduler, f"{self.name}.changed")
-        return self._changed
 
     # -- update phase ------------------------------------------------------------
 
@@ -161,8 +145,6 @@ class ResolvedSignal(UpdateTarget):
         ):
             return
         self._value = resolved
-        if self._changed is not None:
-            self._changed.notify_delta()
         probes = self._sim._probes
         if probes is not None and probes._signal_commit is not None:
             probes.signal_commit(self._scheduler._time, self, resolved)

@@ -14,11 +14,10 @@ from __future__ import annotations
 
 import typing
 
-from ..errors import MultipleDriverError, SimulationError
+from ..errors import MultipleDriverError
 from ..kernel.event import Event
 from ..kernel.signal_base import UpdateTarget
 from .bitvector import BITS, LogicVector
-from .logic import Logic
 
 ZERO, ONE = BITS
 
@@ -57,9 +56,7 @@ class Signal(UpdateTarget):
             self._value = False if init is None else init
         self._next = self._value
         self._has_next = False
-        self._changed: Event | None = None
         self._posedge: Event | None = None
-        self._negedge: Event | None = None
         self._single_writer = single_writer
         self._delta_writer: object = None
 
@@ -69,25 +66,11 @@ class Signal(UpdateTarget):
     # -- events -----------------------------------------------------------
 
     @property
-    def changed(self) -> Event:
-        """Event notified (delta) whenever the committed value changes."""
-        if self._changed is None:
-            self._changed = Event(self._scheduler, f"{self.name}.changed")
-        return self._changed
-
-    @property
     def posedge(self) -> Event:
-        """Event notified when the value becomes truthy/'1'."""
+        """Event notified (delta) when the value becomes truthy/'1'."""
         if self._posedge is None:
             self._posedge = Event(self._scheduler, f"{self.name}.posedge")
         return self._posedge
-
-    @property
-    def negedge(self) -> Event:
-        """Event notified when the value becomes falsy/'0'."""
-        if self._negedge is None:
-            self._negedge = Event(self._scheduler, f"{self.name}.negedge")
-        return self._negedge
 
     # -- access ---------------------------------------------------------------
 
@@ -126,25 +109,6 @@ class Signal(UpdateTarget):
             self._update_requested = True
             self._scheduler._update_queue.append(self)
 
-    def write_after(self, value: object, delay: int) -> None:
-        """Schedule a write *delay* femtoseconds in the future.
-
-        Transport-delay semantics: the value is staged when the delay
-        elapses, overriding whatever was staged for that delta (later
-        schedules for the same instant win, like successive writes).
-        """
-        if self.width is not None and not isinstance(value, LogicVector):
-            value = LogicVector(self.width, value)  # type: ignore[arg-type]
-        from ..kernel.simtime import check_delay
-
-        check_delay(delay)
-        if delay == 0:
-            self.write(value)
-            return
-        trigger = Event(self._scheduler, f"{self.name}.write_after")
-        trigger.add_callback(lambda: self.write(value))
-        trigger.notify_after(delay)
-
     def force(self, value: object) -> None:
         """Set the committed value immediately (test fixtures only)."""
         if self.width is not None and not isinstance(value, LogicVector):
@@ -153,7 +117,8 @@ class Signal(UpdateTarget):
         self._value = value
         self._next = value
         if old != value:
-            self._fire_edges(old, value)
+            if self._posedge is not None:
+                self._fire_posedge(old, value)
             self._sim._notify_trace(self, value)
 
     # -- update phase -------------------------------------------------------------
@@ -176,12 +141,8 @@ class Signal(UpdateTarget):
         ):
             return
         self._value = new
-        if (
-            self._changed is not None
-            or self._posedge is not None
-            or self._negedge is not None
-        ):
-            self._fire_edges(old, new)
+        if self._posedge is not None:
+            self._fire_posedge(old, new)
         # Inline the signal-commit probe: this is the hottest observation
         # point in the kernel, so it must cost one None check when no bus
         # is attached and one more when nobody subscribes the kind.
@@ -189,49 +150,16 @@ class Signal(UpdateTarget):
         if probes is not None and probes._signal_commit is not None:
             probes.signal_commit(self._scheduler._time, self, new)
 
-    def _fire_edges(self, old: object, new: object) -> None:
-        if self._changed is not None:
-            self._changed.notify_delta()
-        posedge, negedge = self._posedge, self._negedge
-        if posedge is None and negedge is None:
-            return
+    def _fire_posedge(self, old: object, new: object) -> None:
         # The shared width-1 vectors name their level by identity.
-        old_level = True if old is ONE else False if old is ZERO else _level(old)
-        new_level = True if new is ONE else False if new is ZERO else _level(new)
-        if posedge is not None and new_level is True and old_level is not True:
-            posedge.notify_delta()
-        if negedge is not None and new_level is False and old_level is not False:
-            negedge.notify_delta()
-
-    # -- convenience -------------------------------------------------------------
-
-    def to_int(self) -> int:
-        value = self._value
-        if isinstance(value, LogicVector):
-            return value.to_int()
-        if isinstance(value, Logic):
-            return value.to_int()
-        if isinstance(value, bool):
-            return int(value)
-        if isinstance(value, int):
-            return value
-        raise SimulationError(f"signal {self.name!r} value {value!r} is not integral")
+        if new is ZERO or old is ONE:
+            return
+        if (new is ONE or _is_high(new)) and (old is ZERO or not _is_high(old)):
+            self._posedge.notify_delta()
 
 
-def _level(value: object) -> bool | None:
-    """Map a signal value to a boolean level for edge detection."""
+def _is_high(value: object) -> bool:
+    """Whether a signal value is a high level, for edge detection."""
     if isinstance(value, LogicVector):
-        if value._width == 1 and not (value._x or value._z):
-            return value._ones == 1
-        return None
-    if isinstance(value, bool):
-        return value
-    if isinstance(value, Logic):
-        if value.char == "1":
-            return True
-        if value.char == "0":
-            return False
-        return None
-    if isinstance(value, int):
-        return bool(value)
-    return None
+        return value._width == 1 and value._ones == 1 and not (value._x or value._z)
+    return isinstance(value, int) and value != 0

@@ -2,7 +2,7 @@
 
 Public surface::
 
-    from repro.kernel import Simulator, Timeout, AnyOf, AllOf, NS, US
+    from repro.kernel import Simulator, Timeout, AnyOf, NS, US
 
     sim = Simulator()
 
@@ -14,7 +14,7 @@ Public surface::
     sim.run(1 * US)
 """
 
-from .event import AllOf, AnyOf, Event
+from .event import AnyOf, Event
 from .process import Process, Timeout
 from .scheduler import Scheduler
 from .signal_base import UpdateTarget
@@ -22,7 +22,6 @@ from .simtime import FS, MS, NS, PS, SEC, US, format_time
 from .simulator import BlockedProcess, DetectionRecord, Simulator
 
 __all__ = [
-    "AllOf",
     "AnyOf",
     "BlockedProcess",
     "DetectionRecord",

@@ -8,8 +8,8 @@ with the three SystemC notification flavours:
 * ``notify_delta()`` — wake waiters at the next delta cycle;
 * ``notify_after(delay)`` — wake waiters *delay* femtoseconds from now.
 
-Processes wait on events either dynamically (a thread yields the event)
-or statically (a method process lists it in its sensitivity).
+A thread waits on an event by yielding it, or on several at once by
+yielding :class:`AnyOf`.
 """
 
 from __future__ import annotations
@@ -31,12 +31,12 @@ class Event:
     :param name: optional label used in traces and error messages.
 
     Every signal, clock and process creates events, so the layout is
-    fixed by ``__slots__`` and the static-waiter and callback lists are
-    created on first use: most events never get either.
+    fixed by ``__slots__`` and the callback list is created on first
+    use: most events never get one.
     """
 
     __slots__ = (
-        "_scheduler", "name", "_dynamic_waiters", "_static_waiters",
+        "_scheduler", "name", "_dynamic_waiters",
         "_callbacks", "_delta_pending", "_notify_cause", "_inline",
     )
 
@@ -44,8 +44,6 @@ class Event:
         self._scheduler = scheduler
         self.name = name
         self._dynamic_waiters: list["Process"] = []
-        #: Statically sensitive processes; None until the first add_static.
-        self._static_waiters: list["Process"] | None = None
         #: One-shot callbacks for the next trigger; None when there are none.
         self._callbacks: list[typing.Callable[[], None]] | None = None
         #: Set while queued for the next delta (O(1) dedup in
@@ -78,14 +76,6 @@ class Event:
             self._dynamic_waiters.remove(process)
         except ValueError:
             pass
-
-    def add_static(self, process: "Process") -> None:
-        """Register *process* for static sensitivity on this event."""
-        waiters = self._static_waiters
-        if waiters is None:
-            self._static_waiters = [process]
-        elif process not in waiters:
-            waiters.append(process)
 
     def add_callback(self, callback: typing.Callable[[], None]) -> None:
         """Run *callback* once, at the next trigger of this event.
@@ -157,10 +147,6 @@ class Event:
                 if not process._runnable:
                     process._runnable = True
                     runnable.append(process)
-        static = self._static_waiters
-        if static is not None:
-            for process in static:
-                process._wake_static(self)
         callbacks = self._callbacks
         if callbacks is not None:
             # Detach first: a callback added by a callback waits for the
@@ -170,21 +156,13 @@ class Event:
                 callback()
 
 
-class EventList:
-    """Base for composite waits on several events (``AnyOf`` / ``AllOf``)."""
+class AnyOf:
+    """Wait until *any one* of the given events is notified."""
 
     def __init__(self, *events: Event) -> None:
         if not events:
-            raise SimulationError("composite wait needs at least one event")
+            raise SimulationError("AnyOf needs at least one event")
         for event in events:
             if not isinstance(event, Event):
                 raise SimulationError(f"expected Event, got {event!r}")
         self.events: tuple[Event, ...] = tuple(events)
-
-
-class AnyOf(EventList):
-    """Wait until *any one* of the given events is notified."""
-
-
-class AllOf(EventList):
-    """Wait until *all* of the given events have been notified."""

@@ -1,14 +1,11 @@
 """Simulation processes.
 
-Two SystemC-like process kinds are supported:
-
-* **thread** — a Python generator that ``yield``\\ s wait specifications
-  (:class:`Timeout`, an :class:`~repro.kernel.event.Event`, ``AnyOf``,
-  ``AllOf``). The kernel resumes it when the wait completes. Threads
-  compose naturally: helper coroutines are invoked with ``yield from``,
-  which is how blocking guarded-method calls are built.
-* **method** — a plain callable re-invoked from the top whenever an event
-  in its static sensitivity triggers. Methods cannot wait.
+Every process is a SystemC-like **thread**: a Python generator that
+``yield``\\ s wait specifications (:class:`Timeout`, an
+:class:`~repro.kernel.event.Event` or ``AnyOf``). The kernel resumes it
+when the wait completes. Threads compose naturally: helper coroutines are
+invoked with ``yield from``, which is how blocking guarded-method calls
+are built.
 """
 
 from __future__ import annotations
@@ -18,7 +15,7 @@ import typing
 from collections.abc import Generator
 
 from ..errors import SimulationError
-from .event import AllOf, AnyOf, Event
+from .event import AnyOf, Event
 from .simtime import check_delay
 
 if typing.TYPE_CHECKING:  # pragma: no cover - import cycle guard
@@ -38,33 +35,24 @@ class Timeout:
     def __init__(self, delay: int) -> None:
         self._delay = check_delay(delay)
 
-    @property
-    def delay(self) -> int:
-        """The wait in femtoseconds."""
-        return self._delay
-
     def __repr__(self) -> str:
         return f"Timeout({self._delay})"
 
 
 #: What a thread may yield to the kernel.
-WaitSpec = typing.Union[Timeout, Event, AnyOf, AllOf]
+WaitSpec = typing.Union[Timeout, Event, AnyOf]
 
 #: Type alias for the generator a thread function must return.
 ThreadGenerator = Generator[WaitSpec, object, object]
 
 
 class Process:
-    """Kernel bookkeeping for one thread or method process."""
-
-    THREAD = "thread"
-    METHOD = "method"
+    """Kernel bookkeeping for one thread process."""
 
     __slots__ = (
-        "_scheduler", "name", "kind", "_func", "_generator", "_send",
-        "_wait_event", "_wait_events", "_all_of_pending", "_timeout_event",
-        "done", "terminated_event", "_static_sensitivity",
-        "_runnable", "exception", "_wake_trigger",
+        "_scheduler", "name", "_func", "_generator", "_send",
+        "_wait_event", "_wait_events", "_timeout_event",
+        "done", "terminated_event", "_runnable", "exception", "_wake_trigger",
     )
 
     def __init__(
@@ -72,23 +60,17 @@ class Process:
         scheduler: "Scheduler",
         name: str,
         func: typing.Callable[[], object],
-        kind: str = THREAD,
     ) -> None:
-        if kind not in (self.THREAD, self.METHOD):
-            raise SimulationError(f"unknown process kind {kind!r}")
         self._scheduler = scheduler
         self.name = name
-        self.kind = kind
         self._func = func
         self._generator: ThreadGenerator | None = None
         #: The running generator's bound ``send``, cached at start.
         self._send: typing.Callable[[object], object] | None = None
         #: The event of a pending Event or Timeout wait.
         self._wait_event: Event | None = None
-        #: The events of a pending AnyOf / AllOf wait.
+        #: The events of a pending AnyOf wait.
         self._wait_events: tuple[Event, ...] = ()
-        #: AllOf members not yet notified (None outside an AllOf wait).
-        self._all_of_pending: set[Event] | None = None
         #: The event every Timeout wait of this thread reuses, created on
         #: first use. Reuse is safe because a Timeout wait ends only when
         #: this event fires or the process finishes, so at most one of
@@ -97,7 +79,6 @@ class Process:
         self.done = False
         #: Notified when the process terminates (thread return / StopIteration).
         self.terminated_event = Event(scheduler, f"{name}.terminated")
-        self._static_sensitivity: list[Event] = []
         self._runnable = False
         self.exception: BaseException | None = None
         #: Causal edge for the probe bus: the Event whose trigger made
@@ -108,18 +89,11 @@ class Process:
         self._wake_trigger: Event | None = None
 
     def __repr__(self) -> str:
-        return f"Process({self.name}, {self.kind})"
+        return f"Process({self.name})"
 
     def is_waiting_on(self, event: Event) -> bool:
         """True while a dynamic wait of this thread includes *event*."""
         return event is self._wait_event or event in self._wait_events
-
-    # -- static sensitivity -------------------------------------------------
-
-    def add_sensitivity(self, event: Event) -> None:
-        """Statically sensitise this process to *event*."""
-        self._static_sensitivity.append(event)
-        event.add_static(self)
 
     # -- waking ---------------------------------------------------------------
 
@@ -133,12 +107,6 @@ class Process:
             return
         events = self._wait_events
         if events:
-            pending = self._all_of_pending
-            if pending is not None:
-                pending.discard(trigger)
-                if pending:
-                    return
-                self._all_of_pending = None
             for event in events:
                 if event is not trigger:
                     event._remove_dynamic(self)
@@ -152,23 +120,6 @@ class Process:
             self._runnable = True
             self._scheduler._runnable.append(self)
 
-    def _wake_static(self, trigger: Event) -> None:
-        """Called by an event in the static sensitivity list."""
-        if self.done:
-            return
-        if self._wait_event is not None or self._wait_events:
-            # A thread with an explicit dynamic wait ignores static triggers.
-            return
-        probes = self._scheduler._probes
-        if probes is not None and probes._process_activate is not None:
-            self._wake_trigger = trigger
-        self._make_runnable()
-
-    def _make_runnable(self) -> None:
-        if not self._runnable:
-            self._runnable = True
-            self._scheduler._make_runnable(self)
-
     def _clear_waits(self) -> None:
         event = self._wait_event
         if event is not None:
@@ -177,7 +128,6 @@ class Process:
         for event in self._wait_events:
             event._remove_dynamic(self)
         self._wait_events = ()
-        self._all_of_pending = None
 
     # -- execution ------------------------------------------------------------
 
@@ -192,9 +142,6 @@ class Process:
             return
         send = self._send
         if send is None:
-            if self.kind == self.METHOD:
-                self._func()
-                return
             send = self._start()
             if send is None:
                 return
@@ -263,15 +210,9 @@ class Process:
             for event in wait_spec.events:
                 event._add_dynamic(self)
             return
-        if isinstance(wait_spec, AllOf):
-            self._wait_events = wait_spec.events
-            self._all_of_pending = set(wait_spec.events)
-            for event in wait_spec.events:
-                event._add_dynamic(self)
-            return
         raise SimulationError(
             f"thread {self.name!r} yielded {wait_spec!r}, which is not a "
-            "wait specification (Timeout, Event, AnyOf or AllOf)"
+            "wait specification (Timeout, Event or AnyOf)"
         )
 
     def _finish(self) -> None:

@@ -98,7 +98,8 @@ class Scheduler:
         """
         self._processes.append(process)
         if initialize:
-            process._make_runnable()
+            process._runnable = True
+            self._runnable.append(process)
 
     def spawn(
         self,
@@ -107,14 +108,11 @@ class Scheduler:
         initialize: bool = True,
     ) -> Process:
         """Create and register a thread process in one call."""
-        process = Process(self, name, func, Process.THREAD)
+        process = Process(self, name, func)
         self.register_process(process, initialize=initialize)
         return process
 
     # -- internal hooks used by Event / Signal --------------------------------
-
-    def _make_runnable(self, process: Process) -> None:
-        self._runnable.append(process)
 
     def _schedule_delta_event(self, event: Event) -> None:
         # O(1) dedup flag, mirroring request_update: a linear `in` scan
@@ -249,7 +247,7 @@ class Scheduler:
                         self.current_process = process
                         send = process._send
                         if send is None:
-                            # Methods, first activations, finished threads.
+                            # First activations and finished threads.
                             process._execute()
                             continue
                         # Process._execute inlined for a started thread.

@@ -250,29 +250,6 @@ class Simulator:
         if probes is not None:
             probes.emit(DETECTION, record)
 
-    # -- checkpoint / restore -----------------------------------------------------
-
-    def checkpoint(self):
-        """Snapshot signal values, shared states and process status.
-
-        Delegates to :func:`repro.resilience.checkpoint.capture`; the
-        simulator must be quiescent (no pending guarded calls). Returns
-        a :class:`~repro.resilience.checkpoint.KernelCheckpoint`.
-        """
-        from ..resilience.checkpoint import capture
-
-        return capture(self)
-
-    def restore(self, checkpoint) -> None:
-        """Push a checkpoint's state back into this simulator.
-
-        Delegates to :func:`repro.resilience.checkpoint.restore`; the
-        hierarchy must match the one the checkpoint was taken from.
-        """
-        from ..resilience.checkpoint import restore
-
-        restore(self, checkpoint)
-
     # -- convenience ---------------------------------------------------------------
 
     def blocked_processes(self) -> list[BlockedProcess]:

@@ -26,7 +26,7 @@ UNRESOLVED = object()
 MUTATING_METHODS = frozenset({
     "append", "appendleft", "extend", "extendleft", "insert", "add",
     "remove", "discard", "pop", "popleft", "clear", "update",
-    "setdefault", "sort", "reverse", "write", "write_after", "force",
+    "setdefault", "sort", "reverse", "write", "force",
     "notify", "notify_delta", "notify_after", "push", "put", "submit",
 })
 

@@ -43,7 +43,7 @@ if typing.TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from ..hdl.module import Module
 
 #: Signal method names that stage a value change.
-_WRITE_METHODS = ("write", "write_after", "force")
+_WRITE_METHODS = ("write", "force")
 #: Event method names that fire the event.
 _NOTIFY_METHODS = ("notify", "notify_delta", "notify_after")
 #: How deep `yield from self.helper()` chains are followed.
@@ -89,7 +89,6 @@ class ProcessInfo:
             astutils.first_arg_name(self.node) if self.node is not None else None
         )
         self.signal_writes: set[int] = set()
-        self.signal_write_names: dict[int, str] = {}
         self.event_waits: set[int] = set()
         self.event_notifies: set[int] = set()
         self.event_escapes: set[int] = set()
@@ -103,7 +102,6 @@ class ProcessInfo:
     def _note_signal(self, target: object) -> None:
         if isinstance(target, Signal):
             self.signal_writes.add(id(target))
-            self.signal_write_names[id(target)] = target.name
 
     # -- AST scan ------------------------------------------------------------
 
@@ -147,13 +145,13 @@ class ProcessInfo:
         if isinstance(resolved, Event):
             self.event_waits.add(id(resolved))
             return
-        # yield AnyOf(a, b) / AllOf(a, b): the arguments are waited on.
+        # yield AnyOf(a, b): the arguments are waited on.
         if isinstance(value, ast.Call):
             callee = value.func
             callee_name = callee.id if isinstance(callee, ast.Name) else (
                 callee.attr if isinstance(callee, ast.Attribute) else ""
             )
-            if callee_name in ("AnyOf", "AllOf"):
+            if callee_name == "AnyOf":
                 for arg in value.args:
                     argument = ctx.resolve(arg)
                     if isinstance(argument, Event):

@@ -24,7 +24,6 @@ import typing
 from ..analyze.graph import find_cycles
 from ..hdl.signal import Signal
 from ..kernel.event import Event
-from ..kernel.process import Process
 from . import astutils
 from .astutils import UNRESOLVED
 from .context import DesignContext, GroupView
@@ -176,7 +175,7 @@ class GuardWaitCycleRule(LintRule):
         groups = {id(g.root): g for g in design.group_views()}
         sites: list[dict] = []
         for info in design.processes:
-            if not info.analyzable or info.process.kind != Process.THREAD:
+            if not info.analyzable:
                 continue
             for call in info.channel_calls:
                 group = groups.get(id(call.handle._root()))

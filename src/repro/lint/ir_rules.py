@@ -93,16 +93,6 @@ class WidthMismatchRule(LintRule):
                     "(must be 1)",
                     "reduce the enable to a single bit",
                 )
-        for fsm in module.fsms:
-            for state, outputs in fsm.moore_outputs.items():
-                for net, value in outputs:
-                    if not 0 <= value < (1 << net.width):
-                        yield self.emit(
-                            f"{module.name}.{fsm.name}.{state}",
-                            f"moore output {value} does not fit "
-                            f"{net.width}-bit net {net.name!r}",
-                            "widen the net or shrink the output value",
-                        )
 
     def _validate(self, expr: ir.Expr) -> list[str]:
         problems: list[str] = []
@@ -222,8 +212,7 @@ class UndrivenNetRule(LintRule):
                 yield self.emit(
                     f"{module.name}.{net.name}",
                     f"{kind} is read but has no driver",
-                    "add a continuous assign or an FSM moore output "
-                    "driving it",
+                    "add a continuous assign driving it",
                 )
 
 

@@ -10,8 +10,6 @@ from __future__ import annotations
 
 import typing
 
-from ..analyze.graph import find_cycles
-from ..kernel.process import Process
 from .context import DesignContext, ProcessInfo
 from .diagnostics import Diagnostic, Severity
 from .engine import DESIGN, LintRule, register
@@ -82,64 +80,6 @@ class DeadEventWaitRule(LintRule):
                 event.name or f"{module.path}.{attr_name}",
                 f"event is waited on (by {waiters}) but never notified",
                 "notify the event from some process, or remove the wait",
-            )
-
-
-@register
-class CombinationalLoopRule(LintRule):
-    """Zero-delay method processes form a feedback loop through signals."""
-
-    rule_id = "MOD004"
-    name = "combinational-loop"
-    target = DESIGN
-    default_severity = Severity.ERROR
-    description = (
-        "method processes whose writes re-trigger their own sensitivity "
-        "loop forever within one time step"
-    )
-
-    def check(self, design: DesignContext) -> typing.Iterator[Diagnostic]:
-        # Map each signal's change/edge events back to the signal so a
-        # method's sensitivity list can be expressed in signal identities.
-        event_to_signal: dict[int, object] = {}
-        for signal in design.signals:
-            for attr in ("_changed", "_posedge", "_negedge"):
-                event = getattr(signal, attr, None)
-                if event is not None:
-                    event_to_signal[id(event)] = signal
-
-        methods = [
-            info for info in design.processes
-            if info.analyzable and info.process.kind == Process.METHOD
-        ]
-        reads: dict[int, set[int]] = {}    # id(info) -> sensitivity signal ids
-        writes: dict[int, set[int]] = {}
-        for info in methods:
-            sensitivity: set[int] = set()
-            for event in info.process._static_sensitivity:
-                signal = event_to_signal.get(id(event))
-                if signal is not None:
-                    sensitivity.add(id(signal))
-            reads[id(info)] = sensitivity
-            writes[id(info)] = set(info.signal_writes)
-
-        # Edge P -> Q when P writes a signal Q is sensitive to.
-        edges: dict[int, set[int]] = {id(info): set() for info in methods}
-        by_id = {id(info): info for info in methods}
-        for producer in methods:
-            for consumer in methods:
-                if writes[id(producer)] & reads[id(consumer)]:
-                    edges[id(producer)].add(id(consumer))
-
-        for cycle in find_cycles(edges):
-            names = [by_id[node].process.name for node in cycle]
-            anchor = min(names)
-            yield self.emit(
-                anchor,
-                "combinational loop through zero-delay method processes: "
-                + " -> ".join(sorted(names)),
-                "break the loop with a registered (clocked) stage or "
-                "convert one process to a thread with an explicit wait",
             )
 
 

@@ -39,8 +39,7 @@ class DriverConflictRule(LintRule):
         for net in graph.nets():
             drivers = graph.drivers_of(net)
             if len(drivers) < 2 and not any(
-                d.kind in ("assign", "fsm-output")
-                and isinstance(net, ir.Register)
+                d.kind == "assign" and isinstance(net, ir.Register)
                 for d in drivers
             ):
                 continue

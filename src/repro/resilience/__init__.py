@@ -13,9 +13,9 @@ Four levels:
 * **protocol recovery** (:class:`InterfaceRecovery`) — transaction
   replay inside the PCI/Wishbone interface IPs for master aborts, bus
   errors and PERR#-style read-parity mismatches.
-* **kernel watchdog + checkpoint/restore** (:mod:`.watchdog`,
-  :mod:`.checkpoint`) — portable in-sim run supervision and
-  state-level snapshots at transaction boundaries.
+* **kernel watchdog** (:mod:`.watchdog`) — portable in-sim run
+  supervision that stops a run over its wall budget or stalled in a
+  deadlock.
 * **self-healing campaigns** — consumed by :mod:`repro.fault`: worker
   supervision, the ``recovered`` outcome class, recovery-latency stats.
 
@@ -28,12 +28,6 @@ from __future__ import annotations
 
 import typing
 
-from .checkpoint import (
-    KernelCheckpoint,
-    capture,
-    restore,
-    stable_content_hash,
-)
 from .policy import (
     ALL_METHODS,
     RetryPolicy,
@@ -107,7 +101,6 @@ __all__ = [
     "ALL_METHODS",
     "APPLICATION_METHODS",
     "InterfaceRecovery",
-    "KernelCheckpoint",
     "RecoveryEpisode",
     "RecoveryLog",
     "ResilienceConfig",
@@ -115,9 +108,6 @@ __all__ = [
     "RunWatchdog",
     "apply_resilience",
     "attach_retry_policy",
-    "capture",
     "communication_progress",
     "default_guard_policy",
-    "restore",
-    "stable_content_hash",
 ]

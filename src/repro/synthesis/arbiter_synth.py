@@ -31,7 +31,6 @@ from .ir import (
     Mux,
     Net,
     RtlModule,
-    UnOp,
     clog2,
     mux_chain,
 )

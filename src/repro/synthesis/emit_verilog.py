@@ -10,19 +10,13 @@ from __future__ import annotations
 
 from ..errors import SynthesisError
 from .ir import (
-    Assign,
     BinOp,
     BitSelect,
-    ClockedAssign,
     Concat,
     Const,
     Expr,
-    Fsm,
     Mux,
-    Net,
-    Port,
     Ref,
-    Register,
     RtlModule,
     UnOp,
 )

@@ -318,7 +318,7 @@ class FsmTransition:
 
 
 class Fsm:
-    """A Moore state machine: named states, transitions, per-state outputs."""
+    """A state machine: named states and guarded transitions."""
 
     def __init__(self, name: str, states: typing.Sequence[str], reset_state: str) -> None:
         if not states:
@@ -333,8 +333,6 @@ class Fsm:
         self.states = list(states)
         self.reset_state = reset_state
         self.transitions: list[FsmTransition] = []
-        #: state -> list of (net, 1/0) Moore outputs.
-        self.moore_outputs: dict[str, list[tuple[Net, int]]] = {}
         self.state_register = Register(
             f"{name}_state", clog2(len(states)), self.states.index(reset_state)
         )

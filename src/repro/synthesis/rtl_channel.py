@@ -47,9 +47,9 @@ Unperturbed means that no activation-level kernel probe kind
 (``process.*``, ``delta.*``, ``event.notify``) has a subscriber, that
 ``space.descriptor`` is not patched on the instance, that no channel
 wire carries a per-instance ``_perform_update``, and that since the
-last full edge no channel wire was forced and the space was not touched
-(a checkpoint restore does both). Otherwise each edge is a full edge that writes ``server_state``
-as the RTL server does, and the clients poll ``done`` at every posedge.
+last full edge no channel wire was forced and the space was not touched.
+Otherwise each edge is a full edge that writes ``server_state`` as the
+RTL server does, and the clients poll ``done`` at every posedge.
 Fault models and activation observers then see exactly the RTL poll.
 """
 

@@ -122,16 +122,6 @@ class TestLivelock:
         module.add_fsm(fsm)
         assert list(find_livelock_cycles(fsm)) == []
 
-    def test_moore_output_cycle_does_work(self):
-        module = RtlModule("m")
-        strobe = module.add_net("strobe", 1)
-        fsm = Fsm("ctrl", ["A", "B"], "A")
-        fsm.add_transition("A", None, "B")
-        fsm.add_transition("B", None, "A")
-        fsm.moore_outputs["B"] = [(strobe, 1)]
-        module.add_fsm(fsm)
-        assert list(find_livelock_cycles(fsm)) == []
-
     def test_one_state_placeholder_is_exempt(self):
         fsm = Fsm("ctrl", ["IDLE"], "IDLE")
         fsm.add_transition("IDLE", None, "IDLE")

@@ -43,21 +43,15 @@ class TestDrivers:
     def test_fsm_drivers(self):
         module = RtlModule("f")
         go = module.add_port("go", "in", 1)
-        busy = module.add_net("busy", 1)
         fsm = Fsm("ctrl", ["IDLE", "RUN"], "IDLE")
         fsm.add_transition("IDLE", go.ref(), "RUN")
         fsm.add_transition("RUN", None, "IDLE")
-        fsm.moore_outputs["RUN"] = [(busy, 1)]
         module.add_fsm(fsm)
         graph = NetGraph(module)
         (state_driver,) = graph.drivers_of(fsm.state_register)
         assert state_driver.kind == "fsm-state"
         assert state_driver.sources == [go]
         assert not state_driver.is_combinational
-        (output_driver,) = graph.drivers_of(busy)
-        assert output_driver.kind == "fsm-output"
-        assert output_driver.is_combinational
-        assert output_driver.sources == [fsm.state_register]
 
 
 class TestReaders:
@@ -82,7 +76,7 @@ class TestCombDependencies:
 
 
 class TestFindCycles:
-    """The one SCC routine behind MOD004, GRD003 and FSM003."""
+    """The one SCC routine behind GRD003 and FSM003."""
 
     def test_long_ring_is_one_cycle(self):
         # Deeper than the interpreter's recursion limit: only an

@@ -115,13 +115,13 @@ class TestScheduleEquivalence:
         def on_delta_end(sim_time, delta_index):
             env = dict(boundary)
             env["rst_n"] = 1
-            env[state_net] = channel.state_sig.to_int()
-            env["grant_reg"] = channel.grant_sig.to_int()
+            env[state_net] = channel.state_sig.read().to_int()
+            env["grant_reg"] = channel.grant_sig.read().to_int()
             for i, req in enumerate(channel.req):
-                env[f"req_{i}"] = req.to_int()
+                env[f"req_{i}"] = req.read().to_int()
             out = schedule.evaluate(env)
             for i in range(len(channel.clients)):
-                expected = (channel.gnt[i].to_int(), channel.done[i].to_int())
+                expected = (channel.gnt[i].read().to_int(), channel.done[i].read().to_int())
                 got = (out[f"gnt_{i}"], out[f"done_{i}"])
                 if got != expected:
                     mismatches.append((sim_time, delta_index, i,

@@ -175,26 +175,6 @@ class TestLevelize:
             for index in range(12)
         ]
 
-    def test_fsm_output_step(self):
-        module = RtlModule("m")
-        go = module.add_port("go", "in", 1)
-        busy = module.add_net("busy", 1)
-        fsm = Fsm("ctrl", ["IDLE", "RUN"], "IDLE")
-        fsm.add_transition("IDLE", go.ref(), "RUN")
-        fsm.add_transition("RUN", None, "IDLE")
-        fsm.moore_outputs["RUN"] = [(busy, 1)]
-        module.add_fsm(fsm)
-        result = levelize(NetGraph(module))
-        assert result.ok
-        env = result.schedule.evaluate(
-            {fsm.state_register.name: fsm.encode("RUN")}
-        )
-        assert env["busy"] == 1
-        env = result.schedule.evaluate(
-            {fsm.state_register.name: fsm.encode("IDLE")}
-        )
-        assert env["busy"] == 0  # Moore default
-
     def test_width1_boundary_masked_on_entry(self):
         """A truthy-but-not-1 value on a width-1 boundary net behaves
         like the wire it names: only bit 0 is visible downstream."""
@@ -212,15 +192,18 @@ class TestLevelize:
 
     def test_over_wide_state_register_decodes_truncated(self):
         """Stale high bits on the state value must not silently turn
-        every Moore output into the default 0."""
+        a state decode false."""
         module = RtlModule("m")
         go = module.add_port("go", "in", 1)
         busy = module.add_net("busy", 1)
         fsm = Fsm("ctrl", ["IDLE", "RUN"], "IDLE")
         fsm.add_transition("IDLE", go.ref(), "RUN")
         fsm.add_transition("RUN", None, "IDLE")
-        fsm.moore_outputs["RUN"] = [(busy, 1)]
         module.add_fsm(fsm)
+        module.add_assign(busy, BinOp(
+            "==", fsm.state_register.ref(),
+            Const(fsm.encode("RUN"), fsm.state_register.width),
+        ))
         schedule = levelize(NetGraph(module)).schedule
         width = fsm.state_register.width
         value = fsm.encode("RUN") | (1 << width)  # one stale bit up top

@@ -57,11 +57,11 @@ def _run_latch(backend):
     def on_delta_end(sim_time, delta_index):
         snap = (
             sim_time,
-            channel.state_sig.to_int(),
-            channel.grant_sig.to_int(),
-            tuple(s.to_int() for s in channel.req),
-            tuple(s.to_int() for s in channel.gnt),
-            tuple(s.to_int() for s in channel.done),
+            channel.state_sig.read().to_int(),
+            channel.grant_sig.read().to_int(),
+            tuple(s.read().to_int() for s in channel.req),
+            tuple(s.read().to_int() for s in channel.gnt),
+            tuple(s.read().to_int() for s in channel.done),
         )
         if not snapshots or snapshots[-1] != snap:
             snapshots.append(snap)

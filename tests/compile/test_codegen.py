@@ -108,8 +108,11 @@ class TestCycleSemantics:
         fsm = Fsm("ctrl", ["IDLE", "RUN"], "IDLE")
         fsm.add_transition("IDLE", go.ref(), "RUN")
         fsm.add_transition("RUN", None, "IDLE")
-        fsm.moore_outputs["RUN"] = [(busy, 1)]
         module.add_fsm(fsm)
+        module.add_assign(busy, BinOp(
+            "==", fsm.state_register.ref(),
+            Const(fsm.encode("RUN"), fsm.state_register.width),
+        ))
         netlist = compile_module(ModuleAnalysis(module))
         regs = netlist.reset_registers()
         state = fsm.state_register.name

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.core import CommandType, DataType, READ, WRITE
+from repro.core import CommandType, DataType, READ
 from repro.errors import ProtocolError
 
 

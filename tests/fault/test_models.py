@@ -20,7 +20,12 @@ from repro.fault import (
 )
 from repro.fault.models import record_trajectory
 from repro.hdl import Module
-from repro.instrument.probes import FAULT_ACTIVATE, METHOD_GUARD_BLOCK
+from repro.instrument.probes import (
+    FAULT_ACTIVATE,
+    METHOD_GUARD_BLOCK,
+    PROCESS_ACTIVATE,
+    SIGNAL_COMMIT,
+)
 from repro.kernel import NS, Simulator, Timeout
 from repro.osss import GlobalObject, guarded_method
 
@@ -142,21 +147,37 @@ class TestGlitch:
 # -- signal faults on the kernel's fast commit path ----------------------------
 #
 # Width-1 int writes commit shared vectors and resolved drivers release to
-# one shared all-Z vector; the faults must still intercept both. Every
-# scenario runs with the probe bus off and on, so each evaluation loop
-# of the scheduler is covered.
+# one shared all-Z vector; the faults must still intercept both. A
+# ``signal.commit`` subscriber logs every commit, the fault overrides'
+# included. Every scenario runs with process probes off and on (a no-op
+# ``process.activate`` subscriber), so each evaluation loop of the
+# scheduler is covered.
 
 #: Writes of the width-1 rig, one every 10 ns from 10 ns on.
 _LINE_PATTERN = (1, 0, 1, 1, 0, 1, 0, 1)
 
 
+def _commit_log(sim, target, probes):
+    """``(time, value)`` of every commit of *target*."""
+    committed = []
+
+    def record(time, signal, value):
+        if signal is target:
+            committed.append((time, value.to_int_default(-1)))
+
+    sim.probes.subscribe(SIGNAL_COMMIT, record)
+    if probes:
+        sim.probes.subscribe(PROCESS_ACTIVATE, lambda *__: None)
+    return committed
+
+
 def _line_rig(probes):
-    """A width-1 signal written with int 0/1, plus a posedge waiter and a
-    change sampler; returns (sim, line, posedge times, committed values)."""
+    """A width-1 signal written with int 0/1, plus a posedge waiter;
+    returns (sim, line, posedge times, committed values)."""
     sim = Simulator()
     top = Module(sim, "top")
     line = top.signal("line", width=1, init=0)
-    posedges, committed = [], []
+    posedges = []
 
     def writer():
         for level in _LINE_PATTERN:
@@ -168,16 +189,9 @@ def _line_rig(probes):
             yield line.posedge
             posedges.append(sim.time)
 
-    def sampler():
-        while True:
-            yield line.changed
-            committed.append((sim.time, line.read().to_int()))
-
     sim.spawn(writer, "w")
     sim.spawn(rising, "rising")
-    sim.spawn(sampler, "sampler")
-    if probes:
-        sim.add_tracer(_Recorder())
+    committed = _commit_log(sim, line, probes)
     sim.elaborate()
     return sim, line, posedges, committed
 
@@ -189,7 +203,6 @@ def _bus_rig(probes):
     top = Module(sim, "top")
     bus = top.resolved_signal("bus", width=8)
     a, b = bus.get_driver("a"), bus.get_driver("b")
-    committed = []
 
     def writer():
         for value in range(1, 9):
@@ -198,15 +211,8 @@ def _bus_rig(probes):
             active.write(value)
             idle.release()
 
-    def sampler():
-        while True:
-            yield bus.changed
-            committed.append((sim.time, bus.read().to_int_default(-1)))
-
     sim.spawn(writer, "w")
-    sim.spawn(sampler, "sampler")
-    if probes:
-        sim.add_tracer(_Recorder())
+    committed = _commit_log(sim, bus, probes)
     sim.elaborate()
     return sim, bus, committed
 
@@ -245,7 +251,7 @@ class TestFastPathSignalFaults:
         sim.run(100 * NS)
         # The 30 ns rise commits, then the hook flips it back to 0 in the
         # same update phase: the waiter still sees exactly one posedge.
-        assert committed == _ns([(10, 1), (20, 0), (30, 0), (40, 1),
+        assert committed == _ns([(10, 1), (20, 0), (30, 1), (30, 0), (40, 1),
                                  (50, 0), (60, 1), (70, 0), (80, 1)])
         assert posedges == [t * NS for t in (10, 30, 40, 60, 80)]
         assert fault.activations == 1
@@ -284,7 +290,8 @@ class TestFastPathSignalFaults:
         fault.arm(sim)
         assert "_perform_update" in vars(bus)
         sim.run(100 * NS)
-        assert committed == _ns([(10, 1), (20, 2 | 0x80)]
+        # The 20 ns update commits 2, and the hook overrides it at once.
+        assert committed == _ns([(10, 1), (20, 2), (20, 2 | 0x80)]
                                 + [(t, t // 10) for t in range(30, 90, 10)])
         assert fault.activations == 1
 

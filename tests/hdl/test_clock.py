@@ -19,7 +19,7 @@ class TestClock:
 
         def watcher():
             while True:
-                yield clock.posedge
+                yield clock.clk.posedge
                 edges.append(sim.time)
 
         sim.spawn(watcher, "w")
@@ -27,29 +27,12 @@ class TestClock:
         assert edges == [5 * NS, 15 * NS, 25 * NS]
         assert clock.cycle_count == 3
 
-    def test_start_high(self, sim):
-        clock = Clock(sim, "clk", period=10 * NS, start_high=True)
-        assert clock.clk.read().to_int() == 1
-        negedges = []
-
-        def watcher():
-            yield clock.negedge
-            negedges.append(sim.time)
-
-        sim.spawn(watcher, "w")
-        sim.run(20 * NS)
-        assert negedges == [5 * NS]
-
     def test_duty_cycle(self, sim):
-        clock = Clock(sim, "clk", period=10 * NS, duty=0.3)
-        assert clock.high_time == 3 * NS
-        assert clock.low_time == 7 * NS
+        clock = Clock(sim, "clk", period=10 * NS)
+        assert (clock.high_time, clock.low_time) == (5 * NS, 5 * NS)
+        odd = Clock(sim, "odd", period=7)
+        assert (odd.high_time, odd.low_time) == (3, 4)
 
     def test_invalid_parameters(self, sim):
         with pytest.raises(SimulationError):
             Clock(sim, "c1", period=1)
-        with pytest.raises(SimulationError):
-            Clock(sim, "c2", period=10 * NS, duty=0.0)
-        with pytest.raises(SimulationError):
-            Clock(sim, "c3", period=10 * NS, duty=1.5)
-

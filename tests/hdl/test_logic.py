@@ -3,7 +3,7 @@
 import pytest
 
 from repro.errors import LogicValueError
-from repro.hdl import L0, L1, LX, LZ, Logic, resolve
+from repro.hdl import L0, L1, LX, LZ, Logic, LogicVector, resolve_vectors
 
 
 class TestConstruction:
@@ -39,10 +39,6 @@ class TestConversion:
         with pytest.raises(LogicValueError):
             bool(LZ)
 
-    def test_to_int(self):
-        assert L1.to_int() == 1
-        assert L0.to_int() == 0
-
     def test_equality_with_primitives(self):
         assert L1 == 1
         assert L0 == False  # noqa: E712 - deliberate primitive comparison
@@ -50,34 +46,10 @@ class TestConversion:
         assert LX != 1
 
 
-class TestOperators:
-    def test_invert(self):
-        assert ~L0 is L1
-        assert ~L1 is L0
-        assert ~LX is LX
-        assert ~LZ is LX
-
-    def test_and_dominant_zero(self):
-        assert (L0 & LX) is L0
-        assert (LX & L0) is L0
-        assert (L1 & L1) is L1
-        assert (L1 & LX) is LX
-        assert (LZ & L1) is LX
-
-    def test_or_dominant_one(self):
-        assert (L1 | LX) is L1
-        assert (LX | L1) is L1
-        assert (L0 | L0) is L0
-        assert (L0 | LX) is LX
-
-    def test_xor(self):
-        assert (L1 ^ L0) is L1
-        assert (L1 ^ L1) is L0
-        assert (L1 ^ LX) is LX
-
-    def test_is_defined(self):
-        assert L0.is_defined and L1.is_defined
-        assert not LX.is_defined and not LZ.is_defined
+def resolve(*values):
+    """Resolve one wire's drivers: the width-1 case of bus resolution."""
+    resolved = resolve_vectors(1, [LogicVector(1, value) for value in values])
+    return resolved.bit(0)
 
 
 class TestResolution:

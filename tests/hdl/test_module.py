@@ -1,10 +1,10 @@
-"""Unit tests for module hierarchy and sensitivity."""
+"""Unit tests for module hierarchy."""
 
 import pytest
 
 from repro.errors import ElaborationError
 from repro.hdl import Module
-from repro.kernel import NS, Simulator, Timeout
+from repro.kernel import Simulator
 
 
 @pytest.fixture
@@ -31,26 +31,3 @@ class TestHierarchy:
     def test_bad_parent_rejected(self):
         with pytest.raises(ElaborationError):
             Module("not a parent", "x")
-
-
-class TestSensitivity:
-    def test_method_sensitive_to_signal(self, sim):
-        top = Module(sim, "top")
-        a = top.signal("a", width=1, init=0)
-        b = top.signal("b", width=1, init=0)
-        # Combinational: b = ~a, evaluated on every change of a.
-        top.method(lambda: b.write((~a.read())), sensitivity=[a])
-
-        def driver():
-            yield Timeout(10 * NS)
-            a.write(1)
-            yield Timeout(10 * NS)
-
-        sim.spawn(driver, "d")
-        sim.run(30 * NS)
-        assert b.read().to_int() == 0
-
-    def test_bad_sensitivity_item_rejected(self, sim):
-        top = Module(sim, "top")
-        with pytest.raises(ElaborationError):
-            top.method(lambda: None, sensitivity=["nope"])

@@ -7,6 +7,7 @@ from repro.errors import WidthError
 from repro.fault import BitFlipFault, StuckAtFault, TransientGlitchFault
 from repro.hdl import LogicVector, Module, ResolvedSignal, Signal
 from repro.hdl.bitvector import BITS, resolve_vectors
+from repro.instrument.probes import SIGNAL_COMMIT
 from repro.kernel import NS, Simulator, Timeout
 
 
@@ -23,7 +24,7 @@ class TestDrivers:
         b = bus.get_driver("b")
         assert a1 is a2
         assert a1 is not b
-        assert set(bus.driver_names) == {"a", "b"}
+        assert set(bus._drivers) == {"a", "b"}
 
     def test_initial_value_floats(self, sim):
         bus = ResolvedSignal(sim, "bus", 8)
@@ -46,11 +47,11 @@ class TestDrivers:
         bus = ResolvedSignal(sim, "bus", 1)
         driver = bus.get_driver("a")
         driver.write(1)
-        assert driver.contribution is BITS[1]
+        assert driver._contribution is BITS[1]
         driver.write(0)
-        assert driver.contribution is BITS[0]
+        assert driver._contribution is BITS[0]
         driver.write(True)
-        assert driver.contribution == BITS[1]
+        assert driver._contribution == BITS[1]
 
 
 class TestResolutionOverTime:
@@ -126,27 +127,36 @@ class TestResolutionOverTime:
         assert str(bus.read()) == "XXXX"
 
     def test_changed_event(self, sim):
+        """The rail commits (and tells tracers) only when the resolved
+        value changes."""
         bus = ResolvedSignal(sim, "bus", 4)
         driver = bus.get_driver("a")
-        wakes = []
-
-        def watcher():
-            while True:
-                yield bus.changed
-                wakes.append(str(bus.read()))
+        commits = _commits(sim, bus)
 
         def proc():
             yield Timeout(10 * NS)
             driver.write(5)
             yield Timeout(10 * NS)
-            driver.write(5)  # no change: no event
+            driver.write(5)  # no change: no commit
             yield Timeout(10 * NS)
             driver.release()
 
-        sim.spawn(watcher, "w")
         sim.spawn(proc, "p")
         sim.run(100 * NS)
-        assert wakes == ["0101", "ZZZZ"]
+        assert commits == [(10, "0101"), (30, "ZZZZ")]
+
+
+def _commits(sim, bus):
+    """``(time in ns, value)`` of every commit of *bus*, as a
+    ``signal.commit`` subscriber sees them."""
+    commits = []
+
+    def record(time, signal, value):
+        if signal is bus:
+            commits.append((time // NS, str(value)))
+
+    sim.probes.subscribe(SIGNAL_COMMIT, record)
+    return commits
 
 
 def _held_rail():
@@ -166,13 +176,12 @@ def _held_rail():
             yield Timeout(10 * NS)
             b.release()
 
-    def sampler():
-        while True:
-            yield bus.changed
-            committed.append((sim.time // NS, bus.read().to_int_default(-1)))
+    def record(time, signal, value):
+        if signal is bus:
+            committed.append((time // NS, value.to_int_default(-1)))
 
     sim.spawn(writer, "w")
-    sim.spawn(sampler, "sampler")
+    sim.probes.subscribe(SIGNAL_COMMIT, record)
     sim.elaborate()
     return sim, bus, committed
 
@@ -212,25 +221,6 @@ class TestOverridesOnHeldRail:
         assert committed == [(10, 0x11), (20, 0x91), (30, 0x11)]
         assert fault.activations == 1
 
-    def test_checkpoint_restore_resolves_again(self):
-        sim, bus, committed = _held_rail()
-        sim.run(15 * NS)
-        checkpoint = sim.checkpoint()
-        # A driver moved since the checkpoint: restore moves it back.
-        bus.get_driver("a").write(0x22)
-        sim.run(10 * NS)
-        sim.restore(checkpoint)
-        sim.run(1 * NS)
-        # Drivers as at the checkpoint, committed value overridden: the
-        # restore's writes change no contribution and still commit.
-        TransientGlitchFault("top.bus", window=(32 * NS, 50 * NS),
-                             value=0x55).arm(sim)
-        sim.run(9 * NS)
-        sim.restore(checkpoint)
-        sim.run(1 * NS)
-        assert committed == [(10, 0x11), (15, 0x22), (25, 0x11),
-                             (32, 0x55), (35, 0x11)]
-
 
 # -- property: change-driven resolution equals a full resolution -------------
 
@@ -269,7 +259,7 @@ def _apply(driver, width, kind, number, literal, current):
     if kind == "all_z":
         driver.write(LogicVector.high_z(width))
     elif kind == "same":
-        driver.write(driver.contribution)
+        driver.write(driver._contribution)
         return current
     else:
         driver.release()
@@ -291,7 +281,7 @@ def _check_rail_script(width, n_drivers, deltas):
             for index, kind, number, literal in delta:
                 model[index] = _apply(drivers[index], width, kind, number,
                                       literal, model[index])
-                assert drivers[index].contribution == model[index]
+                assert drivers[index]._contribution == model[index]
             yield Timeout(0)
             assert bus.read() == resolve_vectors(width, model), (
                 bus.read(), model)
@@ -323,7 +313,7 @@ def test_contention_enters_and_leaves(width):
         [(0, "same", 0, z)],
         [(0, "all_z", 0, z)],
     ])
-    unknown = LogicVector.unknown(width)
+    unknown = LogicVector(width, None)
     assert committed[1] == unknown and committed[2] == unknown
     assert committed[3] is committed[4]
     assert committed[3].to_int() == ones

@@ -4,6 +4,7 @@ import pytest
 
 from repro.errors import MultipleDriverError
 from repro.hdl import LogicVector, Module, Signal
+from repro.instrument.probes import SIGNAL_COMMIT
 from repro.kernel import NS, Simulator, Timeout
 
 
@@ -60,51 +61,47 @@ class TestWriteSemantics:
 class TestEvents:
     def test_changed_fires_only_on_real_change(self, sim):
         signal = Signal(sim, "s", width=4, init=5)
-        wakes = []
-
-        def watcher():
-            while True:
-                yield signal.changed
-                wakes.append(sim.time)
+        commits = []
+        sim.probes.subscribe(
+            SIGNAL_COMMIT,
+            lambda time, committed, value: commits.append(
+                (time, value.to_int())
+            ),
+        )
 
         def writer():
             yield Timeout(10 * NS)
-            signal.write(5)  # same value: no event
+            signal.write(5)  # same value: no commit
             yield Timeout(10 * NS)
             signal.write(6)
             yield Timeout(10 * NS)
 
-        sim.spawn(watcher, "watch")
         sim.spawn(writer, "write")
         sim.run(100 * NS)
-        assert wakes == [20 * NS]
+        assert commits == [(20 * NS, 6)]
 
     def test_posedge_negedge(self, sim):
+        """posedge wakes on a rise only: a fall wakes nobody."""
         signal = Signal(sim, "s", width=1, init=0)
         edges = []
 
         def pos():
             while True:
                 yield signal.posedge
-                edges.append(("pos", sim.time))
-
-        def neg():
-            while True:
-                yield signal.negedge
-                edges.append(("neg", sim.time))
+                edges.append(sim.time)
 
         def driver():
             yield Timeout(10 * NS)
             signal.write(1)
             yield Timeout(10 * NS)
             signal.write(0)
+            yield Timeout(10 * NS)
+            signal.write(1)
 
         sim.spawn(pos, "p")
-        sim.spawn(neg, "n")
         sim.spawn(driver, "d")
         sim.run(100 * NS)
-        assert ("pos", 10 * NS) in edges
-        assert ("neg", 20 * NS) in edges
+        assert edges == [10 * NS, 30 * NS]
 
     def test_bool_signal_edges(self, sim):
         signal = Signal(sim, "s", init=False)
@@ -179,5 +176,5 @@ class TestModuleIntegration:
 
     def test_to_int_helper(self, sim):
         module = Module(sim, "top")
-        assert module.signal("a", width=4, init=3).to_int() == 3
-        assert module.signal("b", init=True).to_int() == 1
+        assert module.signal("a", width=4, init=3).read().to_int() == 3
+        assert module.signal("b", init=True).read() is True

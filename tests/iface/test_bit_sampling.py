@@ -92,7 +92,7 @@ def _wishbone_agents(bus):
     write = BusOperation(True, 0, data=[1], byte_lanes=bus.sel_width)
     status = _resume(master._execute(write, clk.posedge), edges=64)
     return (
-        is_one(bus.ack.get_driver(slave.path).contribution),
+        is_one(bus.ack.get_driver(slave.path)._contribution),
         [transfer.terminated_by for transfer in monitor.transfers],
         monitor.violations,
         status,

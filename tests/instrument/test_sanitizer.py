@@ -1,6 +1,6 @@
 """Dynamic race sanitizer: unit behaviour plus RACE001 confirmation."""
 
-from repro.instrument.probes import SIGNAL_COMMIT, ProbeBus
+from repro.instrument.probes import ProbeBus
 from repro.instrument.sanitizer import RaceSanitizer
 from repro.lint import lint_design
 

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.errors import SimulationError
-from repro.kernel import AllOf, AnyOf, NS, Simulator, Timeout
+from repro.kernel import AnyOf, NS, Simulator, Timeout
 
 
 @pytest.fixture
@@ -128,29 +128,9 @@ class TestCompositeWaits:
         sim.run(100 * NS)
         assert log == [10 * NS]
 
-    def test_all_of_waits_for_every_event(self, sim):
-        a, b = sim.event("a"), sim.event("b")
-        log = []
-
-        def waiter():
-            yield AllOf(a, b)
-            log.append(sim.time)
-
-        def driver():
-            a.notify_after(10 * NS)
-            b.notify_after(40 * NS)
-            yield Timeout(1)
-
-        sim.spawn(waiter, "w")
-        sim.spawn(driver, "d")
-        sim.run(100 * NS)
-        assert log == [40 * NS]
-
     def test_empty_composite_rejected(self, sim):
         with pytest.raises(SimulationError):
             AnyOf()
-        with pytest.raises(SimulationError):
-            AllOf()
 
     def test_composite_rejects_non_events(self, sim):
         with pytest.raises(SimulationError):
@@ -178,3 +158,38 @@ class TestMultipleWaiters:
         sim.spawn(notifier, "n")
         sim.run(10 * NS)
         assert sorted(log) == [0, 1, 2, 3, 4]
+
+
+class TestEventCallbacks:
+    def test_callback_runs_once_on_trigger(self, sim):
+        event = sim.event("e")
+        calls = []
+        event.add_callback(lambda: calls.append(sim.time))
+
+        def driver():
+            yield Timeout(10 * NS)
+            event.notify()
+            yield Timeout(10 * NS)
+            event.notify()  # callback already consumed
+
+        sim.spawn(driver, "d")
+        sim.run(100 * NS)
+        assert calls == [10 * NS]
+
+    def test_callbacks_and_waiters_both_fire(self, sim):
+        event = sim.event("e")
+        log = []
+        event.add_callback(lambda: log.append("callback"))
+
+        def waiter():
+            yield event
+            log.append("waiter")
+
+        def driver():
+            yield Timeout(5 * NS)
+            event.notify()
+
+        sim.spawn(waiter, "w")
+        sim.spawn(driver, "d")
+        sim.run(50 * NS)
+        assert "callback" in log and "waiter" in log

@@ -3,8 +3,8 @@
 Every built platform creates thousands of events and processes, and
 every simulated transaction creates its records, so these classes
 declare ``__slots__``: no instance carries a ``__dict__``, and an
-undeclared attribute raises. ``Event`` creates its static-waiter and
-callback lists on first use; the second half pins that behaviour.
+undeclared attribute raises. ``Event`` creates its callback list on
+first use; the second half pins that behaviour.
 """
 
 import gc
@@ -73,13 +73,6 @@ def sim():
     return Simulator()
 
 
-def _method(sim, name, log):
-    process = Process(sim.scheduler, name, lambda: log.append(sim.time),
-                      Process.METHOD)
-    sim.scheduler.register_process(process, initialize=False)
-    return process
-
-
 def _notify_at(sim, event, *times):
     def driver():
         now = 0
@@ -94,10 +87,8 @@ def _notify_at(sim, event, *times):
 class TestLazyEventLists:
     def test_fresh_event_has_no_lists(self, sim):
         event = sim.event("e")
-        assert event._static_waiters is None
         assert event._callbacks is None
         event.notify()
-        assert event._static_waiters is None
         assert event._callbacks is None
 
     def test_callback_added_by_a_callback_fires_on_the_next_trigger(self, sim):
@@ -115,28 +106,3 @@ class TestLazyEventLists:
         _notify_at(sim, event, 10 * NS, 20 * NS, 30 * NS)
         sim.run(100 * NS)
         assert log == [("first", 10 * NS), ("second", 20 * NS)]
-
-    def test_static_waiter_added_after_a_trigger_wakes_on_the_next(self, sim):
-        event = sim.event("e")
-        log = []
-        process = _method(sim, "m", log)
-
-        def late_registration():
-            yield Timeout(15 * NS)
-            event.add_static(process)
-
-        sim.spawn(late_registration, "late")
-        _notify_at(sim, event, 10 * NS, 20 * NS, 30 * NS)
-        sim.run(100 * NS)
-        assert log == [20 * NS, 30 * NS]
-
-    def test_second_add_static_is_ignored(self, sim):
-        event = sim.event("e")
-        log = []
-        process = _method(sim, "m", log)
-        event.add_static(process)
-        event.add_static(process)
-        assert event._static_waiters == [process]
-        _notify_at(sim, event, 10 * NS, 20 * NS)
-        sim.run(100 * NS)
-        assert log == [10 * NS, 20 * NS]

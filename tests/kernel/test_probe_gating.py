@@ -125,7 +125,7 @@ def _design(sim, subscribe_at, bus, activations):
 
     def counter():
         while True:
-            yield clock.posedge
+            yield clock.clk.posedge
 
     def subscriber():
         yield Timeout(subscribe_at)

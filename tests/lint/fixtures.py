@@ -62,28 +62,6 @@ def make_dead_event_wait() -> Simulator:
     return sim
 
 
-def make_combinational_loop() -> Simulator:
-    """MOD004: two zero-delay methods re-trigger each other."""
-    sim = Simulator()
-
-    class Loop(Module):
-        def __init__(self, parent, name):
-            super().__init__(parent, name)
-            self.a = self.signal("a", width=1, init=0)
-            self.b = self.signal("b", width=1, init=0)
-            self.method(self._invert, sensitivity=[self.b], name="invert")
-            self.method(self._follow, sensitivity=[self.a], name="follow")
-
-        def _invert(self):
-            self.a.write(1 - self.b.read())
-
-        def _follow(self):
-            self.b.write(self.a.read())
-
-    Loop(sim, "top")
-    return sim
-
-
 class ImpureGuardCell:
     """Guard appends to the state — a side effect."""
 

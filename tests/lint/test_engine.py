@@ -96,7 +96,7 @@ class TestRegistry:
     def test_default_registry_has_all_rule_layers(self):
         ids = {rule.rule_id for rule in default_registry.rules()}
         assert len(ids) >= 10
-        assert {"MOD002", "MOD003", "MOD004", "MOD005"} <= ids
+        assert {"MOD002", "MOD003", "MOD005"} <= ids
         assert {"GRD001", "GRD002", "GRD003", "GRD004"} <= ids
         assert {"IR001", "IR002", "IR003", "IR004", "IR005"} <= ids
 

@@ -62,17 +62,6 @@ class TestWidthMismatch:
         assert any(d.severity is Severity.ERROR
                    for d in report.by_rule("IR002"))
 
-    def test_fires_ir002_on_oversized_moore_output(self):
-        module = RtlModule("m")
-        out = module.add_port("out", "out", 1)
-        fsm = Fsm("ctrl", ["IDLE"], "IDLE")
-        fsm.add_transition("IDLE", None, "IDLE")
-        fsm.moore_outputs["IDLE"] = [(out, 1)]
-        module.add_fsm(fsm)
-        fsm.moore_outputs["IDLE"] = [(out, 7)]  # does not fit 1 bit
-        report = lint_netlist(module)
-        assert "IR002" in rule_ids(report)
-
 
 class TestUndrivenRegister:
     def test_fires_ir003(self):
@@ -133,16 +122,3 @@ class TestMultiplyDrivenNet:
         report = lint_netlist(module)
         assert "IR005" in rule_ids(report)
         assert "input port" in report.by_rule("IR005")[0].message
-
-    def test_assign_plus_fsm_output_conflict(self):
-        module = RtlModule("m")
-        wire = module.add_net("wire", 1)
-        out = module.add_port("out", "out", 1)
-        module.add_assign(wire, Const(0, 1))
-        module.add_assign(out, wire.ref())
-        fsm = Fsm("ctrl", ["IDLE"], "IDLE")
-        fsm.add_transition("IDLE", None, "IDLE")
-        fsm.moore_outputs["IDLE"] = [(wire, 1)]
-        module.add_fsm(fsm)
-        report = lint_netlist(module)
-        assert "IR005" in rule_ids(report)

@@ -77,34 +77,6 @@ class TestDeadEventWait:
         assert lint_design(sim).clean
 
 
-class TestCombinationalLoop:
-    def test_fires_mod004(self):
-        report = lint_design(fixtures.make_combinational_loop())
-        assert rule_ids(report) == {"MOD004"}
-        (diag,) = report.by_rule("MOD004")
-        assert diag.severity is Severity.ERROR
-        assert "invert" in diag.message and "follow" in diag.message
-
-    def test_acyclic_methods_are_clean(self):
-        from repro.hdl.module import Module
-        from repro.kernel.simulator import Simulator
-
-        sim = Simulator()
-
-        class Pipeline(Module):
-            def __init__(self, parent, name):
-                super().__init__(parent, name)
-                self.a = self.signal("a", width=1, init=0)
-                self.b = self.signal("b", width=1, init=0)
-                self.method(self._stage, sensitivity=[self.a], name="stage")
-
-            def _stage(self):
-                self.b.write(self.a.read())
-
-        Pipeline(sim, "top")
-        assert lint_design(sim).clean
-
-
 class TestInterfaceElementShape:
     def _sim_with(self, element_cls):
         from repro.kernel.simulator import Simulator

@@ -19,7 +19,6 @@ from repro.pci import (
     REG_ID,
     STATUS_OK,
     config_read,
-    config_write,
     enumerate_bus,
 )
 from repro.tlm import Memory

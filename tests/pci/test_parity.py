@@ -33,7 +33,7 @@ class TestParityOfVectors:
 
     def test_undefined_returns_none(self):
         assert parity_of_vectors(LogicVector.high_z(32), LogicVector(4, 0)) is None
-        assert parity_of_vectors(LogicVector(32, 0), LogicVector.unknown(4)) is None
+        assert parity_of_vectors(LogicVector(32, 0), LogicVector(4, None)) is None
 
 
 @given(

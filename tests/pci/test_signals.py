@@ -29,7 +29,7 @@ class TestSamplingHelpers:
         assert not is_asserted(LogicVector.high_z(1))
 
     def test_unknown_is_deasserted(self):
-        assert not is_asserted(LogicVector.unknown(1))
+        assert not is_asserted(LogicVector(1, None))
 
 
 class TestPciBus:

@@ -1,6 +1,5 @@
-"""In-sim run supervision: wall budget, stall detection, abort action."""
+"""In-sim run supervision: wall budget and stall detection."""
 
-from repro.errors import GuardTimeoutError
 from repro.hdl.clock import Clock
 from repro.hdl.module import Module
 from repro.kernel.process import Timeout
@@ -9,6 +8,7 @@ from repro.kernel.simulator import Simulator
 from repro.osss.global_object import GlobalObject
 from repro.osss.guarded_method import guarded_method
 from repro.resilience import RunWatchdog, communication_progress
+from repro.resilience.watchdog import POLL
 
 
 class _DeadCell:
@@ -26,14 +26,10 @@ class _Stuck(Module):
     def __init__(self, parent, name):
         super().__init__(parent, name)
         self.cell = GlobalObject(self, "cell", _DeadCell)
-        self.error = None
         self.thread(self._caller, "caller")
 
     def _caller(self):
-        try:
-            yield from self.cell.call("take")
-        except GuardTimeoutError as error:
-            self.error = error
+        yield from self.cell.call("take")
 
 
 class _Busy(Module):
@@ -57,16 +53,16 @@ class TestWallBudget:
     def test_exhausted_budget_stops_the_run(self):
         sim = Simulator()
         Clock(sim, "clock", period=1 * US)
-        watchdog = RunWatchdog(sim, wall_budget=1e-9, poll=10 * US)
+        watchdog = RunWatchdog(sim, wall_budget=1e-9)
         sim.run(1000 * US)
         assert watchdog.fired
         assert watchdog.reason == "wall"
-        assert sim.time <= 10 * US  # stopped at the first tick
+        assert sim.time == POLL  # stopped at the first tick
 
     def test_generous_budget_never_fires(self):
         sim = Simulator()
         Clock(sim, "clock", period=1 * US)
-        watchdog = RunWatchdog(sim, wall_budget=300.0, poll=10 * US)
+        watchdog = RunWatchdog(sim, wall_budget=300.0)
         sim.run(100 * US)
         assert not watchdog.fired
         assert sim.time == 100 * US
@@ -76,18 +72,18 @@ class TestStallDetection:
     def test_frozen_pending_traffic_fires_stall(self):
         sim = Simulator()
         _Stuck(sim, "top")
-        watchdog = RunWatchdog(sim, poll=1 * US, stall_strikes=3)
+        watchdog = RunWatchdog(sim, stall_strikes=3)
         sim.run(1000 * US)
         assert watchdog.fired
         assert watchdog.reason == "stall"
         # strikes only start accumulating once the snapshot stabilises,
         # so the trigger lands a few polls in — far before the horizon.
-        assert sim.time <= 10 * US
+        assert sim.time <= 5 * POLL
 
     def test_progressing_traffic_never_stalls(self):
         sim = Simulator()
         top = _Busy(sim, "top")
-        watchdog = RunWatchdog(sim, poll=1 * US, stall_strikes=3)
+        watchdog = RunWatchdog(sim, stall_strikes=3)
         sim.run(50 * US)
         assert not watchdog.fired
         assert top.served > 10
@@ -95,7 +91,7 @@ class TestStallDetection:
     def test_zero_strikes_disables_stall_detection(self):
         sim = Simulator()
         _Stuck(sim, "top")
-        watchdog = RunWatchdog(sim, poll=1 * US, stall_strikes=0)
+        watchdog = RunWatchdog(sim, stall_strikes=0)
         sim.run(50 * US)
         assert not watchdog.fired
         assert sim.time == 50 * US
@@ -104,28 +100,16 @@ class TestStallDetection:
         """No pending calls: a quiet bus must never trip the watchdog."""
         sim = Simulator()
         Clock(sim, "clock", period=1 * US)
-        watchdog = RunWatchdog(sim, poll=1 * US, stall_strikes=2)
+        watchdog = RunWatchdog(sim, stall_strikes=2)
         sim.run(50 * US)
         assert not watchdog.fired
 
 
-class TestAbortAction:
-    def test_abort_surfaces_guard_timeout_in_caller(self):
-        sim = Simulator()
-        top = _Stuck(sim, "top")
-        watchdog = RunWatchdog(
-            sim, poll=1 * US, stall_strikes=3, action="abort"
-        )
-        sim.run(50 * US)
-        assert watchdog.fired
-        assert watchdog.aborted_calls == 1
-        assert isinstance(top.error, GuardTimeoutError)
-        assert "watchdog aborted" in str(top.error)
-
+class TestCancel:
     def test_cancel_disarms(self):
         sim = Simulator()
         _Stuck(sim, "top")
-        watchdog = RunWatchdog(sim, poll=1 * US, stall_strikes=1)
+        watchdog = RunWatchdog(sim, stall_strikes=1)
         watchdog.cancel()
         sim.run(50 * US)
         assert not watchdog.fired

@@ -173,7 +173,7 @@ def _first_time(predicate, hold=0):
 
 
 def _blocked_with_request(channel):
-    return channel._blocked and any(wire.to_int() for wire in channel.req)
+    return channel._blocked and any(wire.read().to_int() for wire in channel.req)
 
 
 def _sleeping(channel):
@@ -191,21 +191,6 @@ def blocked_time():
 @pytest.fixture(scope="module")
 def sleeping_time():
     return _first_time(_sleeping)
-
-
-@pytest.fixture(scope="module")
-def called_time():
-    """The first posedge after a call completed: the channel's wires
-    carry requests."""
-    return _first_time(lambda channel: bool(channel.call_log))
-
-
-@pytest.fixture(scope="module")
-def blocked_after_call_time():
-    return _first_time(
-        lambda channel: bool(channel.call_log) and _blocked_with_request(channel),
-        hold=3,
-    )
 
 
 @pytest.fixture(scope="module")
@@ -340,28 +325,6 @@ class TestOutOfBandState:
         assert blocked_time + PERIOD in granted or any(
             blocked_time < time <= blocked_time + PERIOD for time in granted
         )
-
-    @pytest.mark.parametrize("backend", BACKENDS)
-    def test_checkpoint_restore(
-        self, backend, called_time, blocked_after_call_time
-    ):
-        """The restore reopens the gate and puts the captured requests
-        back on the payload wires, while the clients sleep on later
-        calls of their own."""
-        saved = {}
-
-        def capture(sim, channel):
-            saved["checkpoint"] = sim.checkpoint()
-
-        def restore(sim, channel):
-            sim.restore(saved["checkpoint"])
-
-        outcome = _same_as_polling(
-            [(called_time, capture), (blocked_after_call_time, restore)],
-            backend,
-        )
-        assert outcome["error"] is None
-        assert outcome["results"] != _outcome(True, [], backend)["results"]
 
 
 class TestActivationObserver:

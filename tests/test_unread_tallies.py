@@ -15,7 +15,10 @@ nothing in ``src/repro`` loads is a setting with no effect.
 
 And a public function, class or method under ``src/repro`` is there for
 a run, a CLI, an example or a benchmark: one that only the tests reach
-is code to maintain that the system never executes.
+is code to maintain that the system never executes. A load of a name the
+enclosing function binds itself (a parameter, an assignment, loop,
+``with`` or ``except`` target, a comprehension variable, a nested
+definition) reads that local, not a definition of the same name.
 """
 
 import ast
@@ -170,6 +173,9 @@ KEPT = {
         "a read-only query of the bus that tests assert through",
     "repro.tlm.memory.Memory.words_written":
         "a read-only query of the memory that tests assert through",
+    "repro.core.bus_interface.BusInterfaceChannel.reset":
+        "the paper's reset guarded method of the bus-interface channel "
+        "(PAPER.md contribution 3)",
 }
 
 
@@ -237,6 +243,45 @@ def _name_read(node):
     return None
 
 
+def _bound_names(function):
+    """The names *function* binds itself: its parameters, assignment,
+    loop, ``with``, ``except`` and comprehension targets, and nested
+    definitions. A load of one of them reads the local, not a
+    definition of the same name elsewhere."""
+    arguments = function.args
+    bound = {arg.arg for arg in (*arguments.posonlyargs, *arguments.args,
+                                 *arguments.kwonlyargs)}
+    bound.update(arg.arg for arg in (arguments.vararg, arguments.kwarg)
+                 if arg is not None)
+    for node in ast.walk(function):
+        if node is function:
+            continue
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store):
+            bound.add(node.id)
+        elif isinstance(node, ast.ExceptHandler) and node.name:
+            bound.add(node.name)
+        elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                               ast.ClassDef)):
+            bound.add(node.name)
+    return bound
+
+
+def _local_loads(tree):
+    """Ids of the ``ast.Name`` loads of a name bound in the enclosing
+    function."""
+    local = set()
+    for function in ast.walk(tree):
+        if isinstance(function, (ast.FunctionDef, ast.AsyncFunctionDef,
+                                 ast.Lambda)):
+            bound = _bound_names(function)
+            for node in ast.walk(function):
+                if (isinstance(node, ast.Name)
+                        and isinstance(node.ctx, ast.Load)
+                        and node.id in bound):
+                    local.add(id(node))
+    return local
+
+
 def _reads():
     """Name -> ``(path, line)`` of every place the reader code names it."""
     reads = {}
@@ -248,7 +293,7 @@ def _reads():
                 tree,
                 path.relative_to(SRC).as_posix() if in_src else None,
                 in_src and path.name == "__init__.py",
-            )
+            ) | _local_loads(tree)
             for node in ast.walk(tree):
                 name = _name_read(node)
                 if name is not None and id(node) not in skipped:
