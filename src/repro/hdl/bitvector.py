@@ -186,9 +186,6 @@ class LogicVector:
             and self._z == other_vec._z
         )
 
-    def __hash__(self) -> int:
-        return hash((self._width, self._ones, self._x, self._z))
-
 
 #: The width-1 vectors for int writes of 0 and 1, shared by every
 #: signal and bus driver (vectors are immutable, so sharing is invisible).
